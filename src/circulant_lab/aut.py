@@ -1,12 +1,16 @@
 """Graph automorphisms, transitivity tests, and the arc-type classifier.
 
 The automorphism search interleaves equitable color refinement with
-backtracking over images of a BFS-ordered vertex sequence.  It returns a
-generating set found level by level: the subtree fixing the next base vertex
-is explored first, then one coset representative per remaining orbit of the
-base vertex's cell (orbit pruning against the generators found so far).
-Every choice point is iterated in ascending vertex order, so the output is
-deterministic.
+backtracking over images of a BFS-ordered vertex sequence.  It finds
+generators level by level: the subtree fixing the next target vertex is
+explored first, then one coset representative per remaining orbit of the
+target's cell (orbit pruning against the generators found so far).  The
+targets form a base and the generators a strong generating set, so the
+search returns its group with the stabilizer chain already filled in
+(``PermGroup.from_chain``): |Aut| is the product of the basic orbit lengths,
+with no Schreier-Sims pass, and transversals are built only when membership
+or enumeration first needs them.  Every choice point is iterated in
+ascending vertex order, so the output is deterministic.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 from circulant_lab import _kernels as kern
 from circulant_lab import graphio
+from circulant_lab._bfs import bfs
 from circulant_lab.errors import (
     GroupNotAutomorphisms,
     NotArcTransitive,
@@ -30,34 +35,34 @@ _STABILISER_TO_T = {3: 0, 6: 1, 12: 2, 24: 3, 48: 4}
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("cap", "left")
 
     def __init__(self, cap: int):
+        self.cap = cap
         self.left = cap
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise SearchTimeout("automorphism search exceeded its node cap")
+            raise SearchTimeout(
+                f"automorphism search exceeded its node cap (node_cap={self.cap})")
 
 
 def bfs_order(graph: graphio.Graph) -> list[int]:
     """Vertices in BFS order from 0 (components visited by ascending root)."""
-    n = graph.n
-    seen = [False] * n
+    seen = [False] * graph.n
+
+    def discover(v: int) -> list[int]:
+        found = [u for u in graph.adjacency[v] if not seen[u]]
+        for u in found:
+            seen[u] = True
+        return found
+
     order = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for u in graph.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
+    for root in range(graph.n):
+        if not seen[root]:
+            seen[root] = True
+            order.extend(bfs([root], discover))
     return order
 
 
@@ -69,22 +74,29 @@ def _individualize(colors: list[int], v: int) -> list[int]:
 
 def _orbit_of(point: int, perms: list[Permutation]) -> set[int]:
     orbit = {point}
-    queue = [point]
-    while queue:
-        p = queue.pop(0)
+
+    def discover(p: int) -> list[int]:
+        found = []
         for g in perms:
             q = g[p]
             if q not in orbit:
                 orbit.add(q)
-                queue.append(q)
+                found.append(q)
+        return found
+
+    for _ in bfs([point], discover):
+        pass
     return orbit
 
 
 def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -> PermGroup:
-    """Generators of the full automorphism group of the graph.
+    """The full automorphism group of the graph, with its stabilizer chain.
 
-    Every returned generator is verified to preserve adjacency.  Raises
-    SearchTimeout when more than node_cap refinement nodes are explored.
+    The base is the search's target vertices whose basic orbit is more than
+    the target itself; the strong generators of a level are the generators
+    found at that level of the search or deeper.  Every returned generator
+    is verified to preserve adjacency.  Raises SearchTimeout when more than
+    node_cap refinement nodes are explored.
     """
     n = graph.n
     if n == 0:
@@ -93,6 +105,7 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
     budget = _Budget(node_cap)
     base_seq = bfs_order(graph)
     gens: list[tuple[int, Permutation]] = []
+    chain: list[tuple[int, int, int]] = []  # (level, base point, orbit size)
 
     limit = max(sys.getrecursionlimit(), 6 * n + 200)
     sys.setrecursionlimit(limit)
@@ -162,10 +175,14 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
             if found is not None:
                 gens.append((level, found))
                 orbit = None
-        return
+        if orbit is None:
+            orbit = _orbit_of(t, [g for lvl, g in gens if lvl >= level])
+        if len(orbit) > 1:
+            chain.append((level, t, len(orbit)))
 
     explore(refine([0] * n), 0)
-    return PermGroup(n, [g for _, g in gens])
+    chain.sort()
+    return PermGroup.from_chain(n, [g for _, g in gens], [(t, size) for _, t, size in chain])
 
 
 def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
@@ -188,15 +205,18 @@ def is_arc_transitive(graph: graphio.Graph, group: PermGroup) -> bool:
         return True
     start = next(graph.arcs())
     orbit = {start}
-    queue = [start]
-    while queue:
-        u, v = queue.pop(0)
+
+    def discover(uv: tuple[int, int]) -> list[tuple[int, int]]:
+        u, v = uv
+        found = []
         for g in group.generators:
             arc = (g[u], g[v])
             if arc not in orbit:
                 orbit.add(arc)
-                queue.append(arc)
-    return len(orbit) == total_arcs
+                found.append(arc)
+        return found
+
+    return sum(1 for _ in bfs([start], discover)) == total_arcs
 
 
 def tutte_type(graph: graphio.Graph, group: PermGroup | None = None,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from circulant_lab import graphio
+from circulant_lab._bfs import bfs
 from circulant_lab.errors import (
     ElementOutsideR,
     IdentityInS,
@@ -44,9 +45,9 @@ def cayley_graph(group, connection_set: Sequence) -> tuple[graphio.Graph, Cayley
     vertex_of = {ident: 0}
     elements = [ident]
     edges = set()
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
+
+    def discover(v: int) -> list[int]:
+        found = []
         gv = elements[v]
         for s in S:
             h = group.mul(gv, s)
@@ -55,8 +56,12 @@ def cayley_graph(group, connection_set: Sequence) -> tuple[graphio.Graph, Cayley
                 w = len(elements)
                 vertex_of[h] = w
                 elements.append(h)
-                queue.append(w)
+                found.append(w)
             edges.add((min(v, w), max(v, w)))
+        return found
+
+    for _ in bfs([0], discover):
+        pass
     graph = graphio.from_edges(len(elements), sorted(edges))
     return graph, CayleyLabeling(tuple(elements), vertex_of)
 

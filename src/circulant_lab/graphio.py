@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from circulant_lab._bfs import bfs
 from circulant_lab.errors import (
     BadCharacter,
     DuplicateEdge,
@@ -188,30 +189,20 @@ def serialize(graph: Graph, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def parse(text: str, fmt: str) -> Graph:
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    if fmt == "graph6":
-        return parse_graph6(text)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
 def is_connected(graph: Graph) -> bool:
     n = graph.n
     if n == 0:
         return True
     seen = [False] * n
     seen[0] = True
-    queue = [0]
-    count = 1
-    while queue:
-        v = queue.pop(0)
-        for u in graph.adjacency[v]:
-            if not seen[u]:
-                seen[u] = True
-                count += 1
-                queue.append(u)
-    return count == n
+
+    def discover(v: int) -> list[int]:
+        found = [u for u in graph.adjacency[v] if not seen[u]]
+        for u in found:
+            seen[u] = True
+        return found
+
+    return sum(1 for _ in bfs([0], discover)) == n
 
 
 def is_cubic(graph: Graph) -> bool:
@@ -224,18 +215,23 @@ def girth(graph: Graph) -> int | None:
     for root in range(graph.n):
         dist = {root: 0}
         parent = {root: -1}
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
+
+        def discover(v: int) -> list[int]:
+            nonlocal best
+            found = []
             if best is not None and dist[v] * 2 >= best:
-                continue
+                return found
             for u in graph.adjacency[v]:
                 if u not in dist:
                     dist[u] = dist[v] + 1
                     parent[u] = v
-                    queue.append(u)
+                    found.append(u)
                 elif u != parent[v]:
                     cyc = dist[v] + dist[u] + 1
                     if best is None or cyc < best:
                         best = cyc
+            return found
+
+        for _ in bfs([root], discover):
+            pass
     return best

@@ -2,9 +2,11 @@
 
 A graph is a k-circulant when some semiregular automorphism has exactly k
 cycles; the spectrum collects every such k.  It is computed by exhaustive
-enumeration of Aut via the stabilizer chain, which the Tutte bound
-(|Aut| <= 48 n for the cubic arc-transitive corpus) keeps tractable at desk
-scale.  The trivial k = n (identity witness) is always part of the spectrum;
+enumeration of Aut over the stabilizer chain the automorphism search hands
+over (its base, strong generators and lazily built transversals), which the
+Tutte bound (|Aut| <= 48 n for the cubic arc-transitive corpus) keeps
+tractable at desk scale.  Witnesses are the first hits in that enumeration,
+so they follow the search's base and coset representatives.  The trivial k = n (identity witness) is always part of the spectrum;
 reports may filter it.
 """
 from __future__ import annotations

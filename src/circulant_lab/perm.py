@@ -3,8 +3,13 @@
 Permutations act on {0..n-1} and compose left-to-right:
 ``compose(p, q)`` applies p first, so ``compose(p, q)[i] == q[p[i]]``.
 Groups answer order/membership/orbit/enumeration queries through a
-deterministic stabilizer chain (base points are smallest moved points,
-transversals are built by FIFO orbit searches), so repeated runs produce
+deterministic stabilizer chain with two producers.  For generators the
+caller supplies, Schreier-Sims builds it (base points are smallest moved
+points).  The automorphism search hands over the base and strong generating
+set it found (``PermGroup.from_chain``), so its order is the product of the
+basic orbit lengths and nothing is sifted; its transversals are built
+lazily, on the first membership test or enumeration.  Either way the
+transversals come from one FIFO orbit walk, so repeated runs produce
 identical element streams.
 """
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from circulant_lab import _kernels as kern
+from circulant_lab._bfs import bfs
 from circulant_lab.errors import CapExceeded, DegreeMismatch
 
 DEFAULT_ENUMERATION_CAP = 2 ** 24
@@ -135,18 +141,21 @@ def from_cycle_string(text: str, degree: int) -> Permutation:
 
 
 class _Level:
-    __slots__ = ("base", "transversal")
+    __slots__ = ("base", "orbit_size", "transversal")
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, orbit_size: int = 1):
         self.base = base
-        self.transversal: dict[int, list[int]] = {}
+        self.orbit_size = orbit_size
+        self.transversal: dict[int, list[int]] | None = None
 
 
 class PermGroup:
     """Permutation group given by generators, queried via a stabilizer chain.
 
-    Immutable after construction; the chain is built lazily on first query
-    and all chain-building choices are deterministic.
+    Immutable after construction.  A group built from caller-supplied
+    generators runs Schreier-Sims on its first query; one built by
+    ``from_chain`` already knows its base and strong generating set.  All
+    chain-building choices are deterministic.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation]):
@@ -158,12 +167,36 @@ class PermGroup:
         self._levels: list[_Level] | None = None
         self._strong_gens: list[list[int]] | None = None
 
+    @classmethod
+    def from_chain(cls, degree: int, generators: Sequence[Permutation],
+                   chain: Sequence[tuple[int, int]]) -> "PermGroup":
+        """A group whose base and strong generating set are already known.
+
+        chain lists (base point, orbit size) per level: the strong
+        generators of level i are the generators fixing the base points of
+        the levels before it, and the orbit size is the length of the base
+        point's orbit under them.  No Schreier generator is sifted: order()
+        is the product of the orbit sizes, and transversals are built on
+        first need by the same orbit walk that Schreier-Sims uses.
+        """
+        group = cls(degree, generators)
+        group._strong_gens = [list(g.images) for g in group.generators]
+        group._levels = [_Level(base, size) for base, size in chain]
+        return group
+
     # --- chain construction ---
 
     def _ensure_chain(self) -> list[_Level]:
         if self._levels is None:
             self._build_chain()
         return self._levels
+
+    def _ensure_transversals(self) -> list[_Level]:
+        levels = self._ensure_chain()
+        for i, lvl in enumerate(levels):
+            if lvl.transversal is None:
+                self._rebuild_transversal(i)
+        return levels
 
     def _build_chain(self) -> None:
         self._levels = []
@@ -189,18 +222,22 @@ class PermGroup:
     def _rebuild_transversal(self, level: int) -> None:
         lvl = self._levels[level]
         gens = self._gens_at(level)
-        ident = list(range(self.degree))
-        trans = {lvl.base: ident}
-        queue = [lvl.base]
-        while queue:
-            pt = queue.pop(0)
+        trans = {lvl.base: list(range(self.degree))}
+
+        def discover(pt: int) -> list[int]:
+            found = []
             tp = trans[pt]
             for g in gens:
                 q = g[pt]
                 if q not in trans:
                     trans[q] = kern.compose_images(tp, g)
-                    queue.append(q)
+                    found.append(q)
+            return found
+
+        for _ in bfs([lvl.base], discover):
+            pass
         lvl.transversal = trans
+        lvl.orbit_size = len(trans)
 
     def _sift_images(self, images: list[int], start: int) -> tuple[list[int], int]:
         levels = self._levels
@@ -254,7 +291,7 @@ class PermGroup:
     def order(self) -> int:
         n = 1
         for lvl in self._ensure_chain():
-            n *= len(lvl.transversal)
+            n *= lvl.orbit_size
         return n
 
     def base(self) -> tuple[int, ...]:
@@ -263,7 +300,7 @@ class PermGroup:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch(f"degrees {p.degree} and {self.degree}")
-        self._ensure_chain()
+        self._ensure_transversals()
         residue, _ = self._sift_images(list(p.images), 0)
         return all(i == x for i, x in enumerate(residue))
 
@@ -273,22 +310,22 @@ class PermGroup:
     def orbits(self) -> list[list[int]]:
         """Orbit partition of {0..n-1} under the group, each orbit sorted."""
         seen = [False] * self.degree
+
+        def discover(pt: int) -> list[int]:
+            found = []
+            for g in self.generators:
+                q = g[pt]
+                if not seen[q]:
+                    seen[q] = True
+                    found.append(q)
+            return found
+
         out = []
         for start in range(self.degree):
             if seen[start]:
                 continue
-            orbit = [start]
             seen[start] = True
-            queue = [start]
-            while queue:
-                pt = queue.pop(0)
-                for g in self.generators:
-                    q = g[pt]
-                    if not seen[q]:
-                        seen[q] = True
-                        orbit.append(q)
-                        queue.append(q)
-            out.append(sorted(orbit))
+            out.append(sorted(bfs([start], discover)))
         return out
 
     def elements(self, cap: int | None = None) -> Iterator[Permutation]:
@@ -304,33 +341,21 @@ class PermGroup:
         order = self.order()
         if order > cap:
             raise CapExceeded(f"group order {order} exceeds cap {cap}")
-        levels = self._ensure_chain()
+        levels = self._ensure_transversals()
 
         def rec(i: int) -> Iterator[list[int]]:
             if i == len(levels):
                 yield list(range(self.degree))
                 return
             trans = levels[i].transversal
+            # the stabiliser below is walked once per orbit point; keep its
+            # elements when they take no more room than this transversal
+            stabiliser_order = math.prod(lvl.orbit_size for lvl in levels[i + 1:])
+            below = list(rec(i + 1)) if stabiliser_order <= len(trans) else None
             for pt in sorted(trans):
                 t = trans[pt]
-                for h in rec(i + 1):
+                for h in rec(i + 1) if below is None else below:
                     yield kern.compose_images(h, t)
 
         for images in rec(0):
             yield Permutation(tuple(images))
-
-
-def group_order(g: PermGroup) -> int:
-    return g.order()
-
-
-def membership(g: PermGroup, p: Permutation) -> bool:
-    return g.contains(p)
-
-
-def orbits(g: PermGroup) -> list[list[int]]:
-    return g.orbits()
-
-
-def enumerate_elements(g: PermGroup, cap: int | None = None) -> Iterator[Permutation]:
-    return g.elements(cap)

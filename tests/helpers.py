@@ -94,3 +94,23 @@ def relabel(graph: Graph, images) -> Graph:
 def random_simple_graph(rng, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return from_edges(n, edges)
+
+
+def generalized_petersen(n: int, k: int) -> Graph:
+    """GP(n, k): outer cycle 0..n-1, spokes i -- n+i, inner edges n+i -- n+(i+k)."""
+    edges = []
+    for i in range(n):
+        edges.append((i, (i + 1) % n))
+        edges.append((i, n + i))
+        edges.append((n + i, n + (i + k) % n))
+    return from_edges(2 * n, edges)
+
+
+def random_cubic_graph(rng, n: int) -> Graph:
+    """A simple cubic graph on n (even) vertices from the pairing model."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
+        if len(pairs) == 3 * n // 2 and all(a != b for a, b in pairs):
+            return from_edges(n, sorted(pairs))

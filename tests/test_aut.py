@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from circulant_lab import fixtures
 from circulant_lab.aut import (
@@ -17,8 +19,14 @@ from circulant_lab.errors import (
     SearchTimeout,
 )
 from circulant_lab.graphio import from_edges
-from circulant_lab.perm import PermGroup, from_cycle_string
-from helpers import brute_force_automorphisms, random_simple_graph, relabel
+from circulant_lab.perm import PermGroup, Permutation, from_cycle_string
+from helpers import (
+    brute_force_automorphisms,
+    generalized_petersen,
+    random_cubic_graph,
+    random_simple_graph,
+    relabel,
+)
 
 
 def test_k4_full_symmetric():
@@ -158,7 +166,7 @@ def test_profile_deterministic():
 
 def test_node_cap():
     graph = fixtures.load("pappus")
-    with pytest.raises(SearchTimeout):
+    with pytest.raises(SearchTimeout, match=r"node_cap=3\b"):
         automorphism_group(graph, node_cap=3)
 
 
@@ -191,3 +199,92 @@ def test_heawood_fixture_matches_even_construction_fingerprint():
     built = build_even(1, 7).graph
     fp = lambda g: (g.n, girth(g), automorphism_group(g).order(), k_spectrum(g).spectrum)
     assert fp(fixture) == fp(built) == (14, 6, 336, (2, 7, 14))
+
+
+# --- the stabilizer chain the search hands over -------------------------------
+
+ARC_TRANSITIVE_GP = ((4, 1), (5, 2), (8, 3), (10, 2), (10, 3), (12, 5), (24, 5))
+
+
+def _sympy_group(group):
+    perms = [SympyPermutation(list(g.images)) for g in group.generators]
+    return SympyGroup(perms or [SympyPermutation(list(range(group.degree)))])
+
+
+def _oracle_graphs():
+    from circulant_lab.cli import build_even, build_odd
+
+    cases = [(name, fixtures.load(name)) for name in fixtures.NAMES]
+    cases += [(f"odd-k{k}", build_odd(k).graph) for k in (3, 5, 7)]
+    cases += [(f"even-{m}-{p}", build_even(m, p).graph) for m, p in ((2, 7), (4, 7))]
+    cases += [(f"GP{n}-{k}", generalized_petersen(n, k)) for n, k in ARC_TRANSITIVE_GP]
+    rng = random.Random(2016)
+    cases += [(f"random-cubic-{i}", random_cubic_graph(rng, rng.randrange(8, 42, 2)))
+              for i in range(20)]
+    return [pytest.param(graph, id=name) for name, graph in cases]
+
+
+@pytest.mark.parametrize("graph", _oracle_graphs())
+def test_search_chain_order_matches_sympy_and_schreier_sims(graph):
+    group = automorphism_group(graph)
+    want = _sympy_group(group).order()
+    assert group.order() == want
+    assert PermGroup(graph.n, group.generators).order() == want
+
+
+def _level_generators(group):
+    """The generators fixing base[:i], for each level i of the search chain."""
+    base = group.base()
+    return [[g for g in group.generators if all(g[b] == b for b in base[:i])]
+            for i in range(len(base))]
+
+
+@pytest.mark.parametrize("name", fixtures.NAMES + ("GP8-3", "random-cubic"))
+def test_search_chain_is_a_base_and_strong_generating_set(name):
+    if name == "GP8-3":
+        graph = generalized_petersen(8, 3)
+    elif name == "random-cubic":
+        graph = random_cubic_graph(random.Random(7), 12)
+    else:
+        graph = fixtures.load(name)
+    group = automorphism_group(graph)
+    base = group.base()
+    oracle = _sympy_group(group)
+    levels = _level_generators(group)
+    # every generator belongs to a level: it moves some base point
+    assert all(any(g[b] != b for b in base) for g in group.generators)
+    order = 1
+    for i in reversed(range(len(base))):
+        for g in levels[i]:
+            assert all(g[b] == b for b in base[:i])
+        orbit = {base[i]}
+        frontier = [base[i]]
+        while frontier:
+            pt = frontier.pop()
+            for g in levels[i]:
+                if g[pt] not in orbit:
+                    orbit.add(g[pt])
+                    frontier.append(g[pt])
+        assert len(orbit) > 1
+        order *= len(orbit)
+        # the level's generators generate the whole pointwise stabiliser
+        assert oracle.pointwise_stabilizer(list(base[:i])).order() == order
+    assert order == group.order()
+    assert oracle.pointwise_stabilizer(list(base)).order() == 1
+
+
+@pytest.mark.parametrize("name", ("k4", "k33", "cube3", "petersen", "heawood"))
+def test_search_chain_membership_and_enumeration(name):
+    graph = fixtures.load(name)
+    group = automorphism_group(graph)
+    for g in group.generators:
+        assert group.contains(g)
+    elements = {e.images for e in group.elements()}
+    assert len(elements) == group.order()
+    assert all(all(e[v] in graph.adjacency[e[u]] for u, v in graph.edges())
+               for e in map(Permutation, elements))
+    rng = random.Random(name)
+    for _ in range(10):
+        images = list(range(graph.n))
+        rng.shuffle(images)
+        assert group.contains(Permutation(tuple(images))) == (tuple(images) in elements)

@@ -226,3 +226,19 @@ def test_cap_env_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "scan", str(corpus))
     lines = [json.loads(ln) for ln in out.splitlines()]
     assert lines[0]["skip"] is None
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def test_analyze_output_is_pinned_for_family_members(tmp_path, capsys, monkeypatch):
+    # the witness cycle strings follow the search-derived chain's base and
+    # coset representatives; a change to either must re-pin them on purpose
+    monkeypatch.chdir(tmp_path)
+    for construct, golden in ((["construct-odd", "5"], "analyze_odd_5.json"),
+                              (["construct-even", "2", "7"], "analyze_even_2_7.json")):
+        code, _, _ = run_cli(capsys, *construct, "--out", "g.edgelist")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "analyze", "g.edgelist")
+        assert code == 0
+        assert out == (GOLDEN_DIR / golden).read_text(), golden

@@ -160,6 +160,7 @@ def test_enumeration_matches_order():
         PermGroup(3, [P("(0 1 2)", 3), P("(0 1)", 3)]),   # Sym(3)
         PermGroup(4, [P("(0 1 2 3)", 4)]),                # Z4
         PermGroup(6, [P("(0 1 2)(3 4 5)", 6), P("(0 3)(1 4)(2 5)", 6)]),
+        PermGroup(6, [P("(0 1)", 6), P("(2 3 4 5)", 6), P("(2 3)", 6)]),  # small top orbit
         PermGroup(2, []),
     ]
     for g in cases:
