@@ -1,24 +1,16 @@
 """Hot-loop primitives with a compiled core and a pure-Python fallback.
 
-The compiled extension is selected at import time when available; set
-``CIRCULANT_LAB_PURE=1`` to force the fallback (used by the benchmark and by
-the backend-equivalence tests).  Both backends implement the same contract;
-see ``pure.py`` for the reference semantics.
+The compiled extension is used when it has been built and imports;
+otherwise the pure-Python module is.  Both implement the same contract
+(``pure.py`` gives the reference semantics, and tests/test_kernels.py
+checks that the two agree); ``BACKEND`` names the one in use.
 """
-import os
-
-from circulant_lab._kernels import pure
-
-if os.environ.get("CIRCULANT_LAB_PURE"):
-    _impl = pure
+try:
+    from circulant_lab._kernels import _speedups as _impl
+    BACKEND = "c"
+except ImportError:
+    from circulant_lab._kernels import pure as _impl
     BACKEND = "pure"
-else:
-    try:
-        from circulant_lab._kernels import _speedups as _impl
-        BACKEND = "c"
-    except ImportError:
-        _impl = pure
-        BACKEND = "pure"
 
 compose_images = _impl.compose_images
 inverse_images = _impl.inverse_images

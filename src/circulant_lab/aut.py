@@ -107,9 +107,6 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
     gens: list[tuple[int, Permutation]] = []
     chain: list[tuple[int, int, int]] = []  # (level, base point, orbit size)
 
-    limit = max(sys.getrecursionlimit(), 6 * n + 200)
-    sys.setrecursionlimit(limit)
-
     def refine(colors: list[int]) -> list[int]:
         budget.spend()
         return kern.refine_colors(ptr, flat, colors)
@@ -180,16 +177,28 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
         if len(orbit) > 1:
             chain.append((level, t, len(orbit)))
 
-    explore(refine([0] * n), 0)
+    caller_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(caller_limit, 6 * n + 200))
+    try:
+        explore(refine([0] * n), 0)
+    finally:
+        sys.setrecursionlimit(caller_limit)
     chain.sort()
     return PermGroup.from_chain(n, [g for _, g in gens], [(t, size) for _, t, size in chain])
 
 
-def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
-    """Raise GroupNotAutomorphisms unless every generator preserves adjacency."""
+def is_automorphism(graph: graphio.Graph, p: Permutation) -> bool:
+    """True iff p acts on the graph's vertices and maps every edge onto an edge."""
+    if p.degree != graph.n:
+        return False
     ptr, flat = kern.build_csr(graph.adjacency)
+    return kern.preserves_adjacency(ptr, flat, list(p.images))
+
+
+def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
+    """Raise GroupNotAutomorphisms unless every generator is an automorphism."""
     for g in group.generators:
-        if g.degree != graph.n or not kern.preserves_adjacency(ptr, flat, list(g.images)):
+        if not is_automorphism(graph, g):
             raise GroupNotAutomorphisms(f"generator {g} does not preserve adjacency")
 
 
@@ -219,8 +228,7 @@ def is_arc_transitive(graph: graphio.Graph, group: PermGroup) -> bool:
     return sum(1 for _ in bfs([start], discover)) == total_arcs
 
 
-def tutte_type(graph: graphio.Graph, group: PermGroup | None = None,
-               node_cap: int = DEFAULT_NODE_CAP) -> int:
+def tutte_type(graph: graphio.Graph, group: PermGroup | None = None) -> int:
     """Arc-type t in [0, 4]: the vertex-stabiliser has order 3 * 2^t.
 
     Requires a cubic, connected, arc-transitive graph.  A stabiliser order
@@ -232,7 +240,7 @@ def tutte_type(graph: graphio.Graph, group: PermGroup | None = None,
     if not graphio.is_connected(graph):
         raise NotArcTransitive("graph is not connected")
     if group is None:
-        group = automorphism_group(graph, node_cap)
+        group = automorphism_group(graph)
     if not is_arc_transitive(graph, group):
         raise NotArcTransitive("automorphism group is not transitive on arcs")
     order = group.order()
@@ -265,11 +273,10 @@ class SymmetryProfile:
         }
 
 
-def symmetry_profile(graph: graphio.Graph, group: PermGroup | None = None,
-                     node_cap: int = DEFAULT_NODE_CAP) -> SymmetryProfile:
+def symmetry_profile(graph: graphio.Graph, group: PermGroup | None = None) -> SymmetryProfile:
     """Full symmetry analysis; computes Aut if no group is supplied."""
     if group is None:
-        group = automorphism_group(graph, node_cap)
+        group = automorphism_group(graph)
     order = group.order()
     vt = graph.n > 0 and len(group.orbits()) == 1
     at = is_arc_transitive(graph, group)

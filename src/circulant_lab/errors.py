@@ -111,10 +111,6 @@ class PreconditionViolated(CirculantError):
 
 # --- quotients ---
 
-class NotAutomorphisms(CirculantError):
-    pass
-
-
 class DoesNotPreservePartition(CirculantError):
     pass
 

@@ -6,13 +6,15 @@ enumeration of Aut over the stabilizer chain the automorphism search hands
 over (its base, strong generators and lazily built transversals), which the
 Tutte bound (|Aut| <= 48 n for the cubic arc-transitive corpus) keeps
 tractable at desk scale.  Witnesses are the first hits in that enumeration,
-so they follow the search's base and coset representatives.  The trivial k = n (identity witness) is always part of the spectrum;
-reports may filter it.
+so they follow the search's base and coset representatives.  The trivial
+k = n (identity witness) is always part of the spectrum; reports may
+filter it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from circulant_lab import _kernels as kern
 from circulant_lab import aut as aut_mod
@@ -72,28 +74,28 @@ def is_squarefree(k: int) -> bool:
     return True
 
 
+def _semiregular_elements(graph: graphio.Graph, group: PermGroup,
+                          cap: int | None) -> Iterator[tuple[int, Permutation]]:
+    """(number of cycles, element) for each semiregular element, in enumeration order."""
+    for g in group.elements(cap):
+        if kern.is_semiregular_images(g.images):
+            lengths = kern.cycle_lengths(g.images)
+            yield (graph.n // lengths[0] if lengths else graph.n), g
+
+
 def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
-               cap: int | None = None,
-               node_cap: int = aut_mod.DEFAULT_NODE_CAP) -> SpectrumReport:
+               cap: int | None = None) -> SpectrumReport:
     """Spectrum { n/|g| : g in Aut, g semiregular } with one witness per k.
 
     Witnesses are the first hits in the deterministic element enumeration.
     Raises CapExceeded when |Aut| exceeds the enumeration cap.
     """
     if group is None:
-        group = aut_mod.automorphism_group(graph, node_cap)
-    n = graph.n
+        group = aut_mod.automorphism_group(graph)
     witnesses: dict[int, Permutation] = {}
-    for g in group.elements(cap):
-        if not kern.is_semiregular_images(g.images):
-            continue
-        lengths = kern.cycle_lengths(g.images)
-        order = lengths[0] if lengths else 1
-        k = n // order if order else n
-        if k not in witnesses:
-            witnesses[k] = g
-    spectrum = tuple(sorted(witnesses))
-    return SpectrumReport(n, spectrum, witnesses)
+    for k, g in _semiregular_elements(graph, group, cap):
+        witnesses.setdefault(k, g)
+    return SpectrumReport(graph.n, tuple(sorted(witnesses)), witnesses)
 
 
 def check_order_bound(report: SpectrumReport) -> tuple[BoundFinding, ...]:
@@ -118,31 +120,26 @@ def check_order_bound(report: SpectrumReport) -> tuple[BoundFinding, ...]:
 
 def certify_k_circulant(graph: graphio.Graph, k: int,
                         group: PermGroup | None = None,
-                        cap: int | None = None,
-                        node_cap: int = aut_mod.DEFAULT_NODE_CAP) -> Permutation | None:
+                        cap: int | None = None) -> Permutation | None:
     """A verified semiregular witness with k cycles, or None.
 
-    The witness is re-verified from scratch: cycle structure and adjacency
-    preservation are both checked before returning.
+    The witness is the first hit for k in the element stream that
+    k_spectrum walks, and it is re-verified from scratch: cycle structure
+    and adjacency preservation are both checked before returning.
     """
     n = graph.n
     if k < 1 or n % k != 0:
         raise KDoesNotDivideN(f"k = {k} does not divide n = {n}")
     if group is None:
-        group = aut_mod.automorphism_group(graph, node_cap)
+        group = aut_mod.automorphism_group(graph)
     want = n // k
-    ptr, flat = kern.build_csr(graph.adjacency)
-    for g in group.elements(cap):
-        if not kern.is_semiregular_images(g.images):
-            continue
-        lengths = kern.cycle_lengths(g.images)
-        order = lengths[0] if lengths else 1
-        if order != want:
+    for cycles, g in _semiregular_elements(graph, group, cap):
+        if cycles != k:
             continue
         structure = cycle_structure(g)
         if structure.element_order != want or not all(l == want for l in structure.cycle_lengths):
             continue
-        if not kern.preserves_adjacency(ptr, flat, list(g.images)):
+        if not aut_mod.is_automorphism(graph, g):
             continue
         return g
     return None
@@ -160,8 +157,7 @@ def edge_reversing_involution_check(graph: graphio.Graph, c_generator: Permutati
         raise PreconditionViolated("a vertex has even degree")
     if c_generator.degree != graph.n:
         raise PreconditionViolated("generator degree differs from graph order")
-    ptr, flat = kern.build_csr(graph.adjacency)
-    if not kern.preserves_adjacency(ptr, flat, list(c_generator.images)):
+    if not aut_mod.is_automorphism(graph, c_generator):
         raise PreconditionViolated("generator is not an automorphism")
     if not is_semiregular(c_generator):
         raise PreconditionViolated("generator is not semiregular")

@@ -202,7 +202,9 @@ class PermGroup:
         self._levels = []
         self._strong_gens = []
         for g in self.generators:
-            self._insert(list(g.images))
+            residue, level = self._sift_images(list(g.images), 0)
+            if not all(i == x for i, x in enumerate(residue)):
+                self._adjoin(residue, level)
         i = len(self._levels) - 1
         while i >= 0:
             self._rebuild_transversal(i)
@@ -249,18 +251,18 @@ class PermGroup:
             images = kern.compose_images(images, kern.inverse_images(t))
         return images, len(levels)
 
-    def _insert(self, images: list[int]) -> int | None:
-        """Sift images; adjoin the residue as a strong generator if nontrivial."""
-        residue, level = self._sift_images(images, 0)
-        if all(i == x for i, x in enumerate(residue)):
-            return None
+    def _adjoin(self, residue: list[int], level: int) -> None:
+        """Adjoin a nontrivial residue whose sift stopped at level.
+
+        A residue that passed every level opens a new one at its smallest
+        moved point; the transversals of levels 0..level are rebuilt.
+        """
         if level == len(self._levels):
             base = next(i for i, x in enumerate(residue) if i != x)
             self._levels.append(_Level(base))
         self._strong_gens.append(residue)
         for j in range(level + 1):
             self._rebuild_transversal(j)
-        return level
 
     def _verify_level(self, level: int) -> int | None:
         """Sift all Schreier generators of this level; report where one sticks."""
@@ -277,12 +279,7 @@ class PermGroup:
                     continue
                 residue, stuck = self._sift_images(schreier, level + 1)
                 if not all(i == x for i, x in enumerate(residue)):
-                    if stuck == len(self._levels):
-                        base = next(i for i, x in enumerate(residue) if i != x)
-                        self._levels.append(_Level(base))
-                    self._strong_gens.append(residue)
-                    for j in range(stuck + 1):
-                        self._rebuild_transversal(j)
+                    self._adjoin(residue, stuck)
                     return stuck
         return None
 

@@ -10,13 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from circulant_lab import _kernels as kern
 from circulant_lab import graphio
-from circulant_lab.errors import (
-    DoesNotPreservePartition,
-    HypothesisViolated,
-    NotAutomorphisms,
-)
+from circulant_lab.aut import check_all_automorphisms
+from circulant_lab.errors import DoesNotPreservePartition, HypothesisViolated
 from circulant_lab.perm import (
     PermGroup,
     Permutation,
@@ -35,21 +31,14 @@ class QuotientResult:
     has_intra_orbit_edges: bool
 
 
-def _check_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
-    ptr, flat = kern.build_csr(graph.adjacency)
-    for g in group.generators:
-        if g.degree != graph.n or not kern.preserves_adjacency(ptr, flat, list(g.images)):
-            raise NotAutomorphisms(f"generator {g} does not preserve adjacency")
-
-
 def quotient_graph(graph: graphio.Graph, subgroup: PermGroup) -> QuotientResult:
     """Quotient of the graph by the subgroup's orbit partition.
 
     The cover flag is the definitional local-bijection test: the projection
     restricted to each neighborhood must be a bijection onto the quotient
-    neighborhood.
+    neighborhood.  Raises GroupNotAutomorphisms if a generator breaks an edge.
     """
-    _check_automorphisms(graph, subgroup)
+    check_all_automorphisms(graph, subgroup)
     orbits = subgroup.orbits()
     orbit_map = [0] * graph.n
     for idx, orbit in enumerate(orbits):
@@ -116,9 +105,10 @@ def induced_semiregular_harness(graph: graphio.Graph, c: Permutation,
     semiregular, with an orbit count dividing the original one.
 
     Hypotheses are verified first and raise HypothesisViolated naming the
-    failing clause; the conclusion is reported in the verdict.
+    failing clause (GroupNotAutomorphisms if a generator of the group breaks
+    an edge); the conclusion is reported in the verdict.
     """
-    _check_automorphisms(graph, group)
+    check_all_automorphisms(graph, group)
     n = graph.n
     if len(group.orbits()) != 1:
         raise HypothesisViolated("transitivity")

@@ -1,5 +1,6 @@
 """Automorphism search, arc-transitivity, and arc-type classification."""
 import random
+import sys
 
 import pytest
 from sympy.combinatorics import Permutation as SympyPermutation
@@ -168,6 +169,20 @@ def test_node_cap():
     graph = fixtures.load("pappus")
     with pytest.raises(SearchTimeout, match=r"node_cap=3\b"):
         automorphism_group(graph, node_cap=3)
+
+
+def test_search_restores_recursion_limit():
+    # odd k = 5 has n = 150, so the search needs a limit of 6n + 200 = 1100
+    from circulant_lab.cli import build_odd
+
+    graph = build_odd(5).graph
+    caller_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        automorphism_group(graph)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(caller_limit)
 
 
 def test_trivial_graphs():

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from circulant_lab import fixtures
-from circulant_lab.cli import build_odd, verify_construction
+from circulant_lab.aut import automorphism_group
+from circulant_lab.cli import build_even, build_odd, verify_construction
 from circulant_lab.errors import KDoesNotDivideN, PreconditionViolated
 from circulant_lab.graphio import from_edges
 from circulant_lab.kcirc import (
@@ -89,6 +90,30 @@ def test_certify_k_must_divide_n():
         certify_k_circulant(fixtures.load("petersen"), 3)
 
 
+CERTIFY_CASES = [(name, "search") for name in fixtures.NAMES] + [
+    (member, kind)
+    for member in ("odd-3", "odd-5", "odd-7", "even-1-7", "even-2-7")
+    for kind in ("search", "arc")
+]
+
+
+@pytest.mark.parametrize("source,group_kind", CERTIFY_CASES)
+def test_certify_matches_spectrum_witness_for_every_divisor(source, group_kind):
+    # "search" is the searched Aut; "arc" the caller-supplied arc-transitive
+    # group of a family member, whose chain comes from Schreier-Sims
+    if source in fixtures.NAMES:
+        graph, arc_group = fixtures.load(source), None
+    else:
+        family, *params = source.split("-")
+        cons = (build_odd if family == "odd" else build_even)(*map(int, params))
+        graph, arc_group = cons.graph, cons.arc_group
+    group = automorphism_group(graph) if group_kind == "search" else arc_group
+    witnesses = k_spectrum(graph, group).witnesses
+    for d in range(1, graph.n + 1):
+        if graph.n % d == 0:
+            assert certify_k_circulant(graph, d, group) == witnesses.get(d), d
+
+
 def test_is_squarefree():
     assert is_squarefree(1) and is_squarefree(5) and is_squarefree(35)
     assert not is_squarefree(9) and not is_squarefree(45) and not is_squarefree(4)
@@ -149,6 +174,16 @@ def test_edge_reversing_precondition_not_semiregular():
     k4 = fixtures.load("k4")
     with pytest.raises(PreconditionViolated):
         edge_reversing_involution_check(k4, from_cycle_string("(0 1 2)", 4))
+
+
+@pytest.mark.parametrize("cycles,degree,message", [
+    ("(0 1 3)(2 4 5)", 6, "not an automorphism"),  # semiregular, breaks edge 0-3
+    ("(0 3)(1 4)(2 5)", 7, "degree"),
+])
+def test_edge_reversing_precondition_bad_generator(cycles, degree, message):
+    k33 = fixtures.load("k33")
+    with pytest.raises(PreconditionViolated, match=message):
+        edge_reversing_involution_check(k33, from_cycle_string(cycles, degree))
 
 
 def test_edge_reversing_holds_across_corpus():

@@ -9,8 +9,8 @@ from circulant_lab.cli import build_even, build_odd
 from circulant_lab.cayley import left_translation
 from circulant_lab.errors import (
     DoesNotPreservePartition,
+    GroupNotAutomorphisms,
     HypothesisViolated,
-    NotAutomorphisms,
 )
 from circulant_lab.graphio import from_edges, is_cubic
 from circulant_lab.papergroups import even_group, odd_group
@@ -74,7 +74,7 @@ def test_trivial_quotient():
 def test_quotient_rejects_non_automorphisms():
     # swapping a single vertex across the parts of K33 breaks edges
     k33 = fixtures.load("k33")
-    with pytest.raises(NotAutomorphisms):
+    with pytest.raises(GroupNotAutomorphisms):
         quotient_graph(k33, PermGroup(6, [from_cycle_string("(0 3)", 6)]))
 
 
@@ -176,6 +176,13 @@ def test_harness_rejects_non_coprime():
     with pytest.raises(HypothesisViolated) as err:
         induced_semiregular_harness(k4, c, n_group, sym4)
     assert err.value.clause == "coprimality"
+
+
+def test_harness_rejects_non_automorphisms():
+    k33 = fixtures.load("k33")
+    bogus = PermGroup(6, [from_cycle_string("(0 3)", 6)])
+    with pytest.raises(GroupNotAutomorphisms):
+        induced_semiregular_harness(k33, identity(6), PermGroup(6, []), bogus)
 
 
 def test_harness_rejects_intransitive_group():
