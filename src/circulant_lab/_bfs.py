@@ -1,4 +1,10 @@
-"""The one first-in-first-out walk behind every breadth-first search here."""
+"""The first-in-first-out walks behind every breadth-first search here.
+
+``reach`` and ``components`` are the orbit algorithm: connectivity, the
+search's vertex order, group orbits and the arc orbit are all one of them.
+``bfs`` is the bare walk, for callers that act on each edge and keep their
+own visited marks.
+"""
 from __future__ import annotations
 
 from collections import deque
@@ -19,3 +25,33 @@ def bfs(starts: Iterable[T], discover: Callable[[T], Iterable[T]]) -> Iterator[T
         node = queue.popleft()
         yield node
         queue.extend(discover(node))
+
+
+def reach(starts: Iterable[T], step: Callable[[T], Iterable[T]]) -> list[T]:
+    """The starts plus every node step() leads to, each once, in FIFO order.
+
+    step(node) lists the node's neighbours; repeats and nodes already
+    reached are allowed and skipped.
+    """
+    return _reach(starts, step, set())
+
+
+def components(n: int, step: Callable[[int], Iterable[int]]) -> list[list[int]]:
+    """The classes of 0..n-1 under step, ordered by smallest member, each
+    listed in FIFO order from that member."""
+    seen: set[int] = set()
+    return [_reach([root], step, seen) for root in range(n) if root not in seen]
+
+
+def _reach(starts: Iterable[T], step: Callable[[T], Iterable[T]], seen: set) -> list[T]:
+    order = []
+    for node in starts:
+        if node not in seen:
+            seen.add(node)
+            order.append(node)
+    for node in order:  # order grows while it is walked: it is the FIFO queue
+        for nxt in step(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from circulant_lab import _kernels as kern
 from circulant_lab import graphio
-from circulant_lab._bfs import bfs
+from circulant_lab._bfs import components, reach
 from circulant_lab.errors import (
     GroupNotAutomorphisms,
     NotArcTransitive,
@@ -50,20 +50,7 @@ class _Budget:
 
 def bfs_order(graph: graphio.Graph) -> list[int]:
     """Vertices in BFS order from 0 (components visited by ascending root)."""
-    seen = [False] * graph.n
-
-    def discover(v: int) -> list[int]:
-        found = [u for u in graph.adjacency[v] if not seen[u]]
-        for u in found:
-            seen[u] = True
-        return found
-
-    order = []
-    for root in range(graph.n):
-        if not seen[root]:
-            seen[root] = True
-            order.extend(bfs([root], discover))
-    return order
+    return [v for comp in components(graph.n, graph.adjacency.__getitem__) for v in comp]
 
 
 def _individualize(colors: list[int], v: int) -> list[int]:
@@ -73,20 +60,8 @@ def _individualize(colors: list[int], v: int) -> list[int]:
 
 
 def _orbit_of(point: int, perms: list[Permutation]) -> set[int]:
-    orbit = {point}
-
-    def discover(p: int) -> list[int]:
-        found = []
-        for g in perms:
-            q = g[p]
-            if q not in orbit:
-                orbit.add(q)
-                found.append(q)
-        return found
-
-    for _ in bfs([point], discover):
-        pass
-    return orbit
+    images = [g.images for g in perms]
+    return set(reach([point], lambda p: [im[p] for im in images]))
 
 
 def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -> PermGroup:
@@ -196,7 +171,10 @@ def is_automorphism(graph: graphio.Graph, p: Permutation) -> bool:
 
 
 def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
-    """Raise GroupNotAutomorphisms unless every generator is an automorphism."""
+    """Raise GroupNotAutomorphisms unless the group acts on the graph's
+    vertices and every generator is an automorphism."""
+    if group.degree != graph.n:
+        raise GroupNotAutomorphisms(f"group degree {group.degree} differs from n = {graph.n}")
     for g in group.generators:
         if not is_automorphism(graph, g):
             raise GroupNotAutomorphisms(f"generator {g} does not preserve adjacency")
@@ -212,20 +190,9 @@ def is_arc_transitive(graph: graphio.Graph, group: PermGroup) -> bool:
     total_arcs = 2 * graph.edge_count
     if total_arcs == 0:
         return True
-    start = next(graph.arcs())
-    orbit = {start}
-
-    def discover(uv: tuple[int, int]) -> list[tuple[int, int]]:
-        u, v = uv
-        found = []
-        for g in group.generators:
-            arc = (g[u], g[v])
-            if arc not in orbit:
-                orbit.add(arc)
-                found.append(arc)
-        return found
-
-    return sum(1 for _ in bfs([start], discover)) == total_arcs
+    images = [g.images for g in group.generators]
+    orbit = reach([next(graph.arcs())], lambda uv: [(im[uv[0]], im[uv[1]]) for im in images])
+    return len(orbit) == total_arcs
 
 
 def tutte_type(graph: graphio.Graph, group: PermGroup | None = None) -> int:

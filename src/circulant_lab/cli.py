@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -36,18 +35,6 @@ from circulant_lab.perm import (
     is_semiregular,
     to_cycle_string,
 )
-
-CAP_ENV_VAR = "CIRCULANT_LAB_CAP"
-
-
-def resolve_cap(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(CAP_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_ENUMERATION_CAP
-
 
 @dataclass
 class Construction:
@@ -227,9 +214,8 @@ def cmd_analyze(args, spectrum_only: bool) -> int:
         print(f"error: no graphs in {path}", file=sys.stderr)
         return 2
     _, graph = graphs[0]
-    cap = resolve_cap(args.cap)
     try:
-        payload = _analyze_graph(graph, cap, args.include_trivial_k, bound_check=True)
+        payload = _analyze_graph(graph, args.cap, args.include_trivial_k, bound_check=True)
     except (CapExceeded, SearchTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -283,8 +269,7 @@ def cmd_scan(args) -> int:
         print(f"error: {root} is not a directory", file=sys.stderr)
         return 2
     files = sorted(p for p in root.iterdir() if p.is_file())
-    cap = resolve_cap(args.cap)
-    tasks = [(str(p), cap, args.include_trivial_k, args.bound_check, args.timings)
+    tasks = [(str(p), args.cap, args.include_trivial_k, args.bound_check, args.timings)
              for p in files]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -342,9 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         pa.add_argument("path")
         pa.add_argument("--include-trivial-k", action="store_true",
                         help="keep k = n in reports")
-        pa.add_argument("--cap", type=int, default=None,
-                        help=f"enumeration cap (default {DEFAULT_ENUMERATION_CAP}, "
-                             f"env {CAP_ENV_VAR})")
+        pa.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                        help=f"enumeration cap (default {DEFAULT_ENUMERATION_CAP})")
 
     ps = sub.add_parser("scan", help="scan a directory of graph files")
     ps.add_argument("dir")
@@ -352,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="check the 6k^2 order bound; exit 1 on any violation")
     ps.add_argument("--jobs", type=int, default=1, help="parallel workers (per file)")
     ps.add_argument("--include-trivial-k", action="store_true")
-    ps.add_argument("--cap", type=int, default=None)
+    ps.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     ps.add_argument("--timings", action="store_true",
                     help="include elapsed_ms in records (breaks byte-identical output)")
 

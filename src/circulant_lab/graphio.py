@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from circulant_lab._bfs import bfs
+from circulant_lab._bfs import bfs, reach
 from circulant_lab.errors import (
     BadCharacter,
     DuplicateEdge,
@@ -22,6 +22,11 @@ from circulant_lab.errors import (
 )
 
 GRAPH6_HEADER = ">>graph6<<"
+
+# Largest vertex count an edge-list header may declare.  from_edges allocates
+# per vertex before it reads an edge, so a short file must not ask for more.
+# graph6 needs no limit: its body length grows with n^2 and is checked first.
+MAX_ORDER = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,8 @@ def parse_edgelist(text: str) -> Graph:
         raise MalformedHeader(f"expected 'n m', got {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise MalformedHeader(f"negative counts in {lines[0]!r}")
+    if n > MAX_ORDER:
+        raise MalformedHeader(f"n = {n} exceeds the vertex limit {MAX_ORDER}")
     if len(lines) - 1 != m:
         raise MalformedHeader(f"header promises {m} edges, got {len(lines) - 1} lines")
     edges = []
@@ -190,19 +197,7 @@ def serialize(graph: Graph, fmt: str) -> str:
 
 
 def is_connected(graph: Graph) -> bool:
-    n = graph.n
-    if n == 0:
-        return True
-    seen = [False] * n
-    seen[0] = True
-
-    def discover(v: int) -> list[int]:
-        found = [u for u in graph.adjacency[v] if not seen[u]]
-        for u in found:
-            seen[u] = True
-        return found
-
-    return sum(1 for _ in bfs([0], discover)) == n
+    return graph.n == 0 or len(reach([0], graph.adjacency.__getitem__)) == graph.n
 
 
 def is_cubic(graph: Graph) -> bool:

@@ -49,6 +49,19 @@ def find_alpha(p: int) -> int | None:
     return None  # unreachable for p = 1 (mod 3)
 
 
+class _FamilyGroup:
+    """What both family groups derive from their identity() and mul()."""
+
+    def element_order(self, g) -> int:
+        ident = self.identity()
+        acc = g
+        order = 1
+        while acc != ident:
+            acc = self.mul(acc, g)
+            order += 1
+        return order
+
+
 # ---------------------------------------------------------------------------
 # even family
 # ---------------------------------------------------------------------------
@@ -93,7 +106,7 @@ class EvenElement:
     e: int
 
 
-class EvenGroup:
+class EvenGroup(_FamilyGroup):
     """Normal-form arithmetic for the even-family group of order 2 m^2 p."""
 
     def __init__(self, params: EvenParams):
@@ -149,15 +162,6 @@ class EvenGroup:
             raise AssertionError(f"generator order {order} != expected {expected}")
         return gen, order
 
-    def element_order(self, g: EvenElement) -> int:
-        ident = self.identity()
-        acc = g
-        order = 1
-        while acc != ident:
-            acc = self.mul(acc, g)
-            order += 1
-        return order
-
     def all_elements(self) -> Iterator[EvenElement]:
         m, p = self.params.m, self.params.p
         for a in range(m):
@@ -201,7 +205,7 @@ def _s3_inv(h: tuple[int, int]) -> tuple[int, int]:
     return h if e else ((-i) % 3, 0)
 
 
-class OddGroup:
+class OddGroup(_FamilyGroup):
     """Normal-form arithmetic for G = R x| <sigma>, |G| = 18 k^2."""
 
     def __init__(self, k: int):
@@ -321,15 +325,6 @@ class OddGroup:
         if order != 6 * self.k:
             raise AssertionError(f"generator order {order} != {6 * self.k}")
         return gen, order
-
-    def element_order(self, g: OddElement) -> int:
-        ident = self.identity()
-        acc = g
-        order = 1
-        while acc != ident:
-            acc = self.mul(acc, g)
-            order += 1
-        return order
 
     def r_elements(self) -> Iterator[OddElement]:
         for a in range(self.k):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from circulant_lab import _kernels as kern
-from circulant_lab._bfs import bfs
+from circulant_lab._bfs import bfs, components
 from circulant_lab.errors import CapExceeded, DegreeMismatch
 
 DEFAULT_ENUMERATION_CAP = 2 ** 24
@@ -306,24 +306,9 @@ class PermGroup:
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of {0..n-1} under the group, each orbit sorted."""
-        seen = [False] * self.degree
-
-        def discover(pt: int) -> list[int]:
-            found = []
-            for g in self.generators:
-                q = g[pt]
-                if not seen[q]:
-                    seen[q] = True
-                    found.append(q)
-            return found
-
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            seen[start] = True
-            out.append(sorted(bfs([start], discover)))
-        return out
+        images = [g.images for g in self.generators]
+        orbits = components(self.degree, lambda p: [im[p] for im in images])
+        return [sorted(orbit) for orbit in orbits]
 
     def elements(self, cap: int | None = None) -> Iterator[Permutation]:
         """Every element exactly once, in a deterministic order.

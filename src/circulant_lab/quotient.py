@@ -31,6 +31,16 @@ class QuotientResult:
     has_intra_orbit_edges: bool
 
 
+def _orbit_map(subgroup: PermGroup) -> tuple[list[list[int]], list[int]]:
+    """The subgroup's orbits and, for each point, the index of its orbit."""
+    orbits = subgroup.orbits()
+    orbit_map = [0] * subgroup.degree
+    for idx, orbit in enumerate(orbits):
+        for v in orbit:
+            orbit_map[v] = idx
+    return orbits, orbit_map
+
+
 def quotient_graph(graph: graphio.Graph, subgroup: PermGroup) -> QuotientResult:
     """Quotient of the graph by the subgroup's orbit partition.
 
@@ -39,11 +49,7 @@ def quotient_graph(graph: graphio.Graph, subgroup: PermGroup) -> QuotientResult:
     neighborhood.  Raises GroupNotAutomorphisms if a generator breaks an edge.
     """
     check_all_automorphisms(graph, subgroup)
-    orbits = subgroup.orbits()
-    orbit_map = [0] * graph.n
-    for idx, orbit in enumerate(orbits):
-        for v in orbit:
-            orbit_map[v] = idx
+    orbits, orbit_map = _orbit_map(subgroup)
     edges = set()
     intra = False
     for u, v in graph.edges():
@@ -71,14 +77,9 @@ def induced_action(c: Permutation, subgroup: PermGroup) -> Permutation:
 
     Raises DoesNotPreservePartition unless c maps orbits onto orbits.
     """
-    orbits = subgroup.orbits()
-    n = subgroup.degree
-    if c.degree != n:
-        raise DoesNotPreservePartition(f"degree {c.degree} differs from {n}")
-    orbit_map = [0] * n
-    for idx, orbit in enumerate(orbits):
-        for v in orbit:
-            orbit_map[v] = idx
+    if c.degree != subgroup.degree:
+        raise DoesNotPreservePartition(f"degree {c.degree} differs from {subgroup.degree}")
+    orbits, orbit_map = _orbit_map(subgroup)
     images = []
     for orbit in orbits:
         targets = {orbit_map[c[v]] for v in orbit}

@@ -9,6 +9,7 @@ from sympy.combinatorics import PermutationGroup as SympyGroup
 from circulant_lab import fixtures
 from circulant_lab.aut import (
     automorphism_group,
+    bfs_order,
     is_arc_transitive,
     symmetry_profile,
     tutte_type,
@@ -183,6 +184,15 @@ def test_search_restores_recursion_limit():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(caller_limit)
+
+
+def test_bfs_order_on_interleaved_components():
+    # components {0, 3, 5}, {1, 2, 4, 6} and {7}: each is walked breadth-first
+    # from its smallest vertex, components by ascending root; the order fixes
+    # the search base and hence the witnesses
+    graph = from_edges(8, [(0, 5), (3, 5), (1, 4), (1, 6), (2, 4)])
+    assert bfs_order(graph) == [0, 5, 3, 1, 4, 6, 2, 7]
+    assert bfs_order(from_edges(0, [])) == []
 
 
 def test_trivial_graphs():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from circulant_lab import fixtures
 from circulant_lab.cli import main
-from circulant_lab.graphio import parse_edgelist, serialize
+from circulant_lab.graphio import MAX_ORDER, parse_edgelist, serialize
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "circulant_lab" / "fixtures"
 
@@ -166,12 +166,14 @@ def test_scan_parse_error_is_per_file(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "bad.edgelist").write_text("oops\n")
+    (corpus / "huge.edgelist").write_text(f"{MAX_ORDER + 1} 0\n")  # over the vertex limit
     shutil.copy(FIXTURE_DIR / "k4.edgelist", corpus / "k4.edgelist")
     code, out, _ = run_cli(capsys, "scan", str(corpus), "--bound-check")
     assert code == 0  # parse errors are per-file, non-fatal, and not violations
     lines = [json.loads(ln) for ln in out.splitlines()]
-    skips = [r.get("skip") for r in lines[:-1]]
-    assert "parse error" in skips
+    skips = {Path(r["source"]).name: r.get("skip") for r in lines[:-1]}
+    assert skips == {"bad.edgelist": "parse error", "huge.edgelist": "parse error",
+                     "k4.edgelist": None}
     assert lines[-1]["summary"]["analyzed"] == 1
 
 
@@ -214,16 +216,14 @@ def test_scan_deterministic_without_timings(tmp_path, capsys):
     assert "elapsed_ms" in out3 and "elapsed_ms" not in out1
 
 
-def test_cap_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CIRCULANT_LAB_CAP", "10")
+def test_cap_override(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     shutil.copy(FIXTURE_DIR / "k4.edgelist", corpus / "k4.edgelist")
-    code, out, _ = run_cli(capsys, "scan", str(corpus))
+    code, out, _ = run_cli(capsys, "scan", str(corpus), "--cap", "10")
     lines = [json.loads(ln) for ln in out.splitlines()]
     assert lines[0]["skip"] == "cap exceeded"  # |Aut(K4)| = 24 > 10
-    monkeypatch.setenv("CIRCULANT_LAB_CAP", "100")
-    code, out, _ = run_cli(capsys, "scan", str(corpus))
+    code, out, _ = run_cli(capsys, "scan", str(corpus), "--cap", "100")
     lines = [json.loads(ln) for ln in out.splitlines()]
     assert lines[0]["skip"] is None
 

@@ -14,6 +14,7 @@ from circulant_lab.errors import (
     VertexOutOfRange,
 )
 from circulant_lab.graphio import (
+    MAX_ORDER,
     from_edges,
     girth,
     is_connected,
@@ -51,6 +52,8 @@ def test_parse_edgelist_errors():
         parse_edgelist("3 2\n0 1\n")  # promised 2 edges, got 1
     with pytest.raises(MalformedHeader):
         parse_edgelist("")
+    with pytest.raises(MalformedHeader, match=f"{MAX_ORDER + 1}.*{MAX_ORDER}"):
+        parse_edgelist(f"{MAX_ORDER + 1} 0\n")  # refused before allocating
 
 
 def test_graph6_known_strings():
@@ -118,6 +121,8 @@ def test_connectivity():
                         + [(u + 4, v + 4) for u in range(4) for v in range(u + 1, 4)])
     assert not is_connected(two_k4)
     assert is_cubic(two_k4)
+    assert is_connected(from_edges(0, []))
+    assert not is_connected(from_edges(4, [(1, 2), (2, 3), (1, 3)]))  # vertex 0 isolated
 
 
 def test_fixture_corpus_stats():

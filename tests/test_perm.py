@@ -135,6 +135,9 @@ def test_orbits():
     assert PermGroup(3, []).orbits() == [[0], [1], [2]]
     g = PermGroup(5, [P("(0 1 2)", 5), P("(0 1)", 5)])
     assert g.orbits() == [[0, 1, 2], [3], [4]]
+    # both generators send 0 to 1: the repeated image is visited once
+    g = PermGroup(6, [P("(0 1)(4 5)", 6), P("(0 1 3)", 6)])
+    assert g.orbits() == [[0, 1, 3], [2], [4, 5]]
 
 
 def test_membership():

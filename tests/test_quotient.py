@@ -76,6 +76,9 @@ def test_quotient_rejects_non_automorphisms():
     k33 = fixtures.load("k33")
     with pytest.raises(GroupNotAutomorphisms):
         quotient_graph(k33, PermGroup(6, [from_cycle_string("(0 3)", 6)]))
+    for degree in (5, 7):  # no generators to check, but the wrong point set
+        with pytest.raises(GroupNotAutomorphisms):
+            quotient_graph(k33, PermGroup(degree, []))
 
 
 def test_cover_flag_agrees_with_independent_check():
