@@ -248,6 +248,10 @@ def _scan_file(task) -> list[dict]:
             except (CapExceeded, SearchTimeout) as exc:
                 record["skip"] = "cap exceeded"
                 record["error"] = str(exc)
+            except CirculantError as exc:
+                # one graph the analysis rejects must not end the scan
+                record["skip"] = "error"
+                record["error"] = str(exc)
             else:
                 record["skip"] = None
                 record["aut_order"] = payload["profile"]["aut_order"]

@@ -23,9 +23,10 @@ from circulant_lab.errors import (
 
 GRAPH6_HEADER = ">>graph6<<"
 
-# Largest vertex count an edge-list header may declare.  from_edges allocates
-# per vertex before it reads an edge, so a short file must not ask for more.
-# graph6 needs no limit: its body length grows with n^2 and is checked first.
+# Largest vertex count an edge-list header may declare.  from_edges still
+# stores one reference per declared vertex, so a short file must not ask for
+# more.  graph6 needs no limit: its body length grows with n^2 and is
+# checked first.
 MAX_ORDER = 2 ** 20
 
 
@@ -64,18 +65,28 @@ class Graph:
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph, validating simplicity."""
-    adj: list[set[int]] = [set() for _ in range(n)]
+    """Build a Graph, validating simplicity.
+
+    Neighbour sets exist only for vertices that occur in an edge; isolated
+    vertices share the empty tuple, so memory follows the edges, not n.
+    """
+    adj: list[set[int] | None] = [None] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
         if u == v:
             raise LoopEdge(f"loop at vertex {u}")
-        if v in adj[u]:
+        nbrs = adj[u]
+        if nbrs is None:
+            nbrs = adj[u] = set()
+        elif v in nbrs:
             raise DuplicateEdge(f"duplicate edge ({u}, {v})")
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(tuple(tuple(sorted(s)) for s in adj))
+        nbrs.add(v)
+        if adj[v] is None:
+            adj[v] = {u}
+        else:
+            adj[v].add(u)
+    return Graph(tuple(() if s is None else tuple(sorted(s)) for s in adj))
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -1,14 +1,15 @@
 """k-circulant spectrum, witnesses, and the 6k^2 order-bound checks.
 
 A graph is a k-circulant when some semiregular automorphism has exactly k
-cycles; the spectrum collects every such k.  It is computed by exhaustive
-enumeration of Aut over the stabilizer chain the automorphism search hands
-over (its base, strong generators and lazily built transversals), which the
-Tutte bound (|Aut| <= 48 n for the cubic arc-transitive corpus) keeps
-tractable at desk scale.  Witnesses are the first hits in that enumeration,
-so they follow the search's base and coset representatives.  The trivial
-k = n (identity witness) is always part of the spectrum; reports may
-filter it.
+cycles; the spectrum collects every such k.  Being semiregular with k
+cycles is invariant under conjugation, so the spectrum walks one coset
+block per suborbit (``PermGroup.suborbit_elements``): the |G_b| elements
+mapping the first base point b to the smallest point of each orbit of the
+stabiliser G_b, over the stabilizer chain the automorphism search hands
+over.  Witnesses are the first hits in that walk, which are exactly the
+first hits in the enumeration of the whole group, so they follow the
+search's base and coset representatives.  The trivial k = n (identity
+witness) is always part of the spectrum; reports may filter it.
 """
 from __future__ import annotations
 
@@ -74,21 +75,35 @@ def is_squarefree(k: int) -> bool:
     return True
 
 
+def _cycle_length_at_0(images: tuple[int, ...]) -> int:
+    length, j = 1, images[0]
+    while j != 0:
+        j = images[j]
+        length += 1
+    return length
+
+
 def _semiregular_elements(graph: graphio.Graph, group: PermGroup,
                           cap: int | None) -> Iterator[tuple[int, Permutation]]:
-    """(number of cycles, element) for each semiregular element, in enumeration order."""
-    for g in group.elements(cap):
-        if kern.is_semiregular_images(g.images):
-            lengths = kern.cycle_lengths(g.images)
-            yield (graph.n // lengths[0] if lengths else graph.n), g
+    """(number of cycles, element) for each semiregular element of the
+    suborbit walk, in its order.
+
+    All cycles of a semiregular element have one length, so the cycle
+    through point 0 gives their number.
+    """
+    for g in group.suborbit_elements(cap):
+        images = g.images
+        if kern.is_semiregular_images(images):
+            yield (graph.n // _cycle_length_at_0(images) if images else graph.n), g
 
 
 def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
                cap: int | None = None) -> SpectrumReport:
     """Spectrum { n/|g| : g in Aut, g semiregular } with one witness per k.
 
-    Witnesses are the first hits in the deterministic element enumeration.
-    Raises CapExceeded when |Aut| exceeds the enumeration cap.
+    Witnesses are the first hits in the deterministic element enumeration,
+    found by the suborbit walk.  Raises CapExceeded when |Aut| exceeds the
+    enumeration cap.
     """
     if group is None:
         group = aut_mod.automorphism_group(graph)
@@ -125,13 +140,18 @@ def certify_k_circulant(graph: graphio.Graph, k: int,
 
     The witness is the first hit for k in the element stream that
     k_spectrum walks, and it is re-verified from scratch: cycle structure
-    and adjacency preservation are both checked before returning.
+    and adjacency preservation are both checked before returning.  The
+    suborbit walk may skip elements only because every element of the
+    group is an automorphism, so a caller-supplied group is checked first:
+    GroupNotAutomorphisms if a generator breaks an edge.
     """
     n = graph.n
     if k < 1 or n % k != 0:
         raise KDoesNotDivideN(f"k = {k} does not divide n = {n}")
     if group is None:
         group = aut_mod.automorphism_group(graph)
+    else:
+        aut_mod.check_all_automorphisms(graph, group)
     want = n // k
     for cycles, g in _semiregular_elements(graph, group, cap):
         if cycles != k:

@@ -10,7 +10,8 @@ set it found (``PermGroup.from_chain``), so its order is the product of the
 basic orbit lengths and nothing is sifted; its transversals are built
 lazily, on the first membership test or enumeration.  Either way the
 transversals come from one FIFO orbit walk, so repeated runs produce
-identical element streams.
+identical element streams.  Conjugacy-invariant questions need only one
+coset block per suborbit of that stream (``suborbit_elements``).
 """
 from __future__ import annotations
 
@@ -315,29 +316,65 @@ class PermGroup:
 
         The order is lexicographic over chain transversal indices, with the
         top level most significant and each transversal iterated by ascending
-        orbit point.  Raises CapExceeded before yielding anything if the
-        group order exceeds the cap.
+        orbit point.  So the stream comes in blocks, one per point pt of the
+        first base point b's orbit, block pt holding the |G_b| elements
+        that map b to pt.  Raises CapExceeded before yielding anything if
+        the group order exceeds the cap.
         """
+        return self._walk(cap, suborbits_only=False)
+
+    def suborbit_elements(self, cap: int | None = None) -> Iterator[Permutation]:
+        """The blocks of elements() whose point is the smallest of its suborbit.
+
+        A suborbit is an orbit of the stabiliser G_b of the first base point
+        b on b's orbit.  Conjugating by G_b maps block pt onto block h(pt)
+        and keeps cycle types, so every conjugacy-invariant question about
+        the group is answered by these |G_b| * (number of suborbits)
+        elements, and its first hit here is its first hit in elements().
+        Blocks come in elements() order, each as elements() gives it; the
+        trivial group yields the identity.  Raises CapExceeded as
+        elements() does.
+        """
+        return self._walk(cap, suborbits_only=True)
+
+    def _suborbit_minima(self) -> set[int]:
+        """The smallest point of each suborbit (see suborbit_elements)."""
+        top = self._levels[0].transversal
+        stabiliser = self._gens_at(1)
+        classes = components(self.degree, lambda p: [g[p] for g in stabiliser])
+        return {cls[0] for cls in classes if cls[0] in top}
+
+    def _walk(self, cap: int | None, suborbits_only: bool) -> Iterator[Permutation]:
         if cap is None:
             cap = DEFAULT_ENUMERATION_CAP
         order = self.order()
         if order > cap:
             raise CapExceeded(f"group order {order} exceeds cap {cap}")
         levels = self._ensure_transversals()
-
-        def rec(i: int) -> Iterator[list[int]]:
-            if i == len(levels):
-                yield list(range(self.degree))
-                return
-            trans = levels[i].transversal
-            # the stabiliser below is walked once per orbit point; keep its
-            # elements when they take no more room than this transversal
-            stabiliser_order = math.prod(lvl.orbit_size for lvl in levels[i + 1:])
-            below = list(rec(i + 1)) if stabiliser_order <= len(trans) else None
-            for pt in sorted(trans):
-                t = trans[pt]
-                for h in rec(i + 1) if below is None else below:
-                    yield kern.compose_images(h, t)
-
-        for images in rec(0):
+        top = self._suborbit_minima() if suborbits_only and levels else None
+        for images in _coset_products(levels, 0, self.degree, top):
             yield Permutation(tuple(images))
+
+
+def _coset_products(levels: list[_Level], i: int, degree: int,
+                    points: set[int] | None = None) -> Iterator[list[int]]:
+    """h * t for each coset representative t of level i, by ascending orbit
+    point (only the given points, if any), and each element h of the chain
+    below, in this same order.
+
+    A module function, not a closure: a recursive closure is a reference
+    cycle, and it would keep the group and its transversals alive after the
+    walk until the cyclic garbage collector ran.
+    """
+    if i == len(levels):
+        yield list(range(degree))
+        return
+    trans = levels[i].transversal
+    # the stabiliser below is walked once per orbit point; keep its
+    # elements when they take no more room than this transversal
+    stabiliser_order = math.prod(lvl.orbit_size for lvl in levels[i + 1:])
+    below = list(_coset_products(levels, i + 1, degree)) if stabiliser_order <= len(trans) else None
+    for pt in sorted(trans if points is None else points):
+        t = trans[pt]
+        for h in _coset_products(levels, i + 1, degree) if below is None else below:
+            yield kern.compose_images(h, t)

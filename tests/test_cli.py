@@ -3,8 +3,11 @@ import json
 import shutil
 from pathlib import Path
 
-from circulant_lab import fixtures
+import pytest
+
+from circulant_lab import cli, fixtures
 from circulant_lab.cli import main
+from circulant_lab.errors import StabiliserNotOfForm
 from circulant_lab.graphio import MAX_ORDER, parse_edgelist, serialize
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "circulant_lab" / "fixtures"
@@ -175,6 +178,44 @@ def test_scan_parse_error_is_per_file(tmp_path, capsys):
     assert skips == {"bad.edgelist": "parse error", "huge.edgelist": "parse error",
                      "k4.edgelist": None}
     assert lines[-1]["summary"]["analyzed"] == 1
+
+
+def _fail_on_order(monkeypatch, n, exc):
+    real = cli._analyze_graph
+
+    def analyze(graph, *args):
+        if graph.n == n:
+            raise exc
+        return real(graph, *args)
+
+    monkeypatch.setattr(cli, "_analyze_graph", analyze)
+
+
+def test_scan_analysis_error_is_per_graph(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("k33", "k4"):
+        shutil.copy(FIXTURE_DIR / f"{name}.edgelist", corpus)
+    _, clean, _ = run_cli(capsys, "scan", str(corpus), "--bound-check")
+    clean_k33, clean_k4, _ = map(json.loads, clean.splitlines())
+    _fail_on_order(monkeypatch, 4, StabiliserNotOfForm("planted failure"))
+    code, out, _ = run_cli(capsys, "scan", str(corpus), "--bound-check")
+    assert code == 0
+    k33, k4, summary = map(json.loads, out.splitlines())
+    assert k4 == {"source": clean_k4["source"], "line": None, "n": 4, "cubic": True,
+                  "connected": True, "skip": "error", "error": "planted failure"}
+    assert k33 == clean_k33 and k33["skip"] is None
+    assert summary["summary"] == {"files": 2, "graphs": 2, "analyzed": 1, "skipped": 1,
+                                  "violations": 0, "bound_equalities": 1}
+
+
+def test_scan_program_errors_still_surface(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(FIXTURE_DIR / "k4.edgelist", corpus)
+    _fail_on_order(monkeypatch, 4, RuntimeError("a bug, not a bad graph"))
+    with pytest.raises(RuntimeError):
+        main(["scan", str(corpus)])
 
 
 def test_scan_empty_dir(tmp_path, capsys):

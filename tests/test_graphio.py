@@ -1,5 +1,6 @@
 """Graph type, edge-list and graph6 codecs, fixture corpus hygiene."""
 import random
+import tracemalloc
 
 import pytest
 
@@ -54,6 +55,25 @@ def test_parse_edgelist_errors():
         parse_edgelist("")
     with pytest.raises(MalformedHeader, match=f"{MAX_ORDER + 1}.*{MAX_ORDER}"):
         parse_edgelist(f"{MAX_ORDER + 1} 0\n")  # refused before allocating
+
+
+def test_parse_memory_follows_the_file_not_the_header():
+    # a 10-byte file declaring MAX_ORDER isolated vertices: neighbour sets
+    # are built only for vertices in an edge
+    tracemalloc.start()
+    try:
+        graph = parse_edgelist(f"{MAX_ORDER} 0")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert graph.n == MAX_ORDER and graph.edge_count == 0
+    assert graph.adjacency[0] == graph.adjacency[-1] == ()
+
+
+def test_from_edges_isolated_vertices_and_sorted_neighbours():
+    graph = from_edges(6, [(4, 1), (1, 0), (4, 3)])
+    assert graph.adjacency == ((1,), (0, 4), (), (4,), (1, 3), ())
 
 
 def test_graph6_known_strings():

@@ -6,7 +6,7 @@ import pytest
 from circulant_lab import fixtures
 from circulant_lab.aut import automorphism_group
 from circulant_lab.cli import build_even, build_odd, verify_construction
-from circulant_lab.errors import KDoesNotDivideN, PreconditionViolated
+from circulant_lab.errors import GroupNotAutomorphisms, KDoesNotDivideN, PreconditionViolated
 from circulant_lab.graphio import from_edges
 from circulant_lab.kcirc import (
     certify_k_circulant,
@@ -16,12 +16,13 @@ from circulant_lab.kcirc import (
     k_spectrum,
 )
 from circulant_lab.perm import (
+    PermGroup,
     cycle_structure,
     from_cycle_string,
     identity,
     is_semiregular,
 )
-from helpers import relabel
+from helpers import generalized_petersen, random_cubic_graph, relabel, spectrum_of_perms
 
 SPEC_SPECTRA = {
     "k4": (1, 2, 4),
@@ -90,28 +91,67 @@ def test_certify_k_must_divide_n():
         certify_k_circulant(fixtures.load("petersen"), 3)
 
 
+ARC_TRANSITIVE_GP = ((4, 1), (5, 2), (8, 3), (10, 2), (10, 3), (12, 5), (24, 5))
+
 CERTIFY_CASES = [(name, "search") for name in fixtures.NAMES] + [
     (member, kind)
     for member in ("odd-3", "odd-5", "odd-7", "even-1-7", "even-2-7")
     for kind in ("search", "arc")
+] + [(f"GP{n}-{k}", "search") for n, k in ARC_TRANSITIVE_GP] + [
+    (f"random-{seed}", "search") for seed in range(20)
 ]
 
 
-@pytest.mark.parametrize("source,group_kind", CERTIFY_CASES)
-def test_certify_matches_spectrum_witness_for_every_divisor(source, group_kind):
+def _certify_case(source, group_kind):
     # "search" is the searched Aut; "arc" the caller-supplied arc-transitive
     # group of a family member, whose chain comes from Schreier-Sims
+    arc_group = None
     if source in fixtures.NAMES:
-        graph, arc_group = fixtures.load(source), None
+        graph = fixtures.load(source)
+    elif source.startswith("GP"):
+        graph = generalized_petersen(*map(int, source[2:].split("-")))
+    elif source.startswith("random-"):
+        seed = int(source.split("-")[1])
+        rng = random.Random(seed)
+        graph = random_cubic_graph(rng, rng.randrange(8, 32, 2))
     else:
         family, *params = source.split("-")
         cons = (build_odd if family == "odd" else build_even)(*map(int, params))
         graph, arc_group = cons.graph, cons.arc_group
     group = automorphism_group(graph) if group_kind == "search" else arc_group
-    witnesses = k_spectrum(graph, group).witnesses
+    return graph, group
+
+
+def _first_hits_over_all_elements(n, group):
+    """k -> the first element of the full enumeration that is semiregular
+    with k cycles: the oracle for the suborbit walk."""
+    hits = {}
+    for g in group.elements():
+        for k in spectrum_of_perms(n, [g.images]):
+            hits.setdefault(k, g)
+    return hits
+
+
+@pytest.mark.parametrize("source,group_kind", CERTIFY_CASES)
+def test_certify_matches_spectrum_witness_for_every_divisor(source, group_kind):
+    graph, group = _certify_case(source, group_kind)
+    oracle = _first_hits_over_all_elements(graph.n, group)
+    report = k_spectrum(graph, group)
+    assert report.spectrum == tuple(sorted(oracle))
+    assert report.witnesses == oracle
     for d in range(1, graph.n + 1):
         if graph.n % d == 0:
-            assert certify_k_circulant(graph, d, group) == witnesses.get(d), d
+            assert certify_k_circulant(graph, d, group) == oracle.get(d), d
+
+
+def test_certify_rejects_a_group_that_is_not_automorphisms():
+    k33 = fixtures.load("k33")
+    # semiregular with two cycles, but it breaks the edge 0-3
+    breaker = from_cycle_string("(0 1 3)(2 4 5)", 6)
+    with pytest.raises(GroupNotAutomorphisms):
+        certify_k_circulant(k33, 2, PermGroup(6, [breaker]))
+    with pytest.raises(GroupNotAutomorphisms):
+        certify_k_circulant(k33, 2, PermGroup(7, []))
 
 
 def test_is_squarefree():

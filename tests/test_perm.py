@@ -1,5 +1,7 @@
 """Permutation arithmetic and stabilizer-chain queries."""
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -187,6 +189,61 @@ def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         list(g.elements(cap=23))
     assert len(list(g.elements(cap=24))) == 24
+
+
+SUBORBIT_GROUPS = [
+    PermGroup(3, [P("(0 1 2)", 3), P("(0 1)", 3)]),   # Sym(3)
+    PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)]),  # Sym(4): suborbits {0}, {1, 2, 3}
+    PermGroup(4, [P("(0 1 2 3)", 4)]),                 # Z4: every suborbit a point
+    PermGroup(6, [P("(0 1 2)(3 4 5)", 6), P("(0 3)(1 4)(2 5)", 6)]),
+    PermGroup(6, [P("(0 1)", 6), P("(2 3 4 5)", 6), P("(2 3)", 6)]),  # small top orbit
+    PermGroup(10, [P("(0 1 2 3 4)(5 6 7 8 9)", 10), P("(1 4)(2 3)(6 9)(7 8)", 10),
+                   P("(0 5)(1 6)(2 7)(3 8)(4 9)", 10)]),
+]
+
+
+@pytest.mark.parametrize("group", SUBORBIT_GROUPS)
+def test_suborbit_elements_are_the_smallest_block_of_each_suborbit(group):
+    b = group.base()[0]
+    everything = list(group.elements())
+    stabiliser = [g for g in everything if g[b] == b]
+    top_orbit = {g[b] for g in everything}
+    suborbits = {frozenset(h[pt] for h in stabiliser) for pt in top_orbit}
+    minima = {min(s) for s in suborbits}
+    walked = list(group.suborbit_elements())
+    assert len(walked) == len(stabiliser) * len(suborbits)
+    assert len({g.images for g in walked}) == len(walked)
+    assert all(g in group for g in walked)
+    # the same blocks, in the order and with the contents elements() gives
+    assert walked == [g for g in everything if g[b] in minima]
+
+
+def test_suborbit_elements_of_the_trivial_group():
+    assert list(PermGroup(3, []).suborbit_elements()) == [identity(3)]
+    assert list(PermGroup(0, []).suborbit_elements()) == [identity(0)]
+
+
+def test_suborbit_elements_cap():
+    g = PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)])
+    walk = g.suborbit_elements(cap=23)
+    with pytest.raises(CapExceeded):
+        next(walk)  # raised before the first element, as elements() does
+    assert len(list(g.suborbit_elements(cap=24))) == 12
+
+
+def test_walks_do_not_keep_their_group_alive():
+    # the transversals are n full permutations per level: a walk, finished or
+    # abandoned, must let the group go without waiting for the cycle collector
+    gc.disable()
+    try:
+        g = PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)])
+        list(g.elements())
+        next(g.suborbit_elements())
+        released = weakref.ref(g)
+        del g
+        assert released() is None
+    finally:
+        gc.enable()
 
 
 def test_generators_pass_membership():
