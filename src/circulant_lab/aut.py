@@ -1,20 +1,24 @@
 """Graph automorphisms, transitivity tests, and the arc-type classifier.
 
 The automorphism search interleaves equitable color refinement with
-backtracking over images of a BFS-ordered vertex sequence.  It finds
-generators level by level: the subtree fixing the next target vertex is
-explored first, then one coset representative per remaining orbit of the
-target's cell (orbit pruning against the generators found so far).  The
-targets form a base and the generators a strong generating set, so the
-search returns its group with the stabilizer chain already filled in
-(``PermGroup.from_chain``): |Aut| is the product of the basic orbit lengths,
-with no Schreier-Sims pass, and transversals are built only when membership
-or enumeration first needs them.  Every choice point is iterated in
-ascending vertex order, so the output is deterministic.
+backtracking over images of a BFS-ordered vertex sequence, as two loops.
+The first walks the principal path once: from the refined unit coloring,
+each level individualizes its target vertex (the first vertex of the
+sequence in a non-singleton cell) and refines, down to the discrete leaf.
+The second takes the levels deepest first and tries one vertex per
+remaining orbit of the target's cell (orbit pruning against the
+generators found so far); each try is a depth-first search on an explicit
+stack that refines the individualized colorings and compares them, level
+by level, with the stored principal path, and tests adjacency at the
+leaf.  The targets form a base and the generators a strong generating
+set, so the search returns its group with the stabilizer chain already
+filled in (``PermGroup.from_chain``): |Aut| is the product of the basic
+orbit lengths, with no Schreier-Sims pass, and transversals are built
+only when membership or enumeration first needs them.  Every choice point
+is iterated in ascending vertex order, so the output is deterministic.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from circulant_lab import _kernels as kern
@@ -34,20 +38,6 @@ DEFAULT_NODE_CAP = 10 ** 8
 _STABILISER_TO_T = {3: 0, 6: 1, 12: 2, 24: 3, 48: 4}
 
 
-class _Budget:
-    __slots__ = ("cap", "left")
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.left = cap
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise SearchTimeout(
-                f"automorphism search exceeded its node cap (node_cap={self.cap})")
-
-
 def bfs_order(graph: graphio.Graph) -> list[int]:
     """Vertices in BFS order from 0 (components visited by ascending root)."""
     return [v for comp in components(graph.n, graph.adjacency.__getitem__) for v in comp]
@@ -57,6 +47,13 @@ def _individualize(colors: list[int], v: int) -> list[int]:
     pairs = [(c, 1 if i == v else 0) for i, c in enumerate(colors)]
     rank = {s: r for r, s in enumerate(sorted(set(pairs)))}
     return [rank[s] for s in pairs]
+
+
+def _counts_of(colors: list[int]) -> list[int]:
+    counts = [0] * (max(colors) + 1)
+    for c in colors:
+        counts[c] += 1
+    return counts
 
 
 def _orbit_of(point: int, perms: list[Permutation]) -> set[int]:
@@ -70,96 +67,88 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
     The base is the search's target vertices whose basic orbit is more than
     the target itself; the strong generators of a level are the generators
     found at that level of the search or deeper.  Every returned generator
-    is verified to preserve adjacency.  Raises SearchTimeout when more than
-    node_cap refinement nodes are explored.
+    is verified to preserve adjacency.  node_cap bounds the number of
+    refinement calls: the principal path's, one per level, and one per node
+    of every sibling search.  Raises SearchTimeout when the search needs
+    more.
     """
     n = graph.n
     if n == 0:
         return PermGroup(0, [])
     ptr, flat = kern.build_csr(graph.adjacency)
-    budget = _Budget(node_cap)
     base_seq = bfs_order(graph)
-    gens: list[tuple[int, Permutation]] = []
-    chain: list[tuple[int, int, int]] = []  # (level, base point, orbit size)
+    nodes = 0
 
     def refine(colors: list[int]) -> list[int]:
-        budget.spend()
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_cap:
+            raise SearchTimeout(
+                f"automorphism search exceeded its node cap (node_cap={node_cap})")
         return kern.refine_colors(ptr, flat, colors)
 
-    def counts_of(colors: list[int]) -> list[int]:
-        counts = [0] * (max(colors) + 1)
-        for c in colors:
-            counts[c] += 1
-        return counts
+    # the principal path: (coloring, target vertex or None at the leaf,
+    # cell counts) per level, each coloring refined from its parent with
+    # the parent's target individualized
+    path: list[tuple[list[int], int | None, list[int]]] = []
+    colors = refine([0] * n)
+    while True:
+        counts = _counts_of(colors)
+        target = next((v for v in base_seq if counts[colors[v]] > 1), None)
+        path.append((colors, target, counts))
+        if target is None:
+            break
+        colors = refine(_individualize(colors, target))
+    leaf_pos = [0] * n
+    for v, c in enumerate(colors):
+        leaf_pos[c] = v
 
-    def select_target(colors: list[int], counts: list[int]) -> int | None:
-        for v in base_seq:
-            if counts[colors[v]] > 1:
-                return v
-        return None
-
-    def leaf_mapping(alpha: list[int], beta: list[int]) -> list[int]:
-        pos = [0] * n
-        for w, c in enumerate(beta):
-            pos[c] = w
-        return [pos[c] for c in alpha]
-
-    def seek(alpha: list[int], beta: list[int]) -> Permutation | None:
-        """One automorphism consistent with the colored pair, or None."""
-        counts = counts_of(alpha)
-        if counts != counts_of(beta):
-            return None
-        t = select_target(alpha, counts)
-        if t is None:
-            images = leaf_mapping(alpha, beta)
-            if kern.preserves_adjacency(ptr, flat, images):
-                return Permutation(tuple(images))
-            return None
-        alpha_t = refine(_individualize(alpha, t))
-        color_t = alpha[t]
-        for w in range(n):
-            if beta[w] != color_t:
+    def seek(level: int, w: int) -> Permutation | None:
+        """The first automorphism that fixes the targets above the level and
+        maps its target to w, searched depth-first against the principal
+        path below the level."""
+        stack = [(level + 1, path[level][0], w)]
+        while stack:
+            depth, parent, v = stack.pop()
+            beta = refine(_individualize(parent, v))
+            alpha, target, counts = path[depth]
+            if _counts_of(beta) != counts:
                 continue
-            found = seek(alpha_t, refine(_individualize(beta, w)))
-            if found is not None:
-                return found
+            if target is None:
+                images = [0] * n
+                for u, c in enumerate(beta):
+                    images[leaf_pos[c]] = u
+                if kern.preserves_adjacency(ptr, flat, images):
+                    return Permutation(tuple(images))
+                continue
+            color = alpha[target]
+            stack.extend((depth + 1, beta, u) for u in range(n - 1, -1, -1) if beta[u] == color)
         return None
 
-    def explore(alpha: list[int], level: int) -> None:
-        """Walk the principal path (alpha equals beta), harvesting generators."""
-        counts = counts_of(alpha)
-        t = select_target(alpha, counts)
-        if t is None:
-            return
-        alpha_t = refine(_individualize(alpha, t))
-        explore(alpha_t, level + 1)
-        color_t = alpha[t]
+    # levels deepest first: every generator found so far fixes the targets
+    # above the current level, so all of them act on its target's orbit
+    gens: list[Permutation] = []
+    chain: list[tuple[int, int]] = []  # (base point, orbit size), deepest first
+    for level in range(len(path) - 2, -1, -1):
+        alpha, target, _ = path[level]
         orbit: set[int] | None = None
         for w in range(n):
-            if w == t or alpha[w] != color_t:
+            if w == target or alpha[w] != alpha[target]:
                 continue
             if orbit is None:
-                known = [g for lvl, g in gens if lvl >= level]
-                orbit = _orbit_of(t, known)
+                orbit = _orbit_of(target, gens)
             if w in orbit:
                 continue
-            found = seek(alpha_t, refine(_individualize(alpha, w)))
+            found = seek(level, w)
             if found is not None:
-                gens.append((level, found))
+                gens.append(found)
                 orbit = None
         if orbit is None:
-            orbit = _orbit_of(t, [g for lvl, g in gens if lvl >= level])
+            orbit = _orbit_of(target, gens)
         if len(orbit) > 1:
-            chain.append((level, t, len(orbit)))
-
-    caller_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(caller_limit, 6 * n + 200))
-    try:
-        explore(refine([0] * n), 0)
-    finally:
-        sys.setrecursionlimit(caller_limit)
-    chain.sort()
-    return PermGroup.from_chain(n, [g for _, g in gens], [(t, size) for _, t, size in chain])
+            chain.append((target, len(orbit)))
+    chain.reverse()
+    return PermGroup.from_chain(n, gens, chain)
 
 
 def is_automorphism(graph: graphio.Graph, p: Permutation) -> bool:
@@ -175,8 +164,9 @@ def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
     vertices and every generator is an automorphism."""
     if group.degree != graph.n:
         raise GroupNotAutomorphisms(f"group degree {group.degree} differs from n = {graph.n}")
+    ptr, flat = kern.build_csr(graph.adjacency)
     for g in group.generators:
-        if not is_automorphism(graph, g):
+        if not kern.preserves_adjacency(ptr, flat, list(g.images)):
             raise GroupNotAutomorphisms(f"generator {g} does not preserve adjacency")
 
 
@@ -210,10 +200,14 @@ def tutte_type(graph: graphio.Graph, group: PermGroup | None = None) -> int:
         group = automorphism_group(graph)
     if not is_arc_transitive(graph, group):
         raise NotArcTransitive("automorphism group is not transitive on arcs")
-    order = group.order()
-    if order % graph.n != 0:
-        raise StabiliserNotOfForm(f"|Aut| = {order} not divisible by n = {graph.n}")
-    stab = order // graph.n
+    return _arc_type(group.order(), graph.n)
+
+
+def _arc_type(order: int, n: int) -> int:
+    """t with order = 3 * 2^t * n, or StabiliserNotOfForm."""
+    if order % n != 0:
+        raise StabiliserNotOfForm(f"|Aut| = {order} not divisible by n = {n}")
+    stab = order // n
     t = _STABILISER_TO_T.get(stab)
     if t is None:
         raise StabiliserNotOfForm(f"stabiliser order {stab} is not 3 * 2^t, t <= 4")
@@ -250,5 +244,5 @@ def symmetry_profile(graph: graphio.Graph, group: PermGroup | None = None) -> Sy
     stab = order // graph.n if vt else None
     t = None
     if at and graphio.is_cubic(graph) and graphio.is_connected(graph) and graph.n > 0:
-        t = tutte_type(graph, group)
+        t = _arc_type(order, graph.n)
     return SymmetryProfile(graph.n, order, vt, at, t, stab)

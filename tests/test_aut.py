@@ -1,6 +1,9 @@
 """Automorphism search, arc-transitivity, and arc-type classification."""
+import gc
+import math
 import random
 import sys
+import weakref
 
 import pytest
 from sympy.combinatorics import Permutation as SympyPermutation
@@ -172,18 +175,50 @@ def test_node_cap():
         automorphism_group(graph, node_cap=3)
 
 
-def test_search_restores_recursion_limit():
-    # odd k = 5 has n = 150, so the search needs a limit of 6n + 200 = 1100
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_search_restores_recursion_limit(monkeypatch):
+    # the search neither needs stack in proportion to n nor touches the
+    # interpreter-wide limit: odd k = 5 has n = 150, and the edgeless graph
+    # on 60 vertices has a principal path of 59 levels
     from circulant_lab.cli import build_odd
 
-    graph = build_odd(5).graph
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit}) called")
+
     caller_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
+    set_limit = sys.setrecursionlimit
+    for graph, order in ((build_odd(5).graph, 900), (from_edges(60, []), math.factorial(60))):
+        limit = _stack_depth() + 50
+        set_limit(limit)
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        try:
+            assert automorphism_group(graph).order() == order
+            assert sys.getrecursionlimit() == limit
+        finally:
+            monkeypatch.undo()
+            set_limit(caller_limit)
+
+
+def test_search_frees_its_state():
+    # with the cyclic collector off, reference counting alone must free the
+    # search's state, generators included, once the returned group is dropped
+    from circulant_lab.cli import build_odd
+
+    graph = build_odd(11).graph
+    gc.disable()
     try:
-        automorphism_group(graph)
-        assert sys.getrecursionlimit() == 1000
+        group = automorphism_group(graph)
+        generator = weakref.ref(group.generators[0])
+        del group
+        assert generator() is None
     finally:
-        sys.setrecursionlimit(caller_limit)
+        gc.enable()
 
 
 def test_bfs_order_on_interleaved_components():
