@@ -1,20 +1,25 @@
 """Hot-loop primitives with a compiled core and a pure-Python fallback.
 
-The compiled extension is used when it has been built and imports;
-otherwise the pure-Python module is.  Both implement the same contract
-(``pure.py`` gives the reference semantics, and tests/test_kernels.py
-checks that the two agree); ``BACKEND`` names the one in use.
+Four primitives have a compiled twin: ``inverse_images``,
+``is_semiregular_images``, ``preserves_adjacency`` and ``refine_colors``.
+They come from the extension when it has been built and imports, and from
+the pure-Python module otherwise; ``BACKEND`` names the one in use for
+them.  ``compose_images`` and ``cycle_lengths`` always come from ``pure.py``.
+Both backends implement the same contract (``pure.py`` gives the reference
+semantics, and tests/test_kernels.py checks that the twins agree).
 """
+from circulant_lab._kernels import pure
+
 try:
     from circulant_lab._kernels import _speedups as _impl
     BACKEND = "c"
 except ImportError:
-    from circulant_lab._kernels import pure as _impl
+    _impl = pure
     BACKEND = "pure"
 
-compose_images = _impl.compose_images
+compose_images = pure.compose_images
 inverse_images = _impl.inverse_images
-cycle_lengths = _impl.cycle_lengths
+cycle_lengths = pure.cycle_lengths
 is_semiregular_images = _impl.is_semiregular_images
 preserves_adjacency = _impl.preserves_adjacency
 refine_colors = _impl.refine_colors

@@ -1,5 +1,10 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-"""Compiled twins of the primitives in ``pure.py``.
+"""Compiled twins of four primitives in ``pure.py``: ``inverse_images``,
+``is_semiregular_images``, ``preserves_adjacency`` and ``refine_colors``.
+
+``compose_images`` and ``cycle_lengths`` have no twin: the pure list
+comprehension is as fast as a compiled loop and shares ``q``'s int objects,
+where a compiled one boxes a fresh int per image.
 
 Results (including canonical refinement ids) must match the pure backend
 exactly; tests/test_kernels.py enforces this on random inputs.
@@ -17,20 +22,6 @@ cdef long long* _seq_to_buf(object seq, Py_ssize_t n) except NULL:
     return buf
 
 
-def compose_images(p, q):
-    """Left-to-right composition: result[i] = q[p[i]]."""
-    cdef Py_ssize_t n = len(p)
-    cdef long long* qa = _seq_to_buf(q, n)
-    cdef list out = [0] * n
-    cdef Py_ssize_t i
-    try:
-        for i in range(n):
-            out[i] = qa[<Py_ssize_t> p[i]]
-    finally:
-        free(qa)
-    return out
-
-
 def inverse_images(p):
     cdef Py_ssize_t n = len(p)
     cdef long long* pa = _seq_to_buf(p, n)
@@ -41,35 +32,6 @@ def inverse_images(p):
             out[<Py_ssize_t> pa[i]] = i
     finally:
         free(pa)
-    return out
-
-
-def cycle_lengths(p):
-    """Sorted list of cycle lengths of p (fixed points included)."""
-    cdef Py_ssize_t n = len(p)
-    cdef long long* pa = _seq_to_buf(p, n)
-    cdef char* seen = <char*> malloc(n if n else 1)
-    cdef list out = []
-    cdef Py_ssize_t i, j, length
-    try:
-        if seen == NULL:
-            raise MemoryError()
-        for i in range(n):
-            seen[i] = 0
-        for i in range(n):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = 1
-                j = <Py_ssize_t> pa[j]
-                length += 1
-            out.append(length)
-    finally:
-        free(pa)
-        free(seen)
-    out.sort()
     return out
 
 

@@ -1,8 +1,11 @@
 """Pure-Python implementations of the hot-loop primitives.
 
-The compiled backend in ``_speedups.pyx`` must stay observably identical to
-this module: same results, same canonical orderings.  Permutations are plain
-sequences of images; graphs arrive as CSR arrays (``ptr``/``flat``) built by
+The compiled backend in ``_speedups.pyx`` twins four of them
+(``inverse_images``, ``is_semiregular_images``, ``preserves_adjacency`` and
+``refine_colors``) and must stay observably identical to this module: same
+results, same canonical orderings.  ``compose_images`` and ``cycle_lengths``
+exist only here.  Permutations are plain sequences of images; graphs arrive
+as CSR arrays (``ptr``/``flat``) built by
 :func:`circulant_lab._kernels.build_csr`.
 """
 

@@ -24,7 +24,13 @@ from circulant_lab.cayley import (
     cayley_graph,
     left_translation,
 )
-from circulant_lab.errors import BadParams, CapExceeded, CirculantError, SearchTimeout
+from circulant_lab.errors import (
+    BadCharacter,
+    BadParams,
+    CapExceeded,
+    CirculantError,
+    SearchTimeout,
+)
 from circulant_lab.papergroups import OddElement, even_group, odd_group
 from circulant_lab.perm import (
     DEFAULT_ENUMERATION_CAP,
@@ -145,7 +151,12 @@ def _detect_format(path: Path) -> str:
 
 def _load_graphs(path: Path) -> list[tuple[int | None, graphio.Graph]]:
     """(line, graph) pairs; edge-list files hold one graph, graph6 one per line."""
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # both formats are ASCII: an undecodable file is a format error
+        raise BadCharacter(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if _detect_format(path) == "edgelist":
         return [(None, graphio.parse_edgelist(text))]
     out = []
@@ -195,8 +206,12 @@ def cmd_construct(args, family: str) -> int:
         return 2
     out_path = Path(args.out) if args.out else Path(
         default_name + (".g6" if args.format == "graph6" else ".edgelist"))
-    out_path.write_text(graphio.serialize(cons.graph, args.format)
-                        + ("\n" if args.format == "graph6" else ""))
+    try:
+        out_path.write_text(graphio.serialize(cons.graph, args.format)
+                            + ("\n" if args.format == "graph6" else ""))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = verify_construction(cons)
     report["graph_file"] = str(out_path)
     print(json.dumps(report, indent=2))

@@ -56,6 +56,13 @@ def test_construct_even_bad_params(tmp_path, capsys, monkeypatch):
     assert code == 2 and "error" in err
 
 
+def test_construct_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "g.edgelist"
+    code, stdout, err = run_cli(capsys, "construct-odd", "1", "--out", str(out))
+    assert code == 2 and err.startswith("error: ") and stdout == ""
+    assert not out.parent.exists()
+
+
 def test_analyze_fixture(capsys):
     code, out, _ = run_cli(capsys, "analyze", str(FIXTURE_DIR / "k4.edgelist"))
     assert code == 0
@@ -94,6 +101,10 @@ def test_analyze_malformed_file(tmp_path, capsys):
     bad.write_text("not a header\n")
     code, _, err = run_cli(capsys, "analyze", str(bad))
     assert code == 2 and "error" in err
+    binary = tmp_path / "binary.edgelist"
+    binary.write_bytes(b"\xff\xfe4 6\n")  # not UTF-8
+    code, out, err = run_cli(capsys, "analyze", str(binary))
+    assert code == 2 and err.startswith("error: ") and "UTF-8" in err and out == ""
 
 
 def test_analyze_missing_file(capsys):
@@ -170,13 +181,14 @@ def test_scan_parse_error_is_per_file(tmp_path, capsys):
     corpus.mkdir()
     (corpus / "bad.edgelist").write_text("oops\n")
     (corpus / "huge.edgelist").write_text(f"{MAX_ORDER + 1} 0\n")  # over the vertex limit
+    (corpus / "binary.g6").write_bytes(b"\xff\xfeC~\n")  # not UTF-8
     shutil.copy(FIXTURE_DIR / "k4.edgelist", corpus / "k4.edgelist")
     code, out, _ = run_cli(capsys, "scan", str(corpus), "--bound-check")
     assert code == 0  # parse errors are per-file, non-fatal, and not violations
     lines = [json.loads(ln) for ln in out.splitlines()]
     skips = {Path(r["source"]).name: r.get("skip") for r in lines[:-1]}
-    assert skips == {"bad.edgelist": "parse error", "huge.edgelist": "parse error",
-                     "k4.edgelist": None}
+    assert skips == {"bad.edgelist": "parse error", "binary.g6": "parse error",
+                     "huge.edgelist": "parse error", "k4.edgelist": None}
     assert lines[-1]["summary"]["analyzed"] == 1
 
 
