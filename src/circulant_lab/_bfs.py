@@ -2,29 +2,15 @@
 
 ``reach`` and ``components`` are the orbit algorithm: connectivity, the
 search's vertex order, group orbits and the arc orbit are all one of them.
-``bfs`` is the bare walk, for callers that act on each edge and keep their
-own visited marks.
+Callers that act on each edge (a transversal, a Cayley graph, the girth)
+walk their own list the same way: it grows while it is walked, so it is
+the FIFO queue.
 """
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
-
-
-def bfs(starts: Iterable[T], discover: Callable[[T], Iterable[T]]) -> Iterator[T]:
-    """Yield the starts, then every node discover() reports, in FIFO order.
-
-    discover(node) runs when node is dequeued and returns the nodes it finds
-    for the first time; the caller keeps the visited marks, so it can also
-    act on edges to nodes it has already seen.
-    """
-    queue = deque(starts)
-    while queue:
-        node = queue.popleft()
-        yield node
-        queue.extend(discover(node))
 
 
 def reach(starts: Iterable[T], step: Callable[[T], Iterable[T]]) -> list[T]:

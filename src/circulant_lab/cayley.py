@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from circulant_lab import graphio
-from circulant_lab._bfs import bfs
 from circulant_lab.errors import (
     ElementOutsideR,
     IdentityInS,
@@ -45,10 +44,8 @@ def cayley_graph(group, connection_set: Sequence) -> tuple[graphio.Graph, Cayley
     vertex_of = {ident: 0}
     elements = [ident]
     edges = set()
-
-    def discover(v: int) -> list[int]:
-        found = []
-        gv = elements[v]
+    # elements grows while it is walked: it is the FIFO queue
+    for v, gv in enumerate(elements):
         for s in S:
             h = group.mul(gv, s)
             w = vertex_of.get(h)
@@ -56,12 +53,7 @@ def cayley_graph(group, connection_set: Sequence) -> tuple[graphio.Graph, Cayley
                 w = len(elements)
                 vertex_of[h] = w
                 elements.append(h)
-                found.append(w)
             edges.add((min(v, w), max(v, w)))
-        return found
-
-    for _ in bfs([0], discover):
-        pass
     graph = graphio.from_edges(len(elements), sorted(edges))
     return graph, CayleyLabeling(tuple(elements), vertex_of)
 

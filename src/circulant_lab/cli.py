@@ -284,14 +284,19 @@ def _scan_file(task) -> list[dict]:
 
 def cmd_scan(args) -> int:
     root = Path(args.dir)
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1 (got {args.jobs})", file=sys.stderr)
+        return 2
     if not root.is_dir():
         print(f"error: {root} is not a directory", file=sys.stderr)
         return 2
     files = sorted(p for p in root.iterdir() if p.is_file())
     tasks = [(str(p), args.cap, args.include_trivial_k, args.bound_check, args.timings)
              for p in files]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts all its workers at the first submit: no more than files
+    workers = min(args.jobs, len(files))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_file = list(pool.map(_scan_file, tasks))
     else:
         per_file = [_scan_file(t) for t in tasks]

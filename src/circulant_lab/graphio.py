@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from circulant_lab._bfs import bfs, reach
+from circulant_lab._bfs import reach
 from circulant_lab.errors import (
     BadCharacter,
     DuplicateEdge,
@@ -161,22 +161,12 @@ def parse_graph6(line: str) -> Graph:
         raise TruncatedBits(f"need {nchars} adjacency chars, got {len(body)}")
     if len(body) > nchars:
         raise BadCharacter(f"{len(body) - nchars} trailing chars after adjacency bits")
-    bits = 0
-    for ch in body:
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
-            raise BadCharacter(f"byte {ord(ch)} in adjacency data")
-        bits = (bits << 6) | v
-    bits >>= 6 * nchars - nbits  # drop padding
-    edges = []
+    # _graph6_decode_n has checked every character; six bits per character,
+    # most significant first, and zip drops the padding
+    bits = ((ord(ch) - 63) >> shift & 1 for ch in body for shift in range(5, -1, -1))
     # upper triangle, column-major: (0,1), (0,2), (1,2), (0,3), ...
-    pos = nbits - 1
-    for col in range(1, n):
-        for row in range(col):
-            if (bits >> pos) & 1:
-                edges.append((row, col))
-            pos -= 1
-    return from_edges(n, edges)
+    pairs = ((row, col) for col in range(1, n) for row in range(col))
+    return from_edges(n, [pair for pair, bit in zip(pairs, bits) if bit])
 
 
 def to_graph6_line(graph: Graph) -> str:
@@ -221,23 +211,17 @@ def girth(graph: Graph) -> int | None:
     for root in range(graph.n):
         dist = {root: 0}
         parent = {root: -1}
-
-        def discover(v: int) -> list[int]:
-            nonlocal best
-            found = []
+        order = [root]
+        for v in order:  # order grows while it is walked: it is the FIFO queue
             if best is not None and dist[v] * 2 >= best:
-                return found
+                continue
             for u in graph.adjacency[v]:
                 if u not in dist:
                     dist[u] = dist[v] + 1
                     parent[u] = v
-                    found.append(u)
+                    order.append(u)
                 elif u != parent[v]:
                     cyc = dist[v] + dist[u] + 1
                     if best is None or cyc < best:
                         best = cyc
-            return found
-
-        for _ in bfs([root], discover):
-            pass
     return best

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from circulant_lab import _kernels as kern
-from circulant_lab._bfs import bfs, components
+from circulant_lab._bfs import components
 from circulant_lab.errors import CapExceeded, DegreeMismatch
 
 DEFAULT_ENUMERATION_CAP = 2 ** 24
@@ -202,13 +202,15 @@ class PermGroup:
     def _build_chain(self) -> None:
         self._levels = []
         self._strong_gens = []
+        identity = list(range(self.degree))
         for g in self.generators:
             residue, level = self._sift_images(list(g.images), 0)
-            if not all(i == x for i, x in enumerate(residue)):
+            if residue != identity:
                 self._adjoin(residue, level)
+        # every _adjoin rebuilds the transversals it can change, so each
+        # level is current when it is verified
         i = len(self._levels) - 1
         while i >= 0:
-            self._rebuild_transversal(i)
             stuck = self._verify_level(i)
             if stuck is None:
                 i -= 1
@@ -226,19 +228,14 @@ class PermGroup:
         lvl = self._levels[level]
         gens = self._gens_at(level)
         trans = {lvl.base: list(range(self.degree))}
-
-        def discover(pt: int) -> list[int]:
-            found = []
+        orbit = [lvl.base]
+        for pt in orbit:  # orbit grows while it is walked: it is the FIFO queue
             tp = trans[pt]
             for g in gens:
                 q = g[pt]
                 if q not in trans:
                     trans[q] = kern.compose_images(tp, g)
-                    found.append(q)
-            return found
-
-        for _ in bfs([lvl.base], discover):
-            pass
+                    orbit.append(q)
         lvl.transversal = trans
         lvl.orbit_size = len(trans)
 
@@ -266,20 +263,24 @@ class PermGroup:
             self._rebuild_transversal(j)
 
     def _verify_level(self, level: int) -> int | None:
-        """Sift all Schreier generators of this level; report where one sticks."""
-        lvl = self._levels[level]
+        """Sift all Schreier generators of this level; report where one sticks.
+
+        The Schreier generator t_pt * g * t_{g(pt)}^-1 is trivial exactly
+        when t_pt * g equals t_{g(pt)}, so only nontrivial ones are formed.
+        """
+        trans = self._levels[level].transversal
         gens = self._gens_at(level)
-        for pt in sorted(lvl.transversal):
-            tp = lvl.transversal[pt]
+        identity = list(range(self.degree))
+        for pt in sorted(trans):
+            tp = trans[pt]
             for g in gens:
-                t2 = lvl.transversal[g[pt]]
-                schreier = kern.compose_images(
-                    kern.compose_images(tp, g), kern.inverse_images(t2)
-                )
-                if all(i == x for i, x in enumerate(schreier)):
+                tg = kern.compose_images(tp, g)
+                t2 = trans[g[pt]]
+                if tg == t2:
                     continue
+                schreier = kern.compose_images(tg, kern.inverse_images(t2))
                 residue, stuck = self._sift_images(schreier, level + 1)
-                if not all(i == x for i, x in enumerate(residue)):
+                if residue != identity:
                     self._adjoin(residue, stuck)
                     return stuck
         return None
@@ -300,7 +301,7 @@ class PermGroup:
             raise DegreeMismatch(f"degrees {p.degree} and {self.degree}")
         self._ensure_transversals()
         residue, _ = self._sift_images(list(p.images), 0)
-        return all(i == x for i, x in enumerate(residue))
+        return residue == list(range(self.degree))
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)

@@ -258,6 +258,51 @@ def test_scan_parallel_matches_serial(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_scan_jobs_never_exceed_the_file_count(tmp_path, capsys, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records max_workers and maps in this process: starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("k4", "k33"):
+        shutil.copy(FIXTURE_DIR / f"{name}.edgelist", corpus / f"{name}.edgelist")
+    code, serial, _ = run_cli(capsys, "scan", str(corpus))
+    assert code == 0 and sizes == []
+    code, out, _ = run_cli(capsys, "scan", str(corpus), "--jobs", "5000")
+    assert code == 0 and out == serial
+    assert sizes == [2]
+    # one file: no pool at all
+    (corpus / "k33.edgelist").unlink()
+    code, _, _ = run_cli(capsys, "scan", str(corpus), "--jobs", "4")
+    assert code == 0 and sizes == [2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_scan_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(FIXTURE_DIR / "k4.edgelist", corpus / "k4.edgelist")
+    code, out, err = run_cli(capsys, "scan", str(corpus), "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--jobs" in err
+
+
 def test_scan_deterministic_without_timings(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

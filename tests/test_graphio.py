@@ -1,5 +1,6 @@
 """Graph type, edge-list and graph6 codecs, fixture corpus hygiene."""
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -95,6 +96,33 @@ def test_graph6_long_form():
     # adjacency char with the single bit set
     g = parse_graph6("~??A_")
     assert g.n == 2 and g.edge_count == 1
+
+
+def _graph6_long_form(n: int, edges) -> str:
+    """graph6 in the 18-bit long form (the serializer writes only n <= 62)."""
+    bits = bytearray(n * (n - 1) // 2 + 5)  # padded to whole characters
+    for u, v in edges:
+        row, col = min(u, v), max(u, v)
+        bits[col * (col - 1) // 2 + row] = 1
+    body = [
+        chr(63 + int("".join(map(str, bits[i:i + 6])), 2))
+        for i in range(0, len(bits) - 5, 6)
+    ]
+    head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    return head + "".join(body)
+
+
+def test_graph6_parse_time_is_linear_in_the_line():
+    # a 120 KB line: a decode that shifts one big integer per vertex pair
+    # takes about 13 s on it (2-core host), a linear one well under 1 s
+    n = 1200
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    line = _graph6_long_form(n, cycle)
+    assert len(line) == 4 + (n * (n - 1) // 2 + 5) // 6
+    started = time.perf_counter()
+    g = parse_graph6(line)
+    assert time.perf_counter() - started < 3
+    assert g == from_edges(n, cycle)
 
 
 def test_graph6_errors():

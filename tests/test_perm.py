@@ -1,10 +1,12 @@
 """Permutation arithmetic and stabilizer-chain queries."""
 import gc
+import hashlib
 import random
 import weakref
 
 import pytest
 
+from circulant_lab.cli import build_even, build_odd
 from circulant_lab.errors import CapExceeded, DegreeMismatch
 from circulant_lab.perm import (
     PermGroup,
@@ -251,3 +253,45 @@ def test_generators_pass_membership():
     g = PermGroup(7, gens)
     for gen in gens:
         assert gen in g
+
+
+def _chain_pin(group):
+    """Base, basic orbit sizes and a digest of the elements() stream."""
+    base = group.base()
+    elements = list(group.elements())
+    sizes = tuple(
+        len({e[b] for e in elements if all(e[c] == c for c in base[:i])})
+        for i, b in enumerate(base)
+    )
+    digest = hashlib.sha256()
+    for e in elements:
+        digest.update(repr(e.images).encode())
+    return base, sizes, digest.hexdigest()
+
+
+def _arc_group(construction):
+    # a fresh group on the same generators, so Schreier-Sims builds its chain
+    return PermGroup(construction.graph.n, construction.arc_group.generators)
+
+
+@pytest.mark.parametrize("make, pinned", [
+    (lambda: PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)]),
+     ((0, 1, 2), (4, 3, 2),
+      "e13746a049340a0ccbb99cbfb696a2526560ab6994493bd3101713270b4905bf")),
+    (lambda: _arc_group(build_odd(3)),
+     ((0, 1), (54, 3),
+      "a6969045aed79c12053ca7847ccd3c1065092b59c1a4470eeffd00a5f2e6e852")),
+    (lambda: _arc_group(build_odd(5)),
+     ((0, 1), (150, 3),
+      "9037d7b96d8178670f6d014d328858f88aebf69dcceee045249610d69bcd1bca")),
+    (lambda: _arc_group(build_even(1, 7)),
+     ((0, 1), (14, 3),
+      "200d19ce7d1941ff7b64d5207f9d4285335b892460dfecba13a14111e92410db")),
+    (lambda: _arc_group(build_even(2, 7)),
+     ((0, 1), (56, 3),
+      "e8f7f44a2c0e475f5a3ae19841c4fd89ad50b9f42e1b4f7844e7d40d2a3ba6fb")),
+], ids=["sym4", "odd3", "odd5", "even1_7", "even2_7"])
+def test_schreier_sims_chain_is_pinned(make, pinned):
+    # the base, the orbits and the element order of a chain built from
+    # caller-supplied generators are all deterministic; these are their values
+    assert _chain_pin(make()) == pinned
