@@ -1,28 +1,23 @@
-"""Hot-loop primitives with a compiled core and a pure-Python fallback.
+"""Hot-loop primitives, in pure Python.
 
-Four primitives have a compiled twin: ``inverse_images``,
-``is_semiregular_images``, ``preserves_adjacency`` and ``refine_colors``.
-They come from the extension when it has been built and imports, and from
-the pure-Python module otherwise; ``BACKEND`` names the one in use for
-them.  ``compose_images`` and ``cycle_lengths`` always come from ``pure.py``.
-Both backends implement the same contract (``pure.py`` gives the reference
-semantics, and tests/test_kernels.py checks that the twins agree).
+Permutation kernels (``compose_images``, ``inverse_images``,
+``cycle_lengths``, ``is_semiregular_images``), the adjacency check
+(``preserves_adjacency``) and colour refinement (``refine_colors``,
+``individualize``) all live in ``pure.py``, which is also the only place
+that knows how refinement numbers its cells.  ``BACKEND`` names the
+implementation, for benchmark reports.
 """
 from circulant_lab._kernels import pure
 
-try:
-    from circulant_lab._kernels import _speedups as _impl
-    BACKEND = "c"
-except ImportError:
-    _impl = pure
-    BACKEND = "pure"
+BACKEND = "pure"
 
 compose_images = pure.compose_images
-inverse_images = _impl.inverse_images
+inverse_images = pure.inverse_images
 cycle_lengths = pure.cycle_lengths
-is_semiregular_images = _impl.is_semiregular_images
-preserves_adjacency = _impl.preserves_adjacency
-refine_colors = _impl.refine_colors
+is_semiregular_images = pure.is_semiregular_images
+preserves_adjacency = pure.preserves_adjacency
+refine_colors = pure.refine_colors
+individualize = pure.individualize
 
 
 def build_csr(adjacency):

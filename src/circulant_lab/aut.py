@@ -10,12 +10,18 @@ remaining orbit of the target's cell (orbit pruning against the
 generators found so far); each try is a depth-first search on an explicit
 stack that refines the individualized colorings and compares them, level
 by level, with the stored principal path, and tests adjacency at the
-leaf.  The targets form a base and the generators a strong generating
-set, so the search returns its group with the stabilizer chain already
-filled in (``PermGroup.from_chain``): |Aut| is the product of the basic
-orbit lengths, with no Schreier-Sims pass, and transversals are built
-only when membership or enumeration first needs them.  Every choice point
-is iterated in ascending vertex order, so the output is deterministic.
+leaf.  Refinement and individualization are kernels
+(``_kernels.refine_colors`` for the unit coloring,
+``_kernels.individualize`` below it), and only they number the cells: the
+ids are canonical, so a sibling coloring is compared with the principal
+one by its cell counts per id, and a leaf maps each principal vertex to
+the vertex with the same id.  The targets form a base and the generators
+a strong generating set, so the search returns its group with the
+stabilizer chain already filled in (``PermGroup.from_chain``): |Aut| is
+the product of the basic orbit lengths, with no Schreier-Sims pass, and
+transversals are built only when membership or enumeration first needs
+them.  Every choice point is iterated in ascending vertex order, so the
+output is deterministic.
 """
 from __future__ import annotations
 
@@ -41,12 +47,6 @@ _STABILISER_TO_T = {3: 0, 6: 1, 12: 2, 24: 3, 48: 4}
 def bfs_order(graph: graphio.Graph) -> list[int]:
     """Vertices in BFS order from 0 (components visited by ascending root)."""
     return [v for comp in components(graph.n, graph.adjacency.__getitem__) for v in comp]
-
-
-def _individualize(colors: list[int], v: int) -> list[int]:
-    pairs = [(c, 1 if i == v else 0) for i, c in enumerate(colors)]
-    rank = {s: r for r, s in enumerate(sorted(set(pairs)))}
-    return [rank[s] for s in pairs]
 
 
 def _counts_of(colors: list[int]) -> list[int]:
@@ -79,26 +79,30 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
     base_seq = bfs_order(graph)
     nodes = 0
 
-    def refine(colors: list[int]) -> list[int]:
+    def count_node() -> None:
         nonlocal nodes
         nodes += 1
         if nodes > node_cap:
             raise SearchTimeout(
                 f"automorphism search exceeded its node cap (node_cap={node_cap})")
-        return kern.refine_colors(ptr, flat, colors)
+
+    def individualize(colors: list[int], v: int) -> list[int]:
+        count_node()
+        return kern.individualize(ptr, flat, colors, v)
 
     # the principal path: (coloring, target vertex or None at the leaf,
     # cell counts) per level, each coloring refined from its parent with
     # the parent's target individualized
     path: list[tuple[list[int], int | None, list[int]]] = []
-    colors = refine([0] * n)
+    count_node()
+    colors = kern.refine_colors(ptr, flat, [0] * n)
     while True:
         counts = _counts_of(colors)
         target = next((v for v in base_seq if counts[colors[v]] > 1), None)
         path.append((colors, target, counts))
         if target is None:
             break
-        colors = refine(_individualize(colors, target))
+        colors = individualize(colors, target)
     leaf_pos = [0] * n
     for v, c in enumerate(colors):
         leaf_pos[c] = v
@@ -110,7 +114,7 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
         stack = [(level + 1, path[level][0], w)]
         while stack:
             depth, parent, v = stack.pop()
-            beta = refine(_individualize(parent, v))
+            beta = individualize(parent, v)
             alpha, target, counts = path[depth]
             if _counts_of(beta) != counts:
                 continue

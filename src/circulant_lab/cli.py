@@ -112,7 +112,8 @@ def verify_construction(cons: Construction) -> dict:
     """Re-check every claimed property of a constructed graph from scratch.
 
     Construction and verification share no state beyond the graph and the
-    candidate permutations, which are re-validated against adjacency.  The
+    candidate permutations, which are re-validated against adjacency: the
+    arc group's generators and the witness must be automorphisms.  The
     arc-type comes from the full automorphism group, which may be larger
     than the assembled translations-plus-outer-automorphism group.
     """
@@ -124,6 +125,7 @@ def verify_construction(cons: Construction) -> dict:
         "connected": graphio.is_connected(graph),
         "arc_transitive": aut_mod.is_arc_transitive(graph, cons.arc_group),
         "witness_semiregular": is_semiregular(cons.witness),
+        "witness_automorphism": aut_mod.is_automorphism(graph, cons.witness),
         "witness_order": structure.element_order == cons.expected_c_order,
         "witness_orbit_count": len(structure.cycle_lengths) == cons.expected_k,
     }

@@ -45,10 +45,6 @@ class TruncatedBits(GraphFormatError):
     pass
 
 
-class TooLargeForFormat(GraphFormatError):
-    pass
-
-
 # --- structured group parameters ---
 
 class BadParams(CirculantError):

@@ -16,7 +16,6 @@ from circulant_lab.errors import (
     DuplicateEdge,
     LoopEdge,
     MalformedHeader,
-    TooLargeForFormat,
     TruncatedBits,
     VertexOutOfRange,
 )
@@ -169,24 +168,26 @@ def parse_graph6(line: str) -> Graph:
     return from_edges(n, [pair for pair, bit in zip(pairs, bits) if bit])
 
 
+def _graph6_encode_n(n: int) -> str:
+    """The vertex count in the short (n <= 62), long (18 bits) or long-long
+    (36 bits) form that _graph6_decode_n reads.  The long form stops at
+    258047, where its first character would be the long-long marker."""
+    if n <= 62:
+        return chr(n + 63)
+    prefix, width = ("~", 18) if n <= 258047 else ("~~", 36)
+    return prefix + "".join(chr((n >> s & 63) + 63) for s in range(width - 6, -1, -6))
+
+
 def to_graph6_line(graph: Graph) -> str:
-    """Encode as graph6; only the short form (n <= 62) is supported."""
+    """Encode as graph6 (no header)."""
     n = graph.n
-    if n > 62:
-        raise TooLargeForFormat(f"graph6 serializer handles n <= 62, got {n}")
-    bits = []
-    for col in range(1, n):
-        for row in range(col):
-            bits.append(1 if graph.has_edge(row, col) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(n + 63)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    # upper triangle, column-major: (0,1), (0,2), (1,2), (0,3), ...; six
+    # bits per character, most significant first
+    for row, col in graph.edges():
+        bit = col * (col - 1) // 2 + row
+        body[bit // 6] |= 32 >> bit % 6
+    return _graph6_encode_n(n) + "".join(chr(val + 63) for val in body)
 
 
 def serialize(graph: Graph, fmt: str) -> str:

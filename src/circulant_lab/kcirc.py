@@ -8,14 +8,17 @@ mapping the first base point b to the smallest point of each orbit of the
 stabiliser G_b, over the stabilizer chain the automorphism search hands
 over.  Witnesses are the first hits in that walk, which are exactly the
 first hits in the enumeration of the whole group, so they follow the
-search's base and coset representatives.  The trivial k = n (identity
+search's base and coset representatives.  Each element's cycle through
+point 0 is walked first, and the full semiregularity test runs only when n
+over its length is a k still wanted: one with no witness yet in the
+spectrum, the requested one in a certificate.  The trivial k = n (identity
 witness) is always part of the spectrum; reports may filter it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from circulant_lab import _kernels as kern
 from circulant_lab import aut as aut_mod
@@ -83,18 +86,21 @@ def _cycle_length_at_0(images: tuple[int, ...]) -> int:
     return length
 
 
-def _semiregular_elements(graph: graphio.Graph, group: PermGroup,
-                          cap: int | None) -> Iterator[tuple[int, Permutation]]:
+def _semiregular_elements(graph: graphio.Graph, group: PermGroup, cap: int | None,
+                          wanted: Callable[[int], bool]) -> Iterator[tuple[int, Permutation]]:
     """(number of cycles, element) for each semiregular element of the
-    suborbit walk, in its order.
+    suborbit walk whose number of cycles is wanted, in walk order.
 
     All cycles of a semiregular element have one length, so the cycle
-    through point 0 gives their number.
+    through point 0 gives their number; the full semiregularity test runs
+    only when that number is a wanted k.
     """
+    n = graph.n
     for g in group.suborbit_elements(cap):
         images = g.images
-        if kern.is_semiregular_images(images):
-            yield (graph.n // _cycle_length_at_0(images) if images else graph.n), g
+        length = _cycle_length_at_0(images) if images else 1
+        if n % length == 0 and wanted(n // length) and kern.is_semiregular_images(images):
+            yield n // length, g
 
 
 def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
@@ -108,8 +114,8 @@ def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
     if group is None:
         group = aut_mod.automorphism_group(graph)
     witnesses: dict[int, Permutation] = {}
-    for k, g in _semiregular_elements(graph, group, cap):
-        witnesses.setdefault(k, g)
+    for k, g in _semiregular_elements(graph, group, cap, lambda k: k not in witnesses):
+        witnesses[k] = g
     return SpectrumReport(graph.n, tuple(sorted(witnesses)), witnesses)
 
 
@@ -153,9 +159,7 @@ def certify_k_circulant(graph: graphio.Graph, k: int,
     else:
         aut_mod.check_all_automorphisms(graph, group)
     want = n // k
-    for cycles, g in _semiregular_elements(graph, group, cap):
-        if cycles != k:
-            continue
+    for _, g in _semiregular_elements(graph, group, cap, lambda c: c == k):
         structure = cycle_structure(g)
         if structure.element_order != want or not all(l == want for l in structure.cycle_lengths):
             continue

@@ -114,3 +114,39 @@ def random_cubic_graph(rng, n: int) -> Graph:
         pairs = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
         if len(pairs) == 3 * n // 2 and all(a != b for a, b in pairs):
             return from_edges(n, sorted(pairs))
+
+
+def round_refine(ptr, flat, colors):
+    """Reference equitable refinement, by rounds of neighbour signatures.
+
+    Each round re-colors every vertex by (own color, sorted neighbor colors
+    padded with n to the maximum degree) and ranks the distinct signatures,
+    until the number of cells stops growing.  Only the partition it reaches
+    (the coarsest equitable one finer than the input) is a reference for the
+    library's refinement; its ids follow another scheme.
+    """
+    n = len(ptr) - 1
+    if n == 0:
+        return []
+    max_deg = max(ptr[i + 1] - ptr[i] for i in range(n))
+    colors = list(colors)
+    ncells = len(set(colors))
+    while True:
+        sigs = []
+        for v in range(n):
+            nbr = sorted(colors[flat[i]] for i in range(ptr[v], ptr[v + 1]))
+            nbr.extend([n] * (max_deg - len(nbr)))
+            sigs.append((colors[v], *nbr))
+        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) == ncells:
+            return colors
+        ncells = len(rank)
+
+
+def partition_of(colors) -> set[frozenset[int]]:
+    """The cells of a coloring, as a set of vertex sets."""
+    cells: dict[int, set[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, set()).add(v)
+    return {frozenset(cell) for cell in cells.values()}

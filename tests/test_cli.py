@@ -1,5 +1,7 @@
 """CLI subcommands: construction, analysis, scanning, exit codes."""
+import dataclasses
 import json
+import random
 import shutil
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from circulant_lab import cli, fixtures
 from circulant_lab.cli import main
 from circulant_lab.errors import StabiliserNotOfForm
 from circulant_lab.graphio import MAX_ORDER, parse_edgelist, serialize
+from circulant_lab.perm import Permutation, compose, inverse
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "circulant_lab" / "fixtures"
 
@@ -48,6 +51,33 @@ def test_construct_even_graph6_output(tmp_path, capsys, monkeypatch):
     from circulant_lab.graphio import parse_graph6
     graph = parse_graph6((tmp_path / "h.g6").read_text().strip())
     assert graph.n == 14
+
+
+def test_construct_odd_graph6_past_the_short_form(tmp_path, capsys, monkeypatch):
+    # odd k = 5 has n = 150, which needs graph6's long vertex-count form
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "construct-odd", "5", "--format", "graph6")
+    assert code == 0
+    assert json.loads(out)["graph_file"] == "odd_k5.g6"
+    from circulant_lab.graphio import parse_graph6
+    graph = parse_graph6((tmp_path / "odd_k5.g6").read_text().strip())
+    assert graph == cli.build_odd(5).graph
+
+
+def test_verify_rejects_a_witness_that_is_not_an_automorphism():
+    # conjugating by a random relabeling keeps the witness semiregular with
+    # the same order and orbit count, but it no longer preserves adjacency
+    cons = cli.build_odd(5)
+    images = list(range(cons.graph.n))
+    random.Random(5).shuffle(images)
+    relabeling = Permutation(tuple(images))
+    bad = compose(compose(inverse(relabeling), cons.witness), relabeling)
+    report = cli.verify_construction(dataclasses.replace(cons, witness=bad))
+    checks = report["checks"]
+    assert checks["witness_semiregular"] and checks["witness_order"]
+    assert checks["witness_orbit_count"]
+    assert not checks["witness_automorphism"]
+    assert report["ok"] is False and report["tutte_t"] is None
 
 
 def test_construct_even_bad_params(tmp_path, capsys, monkeypatch):

@@ -11,12 +11,13 @@ from circulant_lab.errors import (
     DuplicateEdge,
     LoopEdge,
     MalformedHeader,
-    TooLargeForFormat,
     TruncatedBits,
     VertexOutOfRange,
 )
 from circulant_lab.graphio import (
     MAX_ORDER,
+    _graph6_decode_n,
+    _graph6_encode_n,
     from_edges,
     girth,
     is_connected,
@@ -99,7 +100,7 @@ def test_graph6_long_form():
 
 
 def _graph6_long_form(n: int, edges) -> str:
-    """graph6 in the 18-bit long form (the serializer writes only n <= 62)."""
+    """graph6 in the 18-bit long form, encoded independently of the library."""
     bits = bytearray(n * (n - 1) // 2 + 5)  # padded to whole characters
     for u, v in edges:
         row, col = min(u, v), max(u, v)
@@ -142,10 +143,22 @@ def test_serialize_k4_round_trip():
     assert serialize(k4, "edgelist").startswith("4 6\n")
 
 
-def test_serialize_too_large():
-    big = from_edges(63, [(0, 1)])
-    with pytest.raises(TooLargeForFormat):
-        serialize(big, "graph6")
+@pytest.mark.parametrize("n", [63, 150])
+def test_serialize_long_form_round_trip(n):
+    rng = random.Random(n)
+    g = random_simple_graph(rng, n, 0.1)
+    line = serialize(g, "graph6")
+    assert line == _graph6_long_form(n, g.edges())
+    assert parse_graph6(line) == g
+
+
+def test_graph6_vertex_count_forms():
+    # short below 63, 18-bit long form up to 258047 (above it the first
+    # character would read as the long-long marker), 36-bit long-long above
+    for n, width in ((0, 1), (62, 1), (63, 4), (258047, 4), (258048, 8),
+                     (2 ** 36 - 1, 8)):
+        head = _graph6_encode_n(n)
+        assert _graph6_decode_n(head) == (n, width)
 
 
 def test_round_trip_random_graphs():
