@@ -1,12 +1,27 @@
-"""Pure-Python implementations of the hot-loop primitives.
+"""Hot-loop primitives, in pure Python.
 
-Permutations are plain sequences of images; graphs arrive as CSR arrays
-(``ptr``/``flat``) built by :func:`circulant_lab._kernels.build_csr`.
-Colour refinement is canonical splitter-queue refinement (Cardon and
-Crochemore 1982; Berkholz, Bonsma and Grohe 2017): its cell ids depend
-only on the colored isomorphism type, so two refinements of isomorphic
-colorings can be compared id by id.
+Permutations are plain sequences of images, and ``cycles`` is the one walk
+over their cycles.  This is the one module that knows the CSR layout of a
+graph (``ptr``/``flat``, from :func:`build_csr`) and how colour refinement
+numbers its cells.  Refinement is canonical splitter-queue refinement
+(Cardon and Crochemore 1982; Berkholz, Bonsma and Grohe 2017): its cell ids
+depend only on the colored isomorphism type, so two refinements of
+isomorphic colorings can be compared id by id.  ``BACKEND`` names the
+implementation, for benchmark reports.
 """
+
+BACKEND = "pure"
+
+
+def build_csr(adjacency):
+    """Flatten neighbor lists into (ptr, flat) index arrays: the neighbors
+    of v are flat[ptr[v]:ptr[v + 1]]."""
+    ptr = [0]
+    flat = []
+    for nbrs in adjacency:
+        flat.extend(nbrs)
+        ptr.append(len(flat))
+    return ptr, flat
 
 
 def compose_images(p, q):
@@ -21,68 +36,46 @@ def inverse_images(p):
     return inv
 
 
-def cycle_lengths(p):
-    """Sorted list of cycle lengths of p (fixed points included)."""
-    n = len(p)
-    seen = bytearray(n)
-    out = []
-    for i in range(n):
+def cycles(p):
+    """Each cycle of p as a list, fixed points included.  A cycle starts at
+    its smallest point, and cycles come in ascending order of that point."""
+    seen = bytearray(len(p))
+    for i in range(len(p)):
         if seen[i]:
             continue
-        length = 0
+        cycle = []
         j = i
         while not seen[j]:
             seen[j] = 1
+            cycle.append(j)
             j = p[j]
-            length += 1
-        out.append(length)
-    out.sort()
-    return out
+        yield cycle
+
+
+def cycle_lengths(p):
+    """Sorted list of cycle lengths of p (fixed points included)."""
+    return sorted(map(len, cycles(p)))
 
 
 def is_semiregular_images(p):
-    """True iff every cycle of p has the same length."""
-    n = len(p)
-    if n == 0:
-        return True
-    seen = bytearray(n)
-    first = -1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = 1
-            j = p[j]
-            length += 1
-        if first < 0:
-            first = length
-        elif length != first:
-            return False
-    return True
+    """True iff every cycle of p has the same length; stops at the first
+    cycle that differs from the first."""
+    lengths = map(len, cycles(p))
+    first = next(lengths, None)
+    return all(length == first for length in lengths)
 
 
 def preserves_adjacency(ptr, flat, images):
     """True iff the vertex map sends every edge to an edge.
 
-    Assumes images is a bijection and neighbor lists are sorted, so checking
-    membership of each mapped neighbor suffices.
+    Assumes images is a bijection: then edges map to distinct edges, so
+    checking each mapped neighbor suffices.
     """
-    n = len(ptr) - 1
-    for v in range(n):
+    for v in range(len(ptr) - 1):
         iv = images[v]
-        lo0, hi0 = ptr[iv], ptr[iv + 1]
-        for idx in range(ptr[v], ptr[v + 1]):
-            target = images[flat[idx]]
-            lo, hi = lo0, hi0
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if flat[mid] < target:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo == hi0 or flat[lo] != target:
+        targets = flat[ptr[iv]:ptr[iv + 1]]
+        for u in flat[ptr[v]:ptr[v + 1]]:
+            if images[u] not in targets:
                 return False
     return True
 

@@ -160,7 +160,7 @@ def is_automorphism(graph: graphio.Graph, p: Permutation) -> bool:
     if p.degree != graph.n:
         return False
     ptr, flat = kern.build_csr(graph.adjacency)
-    return kern.preserves_adjacency(ptr, flat, list(p.images))
+    return kern.preserves_adjacency(ptr, flat, p.images)
 
 
 def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
@@ -170,7 +170,7 @@ def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
         raise GroupNotAutomorphisms(f"group degree {group.degree} differs from n = {graph.n}")
     ptr, flat = kern.build_csr(graph.adjacency)
     for g in group.generators:
-        if not kern.preserves_adjacency(ptr, flat, list(g.images)):
+        if not kern.preserves_adjacency(ptr, flat, g.images):
             raise GroupNotAutomorphisms(f"generator {g} does not preserve adjacency")
 
 

@@ -286,9 +286,6 @@ def _scan_file(task) -> list[dict]:
 
 def cmd_scan(args) -> int:
     root = Path(args.dir)
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1 (got {args.jobs})", file=sys.stderr)
-        return 2
     if not root.is_dir():
         print(f"error: {root} is not a directory", file=sys.stderr)
         return 2
@@ -371,6 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("jobs", "cap"):  # counts, on the commands that take them
+        value = getattr(args, flag, 1)
+        if value < 1:
+            print(f"error: --{flag} must be at least 1 (got {value})", file=sys.stderr)
+            return 2
     if args.command == "construct-even":
         return cmd_construct(args, "even")
     if args.command == "construct-odd":

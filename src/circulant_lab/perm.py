@@ -105,21 +105,8 @@ def is_semiregular(p: Permutation) -> bool:
 
 def to_cycle_string(p: Permutation) -> str:
     """Cycle notation with fixed points omitted, e.g. ``(0 1 2)(3 4)``."""
-    seen = [False] * p.degree
-    parts = []
-    for i in range(p.degree):
-        if seen[i] or p.images[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = p.images[i]
-        while j != i:
-            seen[j] = True
-            cyc.append(j)
-            j = p.images[j]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) if parts else "()"
+    parts = ["(" + " ".join(map(str, c)) + ")" for c in kern.cycles(p.images) if len(c) > 1]
+    return "".join(parts) or "()"
 
 
 def from_cycle_string(text: str, degree: int) -> Permutation:

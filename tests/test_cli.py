@@ -333,6 +333,17 @@ def test_scan_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert err.startswith("error:") and "--jobs" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "spectrum", "scan"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cap_below_one_is_a_usage_error(capsys, command, cap):
+    # before any graph is read: not one "cap exceeded" record per graph
+    target = FIXTURE_DIR if command == "scan" else FIXTURE_DIR / "k4.edgelist"
+    code, out, err = run_cli(capsys, command, str(target), "--cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --cap must be at least 1 (got {cap})\n"
+
+
 def test_scan_deterministic_without_timings(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -1,12 +1,22 @@
-"""Kernel contracts: refinement reaches the reference partition with
-canonical cell ids, and composition shares the int objects of its second
-argument."""
+"""Kernel contracts: the adjacency check (and ``aut.is_automorphism`` on
+top of it) agrees with an edge-set oracle on CSR arrays in any neighbour
+order, refinement reaches the reference partition with canonical cell ids,
+and composition shares the int objects of its second argument.  The cycle
+walk is tested through ``perm`` in ``test_perm.py``."""
 import random
 
 from circulant_lab import _kernels as kern
-from circulant_lab import fixtures
+from circulant_lab import aut, fixtures
 from circulant_lab.graphio import from_edges
-from helpers import partition_of, random_cubic_graph, random_simple_graph, relabel, round_refine
+from circulant_lab.perm import Permutation, identity
+from helpers import (
+    brute_force_automorphisms,
+    partition_of,
+    random_cubic_graph,
+    random_simple_graph,
+    relabel,
+    round_refine,
+)
 
 
 def random_images(rng, n):
@@ -25,6 +35,32 @@ def test_compose_reuses_the_int_objects_of_q():
     q = random_images(rng, n)
     out = kern.compose_images(p, q)
     assert all(out[i] is q[p[i]] for i in range(n))
+
+
+def test_adjacency_check_matches_the_edge_set_oracle():
+    # random bijections and brute-force automorphisms (n <= 8), on CSR
+    # arrays built from shuffled neighbour lists: no order is assumed
+    rng = random.Random(84)
+    hits = misses = 0
+    for trial in range(60):
+        if trial % 2:
+            graph = random_cubic_graph(rng, rng.choice((4, 6, 8)))
+        else:
+            graph = random_simple_graph(rng, rng.randrange(1, 9), rng.random())
+        edges = {frozenset(e) for e in graph.edges()}
+        ptr, flat = kern.build_csr([rng.sample(nbrs, len(nbrs)) for nbrs in graph.adjacency])
+        autos = brute_force_automorphisms(graph)
+        samples = rng.sample(autos, min(len(autos), 20))
+        for images in samples + [tuple(random_images(rng, graph.n)) for _ in range(10)]:
+            expected = {frozenset((images[u], images[v])) for u, v in graph.edges()} == edges
+            assert kern.preserves_adjacency(ptr, flat, images) == expected
+            assert aut.is_automorphism(graph, Permutation(images)) == expected
+            hits += expected
+            misses += not expected
+        # a permutation of another degree is never an automorphism
+        assert not aut.is_automorphism(graph, identity(graph.n + 1))
+        assert not aut.is_automorphism(graph, identity(graph.n - 1))
+    assert hits > 100 and misses > 100
 
 
 def test_refinement_matches_the_round_reference():

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from circulant_lab import _kernels as kern
 from circulant_lab.cli import build_even, build_odd
 from circulant_lab.errors import CapExceeded, DegreeMismatch
 from circulant_lab.perm import (
@@ -84,6 +85,15 @@ def test_cycle_structure_examples():
     assert cs.cycle_lengths == (3, 3) and cs.element_order == 3
     cs = cycle_structure(P("(0 1)", 4))
     assert cs.cycle_lengths == (1, 1, 2) and cs.element_order == 2
+    # every cycle starts at its smallest point, cycles come in ascending
+    # order of that point, and fixed points are cycles of their own
+    p = P("(5 3)(4 1 2)", 7)
+    assert list(kern.cycles(p.images)) == [[0], [1, 2, 4], [3, 5], [6]]
+    assert cycle_structure(p).cycle_lengths == (1, 1, 2, 3)
+    assert list(kern.cycles(identity(3).images)) == [[0], [1], [2]]
+    assert list(kern.cycles(())) == []
+    cs = cycle_structure(identity(0))
+    assert cs.cycle_lengths == () and cs.element_order == 1
 
 
 def test_is_semiregular_examples():
@@ -92,16 +102,38 @@ def test_is_semiregular_examples():
     assert is_semiregular(identity(5))
 
 
+def orbit_length(images, point):
+    """Applications of the permutation that bring point back to itself."""
+    length, j = 1, images[point]
+    while j != point:
+        j = images[j]
+        length += 1
+    return length
+
+
 def test_semiregular_matches_orbit_criterion():
+    # oracle: the orbit length of every point by repeated application; odd
+    # trials build a semiregular element from equal-length cycles
     rng = random.Random(3)
-    for _ in range(50):
-        n = rng.randrange(1, 20)
-        im = list(range(n))
-        rng.shuffle(im)
+    for trial in range(100):
+        n = rng.randrange(0, 20)
+        points = list(range(n))
+        rng.shuffle(points)
+        if trial % 2 and n:
+            d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+            im = [0] * n
+            for i in range(0, n, d):
+                cyc = points[i:i + d]
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    im[a] = b
+        else:
+            im = points
         p = Permutation(tuple(im))
-        cs = cycle_structure(p)
-        expected = all(ln == cs.element_order for ln in cs.cycle_lengths)
-        assert is_semiregular(p) == expected
+        orbits = [orbit_length(im, i) for i in range(n)]
+        assert is_semiregular(p) == (len(set(orbits)) <= 1)
+        # a cycle of length ln holds ln points of orbit length ln
+        lengths = [ln for ln in sorted(set(orbits)) for _ in range(orbits.count(ln) // ln)]
+        assert cycle_structure(p).cycle_lengths == tuple(lengths)
 
 
 def test_power():
@@ -114,12 +146,23 @@ def test_power():
 def test_cycle_string_round_trip():
     rng = random.Random(5)
     for _ in range(30):
-        n = rng.randrange(1, 15)
+        n = rng.randrange(0, 15)
         im = list(range(n))
         rng.shuffle(im)
         p = Permutation(tuple(im))
-        assert from_cycle_string(to_cycle_string(p), n) == p
+        text = to_cycle_string(p)
+        assert from_cycle_string(text, n) == p
+        # fixed points omitted; each cycle opens with its smallest point,
+        # and the cycles come in ascending order of it
+        cycles = [[int(t) for t in c.split()] for c in text[1:-1].split(")(") if c]
+        assert sorted(x for c in cycles for x in c) == [i for i in range(n) if im[i] != i]
+        assert all(c[0] == min(c) for c in cycles)
+        assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
     assert to_cycle_string(identity(4)) == "()"
+    assert to_cycle_string(identity(0)) == "()"
+    assert to_cycle_string(Permutation((2, 0, 1, 4, 3))) == "(0 2 1)(3 4)"
+    assert to_cycle_string(P("(3 4)(0 2 1)", 6)) == "(0 2 1)(3 4)"
+    assert to_cycle_string(P("(6 2)(5 1 4)", 8)) == "(1 4 5)(2 6)"
 
 
 def test_group_order_sym4():
