@@ -5,9 +5,11 @@ over their cycles.  This is the one module that knows the CSR layout of a
 graph (``ptr``/``flat``, from :func:`build_csr`) and how colour refinement
 numbers its cells.  Refinement is canonical splitter-queue refinement
 (Cardon and Crochemore 1982; Berkholz, Bonsma and Grohe 2017): its cell ids
-depend only on the colored isomorphism type, so two refinements of
-isomorphic colorings can be compared id by id.  ``BACKEND`` names the
-implementation, for benchmark reports.
+and its trace (the splits each splitter makes) depend only on the colored
+isomorphism type, so two refinements of isomorphic colorings can be
+compared id by id, and one can be abandoned as soon as its trace departs
+from the other's.  ``BACKEND`` names the implementation, for benchmark
+reports.
 """
 
 BACKEND = "pure"
@@ -93,20 +95,24 @@ def refine_colors(ptr, flat, colors):
     return _refine(ptr, flat, colors, _cells(colors, len(rank)), list(range(len(rank))))
 
 
-def individualize(ptr, flat, colors, v):
+def individualize(ptr, flat, colors, v, trace=None, expected=None):
     """Refinement of an equitable coloring with v moved to a cell of its own.
 
     v's cell must hold other vertices.  v takes the fresh id
     max(colors) + 1, and only that singleton is queued: the rest of v's old
     cell keeps its id, and the coloring was equitable before, so every other
-    splitter is already accounted for.
+    splitter is already accounted for.  colors itself is never modified.
+
+    trace and expected are passed on to :func:`_refine`: a list given as
+    trace receives the refinement's trace, and with an expected trace the
+    result is None as soon as the refinement departs from it.
     """
     colors = list(colors)
     cells = _cells(colors, max(colors) + 1)
     cells[colors[v]].remove(v)
     colors[v] = len(cells)
     cells.append({v})
-    return _refine(ptr, flat, colors, cells, [colors[v]])
+    return _refine(ptr, flat, colors, cells, [colors[v]], trace, expected)
 
 
 def _cells(colors, count):
@@ -117,7 +123,7 @@ def _cells(colors, count):
     return cells
 
 
-def _refine(ptr, flat, colors, cells, queue):
+def _refine(ptr, flat, colors, cells, queue, trace=None, expected=None):
     """Splitter-queue refinement of colors (cells[c] is the set of vertices
     of id c) in place, until the coloring is equitable.
 
@@ -128,12 +134,22 @@ def _refine(ptr, flat, colors, cells, queue):
     that was queued stays queued and queues its new pieces; one that was not
     queues every piece but the first largest, since the cell as a whole has
     already split the others.
+
+    The trace has one entry per splitter: the tuple of (cell id, piece
+    sizes) of the cells it splits, in split order.  Like the ids, it
+    depends only on the colored isomorphism type of the input.  Given a
+    list as trace, the entries are appended to it.  Given an expected
+    trace, the refinement returns None at the first splitter whose entry
+    differs from the expected one, or if it takes more or fewer splitters;
+    colors and cells are then left part-way refined.
     """
     queued = [False] * len(cells)
     for s in queue:
         queued[s] = True
+    step = 0
     for s in queue:  # queue grows while it is walked: it is the FIFO queue
         queued[s] = False
+        entry = []
         hits = {}
         touched = {}
         repeats = False  # does some vertex have two neighbors in s?
@@ -175,7 +191,8 @@ def _refine(ptr, flat, colors, cells, queue):
                 pieces.extend(by_count[k] for k in sorted(by_count))
             else:
                 pieces.append(set(hit))  # every count is 1
-            sizes = [len(p) for p in pieces]
+            sizes = tuple(map(len, pieces))
+            entry.append((c, sizes))
             skip = -1 if queued[c] else sizes.index(max(sizes))
             cells[c] = pieces[0]
             if skip > 0:
@@ -191,4 +208,13 @@ def _refine(ptr, flat, colors, cells, queue):
                 queued.append(split_queued)
                 if split_queued:
                     queue.append(new)
+        entry = tuple(entry)
+        if expected is not None:
+            if step == len(expected) or expected[step] != entry:
+                return None
+            step += 1
+        elif trace is not None:
+            trace.append(entry)
+    if expected is not None and step != len(expected):
+        return None
     return colors

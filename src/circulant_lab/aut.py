@@ -8,14 +8,23 @@ sequence in a non-singleton cell) and refines, down to the discrete leaf.
 The second takes the levels deepest first and tries one vertex per
 remaining orbit of the target's cell (orbit pruning against the
 generators found so far); each try is a depth-first search on an explicit
-stack that refines the individualized colorings and compares them, level
-by level, with the stored principal path, and tests adjacency at the
-leaf.  Refinement and individualization are kernels
+stack that refines the individualized colorings against the stored
+principal path, level by level, and tests adjacency at the leaf.
+Refinement and individualization are kernels
 (``_kernels.refine_colors`` for the unit coloring,
-``_kernels.individualize`` below it), and only they number the cells: the
-ids are canonical, so a sibling coloring is compared with the principal
-one by its cell counts per id, and a leaf maps each principal vertex to
-the vertex with the same id.  The targets form a base and the generators
+``_kernels.individualize`` below it), and only they number the cells.
+Each principal level keeps the trace of its refinement: for every
+splitter, the cells it split and their piece sizes.  A sibling's
+refinement is checked against that trace and abandoned at the first
+splitter that differs (the node invariant of McKay and Piperno, 2014).
+This is sound because refinement is canonical: an automorphism that maps
+the principal vertices to a sibling's maps each principal coloring onto
+the sibling's with the same ids, and so gives the same trace; a branch
+whose trace differs holds no automorphism, and pruning it changes no
+generator, base point or order.  Equal traces from colorings with equal
+cell sizes per id also give equal cell sizes per id, so no other
+comparison is needed, and a leaf maps each principal vertex to the
+vertex with the same id.  The targets form a base and the generators
 a strong generating set, so the search returns its group with the
 stabilizer chain already filled in (``PermGroup.from_chain``): |Aut| is
 the product of the basic orbit lengths, with no Schreier-Sims pass, and
@@ -66,10 +75,12 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
 
     The base is the search's target vertices whose basic orbit is more than
     the target itself; the strong generators of a level are the generators
-    found at that level of the search or deeper.  Every returned generator
-    is verified to preserve adjacency.  node_cap bounds the number of
-    refinement calls: the principal path's, one per level, and one per node
-    of every sibling search.  Raises SearchTimeout when the search needs
+    found at that level of the search or deeper.  A sibling node is dropped
+    as soon as its refinement's trace departs from the principal level's
+    (see the module docstring), and every returned generator is verified
+    to preserve adjacency.  node_cap bounds the number of refinement calls:
+    the principal path's, one per level, and one per node of every sibling
+    search, aborted or not.  Raises SearchTimeout when the search needs
     more.
     """
     n = graph.n
@@ -86,23 +97,26 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
             raise SearchTimeout(
                 f"automorphism search exceeded its node cap (node_cap={node_cap})")
 
-    def individualize(colors: list[int], v: int) -> list[int]:
+    def individualize(colors: list[int], v: int, trace: list | None = None,
+                      expected: tuple | None = None) -> list[int] | None:
         count_node()
-        return kern.individualize(ptr, flat, colors, v)
+        return kern.individualize(ptr, flat, colors, v, trace, expected)
 
     # the principal path: (coloring, target vertex or None at the leaf,
-    # cell counts) per level, each coloring refined from its parent with
-    # the parent's target individualized
-    path: list[tuple[list[int], int | None, list[int]]] = []
+    # refinement trace) per level, each coloring refined from its parent
+    # with the parent's target individualized; the root's trace is empty
+    path: list[tuple[list[int], int | None, tuple]] = []
     count_node()
     colors = kern.refine_colors(ptr, flat, [0] * n)
+    trace: list = []
     while True:
         counts = _counts_of(colors)
         target = next((v for v in base_seq if counts[colors[v]] > 1), None)
-        path.append((colors, target, counts))
+        path.append((colors, target, tuple(trace)))
         if target is None:
             break
-        colors = individualize(colors, target)
+        trace = []
+        colors = individualize(colors, target, trace)
     leaf_pos = [0] * n
     for v, c in enumerate(colors):
         leaf_pos[c] = v
@@ -114,9 +128,9 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
         stack = [(level + 1, path[level][0], w)]
         while stack:
             depth, parent, v = stack.pop()
-            beta = individualize(parent, v)
-            alpha, target, counts = path[depth]
-            if _counts_of(beta) != counts:
+            alpha, target, trace = path[depth]
+            beta = individualize(parent, v, expected=trace)
+            if beta is None:
                 continue
             if target is None:
                 images = [0] * n

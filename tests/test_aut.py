@@ -348,3 +348,111 @@ def test_search_chain_membership_and_enumeration(name):
         images = list(range(graph.n))
         rng.shuffle(images)
         assert group.contains(Permutation(tuple(images))) == (tuple(images) in elements)
+
+
+# --- independent oracle and pinned search output ------------------------------
+
+def test_order_matches_networkx_isomorphism_count(monkeypatch):
+    # networkx's VF2 matcher counts automorphisms with no refinement at
+    # all; on the random cubic graphs most siblings fail the trace check
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    from circulant_lab import _kernels as kern
+
+    individualize = kern.individualize
+    aborted = 0
+
+    def counting(*args, **kwargs):
+        nonlocal aborted
+        colors = individualize(*args, **kwargs)
+        aborted += colors is None
+        return colors
+
+    monkeypatch.setattr(kern, "individualize", counting)
+    rng = random.Random(2014)
+    graphs = [random_cubic_graph(rng, rng.randrange(8, 26, 2)) for _ in range(20)]
+    graphs += [generalized_petersen(n, k) for n, k in ((5, 2), (7, 2), (8, 3), (10, 2), (10, 3))]
+    for graph in graphs:
+        g = nx.Graph(list(graph.edges()))
+        g.add_nodes_from(range(graph.n))
+        want = sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
+        assert automorphism_group(graph).order() == want
+    assert aborted > 100
+
+
+PINNED_SEARCH = {
+    "odd-k3": (324, (0, 1, 2), (
+        "(2 3)(4 5)(6 8)(7 9)(10 12)(11 13)(14 17)(15 18)(19 22)(20 23)(24 28)(25 29)"
+        "(26 30)(31 35)(32 36)(33 37)(38 43)(39 44)(40 42)(41 45)(46 51)(47 52)"
+        "(48 50)(49 53)",
+        "(1 2)(4 6)(5 7)(8 9)(11 14)(12 16)(13 15)(17 18)(20 25)(21 24)(22 27)(23 26)"
+        "(29 30)(31 32)(33 39)(34 38)(35 40)(36 42)(37 41)(44 45)(46 47)(48 51)"
+        "(49 53)(50 52)",
+        "(0 1)(2 4)(3 5)(6 10)(7 11)(8 12)(9 13)(14 19)(15 20)(16 21)(17 22)(18 23)"
+        "(24 31)(25 32)(26 33)(27 34)(28 35)(29 36)(30 37)(38 46)(39 47)(40 48)"
+        "(41 49)(42 50)(43 51)(44 52)(45 53)",
+    )),
+    "odd-k5": (900, (0, 1, 2), (
+        "(2 3)(4 5)(6 8)(7 9)(10 12)(11 13)(14 17)(15 18)(19 22)(20 23)(24 28)(25 29)"
+        "(26 30)(31 35)(32 36)(33 37)(38 43)(39 44)(40 42)(41 45)(46 51)(47 52)"
+        "(48 50)(49 53)(54 60)(55 61)(56 62)(57 59)(58 63)(64 70)(65 71)(66 72)"
+        "(67 69)(68 73)(74 81)(75 82)(76 83)(77 80)(79 84)(85 92)(86 93)(87 94)"
+        "(88 91)(90 95)(96 104)(97 105)(98 106)(99 107)(100 103)(102 108)(109 117)"
+        "(110 118)(111 119)(112 120)(113 116)(115 121)(122 131)(123 132)(124 133)"
+        "(125 134)(126 128)(127 130)(129 135)(136 145)(137 146)(138 147)(139 148)"
+        "(140 142)(141 144)(143 149)",
+        "(1 2)(4 6)(5 7)(8 9)(11 14)(12 16)(13 15)(17 18)(20 25)(21 24)(22 27)(23 26)"
+        "(29 30)(31 32)(33 39)(34 38)(35 40)(36 42)(37 41)(44 45)(46 47)(48 54)"
+        "(49 56)(50 55)(51 57)(52 59)(53 58)(60 61)(62 63)(65 66)(67 74)(68 76)"
+        "(69 75)(70 78)(71 77)(72 80)(73 79)(81 82)(83 84)(86 87)(88 97)(89 96)"
+        "(90 99)(91 98)(92 101)(93 100)(94 103)(95 102)(105 106)(107 108)(109 110)"
+        "(111 112)(113 123)(114 122)(115 125)(116 124)(117 126)(118 128)(119 127)"
+        "(120 130)(121 129)(132 133)(134 135)(136 137)(138 139)(140 145)(141 147)"
+        "(142 146)(143 149)(144 148)",
+        "(0 1)(2 4)(3 5)(6 10)(7 11)(8 12)(9 13)(14 19)(15 20)(16 21)(17 22)(18 23)"
+        "(24 31)(25 32)(26 33)(27 34)(28 35)(29 36)(30 37)(38 46)(39 47)(40 48)"
+        "(41 49)(42 50)(43 51)(44 52)(45 53)(54 64)(55 65)(56 66)(57 67)(58 68)"
+        "(59 69)(60 70)(61 71)(62 72)(63 73)(74 85)(75 86)(76 87)(77 88)(78 89)"
+        "(79 90)(80 91)(81 92)(82 93)(83 94)(84 95)(96 109)(97 110)(98 111)(99 112)"
+        "(100 113)(101 114)(102 115)(103 116)(104 117)(105 118)(106 119)(107 120)"
+        "(108 121)(122 136)(123 137)(124 138)(125 139)(126 140)(127 141)(128 142)"
+        "(129 143)(130 144)(131 145)(132 146)(133 147)(134 148)(135 149)",
+    )),
+    "GP10-2": (120, (0, 1, 9), (
+        "(2 11)(3 13)(4 15)(7 16)(8 18)(9 10)(12 19)(14 17)",
+        "(1 9)(2 8)(3 7)(4 6)(11 19)(12 18)(13 17)(14 16)",
+        "(0 1)(2 9)(3 8)(4 7)(5 6)(10 11)(12 19)(13 18)(14 17)(15 16)",
+    )),
+    "GP24-5": (288, (0, 1, 23), (
+        "(2 25)(3 44)(4 20)(5 21)(6 45)(7 40)(8 16)(9 17)(10 41)(11 36)(14 37)(15 32)"
+        "(18 33)(19 28)(22 29)(23 24)(26 30)(27 39)(31 35)(34 46)(38 42)(43 47)",
+        "(1 23)(2 22)(3 21)(4 20)(5 19)(6 18)(7 17)(8 16)(9 15)(10 14)(11 13)(25 47)"
+        "(26 46)(27 45)(28 44)(29 43)(30 42)(31 41)(32 40)(33 39)(34 38)(35 37)",
+        "(0 1)(2 23)(3 22)(4 21)(5 20)(6 19)(7 18)(8 17)(9 16)(10 15)(11 14)(12 13)"
+        "(24 25)(26 47)(27 46)(28 45)(29 44)(30 43)(31 42)(32 41)(33 40)(34 39)"
+        "(35 38)(36 37)",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SEARCH)
+def test_search_output_is_pinned(name):
+    # order, base and generators in the order the search finds them, as
+    # given by the search that compared siblings by cell counts per id:
+    # pruning by refinement trace drops only branches with no automorphism,
+    # so it must change neither what the search finds nor its order
+    from circulant_lab.cli import build_odd
+
+    graph = {
+        "odd-k3": lambda: build_odd(3).graph,
+        "odd-k5": lambda: build_odd(5).graph,
+        "GP10-2": lambda: generalized_petersen(10, 2),
+        "GP24-5": lambda: generalized_petersen(24, 5),
+    }[name]()
+    order, base, generators = PINNED_SEARCH[name]
+    group = automorphism_group(graph)
+    assert group.order() == order
+    assert group.base() == base
+    assert [g.images for g in group.generators] == [
+        from_cycle_string(s, graph.n).images for s in generators]

@@ -1,8 +1,10 @@
 """Kernel contracts: the adjacency check (and ``aut.is_automorphism`` on
 top of it) agrees with an edge-set oracle on CSR arrays in any neighbour
-order, refinement reaches the reference partition with canonical cell ids,
-and composition shares the int objects of its second argument.  The cycle
-walk is tested through ``perm`` in ``test_perm.py``."""
+order, refinement reaches the reference partition with canonical cell ids
+and a canonical trace, a refinement checked against an expected trace
+stops exactly when its own trace differs, and composition shares the int
+objects of its second argument.  The cycle walk is tested through ``perm``
+in ``test_perm.py``."""
 import random
 
 from circulant_lab import _kernels as kern
@@ -111,30 +113,42 @@ def test_refinement_splits_by_degree():
     assert colors[1] == colors[2] == colors[3]
 
 
+def _principal_path(ptr, flat, colors):
+    """Levels, individualized vertices and traces down to the discrete
+    coloring, individualizing at each level the first vertex in a shared
+    cell; the root level has no trace."""
+    n = len(colors)
+    levels = [kern.refine_colors(ptr, flat, colors)]
+    path = []
+    traces = []
+    while True:
+        last = levels[-1]
+        v = next((u for u in range(n) if last.count(last[u]) > 1), None)
+        if v is None:
+            return levels, path, traces
+        trace = []
+        levels.append(kern.individualize(ptr, flat, last, v, trace))
+        assert levels[-1] == kern.individualize(ptr, flat, last, v)
+        path.append(v)
+        traces.append(trace)
+
+
 def test_refinement_is_isomorphism_invariant():
     # relabeling the vertices permutes the cell ids with them: vertex
     # images[v] of the relabeled graph gets the id that v gets, after the
-    # unit refinement and after each individualization
+    # unit refinement and after each individualization, and its refinement
+    # records the same trace, so it passes the check against that trace
     rng = random.Random(80)
     cases = [(fixtures.load(name), None) for name in ("petersen", "heawood", "pappus")]
     for _ in range(20):
         graph = random_simple_graph(rng, rng.randrange(2, 16), rng.random())
         cases.append((graph, [rng.randrange(0, 3) for _ in range(graph.n)]))
+    cases += [(random_cubic_graph(rng, 2 * rng.randrange(5, 13)), None) for _ in range(10)]
     for graph, colors in cases:
         n = graph.n
         colors = colors or [0] * n
         ptr, flat = kern.build_csr(graph.adjacency)
-        # down to the discrete coloring, individualizing at each level the
-        # first vertex in a shared cell
-        levels = [kern.refine_colors(ptr, flat, colors)]
-        path = []
-        while True:
-            last = levels[-1]
-            v = next((u for u in range(n) if last.count(last[u]) > 1), None)
-            if v is None:
-                break
-            path.append(v)
-            levels.append(kern.individualize(ptr, flat, last, v))
+        levels, path, traces = _principal_path(ptr, flat, colors)
         for _ in range(3):
             images = random_images(rng, n)
             g2 = relabel(graph, images)
@@ -144,9 +158,17 @@ def test_refinement_is_isomorphism_invariant():
                 moved[images[v]] = colors[v]
             got = kern.refine_colors(ptr2, flat2, moved)
             assert all(got[images[u]] == levels[0][u] for u in range(n))
-            for v, level in zip(path, levels[1:]):
-                got = kern.individualize(ptr2, flat2, got, images[v])
+            for v, level, trace in zip(path, levels[1:], traces):
+                checked = kern.individualize(ptr2, flat2, got, images[v], expected=trace)
+                recorded = []
+                got = kern.individualize(ptr2, flat2, got, images[v], recorded)
                 assert all(got[images[u]] == level[u] for u in range(n))
+                assert checked == got and recorded == trace
+        # a trace one splitter too long or too short fails at its end
+        if path:
+            parent, v, trace = levels[-2], path[-1], traces[-1]
+            assert kern.individualize(ptr, flat, parent, v, expected=trace + [()]) is None
+            assert kern.individualize(ptr, flat, parent, v, expected=trace[:-1]) is None
 
 
 def test_refinement_reaches_equitable_fixpoint():
@@ -164,3 +186,69 @@ def test_refinement_reaches_equitable_fixpoint():
         assert all(len(s) == 1 for s in sigs.values())
         # idempotent on its own output
         assert kern.refine_colors(ptr, flat, colors) == colors
+
+
+def test_trace_replays_to_the_cell_sizes():
+    # starting from the parent's cell sizes with v split off, each entry
+    # (id, piece sizes) splits a cell of that size, the first piece keeping
+    # the id and the rest taking fresh ids in order; the replay ends at the
+    # refined cell sizes, so equal traces from equal parents give equal
+    # cell sizes per id
+    rng = random.Random(87)
+    replayed = 0
+    for trial in range(60):
+        if trial % 2:
+            graph = random_cubic_graph(rng, 2 * rng.randrange(3, 13))
+        else:
+            graph = random_simple_graph(rng, rng.randrange(2, 16), rng.random())
+        ptr, flat = kern.build_csr(graph.adjacency)
+        levels, path, traces = _principal_path(ptr, flat, [0] * graph.n)
+        for parent, v, trace, got in zip(levels, path, traces, levels[1:]):
+            sizes = [parent.count(c) for c in range(max(parent) + 1)]
+            sizes[parent[v]] -= 1
+            sizes.append(1)
+            for entry in trace:
+                for c, pieces in entry:
+                    assert sizes[c] == sum(pieces) and len(pieces) > 1
+                    sizes[c] = pieces[0]
+                    sizes.extend(pieces[1:])
+                    replayed += 1
+            assert sizes == [got.count(c) for c in range(len(sizes))]
+            assert len(sizes) == max(got) + 1
+    assert replayed > 100
+
+
+def test_trace_check_rejects_exactly_the_differing_traces():
+    # in the root cell of random cubic graphs on 8 vertices, individualizing
+    # w against v's trace returns None exactly when w's own trace differs; a
+    # vertex in v's orbit (brute force) never differs, and an aborted call
+    # leaves the parent coloring as it was
+    rng = random.Random(86)
+    aborted = 0
+    for _ in range(12):
+        graph = random_cubic_graph(rng, 8)
+        n = graph.n
+        ptr, flat = kern.build_csr(graph.adjacency)
+        root = kern.refine_colors(ptr, flat, [0] * n)
+        assert root == [0] * n
+        orbit = {v: {p[v] for p in brute_force_automorphisms(graph)} for v in range(n)}
+        traces = []
+        plain = []
+        for w in range(n):
+            traces.append([])
+            plain.append(kern.individualize(ptr, flat, root, w, traces[w]))
+        for v in range(n):
+            for w in range(n):
+                parent = list(root)
+                got = kern.individualize(ptr, flat, parent, w, expected=traces[v])
+                assert parent == root
+                if w in orbit[v]:
+                    assert traces[w] == traces[v]
+                if traces[w] == traces[v]:
+                    # equal traces give equal cell sizes per id
+                    assert got == plain[w]
+                    assert all(got.count(c) == plain[v].count(c) for c in range(n))
+                else:
+                    assert got is None
+                    aborted += w not in orbit[v]
+    assert aborted > 100
