@@ -2,7 +2,7 @@
 
 ``reach`` and ``components`` are the orbit algorithm: connectivity, the
 search's vertex order, group orbits and the arc orbit are all one of them.
-Callers that act on each edge (a transversal, a Cayley graph, the girth)
+Callers that act on each edge (a Schreier tree, a Cayley graph, the girth)
 walk their own list the same way: it grows while it is walked, so it is
 the FIFO queue.
 """

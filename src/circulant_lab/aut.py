@@ -27,10 +27,10 @@ comparison is needed, and a leaf maps each principal vertex to the
 vertex with the same id.  The targets form a base and the generators
 a strong generating set, so the search returns its group with the
 stabilizer chain already filled in (``PermGroup.from_chain``): |Aut| is
-the product of the basic orbit lengths, with no Schreier-Sims pass, and
-transversals are built only when membership or enumeration first needs
-them.  Every choice point is iterated in ascending vertex order, so the
-output is deterministic.
+the product of the basic orbit lengths, read off each level's Schreier
+tree with no Schreier-Sims pass, and a coset representative is composed
+only when membership or enumeration first needs it.  Every choice point
+is iterated in ascending vertex order, so the output is deterministic.
 """
 from __future__ import annotations
 
@@ -146,7 +146,6 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
     # levels deepest first: every generator found so far fixes the targets
     # above the current level, so all of them act on its target's orbit
     gens: list[Permutation] = []
-    chain: list[tuple[int, int]] = []  # (base point, orbit size), deepest first
     for level in range(len(path) - 2, -1, -1):
         alpha, target, _ = path[level]
         orbit: set[int] | None = None
@@ -161,12 +160,7 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
             if found is not None:
                 gens.append(found)
                 orbit = None
-        if orbit is None:
-            orbit = _orbit_of(target, gens)
-        if len(orbit) > 1:
-            chain.append((target, len(orbit)))
-    chain.reverse()
-    return PermGroup.from_chain(n, gens, chain)
+    return PermGroup.from_chain(n, gens, [target for _, target, _ in path[:-1]])
 
 
 def is_automorphism(graph: graphio.Graph, p: Permutation) -> bool:

@@ -227,8 +227,9 @@ def cmd_analyze(args, spectrum_only: bool) -> int:
     except (OSError, CirculantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not graphs:
-        print(f"error: no graphs in {path}", file=sys.stderr)
+    if len(graphs) != 1:
+        print(f"error: {path} holds {len(graphs)} graphs; {args.command} takes one, "
+              "scan takes several", file=sys.stderr)
         return 2
     _, graph = graphs[0]
     try:

@@ -6,12 +6,13 @@ Groups answer order/membership/orbit/enumeration queries through a
 deterministic stabilizer chain with two producers.  For generators the
 caller supplies, Schreier-Sims builds it (base points are smallest moved
 points).  The automorphism search hands over the base and strong generating
-set it found (``PermGroup.from_chain``), so its order is the product of the
-basic orbit lengths and nothing is sifted; its transversals are built
-lazily, on the first membership test or enumeration.  Either way the
-transversals come from one FIFO orbit walk, so repeated runs produce
-identical element streams.  Conjugacy-invariant questions need only one
-coset block per suborbit of that stream (``suborbit_elements``).
+set it found (``PermGroup.from_chain``), so nothing is sifted.  Either way
+each level is the Schreier tree of one FIFO orbit walk, the order is the
+product of the tree sizes, and a coset representative is composed along
+its tree path only when a sift or enumeration first needs it, so repeated
+runs produce identical element streams.  Conjugacy-invariant questions
+need only one coset block per suborbit of that stream
+(``suborbit_elements``).
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ class Permutation:
         n = len(images)
         seen = [False] * n
         for x in images:
-            if not isinstance(x, int) or not 0 <= x < n or seen[x]:
+            if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n or seen[x]:
                 raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
             seen[x] = True
         return Permutation(images)
@@ -129,12 +130,37 @@ def from_cycle_string(text: str, degree: int) -> Permutation:
 
 
 class _Level:
-    __slots__ = ("base", "orbit_size", "transversal")
+    """A base point and its Schreier tree: each point of its orbit under the
+    level's strong generators, in FIFO order, maps to the point it was
+    reached from and the generator that reached it (the base point to None).
+    A coset representative is composed on first request and kept in reps.
+    """
 
-    def __init__(self, base: int, orbit_size: int = 1):
+    __slots__ = ("base", "tree", "reps")
+
+    def __init__(self, base: int, gens: list[list[int]], degree: int):
         self.base = base
-        self.orbit_size = orbit_size
-        self.transversal: dict[int, list[int]] | None = None
+        self.tree = tree = {base: None}
+        orbit = [base]
+        for pt in orbit:  # orbit grows while it is walked: it is the FIFO queue
+            for g in gens:
+                q = g[pt]
+                if q not in tree:
+                    tree[q] = (pt, g)
+                    orbit.append(q)
+        self.reps = {base: list(range(degree))}
+
+    def rep(self, pt: int) -> list[int]:
+        """The coset representative mapping the base point to pt."""
+        reps, tree = self.reps, self.tree
+        path = []
+        while pt not in reps:
+            path.append(pt)
+            pt = tree[pt][0]
+        t = reps[pt]
+        for q in reversed(path):
+            t = reps[q] = kern.compose_images(t, tree[q][1])
+        return t
 
 
 class PermGroup:
@@ -157,19 +183,23 @@ class PermGroup:
 
     @classmethod
     def from_chain(cls, degree: int, generators: Sequence[Permutation],
-                   chain: Sequence[tuple[int, int]]) -> "PermGroup":
+                   base: Sequence[int]) -> "PermGroup":
         """A group whose base and strong generating set are already known.
 
-        chain lists (base point, orbit size) per level: the strong
-        generators of level i are the generators fixing the base points of
-        the levels before it, and the orbit size is the length of the base
-        point's orbit under them.  No Schreier generator is sifted: order()
-        is the product of the orbit sizes, and transversals are built on
-        first need by the same orbit walk that Schreier-Sims uses.
+        base lists the base points, top level first: the strong generators
+        of level i are the generators fixing the points before it.  Each
+        level's Schreier tree is grown at once, with no composition, and a
+        point whose orbit is itself alone opens no level.  No Schreier
+        generator is sifted: order() is the product of the tree sizes.
         """
         group = cls(degree, generators)
-        group._strong_gens = [list(g.images) for g in group.generators]
-        group._levels = [_Level(base, size) for base, size in chain]
+        gens = group._strong_gens = [list(g.images) for g in group.generators]
+        group._levels = []
+        for b in base:
+            lvl = _Level(b, gens, degree)
+            if len(lvl.tree) > 1:
+                group._levels.append(lvl)
+            gens = [g for g in gens if g[b] == b]
         return group
 
     # --- chain construction ---
@@ -179,13 +209,6 @@ class PermGroup:
             self._build_chain()
         return self._levels
 
-    def _ensure_transversals(self) -> list[_Level]:
-        levels = self._ensure_chain()
-        for i, lvl in enumerate(levels):
-            if lvl.transversal is None:
-                self._rebuild_transversal(i)
-        return levels
-
     def _build_chain(self) -> None:
         self._levels = []
         self._strong_gens = []
@@ -194,8 +217,8 @@ class PermGroup:
             residue, level = self._sift_images(list(g.images), 0)
             if residue != identity:
                 self._adjoin(residue, level)
-        # every _adjoin rebuilds the transversals it can change, so each
-        # level is current when it is verified
+        # every _adjoin rebuilds the trees it can change, so each level is
+        # current when it is verified
         i = len(self._levels) - 1
         while i >= 0:
             stuck = self._verify_level(i)
@@ -211,43 +234,29 @@ class PermGroup:
             if all(g[levels[j].base] == levels[j].base for j in range(level))
         ]
 
-    def _rebuild_transversal(self, level: int) -> None:
-        lvl = self._levels[level]
-        gens = self._gens_at(level)
-        trans = {lvl.base: list(range(self.degree))}
-        orbit = [lvl.base]
-        for pt in orbit:  # orbit grows while it is walked: it is the FIFO queue
-            tp = trans[pt]
-            for g in gens:
-                q = g[pt]
-                if q not in trans:
-                    trans[q] = kern.compose_images(tp, g)
-                    orbit.append(q)
-        lvl.transversal = trans
-        lvl.orbit_size = len(trans)
-
     def _sift_images(self, images: list[int], start: int) -> tuple[list[int], int]:
         levels = self._levels
         for i in range(start, len(levels)):
             lvl = levels[i]
-            t = lvl.transversal.get(images[lvl.base])
-            if t is None:
+            pt = images[lvl.base]
+            if pt not in lvl.tree:
                 return images, i
-            images = kern.compose_images(images, kern.inverse_images(t))
+            images = kern.compose_images(images, kern.inverse_images(lvl.rep(pt)))
         return images, len(levels)
 
     def _adjoin(self, residue: list[int], level: int) -> None:
         """Adjoin a nontrivial residue whose sift stopped at level.
 
         A residue that passed every level opens a new one at its smallest
-        moved point; the transversals of levels 0..level are rebuilt.
+        moved point; the trees of levels 0..level are rebuilt.
         """
-        if level == len(self._levels):
+        levels = self._levels
+        if level == len(levels):
             base = next(i for i, x in enumerate(residue) if i != x)
-            self._levels.append(_Level(base))
+            levels.append(_Level(base, [], self.degree))
         self._strong_gens.append(residue)
         for j in range(level + 1):
-            self._rebuild_transversal(j)
+            levels[j] = _Level(levels[j].base, self._gens_at(j), self.degree)
 
     def _verify_level(self, level: int) -> int | None:
         """Sift all Schreier generators of this level; report where one sticks.
@@ -255,14 +264,14 @@ class PermGroup:
         The Schreier generator t_pt * g * t_{g(pt)}^-1 is trivial exactly
         when t_pt * g equals t_{g(pt)}, so only nontrivial ones are formed.
         """
-        trans = self._levels[level].transversal
+        lvl = self._levels[level]
         gens = self._gens_at(level)
         identity = list(range(self.degree))
-        for pt in sorted(trans):
-            tp = trans[pt]
+        for pt in sorted(lvl.tree):
+            tp = lvl.rep(pt)
             for g in gens:
                 tg = kern.compose_images(tp, g)
-                t2 = trans[g[pt]]
+                t2 = lvl.rep(g[pt])
                 if tg == t2:
                     continue
                 schreier = kern.compose_images(tg, kern.inverse_images(t2))
@@ -275,10 +284,7 @@ class PermGroup:
     # --- queries ---
 
     def order(self) -> int:
-        n = 1
-        for lvl in self._ensure_chain():
-            n *= lvl.orbit_size
-        return n
+        return math.prod(len(lvl.tree) for lvl in self._ensure_chain())
 
     def base(self) -> tuple[int, ...]:
         return tuple(lvl.base for lvl in self._ensure_chain())
@@ -286,7 +292,7 @@ class PermGroup:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch(f"degrees {p.degree} and {self.degree}")
-        self._ensure_transversals()
+        self._ensure_chain()
         residue, _ = self._sift_images(list(p.images), 0)
         return residue == list(range(self.degree))
 
@@ -327,7 +333,7 @@ class PermGroup:
 
     def _suborbit_minima(self) -> set[int]:
         """The smallest point of each suborbit (see suborbit_elements)."""
-        top = self._levels[0].transversal
+        top = self._levels[0].tree
         stabiliser = self._gens_at(1)
         classes = components(self.degree, lambda p: [g[p] for g in stabiliser])
         return {cls[0] for cls in classes if cls[0] in top}
@@ -338,9 +344,8 @@ class PermGroup:
         order = self.order()
         if order > cap:
             raise CapExceeded(f"group order {order} exceeds cap {cap}")
-        levels = self._ensure_transversals()
-        top = self._suborbit_minima() if suborbits_only and levels else None
-        for images in _coset_products(levels, 0, self.degree, top):
+        top = self._suborbit_minima() if suborbits_only and self._levels else None
+        for images in _coset_products(self._levels, 0, self.degree, top):
             yield Permutation(tuple(images))
 
 
@@ -357,12 +362,12 @@ def _coset_products(levels: list[_Level], i: int, degree: int,
     if i == len(levels):
         yield list(range(degree))
         return
-    trans = levels[i].transversal
+    tree = levels[i].tree
     # the stabiliser below is walked once per orbit point; keep its
     # elements when they take no more room than this transversal
-    stabiliser_order = math.prod(lvl.orbit_size for lvl in levels[i + 1:])
-    below = list(_coset_products(levels, i + 1, degree)) if stabiliser_order <= len(trans) else None
-    for pt in sorted(trans if points is None else points):
-        t = trans[pt]
+    stabiliser_order = math.prod(len(lower.tree) for lower in levels[i + 1:])
+    below = list(_coset_products(levels, i + 1, degree)) if stabiliser_order <= len(tree) else None
+    for pt in sorted(tree if points is None else points):
+        t = levels[i].rep(pt)
         for h in _coset_products(levels, i + 1, degree) if below is None else below:
             yield kern.compose_images(h, t)

@@ -24,7 +24,7 @@ from circulant_lab.errors import (
     SearchTimeout,
 )
 from circulant_lab.graphio import from_edges
-from circulant_lab.perm import PermGroup, Permutation, from_cycle_string
+from circulant_lab.perm import PermGroup, Permutation, compose, from_cycle_string, identity
 from helpers import (
     brute_force_automorphisms,
     generalized_petersen,
@@ -436,23 +436,137 @@ PINNED_SEARCH = {
 }
 
 
+def _pinned_graph(name):
+    from circulant_lab.cli import build_odd
+
+    return {
+        "odd-k3": lambda: build_odd(3).graph,
+        "odd-k5": lambda: build_odd(5).graph,
+        "GP10-2": lambda: generalized_petersen(10, 2),
+        "GP24-5": lambda: generalized_petersen(24, 5),
+    }[name]()
+
+
 @pytest.mark.parametrize("name", PINNED_SEARCH)
 def test_search_output_is_pinned(name):
     # order, base and generators in the order the search finds them, as
     # given by the search that compared siblings by cell counts per id:
     # pruning by refinement trace drops only branches with no automorphism,
     # so it must change neither what the search finds nor its order
-    from circulant_lab.cli import build_odd
-
-    graph = {
-        "odd-k3": lambda: build_odd(3).graph,
-        "odd-k5": lambda: build_odd(5).graph,
-        "GP10-2": lambda: generalized_petersen(10, 2),
-        "GP24-5": lambda: generalized_petersen(24, 5),
-    }[name]()
+    graph = _pinned_graph(name)
     order, base, generators = PINNED_SEARCH[name]
     group = automorphism_group(graph)
     assert group.order() == order
     assert group.base() == base
     assert [g.images for g in group.generators] == [
         from_cycle_string(s, graph.n).images for s in generators]
+
+
+# --- the handoff to the chain, and membership against sympy -------------------
+
+def _capture_handoff(monkeypatch):
+    """Record the base points each search hands to PermGroup.from_chain."""
+    handed = []
+    from_chain = PermGroup.from_chain.__func__
+
+    def spy(cls, degree, generators, base):
+        handed.append(tuple(base))
+        return from_chain(cls, degree, generators, base)
+
+    monkeypatch.setattr(PermGroup, "from_chain", classmethod(spy))
+    return handed
+
+
+@pytest.mark.parametrize("name", PINNED_SEARCH)
+def test_from_chain_keeps_the_targets_with_a_nontrivial_orbit(name, monkeypatch):
+    # every vertex in BFS order holds every search target, and each vertex
+    # after the pinned base has a trivial orbit; the chain drops them all
+    graph = _pinned_graph(name)
+    order, base, generators = PINNED_SEARCH[name]
+    gens = [from_cycle_string(s, graph.n) for s in generators]
+    group = PermGroup.from_chain(graph.n, gens, bfs_order(graph))
+    assert (group.order(), group.base()) == (order, base)
+    handed = _capture_handoff(monkeypatch)
+    assert automorphism_group(graph).base() == base == handed[0]
+
+
+def test_from_chain_drops_a_trivial_target_above_a_nontrivial_one(monkeypatch):
+    # on this graph the search's first target lies in a cell that holds no
+    # image of it under Aut, while the second target has an orbit of two
+    rng = random.Random(2016)
+    graphs = [random_cubic_graph(rng, rng.randrange(8, 42, 2)) for _ in range(6)]
+    handed = _capture_handoff(monkeypatch)
+    group = automorphism_group(graphs[5])
+    assert handed == [(0, 2)]
+    assert (group.base(), group.order()) == ((2,), 2)
+    assert group.order() == _sympy_group(group).order()
+    assert PermGroup.from_chain(graphs[5].n, group.generators, [0]).base() == ()
+
+
+def test_order_and_base_of_a_searched_group_compose_nothing(monkeypatch):
+    from circulant_lab import _kernels as kern
+    from circulant_lab.cli import build_odd
+
+    graph = build_odd(5).graph
+    group = automorphism_group(graph)
+    calls = 0
+    compose_images = kern.compose_images
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return compose_images(p, q)
+
+    monkeypatch.setattr(kern, "compose_images", counting)
+    assert (group.order(), group.base()) == (900, (0, 1, 2))
+    assert calls == 0
+    # a sift composes the representatives on its tree paths, not a level's
+    # whole transversal of n permutations
+    assert group.contains(group.generators[-1])
+    assert 0 < calls < graph.n
+
+
+def _membership_groups():
+    from circulant_lab.cli import build_even, build_odd
+
+    def arc_group(construction):
+        # a fresh group on the same generators, so Schreier-Sims builds its chain
+        return PermGroup(construction.graph.n, construction.arc_group.generators)
+
+    cases = [
+        ("schreier-sims-odd-k3", lambda: arc_group(build_odd(3))),
+        ("schreier-sims-odd-k5", lambda: arc_group(build_odd(5))),
+        ("schreier-sims-even-2-7", lambda: arc_group(build_even(2, 7))),
+        ("search-GP10-3", lambda: automorphism_group(generalized_petersen(10, 3))),
+        ("search-odd-k5", lambda: automorphism_group(build_odd(5).graph)),
+    ]
+    return [pytest.param(make, id=name) for name, make in cases]
+
+
+@pytest.mark.parametrize("make", _membership_groups())
+def test_membership_agrees_with_sympy(make):
+    # members are random words in the generators; non-members are random
+    # permutations, and members times a transposition, which share the
+    # member's image of most points and so sift further down the chain
+    group = make()
+    n = group.degree
+    oracle = _sympy_group(group)
+    rng = random.Random(n)
+    members, others = [], []
+    for _ in range(12):
+        w = identity(n)
+        for _ in range(rng.randrange(1, 16)):
+            w = compose(w, rng.choice(group.generators))
+        members.append(w)
+        images = list(w.images)
+        i, j = rng.sample(range(n), 2)
+        images[i], images[j] = images[j], images[i]
+        others.append(Permutation(tuple(images)))
+        images = list(range(n))
+        rng.shuffle(images)
+        others.append(Permutation(tuple(images)))
+    verdicts = [group.contains(p) for p in members + others]
+    assert verdicts == [oracle.contains(SympyPermutation(list(p.images)))
+                        for p in members + others]
+    assert all(verdicts[:len(members)])
+    assert not any(verdicts[len(members):])

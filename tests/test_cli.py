@@ -137,6 +137,25 @@ def test_analyze_malformed_file(tmp_path, capsys):
     assert code == 2 and err.startswith("error: ") and "UTF-8" in err and out == ""
 
 
+@pytest.mark.parametrize("command", ["analyze", "spectrum"])
+def test_analyze_takes_exactly_one_graph(tmp_path, capsys, command):
+    # the other graphs of a graph6 file are not dropped in silence
+    k4 = serialize(fixtures.load("k4"), "graph6")
+    k33 = serialize(fixtures.load("k33"), "graph6")
+    two = tmp_path / "two.g6"
+    two.write_text(f">>graph6<<\n{k4}\n{k33}\n")
+    code, out, err = run_cli(capsys, command, str(two))
+    assert code == 2 and out == ""
+    assert err == f"error: {two} holds 2 graphs; {command} takes one, scan takes several\n"
+    empty = tmp_path / "empty.g6"
+    empty.write_text(">>graph6<<\n")
+    code, out, err = run_cli(capsys, command, str(empty))
+    assert code == 2 and out == "" and "holds 0 graphs" in err
+    one = tmp_path / "one.g6"
+    one.write_text(f"{k4}\n")
+    assert run_cli(capsys, command, str(one))[0] == 0
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/g.edgelist")
     assert code == 2

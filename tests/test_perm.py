@@ -27,6 +27,15 @@ def P(cycles: str, degree: int) -> Permutation:
     return from_cycle_string(cycles, degree)
 
 
+def test_from_images_rejects_non_permutations():
+    assert Permutation.from_images([1, 2, 0]) == P("(0 1 2)", 3)
+    assert Permutation.from_images([]) == identity(0)
+    # bool is a subclass of int, but True and False are not points
+    for images in ([True, False, 2], [0, True, 2], [1, 2, 2], [0, 3, 1], [0.0, 1]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation.from_images(images)
+
+
 def test_compose_identity():
     c4 = P("(0 1 2 3)", 4)
     assert compose(identity(4), c4) == c4
