@@ -8,8 +8,11 @@ numbers its cells.  Refinement is canonical splitter-queue refinement
 and its trace (the splits each splitter makes) depend only on the colored
 isomorphism type, so two refinements of isomorphic colorings can be
 compared id by id, and one can be abandoned as soon as its trace departs
-from the other's.  ``BACKEND`` names the implementation, for benchmark
-reports.
+from the other's.  A coloring travels with its cells (the vertex set of
+each id): ``refine_colors`` builds them once for the root, and each
+``individualize`` derives a child's from its parent's, copying only the
+cells its refinement splits and never modifying the parent's.  ``BACKEND``
+names the implementation, for benchmark reports.
 """
 
 BACKEND = "pure"
@@ -88,31 +91,48 @@ def refine_colors(ptr, flat, colors):
     The distinct input colors become cells 0, 1, ... in ascending order, and
     every cell is queued as a splitter (see :func:`_refine`).  The returned
     ids depend only on the colored isomorphism type, which is what makes
-    cross-checking two refinements meaningful.
+    cross-checking two refinements meaningful.  Returns the refined coloring
+    and its cells (cells[c] is the set of vertices of id c), the pair that
+    :func:`individualize` takes.
     """
     rank = {c: r for r, c in enumerate(sorted(set(colors)))}
     colors = [rank[c] for c in colors]
-    return _refine(ptr, flat, colors, _cells(colors, len(rank)), list(range(len(rank))))
+    cells = _cells(colors, len(rank))
+    colors = _refine(ptr, flat, colors, cells, list(range(len(rank))),
+                     bytearray(b"\x01") * len(cells))
+    return colors, cells
 
 
-def individualize(ptr, flat, colors, v, trace=None, expected=None):
+def individualize(ptr, flat, colors, cells, v, trace=None, expected=None):
     """Refinement of an equitable coloring with v moved to a cell of its own.
 
-    v's cell must hold other vertices.  v takes the fresh id
-    max(colors) + 1, and only that singleton is queued: the rest of v's old
-    cell keeps its id, and the coloring was equitable before, so every other
-    splitter is already accounted for.  colors itself is never modified.
+    colors and cells are a parent's pair, as :func:`refine_colors` and this
+    function return it, and v's cell must hold other vertices.  v takes the
+    fresh id len(cells), and only that singleton is queued: the rest of v's
+    old cell keeps its id, and the coloring was equitable before, so every
+    other splitter is already accounted for.  Returns the child's pair.
+    The child copies the coloring and the list of cells, but it shares each
+    cell's set with the parent until its refinement splits that cell, so a
+    node pays for the cells it splits, not for every cell.  The parent's
+    coloring and cells are never modified, whether the refinement completes
+    or aborts.
 
     trace and expected are passed on to :func:`_refine`: a list given as
     trace receives the refinement's trace, and with an expected trace the
     result is None as soon as the refinement departs from it.
     """
+    c = colors[v]
     colors = list(colors)
-    cells = _cells(colors, max(colors) + 1)
-    cells[colors[v]].remove(v)
+    cells = list(cells)
+    owned = bytearray(len(cells))
+    cells[c] = cells[c] - {v}
+    owned[c] = 1
     colors[v] = len(cells)
     cells.append({v})
-    return _refine(ptr, flat, colors, cells, [colors[v]], trace, expected)
+    owned.append(1)
+    if _refine(ptr, flat, colors, cells, [colors[v]], owned, trace, expected) is None:
+        return None
+    return colors, cells
 
 
 def _cells(colors, count):
@@ -123,7 +143,7 @@ def _cells(colors, count):
     return cells
 
 
-def _refine(ptr, flat, colors, cells, queue, trace=None, expected=None):
+def _refine(ptr, flat, colors, cells, queue, owned, trace=None, expected=None):
     """Splitter-queue refinement of colors (cells[c] is the set of vertices
     of id c) in place, until the coloring is equitable.
 
@@ -134,6 +154,13 @@ def _refine(ptr, flat, colors, cells, queue, trace=None, expected=None):
     that was queued stays queued and queues its new pieces; one that was not
     queues every piece but the first largest, since the cell as a whole has
     already split the others.
+
+    owned[c] is 1 when the set cells[c] belongs to this refinement, and 0
+    when it is still a parent's: such a set is copied the first time a
+    splitter splits its cell, and never modified, so the parent's cells stay
+    as they were.  The piece that keeps the id then shrinks in place
+    (``difference_update`` on the owned copy), so every later split of the
+    cell costs the number of vertices hit, not the size of the cell.
 
     The trace has one entry per splitter: the tuple of (cell id, piece
     sizes) of the cells it splits, in split order.  Like the ids, it
@@ -178,6 +205,8 @@ def _refine(ptr, flat, colors, cells, queue, trace=None, expected=None):
                 pieces = []
             else:
                 # the vertices the splitter misses form the first piece
+                if not owned[c]:
+                    members = set(members)
                 members.difference_update(hit)
                 pieces = [members]
             if repeats:
@@ -195,6 +224,7 @@ def _refine(ptr, flat, colors, cells, queue, trace=None, expected=None):
             entry.append((c, sizes))
             skip = -1 if queued[c] else sizes.index(max(sizes))
             cells[c] = pieces[0]
+            owned[c] = 1
             if skip > 0:
                 queue.append(c)
                 queued[c] = True
@@ -202,6 +232,7 @@ def _refine(ptr, flat, colors, cells, queue, trace=None, expected=None):
                 new = len(cells)
                 piece = pieces[i]
                 cells.append(piece)
+                owned.append(1)
                 for u in piece:
                     colors[u] = new
                 split_queued = i != skip

@@ -5,23 +5,31 @@ backtracking over images of a BFS-ordered vertex sequence, as two loops.
 The first walks the principal path once: from the refined unit coloring,
 each level individualizes its target vertex (the first vertex of the
 sequence in a non-singleton cell) and refines, down to the discrete leaf.
-The second takes the levels deepest first and tries one vertex per
-remaining orbit of the target's cell (orbit pruning against the
-generators found so far); each try is a depth-first search on an explicit
-stack that refines the individualized colorings against the stored
-principal path, level by level, and tests adjacency at the leaf.
+The second takes the levels deepest first and tries the vertices of the
+target's cell, skipping every vertex whose orbit under the generators found
+so far holds the target or a sibling that already failed at that level
+(orbit pruning; the orbits are kept in a union-find forest that each new
+generator merges its cycles into).  A failed sibling w prunes its orbit
+soundly: the generators fix the targets above the level, so an
+automorphism that maps the target into w's orbit, composed with one of
+them, would map the target to w.  Each try is a depth-first search on an
+explicit stack that refines the individualized colorings against the
+stored principal path, level by level, and tests adjacency at the leaf.
 Refinement and individualization are kernels
 (``_kernels.refine_colors`` for the unit coloring,
 ``_kernels.individualize`` below it), and only they number the cells.
-Each principal level keeps the trace of its refinement: for every
-splitter, the cells it split and their piece sizes.  A sibling's
-refinement is checked against that trace and abandoned at the first
-splitter that differs (the node invariant of McKay and Piperno, 2014).
-This is sound because refinement is canonical: an automorphism that maps
-the principal vertices to a sibling's maps each principal coloring onto
-the sibling's with the same ids, and so gives the same trace; a branch
-whose trace differs holds no automorphism, and pruning it changes no
-generator, base point or order.  Equal traces from colorings with equal
+Each principal level keeps its coloring with its cells, so a node's
+individualization starts from its parent's cells and copies only the
+cells its refinement splits, and a node's candidates are the members of
+one cell, not a scan over all n vertices.  Each principal level also
+keeps the trace of its refinement: for every splitter, the cells it split
+and their piece sizes.  A sibling's refinement is checked against that
+trace and abandoned at the first splitter that differs (the node
+invariant of McKay and Piperno, 2014).  This is sound because refinement
+is canonical: an automorphism that maps the principal vertices to a
+sibling's maps each principal coloring onto the sibling's with the same
+ids, and so gives the same trace; a branch whose trace differs holds no
+automorphism, and pruning it changes no generator, base point or order.  Equal traces from colorings with equal
 cell sizes per id also give equal cell sizes per id, so no other
 comparison is needed, and a leaf maps each principal vertex to the
 vertex with the same id.  The targets form a base and the generators
@@ -58,16 +66,11 @@ def bfs_order(graph: graphio.Graph) -> list[int]:
     return [v for comp in components(graph.n, graph.adjacency.__getitem__) for v in comp]
 
 
-def _counts_of(colors: list[int]) -> list[int]:
-    counts = [0] * (max(colors) + 1)
-    for c in colors:
-        counts[c] += 1
-    return counts
-
-
-def _orbit_of(point: int, perms: list[Permutation]) -> set[int]:
-    images = [g.images for g in perms]
-    return set(reach([point], lambda p: [im[p] for im in images]))
+def _root(forest: list[int], v: int) -> int:
+    """The root of v's tree in a union-find forest, halving the path."""
+    while forest[v] != v:
+        forest[v] = v = forest[forest[v]]
+    return v
 
 
 def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -> PermGroup:
@@ -78,10 +81,11 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
     found at that level of the search or deeper.  A sibling node is dropped
     as soon as its refinement's trace departs from the principal level's
     (see the module docstring), and every returned generator is verified
-    to preserve adjacency.  node_cap bounds the number of refinement calls:
-    the principal path's, one per level, and one per node of every sibling
-    search, aborted or not.  Raises SearchTimeout when the search needs
-    more.
+    to preserve adjacency.  A sibling whose search fails prunes its orbit
+    under the generators found so far, at its level.  node_cap bounds the
+    number of refinement calls: the principal path's, one per level, and
+    one per node of every sibling search, aborted or not; a pruned sibling
+    makes none.  Raises SearchTimeout when the search needs more.
     """
     n = graph.n
     if n == 0:
@@ -97,41 +101,55 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
             raise SearchTimeout(
                 f"automorphism search exceeded its node cap (node_cap={node_cap})")
 
-    def individualize(colors: list[int], v: int, trace: list | None = None,
-                      expected: tuple | None = None) -> list[int] | None:
+    def individualize(colors: list[int], cells: list[set[int]], v: int,
+                      trace: list | None = None, expected: tuple | None = None
+                      ) -> tuple[list[int], list[set[int]]] | None:
         count_node()
-        return kern.individualize(ptr, flat, colors, v, trace, expected)
+        return kern.individualize(ptr, flat, colors, cells, v, trace, expected)
 
     # the principal path: (coloring, target vertex or None at the leaf,
     # refinement trace) per level, each coloring refined from its parent
-    # with the parent's target individualized; the root's trace is empty
+    # with the parent's target individualized; the root's trace is empty.
+    # path_cells holds the cells of every level above the leaf.  A vertex in
+    # a singleton cell stays in one below, so the search for the next target
+    # resumes where the last one stopped.
     path: list[tuple[list[int], int | None, tuple]] = []
+    path_cells: list[list[set[int]]] = []
     count_node()
-    colors = kern.refine_colors(ptr, flat, [0] * n)
+    colors, cells = kern.refine_colors(ptr, flat, [0] * n)
     trace: list = []
+    pos = 0
     while True:
-        counts = _counts_of(colors)
-        target = next((v for v in base_seq if counts[colors[v]] > 1), None)
+        while pos < n and len(cells[colors[base_seq[pos]]]) == 1:
+            pos += 1
+        target = base_seq[pos] if pos < n else None
         path.append((colors, target, tuple(trace)))
         if target is None:
             break
+        path_cells.append(cells)
         trace = []
-        colors = individualize(colors, target, trace)
+        colors, cells = individualize(colors, cells, target, trace)
     leaf_pos = [0] * n
     for v, c in enumerate(colors):
         leaf_pos[c] = v
 
-    def seek(level: int, w: int) -> Permutation | None:
+    def seek(level: int, cells: list[set[int]], w: int) -> Permutation | None:
         """The first automorphism that fixes the targets above the level and
         maps its target to w, searched depth-first against the principal
-        path below the level."""
-        stack = [(level + 1, path[level][0], w)]
+        path below the level; cells are the level's.  Each stack frame holds
+        a node's coloring and cells and the candidates it has still to try,
+        in descending order, so the smallest is popped first."""
+        stack = [(level + 1, path[level][0], cells, [w])]
         while stack:
-            depth, parent, v = stack.pop()
-            alpha, target, trace = path[depth]
-            beta = individualize(parent, v, expected=trace)
-            if beta is None:
+            depth, parent, parent_cells, todo = stack[-1]
+            if not todo:
+                stack.pop()
                 continue
+            alpha, target, trace = path[depth]
+            child = individualize(parent, parent_cells, todo.pop(), expected=trace)
+            if child is None:
+                continue
+            beta, beta_cells = child
             if target is None:
                 images = [0] * n
                 for u, c in enumerate(beta):
@@ -139,27 +157,38 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
                 if kern.preserves_adjacency(ptr, flat, images):
                     return Permutation(tuple(images))
                 continue
-            color = alpha[target]
-            stack.extend((depth + 1, beta, u) for u in range(n - 1, -1, -1) if beta[u] == color)
+            todo = sorted(beta_cells[alpha[target]], reverse=True)
+            stack.append((depth + 1, beta, beta_cells, todo))
         return None
 
     # levels deepest first: every generator found so far fixes the targets
-    # above the current level, so all of them act on its target's orbit
+    # above the current level, so all of them act on its target's cell.
+    # orbits is a union-find forest of the orbits of the generators found so
+    # far.  A sibling w is tried only if its orbit holds neither the target
+    # nor a sibling that failed at this level: a failed w has no
+    # automorphism fixing the targets above that maps the target to it, so
+    # no vertex of its orbit has one either.  Only the seeks at a level read
+    # its cells, so they are popped, and freed, as the level starts.
     gens: list[Permutation] = []
+    orbits = list(range(n))
     for level in range(len(path) - 2, -1, -1):
         alpha, target, _ = path[level]
-        orbit: set[int] | None = None
-        for w in range(n):
-            if w == target or alpha[w] != alpha[target]:
+        cells = path_cells.pop()
+        dead: set[int] = set()
+        for w in sorted(cells[alpha[target]]):
+            r = _root(orbits, w)
+            if r in dead or r == _root(orbits, target):
                 continue
-            if orbit is None:
-                orbit = _orbit_of(target, gens)
-            if w in orbit:
+            found = seek(level, cells, w)
+            if found is None:
+                dead.add(r)
                 continue
-            found = seek(level, w)
-            if found is not None:
-                gens.append(found)
-                orbit = None
+            gens.append(found)
+            for v, u in enumerate(found.images):
+                a, b = _root(orbits, v), _root(orbits, u)
+                if a != b:
+                    orbits[max(a, b)] = min(a, b)
+            dead = {_root(orbits, d) for d in dead}
     return PermGroup.from_chain(n, gens, [target for _, target, _ in path[:-1]])
 
 

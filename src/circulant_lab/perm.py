@@ -111,17 +111,24 @@ def to_cycle_string(p: Permutation) -> str:
 
 
 def from_cycle_string(text: str, degree: int) -> Permutation:
-    """Parse cycle notation like ``(0 1 2)(3 4)`` into a permutation."""
+    """Parse cycle notation like ``(0 1 2)(3 4)`` into a permutation.
+
+    Raises ValueError on malformed text, a point outside the degree, or a
+    point that appears twice, in one cycle or in two."""
     images = list(range(degree))
     body = text.replace(",", " ").strip()
     if body in ("", "()"):
         return Permutation(tuple(images))
     if not body.startswith("(") or not body.endswith(")"):
         raise ValueError(f"bad cycle string: {text!r}")
+    seen: set[int] = set()
     for chunk in body[1:-1].split(")("):
         points = [int(tok) for tok in chunk.split()]
         if len(points) != len(set(points)):
             raise ValueError(f"repeated point in cycle: {chunk!r}")
+        if not seen.isdisjoint(points):
+            raise ValueError(f"repeated point in cycles: {text!r}")
+        seen.update(points)
         for a, b in zip(points, points[1:] + points[:1]):
             if not 0 <= a < degree:
                 raise ValueError(f"point {a} outside degree {degree}")

@@ -354,7 +354,9 @@ def test_search_chain_membership_and_enumeration(name):
 
 def test_order_matches_networkx_isomorphism_count(monkeypatch):
     # networkx's VF2 matcher counts automorphisms with no refinement at
-    # all; on the random cubic graphs most siblings fail the trace check
+    # all; on the random cubic graphs most siblings fail the trace check,
+    # and on GP(29, 3), with two vertex orbits, whole orbits of siblings
+    # are pruned after one of them fails
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
@@ -372,7 +374,8 @@ def test_order_matches_networkx_isomorphism_count(monkeypatch):
     monkeypatch.setattr(kern, "individualize", counting)
     rng = random.Random(2014)
     graphs = [random_cubic_graph(rng, rng.randrange(8, 26, 2)) for _ in range(20)]
-    graphs += [generalized_petersen(n, k) for n, k in ((5, 2), (7, 2), (8, 3), (10, 2), (10, 3))]
+    graphs += [generalized_petersen(n, k)
+               for n, k in ((5, 2), (7, 2), (8, 3), (10, 2), (10, 3), (13, 5), (29, 3))]
     for graph in graphs:
         g = nx.Graph(list(graph.edges()))
         g.add_nodes_from(range(graph.n))
@@ -456,6 +459,50 @@ def test_search_output_is_pinned(name):
     graph = _pinned_graph(name)
     order, base, generators = PINNED_SEARCH[name]
     group = automorphism_group(graph)
+    assert group.order() == order
+    assert group.base() == base
+    assert [g.images for g in group.generators] == [
+        from_cycle_string(s, graph.n).images for s in generators]
+
+
+# GP(60, 14) has two vertex orbits, so at the top level every sibling in
+# the inner rim fails; order, base and generators as the search without
+# orbit pruning of failed siblings found them
+GP60_14_SEARCH = (120, (0, 1), (
+    "(1 59)(2 58)(3 57)(4 56)(5 55)(6 54)(7 53)(8 52)(9 51)(10 50)(11 49)(12 48)"
+    "(13 47)(14 46)(15 45)(16 44)(17 43)(18 42)(19 41)(20 40)(21 39)(22 38)(23 37)"
+    "(24 36)(25 35)(26 34)(27 33)(28 32)(29 31)(61 119)(62 118)(63 117)(64 116)"
+    "(65 115)(66 114)(67 113)(68 112)(69 111)(70 110)(71 109)(72 108)(73 107)"
+    "(74 106)(75 105)(76 104)(77 103)(78 102)(79 101)(80 100)(81 99)(82 98)(83 97)"
+    "(84 96)(85 95)(86 94)(87 93)(88 92)(89 91)",
+    "(0 1)(2 59)(3 58)(4 57)(5 56)(6 55)(7 54)(8 53)(9 52)(10 51)(11 50)(12 49)"
+    "(13 48)(14 47)(15 46)(16 45)(17 44)(18 43)(19 42)(20 41)(21 40)(22 39)(23 38)"
+    "(24 37)(25 36)(26 35)(27 34)(28 33)(29 32)(30 31)(60 61)(62 119)(63 118)"
+    "(64 117)(65 116)(66 115)(67 114)(68 113)(69 112)(70 111)(71 110)(72 109)"
+    "(73 108)(74 107)(75 106)(76 105)(77 104)(78 103)(79 102)(80 101)(81 100)"
+    "(82 99)(83 98)(84 97)(85 96)(86 95)(87 94)(88 93)(89 92)(90 91)",
+))
+
+
+def test_a_failed_sibling_prunes_its_orbit(monkeypatch):
+    # once one sibling fails, the rest of its orbit under the generators
+    # found so far is skipped: the search without that pruning made 65
+    # individualize calls here, 60 of them one per inner-rim sibling
+    from circulant_lab import _kernels as kern
+
+    individualize = kern.individualize
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return individualize(*args, **kwargs)
+
+    monkeypatch.setattr(kern, "individualize", counting)
+    graph = generalized_petersen(60, 14)
+    order, base, generators = GP60_14_SEARCH
+    group = automorphism_group(graph)
+    assert calls <= 15
     assert group.order() == order
     assert group.base() == base
     assert [g.images for g in group.generators] == [

@@ -2,9 +2,10 @@
 top of it) agrees with an edge-set oracle on CSR arrays in any neighbour
 order, refinement reaches the reference partition with canonical cell ids
 and a canonical trace, a refinement checked against an expected trace
-stops exactly when its own trace differs, and composition shares the int
-objects of its second argument.  The cycle walk is tested through ``perm``
-in ``test_perm.py``."""
+stops exactly when its own trace differs, individualization returns cells
+that match its coloring and never modifies its parent's coloring or cells,
+and composition shares the int objects of its second argument.  The cycle
+walk is tested through ``perm`` in ``test_perm.py``."""
 import random
 
 from circulant_lab import _kernels as kern
@@ -13,6 +14,7 @@ from circulant_lab.graphio import from_edges
 from circulant_lab.perm import Permutation, identity
 from helpers import (
     brute_force_automorphisms,
+    generalized_petersen,
     partition_of,
     random_cubic_graph,
     random_simple_graph,
@@ -72,7 +74,7 @@ def test_refinement_matches_the_round_reference():
         graph = random_simple_graph(rng, n, rng.random())
         ptr, flat = kern.build_csr(graph.adjacency)
         colors = [rng.randrange(0, max(1, n // 2)) for _ in range(n)]
-        refined = kern.refine_colors(ptr, flat, colors)
+        refined, _ = kern.refine_colors(ptr, flat, colors)
         assert partition_of(refined) == partition_of(round_refine(ptr, flat, colors))
         assert sorted(set(refined)) == list(range(len(set(refined))))
 
@@ -90,12 +92,12 @@ def test_individualize_matches_the_round_reference():
             graph = random_simple_graph(rng, rng.randrange(2, 20), rng.random())
             colors = [rng.randrange(0, 3) for _ in range(graph.n)]
         ptr, flat = kern.build_csr(graph.adjacency)
-        colors = kern.refine_colors(ptr, flat, colors)
+        colors, cells = kern.refine_colors(ptr, flat, colors)
         shared = [v for v in range(graph.n) if colors.count(colors[v]) > 1]
         if not shared:
             continue
         v = rng.choice(shared)
-        got = kern.individualize(ptr, flat, colors, v)
+        got, _ = kern.individualize(ptr, flat, colors, cells, v)
         split = [2 * c + (u == v) for u, c in enumerate(colors)]
         assert partition_of(got) == partition_of(round_refine(ptr, flat, split))
         assert got[v] == max(colors) + 1
@@ -108,27 +110,27 @@ def test_refinement_splits_by_degree():
     # star K(1,3): center separates from the leaves
     star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
     ptr, flat = kern.build_csr(star.adjacency)
-    colors = kern.refine_colors(ptr, flat, [0, 0, 0, 0])
+    colors, _ = kern.refine_colors(ptr, flat, [0, 0, 0, 0])
     assert colors[0] != colors[1]
     assert colors[1] == colors[2] == colors[3]
 
 
 def _principal_path(ptr, flat, colors):
-    """Levels, individualized vertices and traces down to the discrete
-    coloring, individualizing at each level the first vertex in a shared
-    cell; the root level has no trace."""
+    """Levels (coloring and cells), individualized vertices and traces down
+    to the discrete coloring, individualizing at each level the first vertex
+    in a shared cell; the root level has no trace."""
     n = len(colors)
     levels = [kern.refine_colors(ptr, flat, colors)]
     path = []
     traces = []
     while True:
-        last = levels[-1]
+        last, cells = levels[-1]
         v = next((u for u in range(n) if last.count(last[u]) > 1), None)
         if v is None:
             return levels, path, traces
         trace = []
-        levels.append(kern.individualize(ptr, flat, last, v, trace))
-        assert levels[-1] == kern.individualize(ptr, flat, last, v)
+        levels.append(kern.individualize(ptr, flat, last, cells, v, trace))
+        assert levels[-1] == kern.individualize(ptr, flat, last, cells, v)
         path.append(v)
         traces.append(trace)
 
@@ -157,18 +159,18 @@ def test_refinement_is_isomorphism_invariant():
             for v in range(n):
                 moved[images[v]] = colors[v]
             got = kern.refine_colors(ptr2, flat2, moved)
-            assert all(got[images[u]] == levels[0][u] for u in range(n))
+            assert all(got[0][images[u]] == levels[0][0][u] for u in range(n))
             for v, level, trace in zip(path, levels[1:], traces):
-                checked = kern.individualize(ptr2, flat2, got, images[v], expected=trace)
+                checked = kern.individualize(ptr2, flat2, *got, images[v], expected=trace)
                 recorded = []
-                got = kern.individualize(ptr2, flat2, got, images[v], recorded)
-                assert all(got[images[u]] == level[u] for u in range(n))
+                got = kern.individualize(ptr2, flat2, *got, images[v], recorded)
+                assert all(got[0][images[u]] == level[0][u] for u in range(n))
                 assert checked == got and recorded == trace
         # a trace one splitter too long or too short fails at its end
         if path:
             parent, v, trace = levels[-2], path[-1], traces[-1]
-            assert kern.individualize(ptr, flat, parent, v, expected=trace + [()]) is None
-            assert kern.individualize(ptr, flat, parent, v, expected=trace[:-1]) is None
+            assert kern.individualize(ptr, flat, *parent, v, expected=trace + [()]) is None
+            assert kern.individualize(ptr, flat, *parent, v, expected=trace[:-1]) is None
 
 
 def test_refinement_reaches_equitable_fixpoint():
@@ -177,7 +179,7 @@ def test_refinement_reaches_equitable_fixpoint():
         n = rng.randrange(1, 15)
         graph = random_simple_graph(rng, n, rng.random())
         ptr, flat = kern.build_csr(graph.adjacency)
-        colors = kern.refine_colors(ptr, flat, [0] * n)
+        colors, _ = kern.refine_colors(ptr, flat, [0] * n)
         # equitable: same-colored vertices see the same color multiset
         sigs = {}
         for v in range(n):
@@ -185,7 +187,7 @@ def test_refinement_reaches_equitable_fixpoint():
             sigs.setdefault(colors[v], set()).add(sig)
         assert all(len(s) == 1 for s in sigs.values())
         # idempotent on its own output
-        assert kern.refine_colors(ptr, flat, colors) == colors
+        assert kern.refine_colors(ptr, flat, colors)[0] == colors
 
 
 def test_trace_replays_to_the_cell_sizes():
@@ -203,7 +205,7 @@ def test_trace_replays_to_the_cell_sizes():
             graph = random_simple_graph(rng, rng.randrange(2, 16), rng.random())
         ptr, flat = kern.build_csr(graph.adjacency)
         levels, path, traces = _principal_path(ptr, flat, [0] * graph.n)
-        for parent, v, trace, got in zip(levels, path, traces, levels[1:]):
+        for (parent, _), v, trace, (got, _) in zip(levels, path, traces, levels[1:]):
             sizes = [parent.count(c) for c in range(max(parent) + 1)]
             sizes[parent[v]] -= 1
             sizes.append(1)
@@ -229,26 +231,58 @@ def test_trace_check_rejects_exactly_the_differing_traces():
         graph = random_cubic_graph(rng, 8)
         n = graph.n
         ptr, flat = kern.build_csr(graph.adjacency)
-        root = kern.refine_colors(ptr, flat, [0] * n)
+        root, root_cells = kern.refine_colors(ptr, flat, [0] * n)
         assert root == [0] * n
         orbit = {v: {p[v] for p in brute_force_automorphisms(graph)} for v in range(n)}
         traces = []
         plain = []
         for w in range(n):
             traces.append([])
-            plain.append(kern.individualize(ptr, flat, root, w, traces[w]))
+            plain.append(kern.individualize(ptr, flat, root, root_cells, w, traces[w])[0])
         for v in range(n):
             for w in range(n):
                 parent = list(root)
-                got = kern.individualize(ptr, flat, parent, w, expected=traces[v])
+                got = kern.individualize(ptr, flat, parent, root_cells, w, expected=traces[v])
                 assert parent == root
                 if w in orbit[v]:
                     assert traces[w] == traces[v]
                 if traces[w] == traces[v]:
                     # equal traces give equal cell sizes per id
-                    assert got == plain[w]
-                    assert all(got.count(c) == plain[v].count(c) for c in range(n))
+                    assert got[0] == plain[w]
+                    assert all(got[0].count(c) == plain[v].count(c) for c in range(n))
                 else:
                     assert got is None
                     aborted += w not in orbit[v]
     assert aborted > 100
+
+
+def test_individualize_leaves_its_parent_as_it_was():
+    # the child shares every cell's set with its parent until it splits
+    # that cell: at every level of the principal path, individualizing any
+    # vertex of a shared cell, with a full trace or against a truncated one
+    # (an abort part-way through the refinement), must leave the parent's
+    # coloring and cell sets as they were, and a completed child's cells
+    # are the cells of its coloring, each under its own id
+    rng = random.Random(89)
+    graphs = [random_cubic_graph(rng, 2 * rng.randrange(4, 16)) for _ in range(8)]
+    graphs.append(generalized_petersen(10, 3))
+    calls = 0
+    for graph in graphs:
+        n = graph.n
+        ptr, flat = kern.build_csr(graph.adjacency)
+        levels, _, _ = _principal_path(ptr, flat, [0] * n)
+        for colors, cells in levels:
+            for v in range(n):
+                if len(cells[colors[v]]) == 1:
+                    continue
+                snapshot = (list(colors), [set(cell) for cell in cells])
+                trace = []
+                got, got_cells = kern.individualize(ptr, flat, colors, cells, v, trace)
+                assert (colors, cells) == snapshot
+                assert {frozenset(cell) for cell in got_cells} == partition_of(got)
+                assert all(got[u] == c for c, cell in enumerate(got_cells) for u in cell)
+                assert kern.individualize(ptr, flat, colors, cells, v,
+                                          expected=trace[:-1]) is None
+                assert (colors, cells) == snapshot
+                calls += 1
+    assert calls > 150

@@ -174,6 +174,16 @@ def test_cycle_string_round_trip():
     assert to_cycle_string(P("(6 2)(5 1 4)", 8)) == "(1 4 5)(2 6)"
 
 
+
+def test_cycle_string_rejects_a_repeated_point():
+    # a point may appear once: not twice in one cycle, and not in two
+    # cycles, which would silently compose them into another permutation
+    for text in ("(0 1 0)", "(0 1 2)(2 1 0)", "(0 1)(1 0)", "(0 1)(2 3)(3 0)"):
+        with pytest.raises(ValueError, match="repeated point"):
+            from_cycle_string(text, 4)
+    assert from_cycle_string("(0 1)(2 3)", 4).images == (1, 0, 3, 2)
+
+
 def test_group_order_sym4():
     g = PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)])
     assert g.order() == 24
