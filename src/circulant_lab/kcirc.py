@@ -8,11 +8,14 @@ mapping the first base point b to the smallest point of each orbit of the
 stabiliser G_b, over the stabilizer chain the automorphism search hands
 over.  Witnesses are the first hits in that walk, which are exactly the
 first hits in the enumeration of the whole group, so they follow the
-search's base and coset representatives.  Each element's cycle through
-point 0 is walked first, and the full semiregularity test runs only when n
-over its length is a k still wanted: one with no witness yet in the
-spectrum, the requested one in a certificate.  The trivial k = n (identity
-witness) is always part of the spectrum; reports may filter it.
+search's base and coset representatives.  The walk hands out each element
+uncomposed, as a stabiliser element h and a coset representative t
+(``PermGroup.suborbit_pairs``), and only the cycle of h * t through point
+0 is followed, image by image.  The element is composed, and given the
+full semiregularity test, only when n over that cycle's length is a k
+still wanted: one with no witness yet in the spectrum, the requested one
+in a certificate.  The trivial k = n (identity witness) is always part of
+the spectrum; reports may filter it.
 """
 from __future__ import annotations
 
@@ -78,29 +81,29 @@ def is_squarefree(k: int) -> bool:
     return True
 
 
-def _cycle_length_at_0(images: tuple[int, ...]) -> int:
-    length, j = 1, images[0]
-    while j != 0:
-        j = images[j]
-        length += 1
-    return length
-
-
 def _semiregular_elements(graph: graphio.Graph, group: PermGroup, cap: int | None,
                           wanted: Callable[[int], bool]) -> Iterator[tuple[int, Permutation]]:
     """(number of cycles, element) for each semiregular element of the
     suborbit walk whose number of cycles is wanted, in walk order.
 
     All cycles of a semiregular element have one length, so the cycle
-    through point 0 gives their number; the full semiregularity test runs
-    only when that number is a wanted k.
+    through point 0 gives their number.  That cycle of g = h * t is
+    followed as j -> t[h[j]], in as many steps as it is long; g is composed
+    and fully tested only when its number is a wanted k.
     """
     n = graph.n
-    for g in group.suborbit_elements(cap):
-        images = g.images
-        length = _cycle_length_at_0(images) if images else 1
-        if n % length == 0 and wanted(n // length) and kern.is_semiregular_images(images):
-            yield n // length, g
+    for h, t in group.suborbit_pairs(cap):
+        length = 1
+        if h:
+            j = t[h[0]]
+            while j:
+                j = t[h[j]]
+                length += 1
+        if n % length or not wanted(n // length):
+            continue
+        images = kern.compose_images(h, t)
+        if kern.is_semiregular_images(images):
+            yield n // length, Permutation(tuple(images))
 
 
 def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,

@@ -12,12 +12,19 @@ product of the tree sizes, and a coset representative is composed along
 its tree path only when a sift or enumeration first needs it, so repeated
 runs produce identical element streams.  Conjugacy-invariant questions
 need only one coset block per suborbit of that stream
-(``suborbit_elements``).
+(``suborbit_elements``).  Enumeration walks pairs (h, t) of a top-level
+coset representative t and an element h of the stabiliser below, and
+composes h * t only for the caller that wants the element:
+``suborbit_pairs`` hands the pairs out uncomposed, so a caller that reads
+a few images of each element (``kcirc`` follows one cycle) composes only
+the candidates it keeps.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import Iterable, Iterator, Sequence
 
 from circulant_lab import _kernels as kern
@@ -141,16 +148,29 @@ class _Level:
     level's strong generators, in FIFO order, maps to the point it was
     reached from and the generator that reached it (the base point to None).
     A coset representative is composed on first request and kept in reps.
+
+    With movers (a dict), the tree tries at each point only the generators
+    that move it: movers[pt] lists them, in the order of gens.  It is
+    computed on the point's first visit and kept for later levels, so the
+    caller must drop from it a generator that stops being a strong
+    generator.  A generator fixing the point reaches nothing new, so the
+    tree is the same.
     """
 
     __slots__ = ("base", "tree", "reps")
 
-    def __init__(self, base: int, gens: list[list[int]], degree: int):
+    def __init__(self, base: int, gens: list[list[int]], degree: int,
+                 movers: dict[int, list[list[int]]] | None = None):
         self.base = base
         self.tree = tree = {base: None}
         orbit = [base]
         for pt in orbit:  # orbit grows while it is walked: it is the FIFO queue
-            for g in gens:
+            tried = gens
+            if movers is not None:
+                tried = movers.get(pt)
+                if tried is None:
+                    tried = movers[pt] = [g for g in gens if g[pt] != pt]
+            for g in tried:
                 q = g[pt]
                 if q not in tree:
                     tree[q] = (pt, g)
@@ -198,15 +218,32 @@ class PermGroup:
         level's Schreier tree is grown at once, with no composition, and a
         point whose orbit is itself alone opens no level.  No Schreier
         generator is sifted: order() is the product of the tree sizes.
+
+        Trying every strong generator at every orbit point costs O(n^3) on
+        a chain with many levels and generators, such as the n - 1 levels
+        of Sym(n).  So below the top level a tree tries at a point only the
+        strong generators that move it, listed on the point's first visit
+        and kept for the levels below.  The top level tries them all: there
+        every generator is a strong generator, and listing them would cost
+        as much as the walk.
         """
         group = cls(degree, generators)
         gens = group._strong_gens = [list(g.images) for g in group.generators]
         group._levels = []
+        movers: dict[int, list[list[int]]] | None = None
+        points = range(degree)
         for b in base:
-            lvl = _Level(b, gens, degree)
+            lvl = _Level(b, gens, degree, movers)
             if len(lvl.tree) > 1:
                 group._levels.append(lvl)
+            if movers:  # a generator moving b is no strong generator below
+                for g in gens:
+                    if g[b] != b:
+                        for p in movers.keys() & compress(points, map(ne, g, points)):
+                            movers[p] = [h for h in movers[p] if h is not g]
             gens = [g for g in gens if g[b] == b]
+            if movers is None:
+                movers = {}
         return group
 
     # --- chain construction ---
@@ -334,9 +371,23 @@ class PermGroup:
         elements, and its first hit here is its first hit in elements().
         Blocks come in elements() order, each as elements() gives it; the
         trivial group yields the identity.  Raises CapExceeded as
-        elements() does.
+        elements() does.  Each element is composed from its pair of
+        suborbit_pairs(); a caller that reads only part of each element
+        walks the pairs and composes only the elements it keeps.
         """
         return self._walk(cap, suborbits_only=True)
+
+    def suborbit_pairs(self, cap: int | None = None) -> Iterator[tuple[list[int], list[int]]]:
+        """suborbit_elements() as uncomposed image lists (h, t), in its order.
+
+        t is the coset representative of the block's point at the top
+        level, h an element of the stabiliser G_b, and the element is h * t:
+        it maps x to t[h[x]], and ``compose_images(h, t)`` forms it.  The
+        trivial group yields (identity, identity).  Both lists are shared
+        with the group and with other pairs, so they must not be modified.
+        Raises CapExceeded as elements() does.
+        """
+        return self._pairs(cap, suborbits_only=True)
 
     def _suborbit_minima(self) -> set[int]:
         """The smallest point of each suborbit (see suborbit_elements)."""
@@ -346,35 +397,51 @@ class PermGroup:
         return {cls[0] for cls in classes if cls[0] in top}
 
     def _walk(self, cap: int | None, suborbits_only: bool) -> Iterator[Permutation]:
+        for h, t in self._pairs(cap, suborbits_only):
+            yield Permutation(tuple(kern.compose_images(h, t)))
+
+    def _pairs(self, cap: int | None,
+               suborbits_only: bool) -> Iterator[tuple[list[int], list[int]]]:
         if cap is None:
             cap = DEFAULT_ENUMERATION_CAP
         order = self.order()
         if order > cap:
             raise CapExceeded(f"group order {order} exceeds cap {cap}")
-        top = self._suborbit_minima() if suborbits_only and self._levels else None
-        for images in _coset_products(self._levels, 0, self.degree, top):
-            yield Permutation(tuple(images))
+        if not self._levels:
+            identity = list(range(self.degree))
+            yield identity, identity
+            return
+        top = self._suborbit_minima() if suborbits_only else None
+        yield from _coset_pairs(self._levels, 0, self.degree, top)
 
 
-def _coset_products(levels: list[_Level], i: int, degree: int,
-                    points: set[int] | None = None) -> Iterator[list[int]]:
-    """h * t for each coset representative t of level i, by ascending orbit
+def _coset_pairs(levels: list[_Level], i: int, degree: int,
+                 points: set[int] | None = None) -> Iterator[tuple[list[int], list[int]]]:
+    """(h, t) for each coset representative t of level i, by ascending orbit
     point (only the given points, if any), and each element h of the chain
-    below, in this same order.
+    below, in _products order: the products h * t are level i's group in
+    elements() order.
 
     A module function, not a closure: a recursive closure is a reference
     cycle, and it would keep the group and its transversals alive after the
     walk until the cyclic garbage collector ran.
     """
-    if i == len(levels):
-        yield list(range(degree))
-        return
     tree = levels[i].tree
     # the stabiliser below is walked once per orbit point; keep its
     # elements when they take no more room than this transversal
     stabiliser_order = math.prod(len(lower.tree) for lower in levels[i + 1:])
-    below = list(_coset_products(levels, i + 1, degree)) if stabiliser_order <= len(tree) else None
+    below = list(_products(levels, i + 1, degree)) if stabiliser_order <= len(tree) else None
     for pt in sorted(tree if points is None else points):
         t = levels[i].rep(pt)
-        for h in _coset_products(levels, i + 1, degree) if below is None else below:
-            yield kern.compose_images(h, t)
+        for h in _products(levels, i + 1, degree) if below is None else below:
+            yield h, t
+
+
+def _products(levels: list[_Level], i: int, degree: int) -> Iterator[list[int]]:
+    """Each element of the chain from level i down, as a new image list, in
+    elements() order."""
+    if i == len(levels):
+        yield list(range(degree))
+        return
+    for h, t in _coset_pairs(levels, i, degree):
+        yield kern.compose_images(h, t)

@@ -550,6 +550,45 @@ def test_from_chain_drops_a_trivial_target_above_a_nontrivial_one(monkeypatch):
     assert PermGroup.from_chain(graphs[5].n, group.generators, [0]).base() == ()
 
 
+def _naive_trees(degree, generators, base):
+    """Each level's Schreier tree as from_chain grows it, by trying every
+    strong generator at every point: (point, (parent, generator)) in FIFO
+    order."""
+    gens = [list(g.images) for g in generators if not g.is_identity()]
+    trees = []
+    for b in base:
+        tree, orbit = {b: None}, [b]
+        for pt in orbit:
+            for g in gens:
+                if g[pt] not in tree:
+                    tree[g[pt]] = (pt, g)
+                    orbit.append(g[pt])
+        if len(tree) > 1:
+            trees.append(list(tree.items()))
+        gens = [g for g in gens if g[b] == b]
+    return trees
+
+
+def test_from_chain_grows_the_trees_of_the_naive_growth():
+    # each tree tries only the generators that move a point; it must match
+    # the growth that tries them all, parent, generator and FIFO order alike
+    from circulant_lab.cli import build_odd
+
+    groups = [automorphism_group(graph) for graph in (
+        from_edges(60, []), generalized_petersen(60, 14), build_odd(5).graph)]
+    # a Schreier-Sims chain handed over as a base and strong generating set:
+    # Sym(8) has seven levels, each with several strong generators
+    sims = PermGroup(8, [from_cycle_string("(0 1 2 3 4 5 6 7)", 8),
+                         from_cycle_string("(0 1)", 8)])
+    base = sims.base()
+    groups.append(PermGroup.from_chain(
+        sims.degree, [Permutation(tuple(g)) for g in sims._strong_gens], base))
+    for group in groups:
+        trees = [list(lvl.tree.items()) for lvl in group._levels]
+        assert len(trees) > 1
+        assert trees == _naive_trees(group.degree, group.generators, group.base())
+
+
 def test_order_and_base_of_a_searched_group_compose_nothing(monkeypatch):
     from circulant_lab import _kernels as kern
     from circulant_lab.cli import build_odd

@@ -1,5 +1,6 @@
 """CLI subcommands: construction, analysis, scanning, exit codes."""
 import dataclasses
+import hashlib
 import json
 import random
 import shutil
@@ -400,3 +401,19 @@ def test_analyze_output_is_pinned_for_family_members(tmp_path, capsys, monkeypat
         code, out, _ = run_cli(capsys, "analyze", "g.edgelist")
         assert code == 0
         assert out == (GOLDEN_DIR / golden).read_text(), golden
+
+
+@pytest.mark.parametrize("construct,digest", [
+    (["construct-odd", "15"], "00b97f3721f15fea6bf4b8826a1eee09be62520b328db67cff3c9248e68b3a38"),
+    (["construct-even", "7", "13"],
+     "a49fdec48c1625d2468dbe3f6a881fc5c88560b2701cbec012641b5cd0d51800"),
+], ids=["odd-15", "even-7-13"])
+def test_analyze_output_is_pinned_for_the_largest_ladder_members(
+        construct, digest, tmp_path, capsys, monkeypatch):
+    # their witnesses depend most on the order of the spectrum walk
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, *construct, "--out", "g.edgelist")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "analyze", "g.edgelist")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from circulant_lab import _kernels as kern
 from circulant_lab import fixtures
 from circulant_lab.aut import automorphism_group
 from circulant_lab.cli import build_even, build_odd, verify_construction
@@ -97,7 +98,7 @@ CERTIFY_CASES = [(name, "search") for name in fixtures.NAMES] + [
     (member, kind)
     for member in ("odd-3", "odd-5", "odd-7", "even-1-7", "even-2-7")
     for kind in ("search", "arc")
-] + [(f"GP{n}-{k}", "search") for n, k in ARC_TRANSITIVE_GP] + [
+] + [("odd-9", "search")] + [(f"GP{n}-{k}", "search") for n, k in ARC_TRANSITIVE_GP] + [
     (f"random-{seed}", "search") for seed in range(20)
 ]
 
@@ -142,6 +143,42 @@ def test_certify_matches_spectrum_witness_for_every_divisor(source, group_kind):
     for d in range(1, graph.n + 1):
         if graph.n % d == 0:
             assert certify_k_circulant(graph, d, group) == oracle.get(d), d
+
+
+def _count_compositions(monkeypatch):
+    calls = [0]
+    compose_images = kern.compose_images
+
+    def counting(p, q):
+        calls[0] += 1
+        return compose_images(p, q)
+
+    monkeypatch.setattr(kern, "compose_images", counting)
+    return calls
+
+
+def test_spectrum_walk_composes_only_representatives_and_candidates(monkeypatch):
+    # the walk follows each element's cycle through 0 on its uncomposed
+    # pair; composing every element would take 546 calls besides the
+    # coset representatives
+    graph = build_odd(9).graph
+    group = automorphism_group(graph)
+    calls = _count_compositions(monkeypatch)
+    report = k_spectrum(graph, group)
+    assert report.spectrum == (9, 18, 27, 54, 81, 162, 243, 486)
+    spectrum_calls = calls[0]
+    walked = sum(1 for _ in group.suborbit_pairs())
+    assert walked == 546
+    assert spectrum_calls < walked
+
+
+def test_certify_composes_only_representatives_and_candidates(monkeypatch):
+    # k = 1 has no witness at odd k = 9, so the certificate walks every pair
+    graph = build_odd(9).graph
+    group = automorphism_group(graph)
+    calls = _count_compositions(monkeypatch)
+    assert certify_k_circulant(graph, 1, group) is None
+    assert calls[0] < sum(1 for _ in group.suborbit_pairs()) == 546
 
 
 def test_certify_rejects_a_group_that_is_not_automorphisms():

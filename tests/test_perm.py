@@ -7,8 +7,10 @@ import weakref
 import pytest
 
 from circulant_lab import _kernels as kern
+from circulant_lab.aut import automorphism_group
 from circulant_lab.cli import build_even, build_odd
 from circulant_lab.errors import CapExceeded, DegreeMismatch
+from circulant_lab.kcirc import certify_k_circulant
 from circulant_lab.perm import (
     PermGroup,
     Permutation,
@@ -303,6 +305,14 @@ def test_walks_do_not_keep_their_group_alive():
         g = PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)])
         list(g.elements())
         next(g.suborbit_elements())
+        released = weakref.ref(g)
+        del g
+        assert released() is None
+        # a spectrum walk on the uncomposed pairs, left at its first hit
+        graph = build_odd(3).graph
+        g = automorphism_group(graph)
+        witness = certify_k_circulant(graph, 3, g)
+        assert witness is not None and witness != list(g.suborbit_elements())[-1]
         released = weakref.ref(g)
         del g
         assert released() is None
