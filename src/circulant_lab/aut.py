@@ -246,6 +246,8 @@ def tutte_type(graph: graphio.Graph, group: PermGroup | None = None) -> int:
 
 def _arc_type(order: int, n: int) -> int:
     """t with order = 3 * 2^t * n, or StabiliserNotOfForm."""
+    if n == 0:
+        raise StabiliserNotOfForm("the null graph has no vertex stabiliser")
     if order % n != 0:
         raise StabiliserNotOfForm(f"|Aut| = {order} not divisible by n = {n}")
     stab = order // n

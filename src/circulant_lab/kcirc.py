@@ -3,19 +3,18 @@
 A graph is a k-circulant when some semiregular automorphism has exactly k
 cycles; the spectrum collects every such k.  Being semiregular with k
 cycles is invariant under conjugation, so the spectrum walks one coset
-block per suborbit (``PermGroup.suborbit_elements``): the |G_b| elements
+block per suborbit (``PermGroup.suborbit_pairs``): the |G_b| elements
 mapping the first base point b to the smallest point of each orbit of the
 stabiliser G_b, over the stabilizer chain the automorphism search hands
 over.  Witnesses are the first hits in that walk, which are exactly the
 first hits in the enumeration of the whole group, so they follow the
 search's base and coset representatives.  The walk hands out each element
-uncomposed, as a stabiliser element h and a coset representative t
-(``PermGroup.suborbit_pairs``), and only the cycle of h * t through point
-0 is followed, image by image.  The element is composed, and given the
-full semiregularity test, only when n over that cycle's length is a k
-still wanted: one with no witness yet in the spectrum, the requested one
-in a certificate.  The trivial k = n (identity witness) is always part of
-the spectrum; reports may filter it.
+uncomposed, as a stabiliser element h and a coset representative t, and
+only the cycle of h * t through point 0 is followed, image by image.  The
+element is composed, and given the full semiregularity test, only when n
+over that cycle's length is a k still wanted: one with no witness yet in
+the spectrum, the requested one in a certificate.  The trivial k = n
+(identity witness) is always part of the spectrum; reports may filter it.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from typing import Callable, Iterator
 from circulant_lab import _kernels as kern
 from circulant_lab import aut as aut_mod
 from circulant_lab import graphio
-from circulant_lab.errors import KDoesNotDivideN, PreconditionViolated
+from circulant_lab.errors import GroupNotAutomorphisms, KDoesNotDivideN, PreconditionViolated
 from circulant_lab.perm import (
     PermGroup,
     Permutation,
@@ -112,10 +111,13 @@ def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
 
     Witnesses are the first hits in the deterministic element enumeration,
     found by the suborbit walk.  Raises CapExceeded when |Aut| exceeds the
-    enumeration cap.
+    enumeration cap, and GroupNotAutomorphisms when a supplied group does
+    not act on the graph's n vertices.
     """
     if group is None:
         group = aut_mod.automorphism_group(graph)
+    elif group.degree != graph.n:
+        raise GroupNotAutomorphisms(f"group degree {group.degree} differs from n = {graph.n}")
     witnesses: dict[int, Permutation] = {}
     for k, g in _semiregular_elements(graph, group, cap, lambda k: k not in witnesses):
         witnesses[k] = g

@@ -10,14 +10,13 @@ set it found (``PermGroup.from_chain``), so nothing is sifted.  Either way
 each level is the Schreier tree of one FIFO orbit walk, the order is the
 product of the tree sizes, and a coset representative is composed along
 its tree path only when a sift or enumeration first needs it, so repeated
-runs produce identical element streams.  Conjugacy-invariant questions
-need only one coset block per suborbit of that stream
-(``suborbit_elements``).  Enumeration walks pairs (h, t) of a top-level
-coset representative t and an element h of the stabiliser below, and
-composes h * t only for the caller that wants the element:
-``suborbit_pairs`` hands the pairs out uncomposed, so a caller that reads
-a few images of each element (``kcirc`` follows one cycle) composes only
-the candidates it keeps.
+runs produce identical element streams.  Enumeration walks pairs (h, t)
+of a top-level coset representative t and an element h of the stabiliser
+below.  ``elements`` composes each h * t; ``suborbit_pairs`` hands out,
+uncomposed, only the pairs of one coset block per suborbit, which is all
+that conjugacy-invariant questions need, so a caller that reads a few
+images of each element (``kcirc`` follows one cycle) composes only the
+candidates it keeps.
 """
 from __future__ import annotations
 
@@ -144,10 +143,12 @@ def from_cycle_string(text: str, degree: int) -> Permutation:
 
 
 class _Level:
-    """A base point and its Schreier tree: each point of its orbit under the
-    level's strong generators, in FIFO order, maps to the point it was
-    reached from and the generator that reached it (the base point to None).
-    A coset representative is composed on first request and kept in reps.
+    """A base point, its strong generators (gens: those fixing every base
+    point above, in the order of the strong generating set) and its
+    Schreier tree: each point of its orbit under gens, in FIFO order, maps
+    to the point it was reached from and the generator that reached it (the
+    base point to None).  A coset representative is composed on first
+    request and kept in reps.
 
     With movers (a dict), the tree tries at each point only the generators
     that move it: movers[pt] lists them, in the order of gens.  It is
@@ -157,11 +158,12 @@ class _Level:
     tree is the same.
     """
 
-    __slots__ = ("base", "tree", "reps")
+    __slots__ = ("base", "gens", "tree", "reps")
 
     def __init__(self, base: int, gens: list[list[int]], degree: int,
                  movers: dict[int, list[list[int]]] | None = None):
         self.base = base
+        self.gens = gens
         self.tree = tree = {base: None}
         orbit = [base]
         for pt in orbit:  # orbit grows while it is walked: it is the FIFO queue
@@ -206,7 +208,6 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._levels: list[_Level] | None = None
-        self._strong_gens: list[list[int]] | None = None
 
     @classmethod
     def from_chain(cls, degree: int, generators: Sequence[Permutation],
@@ -228,7 +229,7 @@ class PermGroup:
         as much as the walk.
         """
         group = cls(degree, generators)
-        gens = group._strong_gens = [list(g.images) for g in group.generators]
+        gens = [list(g.images) for g in group.generators]
         group._levels = []
         movers: dict[int, list[list[int]]] | None = None
         points = range(degree)
@@ -255,7 +256,6 @@ class PermGroup:
 
     def _build_chain(self) -> None:
         self._levels = []
-        self._strong_gens = []
         identity = list(range(self.degree))
         for g in self.generators:
             residue, level = self._sift_images(list(g.images), 0)
@@ -271,13 +271,6 @@ class PermGroup:
             else:
                 i = stuck
 
-    def _gens_at(self, level: int) -> list[list[int]]:
-        levels = self._levels
-        return [
-            g for g in self._strong_gens
-            if all(g[levels[j].base] == levels[j].base for j in range(level))
-        ]
-
     def _sift_images(self, images: list[int], start: int) -> tuple[list[int], int]:
         levels = self._levels
         for i in range(start, len(levels)):
@@ -292,15 +285,16 @@ class PermGroup:
         """Adjoin a nontrivial residue whose sift stopped at level.
 
         A residue that passed every level opens a new one at its smallest
-        moved point; the trees of levels 0..level are rebuilt.
+        moved point.  It fixes the base points above level and moves
+        base[level], so it joins the strong generators of levels 0..level,
+        whose trees are rebuilt.
         """
         levels = self._levels
         if level == len(levels):
             base = next(i for i, x in enumerate(residue) if i != x)
             levels.append(_Level(base, [], self.degree))
-        self._strong_gens.append(residue)
         for j in range(level + 1):
-            levels[j] = _Level(levels[j].base, self._gens_at(j), self.degree)
+            levels[j] = _Level(levels[j].base, levels[j].gens + [residue], self.degree)
 
     def _verify_level(self, level: int) -> int | None:
         """Sift all Schreier generators of this level; report where one sticks.
@@ -309,11 +303,10 @@ class PermGroup:
         when t_pt * g equals t_{g(pt)}, so only nontrivial ones are formed.
         """
         lvl = self._levels[level]
-        gens = self._gens_at(level)
         identity = list(range(self.degree))
         for pt in sorted(lvl.tree):
             tp = lvl.rep(pt)
-            for g in gens:
+            for g in lvl.gens:
                 tg = kern.compose_images(tp, g)
                 t2 = lvl.rep(g[pt])
                 if tg == t2:
@@ -359,26 +352,19 @@ class PermGroup:
         that map b to pt.  Raises CapExceeded before yielding anything if
         the group order exceeds the cap.
         """
-        return self._walk(cap, suborbits_only=False)
+        for images in _products(self._capped_chain(cap), 0, self.degree):
+            yield Permutation(tuple(images))
 
-    def suborbit_elements(self, cap: int | None = None) -> Iterator[Permutation]:
-        """The blocks of elements() whose point is the smallest of its suborbit.
+    def suborbit_pairs(self, cap: int | None = None) -> Iterator[tuple[list[int], list[int]]]:
+        """The blocks of elements() whose point is the smallest of its
+        suborbit, each element as an uncomposed pair (h, t) of image lists.
 
         A suborbit is an orbit of the stabiliser G_b of the first base point
         b on b's orbit.  Conjugating by G_b maps block pt onto block h(pt)
         and keeps cycle types, so every conjugacy-invariant question about
         the group is answered by these |G_b| * (number of suborbits)
         elements, and its first hit here is its first hit in elements().
-        Blocks come in elements() order, each as elements() gives it; the
-        trivial group yields the identity.  Raises CapExceeded as
-        elements() does.  Each element is composed from its pair of
-        suborbit_pairs(); a caller that reads only part of each element
-        walks the pairs and composes only the elements it keeps.
-        """
-        return self._walk(cap, suborbits_only=True)
-
-    def suborbit_pairs(self, cap: int | None = None) -> Iterator[tuple[list[int], list[int]]]:
-        """suborbit_elements() as uncomposed image lists (h, t), in its order.
+        Blocks come in elements() order, each as elements() gives it.
 
         t is the coset representative of the block's point at the top
         level, h an element of the stabiliser G_b, and the element is h * t:
@@ -387,32 +373,24 @@ class PermGroup:
         with the group and with other pairs, so they must not be modified.
         Raises CapExceeded as elements() does.
         """
-        return self._pairs(cap, suborbits_only=True)
-
-    def _suborbit_minima(self) -> set[int]:
-        """The smallest point of each suborbit (see suborbit_elements)."""
-        top = self._levels[0].tree
-        stabiliser = self._gens_at(1)
+        levels = self._capped_chain(cap)
+        if not levels:
+            identity = list(range(self.degree))
+            yield identity, identity
+            return
+        stabiliser = levels[1].gens if len(levels) > 1 else []
         classes = components(self.degree, lambda p: [g[p] for g in stabiliser])
-        return {cls[0] for cls in classes if cls[0] in top}
+        minima = {cls[0] for cls in classes if cls[0] in levels[0].tree}
+        yield from _coset_pairs(levels, 0, self.degree, minima)
 
-    def _walk(self, cap: int | None, suborbits_only: bool) -> Iterator[Permutation]:
-        for h, t in self._pairs(cap, suborbits_only):
-            yield Permutation(tuple(kern.compose_images(h, t)))
-
-    def _pairs(self, cap: int | None,
-               suborbits_only: bool) -> Iterator[tuple[list[int], list[int]]]:
+    def _capped_chain(self, cap: int | None) -> list[_Level]:
+        """The chain, or CapExceeded if the group order exceeds the cap."""
         if cap is None:
             cap = DEFAULT_ENUMERATION_CAP
         order = self.order()
         if order > cap:
             raise CapExceeded(f"group order {order} exceeds cap {cap}")
-        if not self._levels:
-            identity = list(range(self.degree))
-            yield identity, identity
-            return
-        top = self._suborbit_minima() if suborbits_only else None
-        yield from _coset_pairs(self._levels, 0, self.degree, top)
+        return self._levels
 
 
 def _coset_pairs(levels: list[_Level], i: int, degree: int,

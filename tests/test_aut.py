@@ -22,6 +22,7 @@ from circulant_lab.errors import (
     NotArcTransitive,
     NotCubic,
     SearchTimeout,
+    StabiliserNotOfForm,
 )
 from circulant_lab.graphio import from_edges
 from circulant_lab.perm import PermGroup, Permutation, compose, from_cycle_string, identity
@@ -132,6 +133,15 @@ def test_tutte_rejects_disconnected():
                         + [(u + 4, v + 4) for u in range(4) for v in range(u + 1, 4)])
     with pytest.raises(NotArcTransitive):
         tutte_type(two_k4)
+
+
+def test_tutte_rejects_the_null_graph():
+    # cubic, connected and arc-transitive, all vacuously, but with no vertex
+    # stabiliser; the profile reports no arc type there
+    null = from_edges(0, [])
+    with pytest.raises(StabiliserNotOfForm):
+        tutte_type(null)
+    assert symmetry_profile(null).tutte_t is None
 
 
 def test_tutte_bound_on_fixture_corpus():
@@ -569,6 +579,20 @@ def _naive_trees(degree, generators, base):
     return trees
 
 
+def _sym8():
+    # Schreier-Sims gives Sym(8) seven levels, each with several strong generators
+    return PermGroup(8, [from_cycle_string("(0 1 2 3 4 5 6 7)", 8),
+                         from_cycle_string("(0 1)", 8)])
+
+
+def _sym8_from_chain():
+    # a Schreier-Sims chain handed over as a base and strong generating set
+    sims = _sym8()
+    base = sims.base()
+    return PermGroup.from_chain(
+        sims.degree, [Permutation(tuple(g)) for g in sims._levels[0].gens], base)
+
+
 def test_from_chain_grows_the_trees_of_the_naive_growth():
     # each tree tries only the generators that move a point; it must match
     # the growth that tries them all, parent, generator and FIFO order alike
@@ -576,17 +600,51 @@ def test_from_chain_grows_the_trees_of_the_naive_growth():
 
     groups = [automorphism_group(graph) for graph in (
         from_edges(60, []), generalized_petersen(60, 14), build_odd(5).graph)]
-    # a Schreier-Sims chain handed over as a base and strong generating set:
-    # Sym(8) has seven levels, each with several strong generators
-    sims = PermGroup(8, [from_cycle_string("(0 1 2 3 4 5 6 7)", 8),
-                         from_cycle_string("(0 1)", 8)])
-    base = sims.base()
-    groups.append(PermGroup.from_chain(
-        sims.degree, [Permutation(tuple(g)) for g in sims._strong_gens], base))
+    groups.append(_sym8_from_chain())
     for group in groups:
         trees = [list(lvl.tree.items()) for lvl in group._levels]
         assert len(trees) > 1
         assert trees == _naive_trees(group.degree, group.generators, group.base())
+
+
+def _chain_level_groups():
+    from circulant_lab.cli import build_even, build_odd
+
+    def arc_group(construction):
+        # a fresh group on the same generators, so Schreier-Sims builds its chain
+        return PermGroup(construction.graph.n, construction.arc_group.generators)
+
+    handed_over = [(f"search-{name}", lambda name=name: automorphism_group(fixtures.load(name)))
+                   for name in fixtures.NAMES]
+    handed_over += [
+        ("search-GP60-14", lambda: automorphism_group(generalized_petersen(60, 14))),
+        ("search-edgeless-30", lambda: automorphism_group(from_edges(30, []))),
+        ("from-chain-sym8", _sym8_from_chain),
+    ]
+    sifted = [
+        ("schreier-sims-odd-k3", lambda: arc_group(build_odd(3))),
+        ("schreier-sims-odd-k5", lambda: arc_group(build_odd(5))),
+        ("schreier-sims-even-1-7", lambda: arc_group(build_even(1, 7))),
+        ("schreier-sims-even-2-7", lambda: arc_group(build_even(2, 7))),
+        ("schreier-sims-sym8", _sym8),
+    ]
+    return ([pytest.param(make, True, id=name) for name, make in handed_over]
+            + [pytest.param(make, False, id=name) for name, make in sifted])
+
+
+@pytest.mark.parametrize("make, handed_over", _chain_level_groups())
+def test_each_level_keeps_the_strong_generators_fixing_the_base_above(make, handed_over):
+    group = make()
+    base = group.base()
+    levels = group._levels
+    strong = levels[0].gens
+    assert [lvl.gens for lvl in levels] == [
+        [g for g in strong if all(g[b] == b for b in base[:i])] for i in range(len(base))]
+    # every strong generator moves a base point, so it belongs to a level
+    assert all(any(g[b] != b for b in base) for g in strong)
+    if handed_over:
+        # a chain handed to from_chain keeps the generating set as it came
+        assert strong == [list(g.images) for g in group.generators]
 
 
 def test_order_and_base_of_a_searched_group_compose_nothing(monkeypatch):

@@ -191,6 +191,14 @@ def test_certify_rejects_a_group_that_is_not_automorphisms():
         certify_k_circulant(k33, 2, PermGroup(7, []))
 
 
+@pytest.mark.parametrize("cycles, degree", [("(0 1 2)", 3), ("(0 1 2 3 4 5)", 6)])
+def test_spectrum_rejects_a_group_of_another_degree(cycles, degree):
+    # the walk would read the wrong group's cycles: (4,) and (2, 4) on K4
+    k4 = fixtures.load("k4")
+    with pytest.raises(GroupNotAutomorphisms, match=f"group degree {degree} differs from n = 4"):
+        k_spectrum(k4, PermGroup(degree, [from_cycle_string(cycles, degree)]))
+
+
 def test_is_squarefree():
     assert is_squarefree(1) and is_squarefree(5) and is_squarefree(35)
     assert not is_squarefree(9) and not is_squarefree(45) and not is_squarefree(4)
