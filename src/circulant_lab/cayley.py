@@ -4,7 +4,8 @@ Works for any group object exposing ``identity()``, ``mul(a, b)`` and
 ``inv(a)`` whose element values are hashable and orderable.  Vertex 0 is the
 identity and the remaining vertices appear in BFS order from it, with the
 connection set iterated in sorted order, so every produced graph is
-byte-identical across runs.
+byte-identical across runs.  The walk that labels the vertices also lists
+each vertex's neighbours: the labels of g*s are g's row of the adjacency.
 """
 from __future__ import annotations
 
@@ -32,9 +33,10 @@ class CayleyLabeling:
 
 
 def cayley_graph(group, connection_set: Sequence) -> tuple[graphio.Graph, CayleyLabeling]:
-    """Cay(<S>, S): vertices are the closure of S, g adjacent to g*s."""
+    """Cay(<S>, S): vertices are the closure of S, g adjacent to g*s; g's
+    row is the sorted labels of g*s over the set S, as the walk meets them."""
     ident = group.identity()
-    S = sorted(connection_set)
+    S = sorted(set(connection_set))
     if ident in S:
         raise IdentityInS("identity element in connection set")
     for s in S:
@@ -43,9 +45,10 @@ def cayley_graph(group, connection_set: Sequence) -> tuple[graphio.Graph, Cayley
 
     vertex_of = {ident: 0}
     elements = [ident]
-    edges = set()
+    rows = []
     # elements grows while it is walked: it is the FIFO queue
-    for v, gv in enumerate(elements):
+    for gv in elements:
+        row = []
         for s in S:
             h = group.mul(gv, s)
             w = vertex_of.get(h)
@@ -53,9 +56,9 @@ def cayley_graph(group, connection_set: Sequence) -> tuple[graphio.Graph, Cayley
                 w = len(elements)
                 vertex_of[h] = w
                 elements.append(h)
-            edges.add((min(v, w), max(v, w)))
-    graph = graphio.from_edges(len(elements), sorted(edges))
-    return graph, CayleyLabeling(tuple(elements), vertex_of)
+            row.append(w)
+        rows.append(tuple(sorted(row)))
+    return graphio.Graph(tuple(rows)), CayleyLabeling(tuple(elements), vertex_of)
 
 
 def left_translation(group, labeling: CayleyLabeling, g) -> Permutation:

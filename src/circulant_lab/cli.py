@@ -31,7 +31,7 @@ from circulant_lab.errors import (
     CirculantError,
     SearchTimeout,
 )
-from circulant_lab.papergroups import OddElement, even_group, odd_group
+from circulant_lab.papergroups import even_group, odd_group
 from circulant_lab.perm import (
     DEFAULT_ENUMERATION_CAP,
     PermGroup,
@@ -39,6 +39,7 @@ from circulant_lab.perm import (
     compose,
     cycle_structure,
     is_semiregular,
+    power,
     to_cycle_string,
 )
 
@@ -55,57 +56,47 @@ class Construction:
     witness: Permutation
 
 
-def build_even(m: int, p: int) -> Construction:
-    group = even_group(m, p)
+def _build(family: str, params: dict, group, outer, expected_n: int,
+           expected_k: int) -> Construction:
+    """Both families' recipe: Cay(R, S) with S = {s, s^phi, s^phi^2} for the
+    order-3 automorphism phi = outer of R, the arc group <translations by S,
+    phi>, and the witness c = r phi^j as v -> label(r phi^j(element(v))):
+    phi's permutation taken j times, then the translation by r."""
     S = group.connection_set()
     graph, labeling = cayley_graph(group, S)
+    outer_perm = automorphism_from_group_automorphism(group, labeling, outer, S)
     translations = [left_translation(group, labeling, s) for s in S]
-    y_perm = automorphism_from_group_automorphism(group, labeling, group.apply_y, S)
-    arc_group = PermGroup(graph.n, translations + [y_perm])
+    arc_group = PermGroup(graph.n, translations + [outer_perm])
     c_elem, c_order = group.semiregular_generator()
-    witness = left_translation(group, labeling, c_elem)
+    r, j = group.split(c_elem)
+    witness = compose(power(outer_perm, j), left_translation(group, labeling, r))
+    return Construction(family, params, expected_n, expected_k, c_order,
+                        graph, labeling, arc_group, witness)
+
+
+def _check_vertex_limit(n: int) -> None:
+    # a file written past the limit is one that analyze refuses to read
+    if n > graphio.MAX_ORDER:
+        raise BadParams(f"n = {n} exceeds the vertex limit {graphio.MAX_ORDER}")
+
+
+def build_even(m: int, p: int) -> Construction:
+    if m < 1:
+        raise BadParams(f"m must be positive, got {m}")
     expected_n = 2 * m * m * p // (3 if m % 3 == 0 else 1)
-    return Construction(
-        family="even",
-        params={"m": m, "p": p, "alpha": group.params.alpha},
-        expected_n=expected_n,
-        expected_k=2 * m,
-        expected_c_order=c_order,
-        graph=graph,
-        labeling=labeling,
-        arc_group=arc_group,
-        witness=witness,
-    )
+    _check_vertex_limit(expected_n)
+    group = even_group(m, p)
+    return _build("even", {"m": m, "p": p, "alpha": group.params.alpha}, group,
+                  group.apply_y, expected_n, 2 * m)
 
 
 def build_odd(k: int) -> Construction:
     if k < 1 or k % 2 == 0:
         raise BadParams(f"k must be a positive odd integer (got {k}); "
                         "the 6k^2 family is defined for odd k only")
+    _check_vertex_limit(6 * k * k)
     group = odd_group(k)
-    S = group.connection_set()
-    graph, labeling = cayley_graph(group, S)
-    translations = [left_translation(group, labeling, s) for s in S]
-    sigma_perm = automorphism_from_group_automorphism(group, labeling, group.apply_sigma, S)
-    arc_group = PermGroup(graph.n, translations + [sigma_perm])
-    c_elem, c_order = group.semiregular_generator()
-    # the generator lies outside R: its vertex action is
-    # v -> label(r . sigma^j(element(v))), i.e. sigma-induced map then translation
-    r_part = OddElement(c_elem.a, c_elem.b, c_elem.hx, c_elem.hy, 0)
-    action = left_translation(group, labeling, r_part)
-    for _ in range(c_elem.j):
-        action = compose(sigma_perm, action)
-    return Construction(
-        family="odd",
-        params={"k": k},
-        expected_n=6 * k * k,
-        expected_k=k,
-        expected_c_order=c_order,
-        graph=graph,
-        labeling=labeling,
-        arc_group=arc_group,
-        witness=action,
-    )
+    return _build("odd", {"k": k}, group, group.apply_sigma, 6 * k * k, k)
 
 
 def verify_construction(cons: Construction) -> dict:

@@ -14,7 +14,8 @@ only the cycle of h * t through point 0 is followed, image by image.  The
 element is composed, and given the full semiregularity test, only when n
 over that cycle's length is a k still wanted: one with no witness yet in
 the spectrum, the requested one in a certificate.  The trivial k = n
-(identity witness) is always part of the spectrum; reports may filter it.
+(identity witness) is part of the spectrum whenever n >= 1; reports may
+filter it.
 """
 from __future__ import annotations
 
@@ -91,6 +92,8 @@ def _semiregular_elements(graph: graphio.Graph, group: PermGroup, cap: int | Non
     and fully tested only when its number is a wanted k.
     """
     n = graph.n
+    if n == 0:
+        return  # the null graph is a k-circulant for no k >= 1
     for h, t in group.suborbit_pairs(cap):
         length = 1
         if h:
@@ -110,9 +113,11 @@ def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
     """Spectrum { n/|g| : g in Aut, g semiregular } with one witness per k.
 
     Witnesses are the first hits in the deterministic element enumeration,
-    found by the suborbit walk.  Raises CapExceeded when |Aut| exceeds the
-    enumeration cap, and GroupNotAutomorphisms when a supplied group does
-    not act on the graph's n vertices.
+    found by the suborbit walk.  k = n is always in the spectrum for n >= 1;
+    the null graph's spectrum is empty, as a k-circulant needs k >= 1.
+    Raises CapExceeded when |Aut| exceeds the enumeration cap, and
+    GroupNotAutomorphisms when a supplied group does not act on the graph's
+    n vertices.
     """
     if group is None:
         group = aut_mod.automorphism_group(graph)

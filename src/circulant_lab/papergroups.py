@@ -148,6 +148,10 @@ class EvenGroup(_FamilyGroup):
             raise DegenerateS(f"connection set collapsed for params {self.params}")
         return out
 
+    def split(self, g: EvenElement) -> tuple[EvenElement, int]:
+        """(r, j) with g = r y^j: every element lies in R, so j = 0."""
+        return g, 0
+
     def semiregular_generator(self) -> tuple[EvenElement, int]:
         """Generator of C (u^3 w if 3 | m, else u w) and its verified order.
 
@@ -309,6 +313,10 @@ class OddGroup(_FamilyGroup):
             if not self.in_r(t):
                 raise AssertionError(f"connection element {t} left R")
         return out
+
+    def split(self, g: OddElement) -> tuple[OddElement, int]:
+        """(r, j) with g = r sigma^j and r in R."""
+        return OddElement(g.a, g.b, g.hx, g.hy, 0), g.j
 
     def semiregular_generator(self) -> tuple[OddElement, int]:
         """Generator of the cyclic semiregular C of order 6k.

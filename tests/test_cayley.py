@@ -145,3 +145,12 @@ def test_deterministic_construction():
     g2, l2 = cayley_graph(G, G.connection_set())
     assert g1 == g2
     assert l1.element_of_vertex == l2.element_of_vertex
+
+
+def test_repeated_connection_element_gives_the_same_graph():
+    G = odd_group(3)
+    S = G.connection_set()
+    graph, labeling = cayley_graph(G, S)
+    graph2, labeling2 = cayley_graph(G, S + (S[1],))
+    assert graph2 == graph
+    assert labeling2 == labeling

@@ -4,11 +4,12 @@ import hashlib
 import json
 import random
 import shutil
+import time
 from pathlib import Path
 
 import pytest
 
-from circulant_lab import cli, fixtures
+from circulant_lab import cli, fixtures, graphio
 from circulant_lab.cli import main
 from circulant_lab.errors import StabiliserNotOfForm
 from circulant_lab.graphio import MAX_ORDER, parse_edgelist, serialize
@@ -85,6 +86,42 @@ def test_construct_even_bad_params(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, "construct-even", "1", "5")
     assert code == 2 and "error" in err
+
+
+def test_construct_rejects_exactly_the_orders_past_the_vertex_limit(
+        tmp_path, capsys, monkeypatch):
+    # a written file must be one analyze can read back
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(graphio, "MAX_ORDER", 54)
+    code, out, _ = run_cli(capsys, "construct-odd", "3")
+    assert code == 0 and json.loads(out)["n"] == 54
+    code, _, _ = run_cli(capsys, "analyze", "odd_k3.edgelist")
+    assert code == 0
+    for argv, n in ((["construct-odd", "5"], 150), (["construct-even", "2", "7"], 56)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: n = {n} exceeds the vertex limit 54\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["odd_k3.edgelist"]
+
+
+@pytest.mark.parametrize("argv", [["construct-odd", "419"], ["construct-even", "400", "7"]],
+                         ids=["odd-419", "even-400-7"])
+def test_construct_past_the_vertex_limit_fails_before_any_group_arithmetic(
+        argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - started < 1.0
+    assert code == 2 and out == ""
+    assert f"exceeds the vertex limit {MAX_ORDER}" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_construct_even_names_a_bad_m_before_the_vertex_limit(tmp_path, capsys, monkeypatch):
+    # m = -1000 would give a closed-form n past the limit
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "construct-even", "-1000", "7")
+    assert code == 2 and err == "error: m must be positive, got -1000\n"
 
 
 def test_construct_unwritable_out_is_a_usage_error(tmp_path, capsys):
@@ -417,3 +454,32 @@ def test_analyze_output_is_pinned_for_the_largest_ladder_members(
     code, out, _ = run_cli(capsys, "analyze", "g.edgelist")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("construct,digests", [
+    (["construct-odd", "5"], (
+     "8b726c9566798ea7df904a9450323b0cd1610ddc9dceb7824ce37a1b63cf13cc",
+     "44dcda65b75ed95099a5f9972e6c21ed335dc55ea715a67fe4acf9945f6c75f9")),
+    (["construct-odd", "15"], (
+     "d4e501a5e3adcceaae61c4353cd43a3473ef33666121ed1bea9afbf06a0fee43",
+     "20904abad7447629475c24a5a876fadd0ae584edb3bc138d7b725db537e5a5d9")),
+    (["construct-odd", "21"], (
+     "49d569ace38283107ca9f734b28c81850be156410d2db0219b776f6643a2541f",
+     "36b4c7a85425420cf591bbf32d99e62b7f29d25705d0551f8f5ef40cfda82b10")),
+    (["construct-even", "2", "7"], (
+     "2029b48dbfaa9253ed09778823482ea14719a8f6159f606ec5113aa7aad51226",
+     "c0b1471e491d9d66c086a360089e873154f020b3f03742e14e8a91e0af954d8e")),
+    (["construct-even", "7", "13"], (
+     "1390aca99b80d6d3e5953e35ea945332859b24d9a0334583af8dc6258e024c53",
+     "a764a42284bc2086f3ce8f0934143622a6c332c0eb4b92c573df26dba0c494fd")),
+], ids=["odd-5", "odd-15", "odd-21", "even-2-7", "even-7-13"])
+@pytest.mark.parametrize("fmt", ["edgelist", "graph6"])
+def test_construct_output_is_pinned(construct, digests, fmt, tmp_path, capsys, monkeypatch):
+    # the written file pins the labeling, and the report's witness images
+    # pin the witness
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *construct, "--format", fmt)
+    assert code == 0
+    written = (tmp_path / json.loads(out)["graph_file"]).read_bytes()
+    digest = hashlib.sha256(out.encode() + written).hexdigest()
+    assert digest == digests[fmt == "graph6"]

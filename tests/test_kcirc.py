@@ -92,6 +92,16 @@ def test_certify_k_must_divide_n():
         certify_k_circulant(fixtures.load("petersen"), 3)
 
 
+def test_null_graph_spectrum_is_empty():
+    # a k-circulant needs k >= 1, and certify already refuses k = 0 there
+    null = from_edges(0, [])
+    report = k_spectrum(null)
+    assert report.spectrum == () and report.witnesses == {}
+    assert report.to_json_dict()["spectrum"] == []
+    with pytest.raises(KDoesNotDivideN):
+        certify_k_circulant(null, 0)
+
+
 ARC_TRANSITIVE_GP = ((4, 1), (5, 2), (8, 3), (10, 2), (10, 3), (12, 5), (24, 5))
 
 CERTIFY_CASES = [(name, "search") for name in fixtures.NAMES] + [

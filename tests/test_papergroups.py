@@ -328,3 +328,18 @@ def test_element_rendering():
     O = odd_group(5)
     assert O.render(O.element(2, 3, 2, 1, 1)) == "u^2 v^3 x^2 y sigma^1"
     assert O.render(O.identity()) == "u^0 v^0 1 sigma^0"
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_odd_split_recomposes_every_element(k):
+    G = odd_group(k)
+    for g in G.all_elements():
+        r, j = G.split(g)
+        assert G.in_r(r) and 0 <= j < 3
+        assert G.mul(r, G.element(0, 0, 0, 0, j)) == g
+
+
+def test_even_split_is_the_element_itself():
+    G = even_group(2, 7)
+    for g in G.all_elements():
+        assert G.split(g) == (g, 0)
