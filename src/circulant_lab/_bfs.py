@@ -1,10 +1,10 @@
 """The first-in-first-out walks behind every breadth-first search here.
 
 ``reach`` and ``components`` are the orbit algorithm: connectivity, the
-search's vertex order, group orbits and the arc orbit are all one of them.
-Callers that act on each edge (a Schreier tree, a Cayley graph, the girth)
-walk their own list the same way: it grows while it is walked, so it is
-the FIFO queue.
+search's vertex order and group orbits are all one of them.  Callers that
+act on each edge (a Schreier tree, a Cayley graph, the girth) or walk
+integer-coded nodes in a hot loop (the arc orbit) walk their own list the
+same way: it grows while it is walked, so it is the FIFO queue.
 """
 from __future__ import annotations
 

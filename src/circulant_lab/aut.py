@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from circulant_lab import _kernels as kern
 from circulant_lab import graphio
-from circulant_lab._bfs import components, reach
+from circulant_lab._bfs import components
 from circulant_lab.errors import (
     GroupNotAutomorphisms,
     NotArcTransitive,
@@ -214,15 +214,26 @@ def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
 def is_arc_transitive(graph: graphio.Graph, group: PermGroup) -> bool:
     """True iff the group is transitive on ordered pairs of adjacent vertices.
 
-    Computed as the orbit of one fixed arc; vacuously true for edgeless
-    graphs.  Raises GroupNotAutomorphisms if a generator breaks an edge.
+    Computed as the orbit of one fixed arc, each arc (u, v) numbered
+    u*n + v; vacuously true for edgeless graphs.  Raises
+    GroupNotAutomorphisms if a generator breaks an edge.
     """
     check_all_automorphisms(graph, group)
     total_arcs = 2 * graph.edge_count
     if total_arcs == 0:
         return True
+    n = graph.n
     images = [g.images for g in group.generators]
-    orbit = reach([next(graph.arcs())], lambda uv: [(im[uv[0]], im[uv[1]]) for im in images])
+    u, v = next(graph.arcs())
+    orbit = [u * n + v]
+    seen = set(orbit)
+    for arc in orbit:  # orbit grows while it is walked: it is the FIFO queue
+        u, v = divmod(arc, n)
+        for im in images:
+            image = im[u] * n + im[v]
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
     return len(orbit) == total_arcs
 
 

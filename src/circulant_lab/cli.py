@@ -61,7 +61,9 @@ def _build(family: str, params: dict, group, outer, expected_n: int,
     """Both families' recipe: Cay(R, S) with S = {s, s^phi, s^phi^2} for the
     order-3 automorphism phi = outer of R, the arc group <translations by S,
     phi>, and the witness c = r phi^j as v -> label(r phi^j(element(v))):
-    phi's permutation taken j times, then the translation by r."""
+    phi's permutation taken j times, then the translation by r.  Every
+    translation and phi's permutation are carried along the Cayley walk
+    (see cayley), with no group arithmetic per vertex."""
     S = group.connection_set()
     graph, labeling = cayley_graph(group, S)
     outer_perm = automorphism_from_group_automorphism(group, labeling, outer, S)

@@ -150,3 +150,35 @@ def partition_of(colors) -> set[frozenset[int]]:
     for v, c in enumerate(colors):
         cells.setdefault(c, set()).add(v)
     return {frozenset(cell) for cell in cells.values()}
+
+
+def left_translation_by_multiplication(group, labeling, g) -> tuple[int, ...]:
+    """Images of v -> label(g * element(v)), one group product per vertex:
+    the definition the library's transported translation must agree with."""
+    return tuple(labeling.vertex_of_element[group.mul(g, h)]
+                 for h in labeling.element_of_vertex)
+
+
+def automorphism_by_substitution(labeling, phi) -> tuple[int, ...]:
+    """Images of v -> label(phi(element(v))), phi applied to every vertex's
+    element: the definition of the induced vertex permutation."""
+    return tuple(labeling.vertex_of_element[phi(h)] for h in labeling.element_of_vertex)
+
+
+def arc_orbit_of_tuples(graph: Graph, generators) -> set[tuple[int, int]]:
+    """The orbit of the graph's first arc under the generators, walked as
+    (u, v) tuples; empty for an edgeless graph."""
+    start = next(graph.arcs(), None)
+    if start is None:
+        return set()
+    images = [g.images for g in generators]
+    orbit = {start}
+    todo = [start]
+    while todo:
+        u, v = todo.pop()
+        for im in images:
+            arc = (im[u], im[v])
+            if arc not in orbit:
+                orbit.add(arc)
+                todo.append(arc)
+    return orbit

@@ -17,6 +17,7 @@ from circulant_lab.aut import (
     symmetry_profile,
     tutte_type,
 )
+from circulant_lab.cli import build_even, build_odd
 from circulant_lab.errors import (
     GroupNotAutomorphisms,
     NotArcTransitive,
@@ -27,6 +28,7 @@ from circulant_lab.errors import (
 from circulant_lab.graphio import from_edges
 from circulant_lab.perm import PermGroup, Permutation, compose, from_cycle_string, identity
 from helpers import (
+    arc_orbit_of_tuples,
     brute_force_automorphisms,
     generalized_petersen,
     random_cubic_graph,
@@ -104,6 +106,55 @@ def test_arc_transitive_rejects_non_automorphisms():
     bogus = PermGroup(6, [from_cycle_string("(0 3)", 6)])  # swaps across parts badly
     with pytest.raises(GroupNotAutomorphisms):
         is_arc_transitive(k33, bogus)
+
+
+def _tuple_walk_says_arc_transitive(graph, group):
+    return len(arc_orbit_of_tuples(graph, group.generators)) == 2 * graph.edge_count
+
+
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_arc_walk_matches_the_tuple_walk_on_one_generator_subgroups(name):
+    graph = fixtures.load(name)
+    full = automorphism_group(graph)
+    assert is_arc_transitive(graph, full) and _tuple_walk_says_arc_transitive(graph, full)
+    gens = full.generators
+    for g in list(gens) + [compose(gens[0], gens[-1])]:
+        cyclic = PermGroup(graph.n, [g])
+        assert len(arc_orbit_of_tuples(graph, [g])) < 2 * graph.edge_count
+        assert not is_arc_transitive(graph, cyclic)
+
+
+@pytest.mark.parametrize("build,params", [
+    (build_odd, (3,)), (build_odd, (5,)), (build_even, (1, 7)),
+], ids=["odd-3", "odd-5", "even-1-7"])
+def test_arc_walk_matches_the_tuple_walk_on_arc_groups(build, params):
+    cons = build(*params)
+    assert _tuple_walk_says_arc_transitive(cons.graph, cons.arc_group)
+    assert is_arc_transitive(cons.graph, cons.arc_group)
+    # without the outer automorphism the translations are regular on the
+    # vertices: one arc of every three is reached
+    translations = PermGroup(cons.graph.n, cons.arc_group.generators[:-1])
+    assert len(arc_orbit_of_tuples(cons.graph, translations.generators)) == cons.graph.n
+    assert not is_arc_transitive(cons.graph, translations)
+
+
+@pytest.mark.parametrize("edges,expected", [
+    ([(1, 2), (2, 3), (3, 4), (4, 1)], True),   # a 4-cycle beside vertex 0
+    ([(1, 2), (2, 3)], False),                  # a path beside vertex 0
+], ids=["cycle", "path"])
+def test_arc_walk_with_vertex_0_isolated(edges, expected):
+    graph = from_edges(5, edges)
+    assert next(graph.arcs())[0] != 0
+    group = automorphism_group(graph)
+    assert _tuple_walk_says_arc_transitive(graph, group) is expected
+    assert is_arc_transitive(graph, group) is expected
+
+
+def test_arc_walk_on_the_edgeless_graph_is_vacuously_true():
+    graph = from_edges(4, [])
+    assert arc_orbit_of_tuples(graph, []) == set()
+    assert is_arc_transitive(graph, automorphism_group(graph))
+    assert is_arc_transitive(graph, PermGroup(4, []))
 
 
 def test_tutte_types():

@@ -1,4 +1,6 @@
 """Cayley graph construction and induced vertex permutations."""
+import random
+
 import pytest
 
 from circulant_lab import fixtures
@@ -7,11 +9,21 @@ from circulant_lab.cayley import (
     cayley_graph,
     left_translation,
 )
-from circulant_lab.errors import ElementOutsideR, IdentityInS, NotInverseClosed, PhiDoesNotPreserveS
+from circulant_lab.errors import (
+    ConnectionSetMismatch,
+    ElementOutsideR,
+    IdentityInS,
+    NotInverseClosed,
+    PhiDoesNotPreserveS,
+)
 from circulant_lab.graphio import girth, is_connected, is_cubic
 from circulant_lab.papergroups import even_group, odd_group
 from circulant_lab.perm import cycle_structure, identity, is_semiregular
-from helpers import brute_force_isomorphic
+from helpers import (
+    automorphism_by_substitution,
+    brute_force_isomorphic,
+    left_translation_by_multiplication,
+)
 
 
 def test_odd_k1_is_k33():
@@ -154,3 +166,84 @@ def test_repeated_connection_element_gives_the_same_graph():
     graph2, labeling2 = cayley_graph(G, S + (S[1],))
     assert graph2 == graph
     assert labeling2 == labeling
+
+
+def test_phi_not_fixing_the_identity_rejected():
+    # preserves S as a set but moves the identity: not a group automorphism
+    G = odd_group(3)
+    S = G.connection_set()
+    _, labeling = cayley_graph(G, S)
+    u = G.element(1, 0, 0, 0)
+    swap = {G.identity(): u, u: G.identity()}
+    with pytest.raises(PhiDoesNotPreserveS):
+        automorphism_from_group_automorphism(G, labeling, lambda g: swap.get(g, g), S)
+
+
+@pytest.mark.parametrize("other", ["empty", "larger"])
+def test_phi_with_another_connection_set_rejected(other):
+    # sigma preserves both sets, but the labeling was walked along S: its
+    # steps would be read with another set's indices
+    G = odd_group(3)
+    S = G.connection_set()
+    _, labeling = cayley_graph(G, S)
+    u = G.element(1, 0, 0, 0)
+    wrong = () if other == "empty" else S + (u, G.apply_sigma(u), G.apply_sigma(G.apply_sigma(u)))
+    assert set(map(G.apply_sigma, wrong)) == set(wrong)
+    with pytest.raises(ConnectionSetMismatch):
+        automorphism_from_group_automorphism(G, labeling, G.apply_sigma, wrong)
+
+
+def test_phi_takes_the_connection_set_in_any_order():
+    G = odd_group(5)
+    S = G.connection_set()
+    _, labeling = cayley_graph(G, S)
+    expected = automorphism_from_group_automorphism(G, labeling, G.apply_sigma, S)
+    for same in (tuple(reversed(S)), S + S[:1], sorted(S)):
+        assert automorphism_from_group_automorphism(
+            G, labeling, G.apply_sigma, same) == expected
+
+
+def _family_member(family, params):
+    G = odd_group(*params) if family == "odd" else even_group(*params)
+    outer = G.apply_sigma if family == "odd" else G.apply_y
+    S = G.connection_set()
+    _, labeling = cayley_graph(G, S)
+    return G, outer, S, labeling
+
+
+def _translation_members(G, S, labeling, seed):
+    """S, the witness's r, and a seeded sample of the other vertices."""
+    r, _ = G.split(G.semiregular_generator()[0])
+    sample = random.Random(seed).sample(labeling.element_of_vertex[1:], 12)
+    members = list(S) + [r] + sample
+    assert any(g not in S for g in sample)
+    return members
+
+
+def test_transported_translations_match_multiplication_at_every_element():
+    G, _, _, labeling = _family_member("odd", (3,))
+    elements = list(G.r_elements())
+    assert len(elements) == labeling.n == 54
+    for g in elements:
+        assert left_translation(G, labeling, g).images == \
+            left_translation_by_multiplication(G, labeling, g), G.render(g)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("odd", (5,)), ("odd", (7,)), ("even", (1, 7)), ("even", (2, 7)), ("even", (4, 7)),
+], ids=["odd-5", "odd-7", "even-1-7", "even-2-7", "even-4-7"])
+def test_transported_translations_match_multiplication(family, params):
+    G, _, S, labeling = _family_member(family, params)
+    for g in _translation_members(G, S, labeling, seed=sum(params)):
+        assert left_translation(G, labeling, g).images == \
+            left_translation_by_multiplication(G, labeling, g), G.render(g)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("odd", (3,)), ("odd", (5,)), ("odd", (7,)),
+    ("even", (1, 7)), ("even", (2, 7)), ("even", (4, 7)),
+], ids=["odd-3", "odd-5", "odd-7", "even-1-7", "even-2-7", "even-4-7"])
+def test_transported_outer_automorphism_matches_substitution(family, params):
+    G, outer, S, labeling = _family_member(family, params)
+    perm = automorphism_from_group_automorphism(G, labeling, outer, S)
+    assert perm.images == automorphism_by_substitution(labeling, outer)

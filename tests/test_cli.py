@@ -483,3 +483,17 @@ def test_construct_output_is_pinned(construct, digests, fmt, tmp_path, capsys, m
     written = (tmp_path / json.loads(out)["graph_file"]).read_bytes()
     digest = hashlib.sha256(out.encode() + written).hexdigest()
     assert digest == digests[fmt == "graph6"]
+
+
+@pytest.mark.parametrize("build,params,digest", [
+    (cli.build_odd, (5,), "5869aa7395ec99235cad7c8c02bd61c9a6d2085608c7511bd13ebdaa3efd14cb"),
+    (cli.build_odd, (15,), "61c19938c23b410a13d4d437cdf7ca2050fcb64e102e03b17991a5d843ed5322"),
+    (cli.build_odd, (21,), "39c236dba5cc6a8ad0fb6ee71608b99732dde3b31c3c95c1b81e8503be15f947"),
+    (cli.build_even, (2, 7), "5344ff85cf3781d510102b6dbca62d26e833147d2796801e5553eec095c6df29"),
+    (cli.build_even, (7, 13), "05613966b35acb48b1b65af4bd24ae68ef734357029249f61d7a88421c70451f"),
+], ids=["odd-5", "odd-15", "odd-21", "even-2-7", "even-7-13"])
+def test_arc_group_generators_are_pinned(build, params, digest):
+    # the translations by S and the outer automorphism, image by image, as
+    # they were when each was computed by one group operation per vertex
+    gens = build(*params).arc_group.generators
+    assert hashlib.sha256(repr([g.images for g in gens]).encode()).hexdigest() == digest
