@@ -6,14 +6,20 @@ cycles is invariant under conjugation, so the spectrum walks one coset
 block per suborbit (``PermGroup.suborbit_pairs``): the |G_b| elements
 mapping the first base point b to the smallest point of each orbit of the
 stabiliser G_b, over the stabilizer chain the automorphism search hands
-over.  Witnesses are the first hits in that walk, which are exactly the
-first hits in the enumeration of the whole group, so they follow the
-search's base and coset representatives.  The walk hands out each element
-uncomposed, as a stabiliser element h and a coset representative t, and
-only the cycle of h * t through point 0 is followed, image by image.  The
-element is composed, and given the full semiregularity test, only when n
-over that cycle's length is a k still wanted: one with no witness yet in
-the spectrum, the requested one in a certificate.  The trivial k = n
+over.  An element that fixes a point is the identity or not semiregular,
+so the walk drops elements that fix a base point, whole subtrees of the
+chain at a time.  It comes by depth-first order of the top Schreier tree,
+holding one path of coset representatives, so blocks do not come by
+ascending point: a witness is the hit with the smallest block point, the
+first in its block, which is exactly the first hit in the enumeration of
+the whole group.  Witnesses thus follow the search's base and coset
+representatives.  The walk hands out each element uncomposed, as a
+stabiliser element h and a coset representative t, and only the cycle of
+h * t through point 0 is followed, image by image.  The element is
+composed, and given the full semiregularity test, only when n over that
+cycle's length is a k still wanted: one with no witness from a smaller
+block point yet, in the spectrum; the requested one, in a certificate,
+which skips every block from its best hit's point on.  The trivial k = n
 (identity witness) is part of the spectrum whenever n >= 1; reports may
 filter it.
 """
@@ -82,40 +88,43 @@ def is_squarefree(k: int) -> bool:
 
 
 def _semiregular_elements(graph: graphio.Graph, group: PermGroup, cap: int | None,
-                          wanted: Callable[[int], bool]) -> Iterator[tuple[int, Permutation]]:
-    """(number of cycles, element) for each semiregular element of the
-    suborbit walk whose number of cycles is wanted, in walk order.
+                          wanted: Callable[[int, int], bool],
+                          until: Callable[[], int] | None = None
+                          ) -> Iterator[tuple[int, int, Permutation]]:
+    """(block point, number of cycles, element) for each semiregular element
+    of the walk whose number of cycles k is wanted(k, block point), in walk
+    order; until is the walk's, which skips the blocks from its point on.
 
     All cycles of a semiregular element have one length, so the cycle
     through point 0 gives their number.  That cycle of g = h * t is
     followed as j -> t[h[j]], in as many steps as it is long; g is composed
-    and fully tested only when its number is a wanted k.
+    and fully tested only when its number is wanted.
     """
     n = graph.n
     if n == 0:
         return  # the null graph is a k-circulant for no k >= 1
-    for h, t in group.suborbit_pairs(cap):
+    for pt, h, t in group.suborbit_pairs(cap, until):
         length = 1
-        if h:
-            j = t[h[0]]
-            while j:
-                j = t[h[j]]
-                length += 1
-        if n % length or not wanted(n // length):
+        j = t[h[0]]
+        while j:
+            j = t[h[j]]
+            length += 1
+        if n % length or not wanted(n // length, pt):
             continue
         images = kern.compose_images(h, t)
         if kern.is_semiregular_images(images):
-            yield n // length, Permutation(tuple(images))
+            yield pt, n // length, Permutation(tuple(images))
 
 
 def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
                cap: int | None = None) -> SpectrumReport:
     """Spectrum { n/|g| : g in Aut, g semiregular } with one witness per k.
 
-    Witnesses are the first hits in the deterministic element enumeration,
-    found by the suborbit walk.  k = n is always in the spectrum for n >= 1;
-    the null graph's spectrum is empty, as a k-circulant needs k >= 1.
-    Raises CapExceeded when |Aut| exceeds the enumeration cap, and
+    Each witness is the first hit for its k in the deterministic element
+    enumeration: of the walk's hits, the one with the smallest block point,
+    and the first in its block.  k = n is always in the spectrum for
+    n >= 1; the null graph's spectrum is empty, as a k-circulant needs
+    k >= 1.  Raises CapExceeded when |Aut| exceeds the enumeration cap, and
     GroupNotAutomorphisms when a supplied group does not act on the graph's
     n vertices.
     """
@@ -123,10 +132,12 @@ def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
         group = aut_mod.automorphism_group(graph)
     elif group.degree != graph.n:
         raise GroupNotAutomorphisms(f"group degree {group.degree} differs from n = {graph.n}")
-    witnesses: dict[int, Permutation] = {}
-    for k, g in _semiregular_elements(graph, group, cap, lambda k: k not in witnesses):
-        witnesses[k] = g
-    return SpectrumReport(graph.n, tuple(sorted(witnesses)), witnesses)
+    best: dict[int, tuple[int, Permutation]] = {}
+    for pt, k, g in _semiregular_elements(
+            graph, group, cap, lambda k, pt: k not in best or pt < best[k][0]):
+        best[k] = pt, g
+    witnesses = {k: best[k][1] for k in sorted(best)}
+    return SpectrumReport(graph.n, tuple(witnesses), witnesses)
 
 
 def check_order_bound(report: SpectrumReport) -> tuple[BoundFinding, ...]:
@@ -154,9 +165,10 @@ def certify_k_circulant(graph: graphio.Graph, k: int,
                         cap: int | None = None) -> Permutation | None:
     """A verified semiregular witness with k cycles, or None.
 
-    The witness is the first hit for k in the element stream that
-    k_spectrum walks, and it is re-verified from scratch: cycle structure
-    and adjacency preservation are both checked before returning.  The
+    The witness is the one k_spectrum gives for k: the hit with the
+    smallest block point, the first in its block.  Each hit is re-verified
+    from scratch, cycle structure and adjacency preservation, before it is
+    kept, and the walk skips every block from the kept hit's point on.  The
     suborbit walk may skip elements only because every element of the
     group is an automorphism, so a caller-supplied group is checked first:
     GroupNotAutomorphisms if a generator breaks an edge.
@@ -169,14 +181,16 @@ def certify_k_circulant(graph: graphio.Graph, k: int,
     else:
         aut_mod.check_all_automorphisms(graph, group)
     want = n // k
-    for _, g in _semiregular_elements(graph, group, cap, lambda c: c == k):
+    best: tuple[int, Permutation | None] = (n, None)  # every block point is below n
+    for pt, _, g in _semiregular_elements(graph, group, cap, lambda c, pt: c == k and pt < best[0],
+                                          lambda: best[0]):
         structure = cycle_structure(g)
         if structure.element_order != want or not all(l == want for l in structure.cycle_lengths):
             continue
         if not aut_mod.is_automorphism(graph, g):
             continue
-        return g
-    return None
+        best = pt, g
+    return best[1]
 
 
 def edge_reversing_involution_check(graph: graphio.Graph, c_generator: Permutation) -> bool:

@@ -8,29 +8,35 @@ caller supplies, Schreier-Sims builds it (base points are smallest moved
 points).  The automorphism search hands over the base and strong generating
 set it found (``PermGroup.from_chain``), so nothing is sifted.  Either way
 each level is the Schreier tree of one FIFO orbit walk, the order is the
-product of the tree sizes, and a coset representative is composed along
-its tree path only when a sift or enumeration first needs it, so repeated
-runs produce identical element streams.  Enumeration walks pairs (h, t)
-of a top-level coset representative t and an element h of the stabiliser
-below.  ``elements`` composes each h * t; ``suborbit_pairs`` hands out,
-uncomposed, only the pairs of one coset block per suborbit, which is all
-that conjugacy-invariant questions need, so a caller that reads a few
-images of each element (``kcirc`` follows one cycle) composes only the
-candidates it keeps.
+product of the tree sizes, and a coset representative a sift or
+``elements`` needs is composed along its tree path on first request and
+kept, so repeated runs produce identical element streams.  Enumeration
+walks pairs (h, t) of a top-level coset representative t and an element h
+of the stabiliser below; ``elements`` composes each h * t.
+``suborbit_pairs`` is the spectrum's walk: it hands out, uncomposed, only
+the blocks of one point per suborbit, less elements that fix a base point
+(all but the identity in the first base point's block), so a caller that
+reads a few images of each element (``kcirc`` follows one cycle) composes
+only the candidates it keeps.  It walks the top Schreier tree depth first
+and holds the representatives of one tree path only, adding none to the
+level.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from operator import ne
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from circulant_lab import _kernels as kern
 from circulant_lab._bfs import components
 from circulant_lab.errors import CapExceeded, DegreeMismatch
 
 DEFAULT_ENUMERATION_CAP = 2 ** 24
+# suborbit_pairs keeps the first base point's stabiliser as a list of
+# elements up to this order (a cubic arc-transitive graph's is at most 48)
+KEPT_STABILISER = 64
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,8 @@ class _Level:
     Schreier tree: each point of its orbit under gens, in FIFO order, maps
     to the point it was reached from and the generator that reached it (the
     base point to None).  A coset representative is composed on first
-    request and kept in reps.
+    request and kept in reps; the spectrum's walk (PermGroup.suborbit_pairs)
+    reads those kept but composes its own and keeps none.
 
     With movers (a dict), the tree tries at each point only the generators
     that move it: movers[pt] lists them, in the order of gens.  It is
@@ -355,33 +362,102 @@ class PermGroup:
         for images in _products(self._capped_chain(cap), 0, self.degree):
             yield Permutation(tuple(images))
 
-    def suborbit_pairs(self, cap: int | None = None) -> Iterator[tuple[list[int], list[int]]]:
-        """The blocks of elements() whose point is the smallest of its
-        suborbit, each element as an uncomposed pair (h, t) of image lists.
+    def suborbit_pairs(self, cap: int | None = None, until: Callable[[], int] | None = None
+                       ) -> Iterator[tuple[int, list[int], list[int]]]:
+        """The elements of elements() that the spectrum needs, as triples
+        (pt, h, t): pt is the element's block point, and h * t the element,
+        uncomposed.
 
-        A suborbit is an orbit of the stabiliser G_b of the first base point
-        b on b's orbit.  Conjugating by G_b maps block pt onto block h(pt)
-        and keeps cycle types, so every conjugacy-invariant question about
-        the group is answered by these |G_b| * (number of suborbits)
-        elements, and its first hit here is its first hit in elements().
-        Blocks come in elements() order, each as elements() gives it.
+        Block pt holds the |G_b| elements that map the first base point b
+        to pt, and a suborbit is an orbit of the stabiliser G_b on b's
+        orbit.  Conjugating by G_b maps block pt onto block h(pt) and keeps
+        cycle types, so a conjugacy-invariant question is answered by the
+        blocks of the suborbits' smallest points.  A question about
+        semiregular elements needs fewer still: an element that fixes a
+        point is the identity or not semiregular.  So the walk yields the
+        identity first, as block b's only element, and then the blocks of
+        the other smallest points, dropping only elements that fix a base
+        point:
 
-        t is the coset representative of the block's point at the top
-        level, h an element of the stabiliser G_b, and the element is h * t:
-        it maps x to t[h[x]], and ``compose_images(h, t)`` forms it.  The
-        trivial group yields (identity, identity).  Both lists are shared
-        with the group and with other pairs, so they must not be modified.
-        Raises CapExceeded as elements() does.
+        - Write an element as g = t_{L-1} * ... * t_1 * t_0, one coset
+          representative per level, so that g(x) = t_0[t_1[...[x]]].  Then
+          g(b_j) = t_0[...t_j[b_j]] is known once levels 0..j are chosen.
+          Below the top level the representatives are tried level by level
+          in ascending point order, and a choice at which g fixes b_j drops
+          its whole subtree.  A block's elements thus come in elements()
+          order.
+        - When G_b has at most KEPT_STABILISER elements, they are composed
+          once and every block tries them all, in elements() order: a
+          check per element would cost more than it saves.
+
+        Blocks come in depth-first order of the top level's Schreier tree,
+        not by point, with the subtree holding the smaller block point
+        first.  A representative is read where the level keeps it, and
+        otherwise composed from its parent's and held only while the walk
+        is below it.  So the walk holds one tree path of representatives
+        and adds none to the level.  With until, a block or subtree whose
+        points are all at least until() (read as the walk gets there) is
+        skipped.
+
+        t is the top level's representative of pt, h an element of G_b,
+        and the element maps x to t[h[x]]: ``compose_images(h, t)`` forms
+        it.  The trivial group yields (0, identity, identity).  Both lists
+        may be shared with the group and with other triples, so they must
+        not be modified.  Raises CapExceeded before the first triple if the
+        group order exceeds the cap.
         """
         levels = self._capped_chain(cap)
+        identity = list(range(self.degree))
         if not levels:
-            identity = list(range(self.degree))
-            yield identity, identity
+            yield 0, identity, identity
             return
-        stabiliser = levels[1].gens if len(levels) > 1 else []
+        top, below = levels[0], levels[1:]
+        b, tree, kept = top.base, top.tree, top.reps
+        yield b, identity, identity
+        stabiliser = below[0].gens if below else []
         classes = components(self.degree, lambda p: [g[p] for g in stabiliser])
-        minima = {cls[0] for cls in classes if cls[0] in levels[0].tree}
-        yield from _coset_pairs(levels, 0, self.degree, minima)
+        minima = {cls[0] for cls in classes if cls[0] in tree and cls[0] != b}
+        # the top tree's nodes on the paths to the minima from the nearest
+        # kept representative, each with the smallest minimum below it:
+        # roots and children come by ascending smallest minimum
+        smallest: dict[int, int] = {}
+        children: dict[int, list[int]] = {}
+        roots = []
+        for m in sorted(minima):
+            pt = m
+            while pt not in smallest:
+                smallest[pt] = m
+                if pt in kept:
+                    roots.append(pt)
+                    break
+                parent = tree[pt][0]
+                children.setdefault(parent, []).append(pt)
+                pt = parent
+        # G_b is walked once per block: keep its elements when they are few
+        few = None
+        if math.prod(len(lvl.tree) for lvl in below) <= KEPT_STABILISER:
+            few = list(_products(below, 0, self.degree))
+        stack = [(pt, identity) for pt in reversed(roots)]
+        limit = self.degree
+        while stack:
+            pt, parent_rep = stack.pop()
+            if until is not None:
+                limit = until()
+                if smallest[pt] >= limit:
+                    continue
+            t = kept.get(pt)
+            if t is None:
+                t = kern.compose_images(parent_rep, tree[pt][1])
+            if pt in minima and pt < limit:
+                if few is None:
+                    for h in _moving_products(below, 0, t, identity, identity):
+                        yield pt, h, t
+                else:
+                    for h in few:
+                        yield pt, h, t
+            kids = children.get(pt)
+            if kids:
+                stack.extend(zip(reversed(kids), repeat(t)))
 
     def _capped_chain(self, cap: int | None) -> list[_Level]:
         """The chain, or CapExceeded if the group order exceeds the cap."""
@@ -393,12 +469,10 @@ class PermGroup:
         return self._levels
 
 
-def _coset_pairs(levels: list[_Level], i: int, degree: int,
-                 points: set[int] | None = None) -> Iterator[tuple[list[int], list[int]]]:
+def _coset_pairs(levels: list[_Level], i: int, degree: int) -> Iterator[tuple[list[int], list[int]]]:
     """(h, t) for each coset representative t of level i, by ascending orbit
-    point (only the given points, if any), and each element h of the chain
-    below, in _products order: the products h * t are level i's group in
-    elements() order.
+    point, and each element h of the chain below, in _products order: the
+    products h * t are level i's group in elements() order.
 
     A module function, not a closure: a recursive closure is a reference
     cycle, and it would keep the group and its transversals alive after the
@@ -409,7 +483,7 @@ def _coset_pairs(levels: list[_Level], i: int, degree: int,
     # elements when they take no more room than this transversal
     stabiliser_order = math.prod(len(lower.tree) for lower in levels[i + 1:])
     below = list(_products(levels, i + 1, degree)) if stabiliser_order <= len(tree) else None
-    for pt in sorted(tree if points is None else points):
+    for pt in sorted(tree):
         t = levels[i].rep(pt)
         for h in _products(levels, i + 1, degree) if below is None else below:
             yield h, t
@@ -423,3 +497,30 @@ def _products(levels: list[_Level], i: int, degree: int) -> Iterator[list[int]]:
         return
     for h, t in _coset_pairs(levels, i, degree):
         yield kern.compose_images(h, t)
+
+
+def _moving_products(levels: list[_Level], i: int, t0: list[int], prefix: list[int],
+                     identity: list[int]) -> Iterator[list[int]]:
+    """Each element h of the chain from level i down, composed before
+    prefix (x -> prefix[h[x]]), in elements() order, except those for
+    which x -> t0[prefix[h[x]]] fixes a base point of these levels.  The
+    representative of a point pt of level i maps its base point to pt, and
+    the levels below fix it, so that element sends the base point to
+    t0[prefix[pt]] whatever is chosen below.  Composing with the identity
+    prefix, or with a base point's representative, is skipped.
+    """
+    if i == len(levels):
+        yield prefix
+        return
+    lvl = levels[i]
+    b = lvl.base
+    for pt in sorted(lvl.tree):
+        if t0[prefix[pt]] == b:
+            continue
+        if pt == b:
+            below = prefix
+        elif prefix is identity:
+            below = lvl.rep(pt)
+        else:
+            below = kern.compose_images(lvl.rep(pt), prefix)
+        yield from _moving_products(levels, i + 1, t0, below, identity)

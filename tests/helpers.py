@@ -182,3 +182,32 @@ def arc_orbit_of_tuples(graph: Graph, generators) -> set[tuple[int, int]]:
                 orbit.add(arc)
                 todo.append(arc)
     return orbit
+
+
+def cfi_graph(base: Graph) -> Graph:
+    """The Cai-Fürer-Immerman graph over a cubic base graph (untwisted).
+
+    Each base vertex v becomes ten vertices, numbered from 10 * v: four
+    middle ones, one per subset S of even size of v's three edge slots,
+    then six outer ones, a pair (slot i, bit x) per slot.  The middle vertex
+    of S is joined to the outer vertex (i, 1 if i in S else 0) of each slot
+    i, and the base edge that fills slot i at u and slot j at v joins (i, x)
+    at u to (j, x) at v for both bits x.  The result is cubic, and connected
+    when the base is.
+    """
+    middles = [frozenset(), frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
+    slot = [{} for _ in range(base.n)]
+    for v, nbrs in enumerate(base.adjacency):
+        for i, u in enumerate(sorted(nbrs)):
+            slot[v][u] = i
+
+    def outer(v, i, x):
+        return 10 * v + 4 + 2 * i + x
+
+    edges = []
+    for v in range(base.n):
+        for s, subset in enumerate(middles):
+            edges.extend((10 * v + s, outer(v, i, int(i in subset))) for i in range(3))
+    for u, v in base.edges():
+        edges.extend((outer(u, slot[u][v], x), outer(v, slot[v][u], x)) for x in (0, 1))
+    return from_edges(10 * base.n, edges)

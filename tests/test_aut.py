@@ -108,6 +108,29 @@ def test_arc_transitive_rejects_non_automorphisms():
         is_arc_transitive(k33, bogus)
 
 
+def test_profile_and_tutte_type_check_only_a_supplied_group(monkeypatch):
+    # the search tests every generator it returns against the edges, so a
+    # group the analysis computes itself is not checked a second time
+    from circulant_lab import aut
+
+    graph = build_odd(3).graph
+    checked = []
+    check = aut.check_all_automorphisms
+    monkeypatch.setattr(aut, "check_all_automorphisms",
+                        lambda graph, group: checked.append(group) or check(graph, group))
+    assert tutte_type(graph) == 1
+    assert symmetry_profile(graph).arc_transitive
+    assert checked == []
+    group = automorphism_group(graph)
+    assert tutte_type(graph, group) == 1
+    assert symmetry_profile(graph, group).arc_transitive
+    assert checked == [group, group]
+    bogus = PermGroup(graph.n, [from_cycle_string("(0 1)", graph.n)])
+    for analysis in (tutte_type, symmetry_profile):
+        with pytest.raises(GroupNotAutomorphisms):
+            analysis(graph, bogus)
+
+
 def _tuple_walk_says_arc_transitive(graph, group):
     return len(arc_orbit_of_tuples(graph, group.generators)) == 2 * graph.edge_count
 

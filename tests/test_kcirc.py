@@ -1,14 +1,20 @@
 """Spectrum computation, witnesses, order-bound findings, edge reversal."""
+import gc
+import json
 import random
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circulant_lab import _kernels as kern
-from circulant_lab import fixtures
+from circulant_lab import fixtures, perm
 from circulant_lab.aut import automorphism_group
-from circulant_lab.cli import build_even, build_odd, verify_construction
+from circulant_lab.cli import build_even, build_odd, main, verify_construction
 from circulant_lab.errors import GroupNotAutomorphisms, KDoesNotDivideN, PreconditionViolated
-from circulant_lab.graphio import from_edges
+from circulant_lab.graphio import from_edges, is_connected, is_cubic, to_edgelist_text
 from circulant_lab.kcirc import (
     certify_k_circulant,
     check_order_bound,
@@ -23,7 +29,13 @@ from circulant_lab.perm import (
     identity,
     is_semiregular,
 )
-from helpers import generalized_petersen, random_cubic_graph, relabel, spectrum_of_perms
+from helpers import (
+    cfi_graph,
+    generalized_petersen,
+    random_cubic_graph,
+    relabel,
+    spectrum_of_perms,
+)
 
 SPEC_SPECTRA = {
     "k4": (1, 2, 4),
@@ -169,7 +181,7 @@ def _count_compositions(monkeypatch):
 
 def test_spectrum_walk_composes_only_representatives_and_candidates(monkeypatch):
     # the walk follows each element's cycle through 0 on its uncomposed
-    # pair; composing every element would take 546 calls besides the
+    # pair; composing every element would take 541 calls besides the
     # coset representatives
     graph = build_odd(9).graph
     group = automorphism_group(graph)
@@ -177,8 +189,10 @@ def test_spectrum_walk_composes_only_representatives_and_candidates(monkeypatch)
     report = k_spectrum(graph, group)
     assert report.spectrum == (9, 18, 27, 54, 81, 162, 243, 486)
     spectrum_calls = calls[0]
+    # |G_0| = 6: of block 0 only the identity is walked, and the five
+    # others fix the base point 0
     walked = sum(1 for _ in group.suborbit_pairs())
-    assert walked == 546
+    assert walked == 546 - 5
     assert spectrum_calls < walked
 
 
@@ -188,7 +202,26 @@ def test_certify_composes_only_representatives_and_candidates(monkeypatch):
     group = automorphism_group(graph)
     calls = _count_compositions(monkeypatch)
     assert certify_k_circulant(graph, 1, group) is None
-    assert calls[0] < sum(1 for _ in group.suborbit_pairs()) == 546
+    assert calls[0] < sum(1 for _ in group.suborbit_pairs()) == 541
+
+
+def test_spectrum_walk_keeps_no_representative():
+    # odd k = 15, n = 1350: the walk composes 1152 of the top level's 1350
+    # representatives and holds only those on one tree path, at most 87
+    graph = build_odd(15).graph
+    group = automorphism_group(graph)
+    group.order()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = k_spectrum(graph, group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.spectrum[0] == 15
+    assert peak < 3 * 2 ** 20
+    top = group._levels[0]
+    assert list(top.reps) == [top.base]
 
 
 def test_certify_rejects_a_group_that_is_not_automorphisms():
@@ -315,3 +348,76 @@ def test_spectrum_report_json_shape():
     assert all(set(f) == {"k", "bound", "pass", "theorem_backed"} for f in payload["findings"])
     filtered = report.to_json_dict(include_trivial=False)
     assert filtered["spectrum"] == [1, 2, 3]
+
+
+def _asymmetric_cubic_graph(rng, n):
+    """A random cubic graph on n vertices whose automorphism group is trivial."""
+    while True:
+        graph = random_cubic_graph(rng, n)
+        if is_connected(graph) and automorphism_group(graph).order() == 1:
+            return graph
+
+
+@pytest.mark.parametrize("level_by_level", [False, True], ids=["kept", "level-by-level"])
+@pytest.mark.parametrize("base_n, seed", [(10, 1), (10, 2), (12, 1), (14, 2), (16, 3)])
+def test_cfi_spectrum_matches_the_full_enumeration(base_n, seed, level_by_level, monkeypatch):
+    # a CFI graph's automorphisms flip the outer pairs over an even subgraph
+    # of the base, 2^(m - n + 1) of them, times the base's own; its long
+    # chain of orbits of size 2 is walked either way, level by level pruned
+    # at each fixed base point
+    if level_by_level:
+        monkeypatch.setattr(perm, "KEPT_STABILISER", 0)
+    base = random_cubic_graph(random.Random(seed), base_n)
+    graph = cfi_graph(base)
+    assert graph.n == 10 * base_n
+    assert is_cubic(graph) and is_connected(graph)
+    group = automorphism_group(graph)
+    assert group.order() == 2 ** (base_n // 2 + 1) * automorphism_group(base).order()
+    oracle = _first_hits_over_all_elements(graph.n, group)
+    report = k_spectrum(graph, group)
+    assert report.spectrum == tuple(sorted(oracle))
+    assert report.witnesses == oracle
+    for k in report.spectrum:
+        assert certify_k_circulant(graph, k, group) == oracle[k]
+
+
+def test_cfi_graph_with_400_vertices_is_analyzed_in_seconds(tmp_path, capsys):
+    # |Aut| = 2^21: a walk over every element of the suborbit blocks took
+    # about nine minutes
+    base = _asymmetric_cubic_graph(random.Random(40), 40)
+    graph = cfi_graph(base)
+    path = tmp_path / "cfi400.edgelist"
+    path.write_text(to_edgelist_text(graph))
+    start = time.perf_counter()
+    code = main(["analyze", str(path), "--include-trivial-k"])
+    elapsed = time.perf_counter() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    order = payload["profile"]["aut_order"]
+    assert order == 2 ** 21 and order & (order - 1) == 0
+    assert payload["spectrum"]["spectrum"] == [400]
+    assert elapsed < 60
+
+
+@st.composite
+def _graph_and_relabelling(draw):
+    if draw(st.booleans()):
+        n = draw(st.sampled_from(range(4, 21, 2)))
+        graph = random_cubic_graph(random.Random(draw(st.integers(0, 2 ** 16))), n)
+    else:
+        graph = build_odd(draw(st.sampled_from((3, 5)))).graph
+    images = draw(st.permutations(range(graph.n)))
+    return graph, images
+
+
+@settings(max_examples=25, deadline=None)
+@given(_graph_and_relabelling())
+def test_spectrum_is_invariant_under_relabelling(case):
+    graph, images = case
+    moved = relabel(graph, images)
+    report = k_spectrum(moved)
+    assert report.spectrum == k_spectrum(graph).spectrum
+    for k, w in report.witnesses.items():
+        cs = cycle_structure(w)
+        assert is_semiregular(w) and len(cs.cycle_lengths) == k
+        assert all(w[v] in moved.adjacency[w[u]] for u, v in moved.edges())

@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from circulant_lab import _kernels as kern
+from circulant_lab import perm
 from circulant_lab.aut import automorphism_group
 from circulant_lab.cli import build_even, build_odd
 from circulant_lab.errors import CapExceeded, DegreeMismatch
@@ -23,6 +24,7 @@ from circulant_lab.perm import (
     power,
     to_cycle_string,
 )
+from helpers import relabel
 
 
 def P(cycles: str, degree: int) -> Permutation:
@@ -265,28 +267,81 @@ SUBORBIT_GROUPS = [
     PermGroup(6, [P("(0 1)", 6), P("(2 3 4 5)", 6), P("(2 3)", 6)]),  # small top orbit
     PermGroup(10, [P("(0 1 2 3 4)(5 6 7 8 9)", 10), P("(1 4)(2 3)(6 9)(7 8)", 10),
                    P("(0 5)(1 6)(2 7)(3 8)(4 9)", 10)]),
+    # stabilisers past KEPT_STABILISER, walked level by level: Sym(6), and
+    # Sym(4) wr Z2 with suborbits {0}, {1, 2, 3}, {4, 5, 6, 7}
+    PermGroup(6, [P("(0 1 2 3 4 5)", 6), P("(0 1)", 6)]),
+    PermGroup(8, [P("(0 1 2 3)", 8), P("(0 1)", 8), P("(0 4)(1 5)(2 6)(3 7)", 8)]),
 ]
 
 
-def _composed(pairs):
-    """Each pair (h, t) of suborbit_pairs() as the element h * t: x -> t[h[x]]."""
-    return [Permutation(tuple(t[x] for x in h)) for h, t in pairs]
+def _composed(triples):
+    """Each triple (pt, h, t) of suborbit_pairs() as the element h * t: x -> t[h[x]]."""
+    return [Permutation(tuple(t[x] for x in h)) for _, h, t in triples]
 
 
-@pytest.mark.parametrize("group", SUBORBIT_GROUPS)
-def test_suborbit_pairs_are_the_smallest_block_of_each_suborbit(group):
-    b = group.base()[0]
+def _blocks(triples):
+    """The walked elements by block point."""
+    blocks = {}
+    for triple in triples:
+        blocks.setdefault(triple[0], []).extend(_composed([triple]))
+    return blocks
+
+
+def _check_suborbit_blocks(group):
+    base = group.base()
+    b = base[0]
     everything = list(group.elements())
     stabiliser = [g for g in everything if g[b] == b]
     top_orbit = {g[b] for g in everything}
     suborbits = {frozenset(h[pt] for h in stabiliser) for pt in top_orbit}
-    minima = {min(s) for s in suborbits}
-    walked = _composed(group.suborbit_pairs())
-    assert len(walked) == len(stabiliser) * len(suborbits)
-    assert len({g.images for g in walked}) == len(walked)
-    assert all(g in group for g in walked)
-    # the same blocks, in the order and with the contents elements() gives
-    assert walked == [g for g in everything if g[b] in minima]
+    minima = sorted(min(s) for s in suborbits)
+    triples = list(group.suborbit_pairs())
+    # the identity first, the only element kept of block b
+    assert triples[0][0] == b and _composed(triples[:1]) == [identity(group.degree)]
+    blocks = _blocks(triples[1:])
+    assert set(blocks) <= set(minima) - {b}
+    # the blocks, compared by point, each in elements() order and whole,
+    # or without exactly the elements that fix a base point
+    for pt in minima:
+        if pt == b:
+            continue
+        block = [g for g in everything if g[b] == pt]
+        if len(stabiliser) > perm.KEPT_STABILISER:
+            block = [g for g in block if all(g[c] != c for c in base)]
+        assert blocks.get(pt, []) == block, pt
+
+
+@pytest.mark.parametrize("group", SUBORBIT_GROUPS)
+def test_suborbit_pairs_are_the_smallest_block_of_each_suborbit(group):
+    _check_suborbit_blocks(group)
+
+
+@pytest.mark.parametrize("group", SUBORBIT_GROUPS)
+def test_suborbit_pairs_level_by_level_drop_only_elements_fixing_a_base_point(
+        group, monkeypatch):
+    monkeypatch.setattr(perm, "KEPT_STABILISER", 0)
+    _check_suborbit_blocks(group)
+
+
+def _shuffled(graph, seed):
+    images = list(range(graph.n))
+    random.Random(seed).shuffle(images)
+    return relabel(graph, images)
+
+
+@pytest.mark.parametrize("group", SUBORBIT_GROUPS + [
+    # searched groups keep no top-level representative, so their walk goes
+    # down the Schreier tree; relabelled, the tree has blocks on both sides
+    # of a bound within one subtree
+    automorphism_group(_shuffled(build_odd(3).graph, 3)),
+    automorphism_group(_shuffled(build_even(2, 7).graph, 7)),
+])
+def test_suborbit_pairs_until_skips_the_blocks_from_its_bound(group):
+    triples = list(group.suborbit_pairs())
+    for bound in sorted({pt for pt, _, _ in triples[1:]}):
+        bounded = list(group.suborbit_pairs(until=lambda: bound))
+        assert _blocks(bounded[1:]) == {
+            pt: block for pt, block in _blocks(triples[1:]).items() if pt < bound}
 
 
 def test_suborbit_pairs_of_the_trivial_group():
@@ -299,7 +354,8 @@ def test_suborbit_pairs_cap():
     walk = g.suborbit_pairs(cap=23)
     with pytest.raises(CapExceeded):
         next(walk)  # raised before the first pair, as elements() does
-    assert len(list(g.suborbit_pairs(cap=24))) == 12
+    # the identity, then block 1: the six elements mapping 0 to 1
+    assert len(list(g.suborbit_pairs(cap=24))) == 7
 
 
 def test_walks_do_not_keep_their_group_alive():
