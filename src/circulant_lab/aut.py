@@ -211,18 +211,21 @@ def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
             raise GroupNotAutomorphisms(f"generator {g} does not preserve adjacency")
 
 
-def is_arc_transitive(graph: graphio.Graph, group: PermGroup, checked: bool = False) -> bool:
+def is_arc_transitive(graph: graphio.Graph, group: PermGroup) -> bool:
     """True iff the group is transitive on ordered pairs of adjacent vertices.
 
-    Computed as the orbit of one fixed arc, each arc (u, v) numbered
-    u*n + v; vacuously true for edgeless graphs.  Raises
-    GroupNotAutomorphisms if a generator breaks an edge.  checked skips
-    that test, for a group whose generators are already known to be
-    automorphisms: one automorphism_group found for this graph, whose
-    search tested each of them.
+    Computed as the orbit of one fixed arc; vacuously true for edgeless
+    graphs.  Raises GroupNotAutomorphisms if a generator breaks an edge.
     """
-    if not checked:
-        check_all_automorphisms(graph, group)
+    check_all_automorphisms(graph, group)
+    return _arc_orbit_is_full(graph, group)
+
+
+def _arc_orbit_is_full(graph: graphio.Graph, group: PermGroup) -> bool:
+    """is_arc_transitive without the generator check, for a group that
+    automorphism_group found for this graph: its search tested each
+    generator against adjacency.  Each arc (u, v) is numbered u*n + v.
+    """
     total_arcs = 2 * graph.edge_count
     if total_arcs == 0:
         return True
@@ -252,10 +255,12 @@ def tutte_type(graph: graphio.Graph, group: PermGroup | None = None) -> int:
         raise NotCubic("a vertex has degree != 3")
     if not graphio.is_connected(graph):
         raise NotArcTransitive("graph is not connected")
-    searched = group is None
-    if searched:
+    if group is None:
         group = automorphism_group(graph)
-    if not is_arc_transitive(graph, group, checked=searched):
+        arc_transitive = _arc_orbit_is_full(graph, group)
+    else:
+        arc_transitive = is_arc_transitive(graph, group)
+    if not arc_transitive:
         raise NotArcTransitive("automorphism group is not transitive on arcs")
     return _arc_type(group.order(), graph.n)
 
@@ -296,12 +301,13 @@ class SymmetryProfile:
 def symmetry_profile(graph: graphio.Graph, group: PermGroup | None = None) -> SymmetryProfile:
     """Full symmetry analysis; computes Aut if no group is supplied.  A
     supplied group's generators are checked against the graph's edges."""
-    searched = group is None
-    if searched:
+    if group is None:
         group = automorphism_group(graph)
+        at = _arc_orbit_is_full(graph, group)
+    else:
+        at = is_arc_transitive(graph, group)
     order = group.order()
     vt = graph.n > 0 and len(group.orbits()) == 1
-    at = is_arc_transitive(graph, group, checked=searched)
     stab = order // graph.n if vt else None
     t = None
     if at and graphio.is_cubic(graph) and graphio.is_connected(graph) and graph.n > 0:

@@ -13,15 +13,14 @@ holding one path of coset representatives, so blocks do not come by
 ascending point: a witness is the hit with the smallest block point, the
 first in its block, which is exactly the first hit in the enumeration of
 the whole group.  Witnesses thus follow the search's base and coset
-representatives.  The walk hands out each element uncomposed, as a
-stabiliser element h and a coset representative t, and only the cycle of
-h * t through point 0 is followed, image by image.  The element is
-composed, and given the full semiregularity test, only when n over that
-cycle's length is a k still wanted: one with no witness from a smaller
-block point yet, in the spectrum; the requested one, in a certificate,
-which skips every block from its best hit's point on.  The trivial k = n
-(identity witness) is part of the spectrum whenever n >= 1; reports may
-filter it.
+representatives.  The walk hands out each element uncomposed, as three
+image lists h, v, t with the element x -> t[v[h[x]]], and only its cycle
+through point 0 is followed, image by image.  The element is composed,
+and given the full semiregularity test, only when n over that cycle's
+length is a k still wanted: one with no witness from a smaller block point
+yet, in the spectrum; the requested one, in a certificate, which skips
+every block from its best hit's point on.  The trivial k = n (identity witness) is
+part of the spectrum whenever n >= 1; reports may filter it.
 """
 from __future__ import annotations
 
@@ -96,22 +95,23 @@ def _semiregular_elements(graph: graphio.Graph, group: PermGroup, cap: int | Non
     order; until is the walk's, which skips the blocks from its point on.
 
     All cycles of a semiregular element have one length, so the cycle
-    through point 0 gives their number.  That cycle of g = h * t is
-    followed as j -> t[h[j]], in as many steps as it is long; g is composed
-    and fully tested only when its number is wanted.
+    through point 0 gives their number.  That cycle of the element
+    x -> t[v[h[x]]] is followed as j -> t[v[h[j]]], in as many steps as it
+    is long; the element is composed and fully tested only when its number
+    is wanted.
     """
     n = graph.n
     if n == 0:
         return  # the null graph is a k-circulant for no k >= 1
-    for pt, h, t in group.suborbit_pairs(cap, until):
+    for pt, h, v, t in group.suborbit_pairs(cap, until):
         length = 1
-        j = t[h[0]]
+        j = t[v[h[0]]]
         while j:
-            j = t[h[j]]
+            j = t[v[h[j]]]
             length += 1
         if n % length or not wanted(n // length, pt):
             continue
-        images = kern.compose_images(h, t)
+        images = [t[v[x]] for x in h]
         if kern.is_semiregular_images(images):
             yield pt, n // length, Permutation(tuple(images))
 

@@ -267,23 +267,23 @@ SUBORBIT_GROUPS = [
     PermGroup(6, [P("(0 1)", 6), P("(2 3 4 5)", 6), P("(2 3)", 6)]),  # small top orbit
     PermGroup(10, [P("(0 1 2 3 4)(5 6 7 8 9)", 10), P("(1 4)(2 3)(6 9)(7 8)", 10),
                    P("(0 5)(1 6)(2 7)(3 8)(4 9)", 10)]),
-    # stabilisers past KEPT_STABILISER, walked level by level: Sym(6), and
-    # Sym(4) wr Z2 with suborbits {0}, {1, 2, 3}, {4, 5, 6, 7}
+    # longer chains below the top level: Sym(6), and Sym(4) wr Z2 with
+    # suborbits {0}, {1, 2, 3}, {4, 5, 6, 7}
     PermGroup(6, [P("(0 1 2 3 4 5)", 6), P("(0 1)", 6)]),
     PermGroup(8, [P("(0 1 2 3)", 8), P("(0 1)", 8), P("(0 4)(1 5)(2 6)(3 7)", 8)]),
 ]
 
 
-def _composed(triples):
-    """Each triple (pt, h, t) of suborbit_pairs() as the element h * t: x -> t[h[x]]."""
-    return [Permutation(tuple(t[x] for x in h)) for _, h, t in triples]
+def _composed(walked):
+    """Each (pt, h, v, t) of suborbit_pairs() as its element x -> t[v[h[x]]]."""
+    return [Permutation(tuple(t[v[x]] for x in h)) for _, h, v, t in walked]
 
 
-def _blocks(triples):
+def _blocks(walked):
     """The walked elements by block point."""
     blocks = {}
-    for triple in triples:
-        blocks.setdefault(triple[0], []).extend(_composed([triple]))
+    for item in walked:
+        blocks.setdefault(item[0], []).extend(_composed([item]))
     return blocks
 
 
@@ -295,31 +295,22 @@ def _check_suborbit_blocks(group):
     top_orbit = {g[b] for g in everything}
     suborbits = {frozenset(h[pt] for h in stabiliser) for pt in top_orbit}
     minima = sorted(min(s) for s in suborbits)
-    triples = list(group.suborbit_pairs())
+    walked = list(group.suborbit_pairs())
     # the identity first, the only element kept of block b
-    assert triples[0][0] == b and _composed(triples[:1]) == [identity(group.degree)]
-    blocks = _blocks(triples[1:])
+    assert walked[0][0] == b and _composed(walked[:1]) == [identity(group.degree)]
+    blocks = _blocks(walked[1:])
     assert set(blocks) <= set(minima) - {b}
-    # the blocks, compared by point, each in elements() order and whole,
-    # or without exactly the elements that fix a base point
+    # the blocks, compared by point, each in elements() order, without
+    # exactly the elements that fix a base point
     for pt in minima:
         if pt == b:
             continue
-        block = [g for g in everything if g[b] == pt]
-        if len(stabiliser) > perm.KEPT_STABILISER:
-            block = [g for g in block if all(g[c] != c for c in base)]
+        block = [g for g in everything if g[b] == pt and all(g[c] != c for c in base)]
         assert blocks.get(pt, []) == block, pt
 
 
 @pytest.mark.parametrize("group", SUBORBIT_GROUPS)
 def test_suborbit_pairs_are_the_smallest_block_of_each_suborbit(group):
-    _check_suborbit_blocks(group)
-
-
-@pytest.mark.parametrize("group", SUBORBIT_GROUPS)
-def test_suborbit_pairs_level_by_level_drop_only_elements_fixing_a_base_point(
-        group, monkeypatch):
-    monkeypatch.setattr(perm, "KEPT_STABILISER", 0)
     _check_suborbit_blocks(group)
 
 
@@ -337,11 +328,27 @@ def _shuffled(graph, seed):
     automorphism_group(_shuffled(build_even(2, 7).graph, 7)),
 ])
 def test_suborbit_pairs_until_skips_the_blocks_from_its_bound(group):
-    triples = list(group.suborbit_pairs())
-    for bound in sorted({pt for pt, _, _ in triples[1:]}):
+    walked = list(group.suborbit_pairs())
+    for bound in sorted({item[0] for item in walked[1:]}):
         bounded = list(group.suborbit_pairs(until=lambda: bound))
         assert _blocks(bounded[1:]) == {
-            pt: block for pt, block in _blocks(triples[1:]).items() if pt < bound}
+            pt: block for pt, block in _blocks(walked[1:]).items() if pt < bound}
+
+
+@pytest.mark.parametrize("group", SUBORBIT_GROUPS)
+def test_suborbit_pairs_until_stops_a_block_as_soon_as_it_drops(group):
+    # certify_k_circulant lowers its bound at a verified hit: the walk must
+    # not hand out another element of that block, nor of a later point
+    first = list(group.suborbit_pairs())[1][0]  # the first block walked
+    bound = [group.degree]
+    seen = []
+    walk = group.suborbit_pairs(until=lambda: bound[0])
+    next(walk)  # the identity
+    for pt, *_ in walk:
+        seen.append(pt)
+        bound[0] = min(bound[0], pt)
+    assert seen[0] == first and seen.count(first) == 1
+    assert all(pt < first for pt in seen[1:])
 
 
 def test_suborbit_pairs_of_the_trivial_group():
@@ -354,8 +361,9 @@ def test_suborbit_pairs_cap():
     walk = g.suborbit_pairs(cap=23)
     with pytest.raises(CapExceeded):
         next(walk)  # raised before the first pair, as elements() does
-    # the identity, then block 1: the six elements mapping 0 to 1
-    assert len(list(g.suborbit_pairs(cap=24))) == 7
+    # the identity, then block 1: the six elements mapping 0 to 1, less the
+    # two that fix the base point 2
+    assert len(list(g.suborbit_pairs(cap=24))) == 5
 
 
 def test_walks_do_not_keep_their_group_alive():
