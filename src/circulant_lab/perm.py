@@ -495,7 +495,7 @@ def _products(levels: list[_Level], i: int, degree: int) -> Iterator[list[int]]:
 
 
 def _pruned_triples(steps: list[tuple[int, list[int], _Level]], i: int, v: list[int],
-                  t: list[int]) -> Iterator[tuple[list[int], list[int], list[int]]]:
+                    t: list[int]) -> Iterator[tuple[list[int], list[int], list[int]]]:
     """For each element g of the chain from level i down, in elements()
     order, the map x -> t[v[g[x]]] as a triple (h', v', t') of lists with
     x -> t'[v'[h'[x]]], less the maps that fix a base point of these
