@@ -81,7 +81,8 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
     found at that level of the search or deeper.  A sibling node is dropped
     as soon as its refinement's trace departs from the principal level's
     (see the module docstring), and every returned generator is verified
-    to preserve adjacency.  A sibling whose search fails prunes its orbit
+    to preserve adjacency, so the group records the graph as checked (see
+    check_all_automorphisms).  A sibling whose search fails prunes its orbit
     under the generators found so far, at its level.  node_cap bounds the
     number of refinement calls: the principal path's, one per level, and
     one per node of every sibling search, aborted or not; a pruned sibling
@@ -89,7 +90,9 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
     """
     n = graph.n
     if n == 0:
-        return PermGroup(0, [])
+        group = PermGroup(0, [])
+        group._automorphisms_of = graph
+        return group
     ptr, flat = kern.build_csr(graph.adjacency)
     base_seq = bfs_order(graph)
     nodes = 0
@@ -189,7 +192,9 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
                 if a != b:
                     orbits[max(a, b)] = min(a, b)
             dead = {_root(orbits, d) for d in dead}
-    return PermGroup.from_chain(n, gens, [target for _, target, _ in path[:-1]])
+    group = PermGroup.from_chain(n, gens, [target for _, target, _ in path[:-1]])
+    group._automorphisms_of = graph
+    return group
 
 
 def is_automorphism(graph: graphio.Graph, p: Permutation) -> bool:
@@ -202,30 +207,31 @@ def is_automorphism(graph: graphio.Graph, p: Permutation) -> bool:
 
 def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
     """Raise GroupNotAutomorphisms unless the group acts on the graph's
-    vertices and every generator is an automorphism."""
+    vertices and every generator is an automorphism.
+
+    The one place that decides whether a group is checked: a group records
+    the graph it passed for, or the graph automorphism_group searched, and
+    is not checked again for that Graph object (an equal one is).
+    """
+    if group._automorphisms_of is graph:
+        return
     if group.degree != graph.n:
         raise GroupNotAutomorphisms(f"group degree {group.degree} differs from n = {graph.n}")
     ptr, flat = kern.build_csr(graph.adjacency)
     for g in group.generators:
         if not kern.preserves_adjacency(ptr, flat, g.images):
             raise GroupNotAutomorphisms(f"generator {g} does not preserve adjacency")
+    group._automorphisms_of = graph
 
 
 def is_arc_transitive(graph: graphio.Graph, group: PermGroup) -> bool:
     """True iff the group is transitive on ordered pairs of adjacent vertices.
 
-    Computed as the orbit of one fixed arc; vacuously true for edgeless
-    graphs.  Raises GroupNotAutomorphisms if a generator breaks an edge.
+    Computed as the orbit of one fixed arc, each arc (u, v) numbered
+    u*n + v; vacuously true for edgeless graphs.  GroupNotAutomorphisms
+    from check_all_automorphisms if a generator breaks an edge.
     """
     check_all_automorphisms(graph, group)
-    return _arc_orbit_is_full(graph, group)
-
-
-def _arc_orbit_is_full(graph: graphio.Graph, group: PermGroup) -> bool:
-    """is_arc_transitive without the generator check, for a group that
-    automorphism_group found for this graph: its search tested each
-    generator against adjacency.  Each arc (u, v) is numbered u*n + v.
-    """
     total_arcs = 2 * graph.edge_count
     if total_arcs == 0:
         return True
@@ -255,12 +261,8 @@ def tutte_type(graph: graphio.Graph, group: PermGroup | None = None) -> int:
         raise NotCubic("a vertex has degree != 3")
     if not graphio.is_connected(graph):
         raise NotArcTransitive("graph is not connected")
-    if group is None:
-        group = automorphism_group(graph)
-        arc_transitive = _arc_orbit_is_full(graph, group)
-    else:
-        arc_transitive = is_arc_transitive(graph, group)
-    if not arc_transitive:
+    group = automorphism_group(graph) if group is None else group
+    if not is_arc_transitive(graph, group):
         raise NotArcTransitive("automorphism group is not transitive on arcs")
     return _arc_type(group.order(), graph.n)
 
@@ -299,13 +301,10 @@ class SymmetryProfile:
 
 
 def symmetry_profile(graph: graphio.Graph, group: PermGroup | None = None) -> SymmetryProfile:
-    """Full symmetry analysis; computes Aut if no group is supplied.  A
-    supplied group's generators are checked against the graph's edges."""
-    if group is None:
-        group = automorphism_group(graph)
-        at = _arc_orbit_is_full(graph, group)
-    else:
-        at = is_arc_transitive(graph, group)
+    """Full symmetry analysis; computes Aut if no group is supplied.  The
+    group goes through check_all_automorphisms (in is_arc_transitive)."""
+    group = automorphism_group(graph) if group is None else group
+    at = is_arc_transitive(graph, group)
     order = group.order()
     vt = graph.n > 0 and len(group.orbits()) == 1
     stab = order // graph.n if vt else None

@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 
 from circulant_lab import graphio
 from circulant_lab.errors import (
-    ConnectionSetMismatch,
     ElementOutsideR,
     IdentityInS,
     NotInverseClosed,
@@ -114,22 +113,17 @@ def left_translation(group, labeling: CayleyLabeling, g) -> Permutation:
     return _transport(labeling, root, range(len(labeling.connection_set)))
 
 
-def automorphism_from_group_automorphism(
-    group, labeling: CayleyLabeling, phi: Callable, connection_set: Sequence
-) -> Permutation:
+def automorphism_from_group_automorphism(group, labeling: CayleyLabeling,
+                                         phi: Callable) -> Permutation:
     """Vertex permutation v -> label(phi(element(v))) induced by a group
-    automorphism stabilizing S.
+    automorphism stabilizing S, the connection set the labeling holds.
 
     The caller guarantees that phi is a group automorphism: only its values
     on S and on the identity are checked, and the rest is carried along the
-    labeling's walk.  connection_set must be, as a set, the S the labeling
-    was built from.  Fixes vertex 0; together with the translations it
+    labeling's walk.  Fixes vertex 0; together with the translations it
     generates an arc-transitive group whenever phi is transitive on S.
     """
     S = labeling.connection_set
-    if set(connection_set) != set(S):
-        raise ConnectionSetMismatch(
-            "connection set differs from the one the Cayley graph was built from")
     index = {s: i for i, s in enumerate(S)}
     moves = [index.get(phi(s)) for s in S]
     if None in moves or len(set(moves)) != len(S):

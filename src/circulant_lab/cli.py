@@ -66,7 +66,7 @@ def _build(family: str, params: dict, group, outer, expected_n: int,
     (see cayley), with no group arithmetic per vertex."""
     S = group.connection_set()
     graph, labeling = cayley_graph(group, S)
-    outer_perm = automorphism_from_group_automorphism(group, labeling, outer, S)
+    outer_perm = automorphism_from_group_automorphism(group, labeling, outer)
     translations = [left_translation(group, labeling, s) for s in S]
     arc_group = PermGroup(graph.n, translations + [outer_perm])
     c_elem, c_order = group.semiregular_generator()

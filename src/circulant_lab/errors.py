@@ -73,10 +73,6 @@ class PhiDoesNotPreserveS(CirculantError):
     pass
 
 
-class ConnectionSetMismatch(CirculantError):
-    """A connection set other than the one the Cayley graph was built from."""
-
-
 # --- automorphism analysis ---
 
 class GroupNotAutomorphisms(CirculantError):

@@ -20,7 +20,10 @@ and given the full semiregularity test, only when n over that cycle's
 length is a k still wanted: one with no witness from a smaller block point
 yet, in the spectrum; the requested one, in a certificate, which skips
 every block from its best hit's point on.  The trivial k = n (identity witness) is
-part of the spectrum whenever n >= 1; reports may filter it.
+part of the spectrum whenever n >= 1; reports may filter it.  The walk
+holds only for a group of automorphisms, so both pass their group through
+``aut.check_all_automorphisms``: a searched group is never checked again,
+a supplied one once per graph.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from typing import Callable, Iterator
 from circulant_lab import _kernels as kern
 from circulant_lab import aut as aut_mod
 from circulant_lab import graphio
-from circulant_lab.errors import GroupNotAutomorphisms, KDoesNotDivideN, PreconditionViolated
+from circulant_lab.errors import KDoesNotDivideN, PreconditionViolated
 from circulant_lab.perm import (
     PermGroup,
     Permutation,
@@ -124,14 +127,12 @@ def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
     enumeration: of the walk's hits, the one with the smallest block point,
     and the first in its block.  k = n is always in the spectrum for
     n >= 1; the null graph's spectrum is empty, as a k-circulant needs
-    k >= 1.  Raises CapExceeded when |Aut| exceeds the enumeration cap, and
-    GroupNotAutomorphisms when a supplied group does not act on the graph's
-    n vertices.
+    k >= 1.  Raises CapExceeded when |Aut| exceeds the enumeration cap,
+    and GroupNotAutomorphisms (aut.check_all_automorphisms) when the group
+    is not a group of automorphisms of the graph.
     """
-    if group is None:
-        group = aut_mod.automorphism_group(graph)
-    elif group.degree != graph.n:
-        raise GroupNotAutomorphisms(f"group degree {group.degree} differs from n = {graph.n}")
+    group = aut_mod.automorphism_group(graph) if group is None else group
+    aut_mod.check_all_automorphisms(graph, group)
     best: dict[int, tuple[int, Permutation]] = {}
     for pt, k, g in _semiregular_elements(
             graph, group, cap, lambda k, pt: k not in best or pt < best[k][0]):
@@ -168,18 +169,14 @@ def certify_k_circulant(graph: graphio.Graph, k: int,
     The witness is the one k_spectrum gives for k: the hit with the
     smallest block point, the first in its block.  Each hit is re-verified
     from scratch, cycle structure and adjacency preservation, before it is
-    kept, and the walk skips every block from the kept hit's point on.  The
-    suborbit walk may skip elements only because every element of the
-    group is an automorphism, so a caller-supplied group is checked first:
-    GroupNotAutomorphisms if a generator breaks an edge.
+    kept, and the walk skips every block from the kept hit's point on.
+    GroupNotAutomorphisms as in k_spectrum.
     """
     n = graph.n
     if k < 1 or n % k != 0:
         raise KDoesNotDivideN(f"k = {k} does not divide n = {n}")
-    if group is None:
-        group = aut_mod.automorphism_group(graph)
-    else:
-        aut_mod.check_all_automorphisms(graph, group)
+    group = aut_mod.automorphism_group(graph) if group is None else group
+    aut_mod.check_all_automorphisms(graph, group)
     want = n // k
     best: tuple[int, Permutation | None] = (n, None)  # every block point is below n
     for pt, _, g in _semiregular_elements(graph, group, cap, lambda c, pt: c == k and pt < best[0],

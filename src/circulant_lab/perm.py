@@ -212,6 +212,9 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._levels: list[_Level] | None = None
+        # the graph whose automorphisms the generators are known to be:
+        # read and set only by aut.check_all_automorphisms and the search
+        self._automorphisms_of = None
 
     @classmethod
     def from_chain(cls, degree: int, generators: Sequence[Permutation],

@@ -25,7 +25,8 @@ from circulant_lab.errors import (
     SearchTimeout,
     StabiliserNotOfForm,
 )
-from circulant_lab.graphio import from_edges
+from circulant_lab.graphio import Graph, from_edges
+from circulant_lab.kcirc import certify_k_circulant, k_spectrum
 from circulant_lab.perm import PermGroup, Permutation, compose, from_cycle_string, identity
 from helpers import (
     arc_orbit_of_tuples,
@@ -108,25 +109,48 @@ def test_arc_transitive_rejects_non_automorphisms():
         is_arc_transitive(k33, bogus)
 
 
-def test_profile_and_tutte_type_check_only_a_supplied_group(monkeypatch):
-    # the search tests every generator it returns against the edges, so a
-    # group the analysis computes itself is not checked a second time
-    from circulant_lab import aut
+def test_a_group_is_checked_once_per_graph(monkeypatch):
+    # check_all_automorphisms alone decides whether a group is checked: a
+    # searched group is never checked again, a supplied one once per
+    # Graph object, and a bad one is rejected by every analysis
+    from circulant_lab import _kernels as kern
 
-    graph = build_odd(3).graph
+    cons = build_odd(3)
+    graph = cons.graph
+    searched = automorphism_group(graph)
+    supplied = PermGroup(graph.n, cons.arc_group.generators)
     checked = []
-    check = aut.check_all_automorphisms
-    monkeypatch.setattr(aut, "check_all_automorphisms",
-                        lambda graph, group: checked.append(group) or check(graph, group))
-    assert tutte_type(graph) == 1
-    assert symmetry_profile(graph).arc_transitive
+    preserves = kern.preserves_adjacency
+    monkeypatch.setattr(kern, "preserves_adjacency",
+                        lambda ptr, flat, images: checked.append(images)
+                        or preserves(ptr, flat, images))
+
+    def generator_checks(group):
+        # certify also re-verifies each witness it keeps, a new permutation
+        return [im for im in checked if any(im is g.images for g in group.generators)]
+
+    assert symmetry_profile(graph, searched).arc_transitive
+    assert tutte_type(graph, searched) == 1
+    assert k_spectrum(graph, searched).spectrum[0] == 3
     assert checked == []
-    group = automorphism_group(graph)
-    assert tutte_type(graph, group) == 1
-    assert symmetry_profile(graph, group).arc_transitive
-    assert checked == [group, group]
+
+    assert tutte_type(graph, supplied) == 0  # the arc group is Aut's index-2 subgroup
+    assert symmetry_profile(graph, supplied).arc_transitive
+    assert 3 in k_spectrum(graph, supplied).spectrum
+    for k in range(1, graph.n + 1):
+        if graph.n % k == 0:
+            certify_k_circulant(graph, k, supplied)
+    gens = [g.images for g in supplied.generators]
+    assert generator_checks(supplied) == gens
+
+    twin = Graph(graph.adjacency)
+    assert twin == graph and twin is not graph
+    assert is_arc_transitive(twin, supplied)
+    assert generator_checks(supplied) == gens + gens
+
     bogus = PermGroup(graph.n, [from_cycle_string("(0 1)", graph.n)])
-    for analysis in (tutte_type, symmetry_profile):
+    for analysis in (is_arc_transitive, tutte_type, symmetry_profile, k_spectrum,
+                     lambda graph, group: certify_k_circulant(graph, 3, group)):
         with pytest.raises(GroupNotAutomorphisms):
             analysis(graph, bogus)
 

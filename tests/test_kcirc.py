@@ -233,6 +233,16 @@ def test_certify_rejects_a_group_that_is_not_automorphisms():
         certify_k_circulant(k33, 2, PermGroup(7, []))
 
 
+def test_spectrum_rejects_a_group_that_is_not_automorphisms():
+    # neither generator preserves the edges of K3,3; the walk over this
+    # group would report spectrum (1, 2, 3, 6) with the witnesses
+    # (0 1 2 3 4 5) and (0 1 5)(2 3 4), neither an automorphism
+    k33 = fixtures.load("k33")
+    group = PermGroup(6, [from_cycle_string("(0 3)", 6), from_cycle_string("(0 1 2 3 4 5)", 6)])
+    with pytest.raises(GroupNotAutomorphisms, match="does not preserve adjacency"):
+        k_spectrum(k33, group)
+
+
 @pytest.mark.parametrize("cycles, degree", [("(0 1 2)", 3), ("(0 1 2 3 4 5)", 6)])
 def test_spectrum_rejects_a_group_of_another_degree(cycles, degree):
     # the walk would read the wrong group's cycles: (4,) and (2, 4) on K4
