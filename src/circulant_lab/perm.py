@@ -10,9 +10,14 @@ set it found (``PermGroup.from_chain``), so nothing is sifted.  Either way
 each level is the Schreier tree of one FIFO orbit walk, the order is the
 product of the tree sizes, and a coset representative a sift or
 ``elements`` needs is composed along its tree path on first request and
-kept, so repeated runs produce identical element streams.  Enumeration
-walks pairs (h, t) of a top-level coset representative t and an element h
-of the stabiliser below; ``elements`` composes each h * t.
+kept, so repeated runs produce identical element streams.  A sift, for
+membership or for Schreier-Sims, inverts no representative: it carries
+the product of the representatives it has chosen and reads the next one
+off a preimage under that product, and the residue (the sifted element
+times the inverse of that product) is formed only to adjoin it to the
+chain.  Enumeration walks pairs (h, t) of a top-level coset
+representative t and an element h of the stabiliser below; ``elements``
+composes each h * t.
 ``suborbit_pairs`` is the spectrum's walk: it hands out only the blocks of
 one point per suborbit, less elements that fix a base point (all but the
 identity in the first base point's block), each element uncomposed as
@@ -153,6 +158,9 @@ class _Level:
     base point to None).  A coset representative is composed on first
     request and kept in reps; the spectrum's walk (PermGroup.suborbit_pairs)
     reads the top level's kept ones but composes its own and keeps none.
+    A sift through the levels carries the product of the representatives
+    it chose rather than their inverses, and forms a residue only to
+    adjoin it (PermGroup._sift_images).
 
     With movers (a dict), the tree tries at each point only the generators
     that move it: movers[pt] lists them, in the order of gens.  It is
@@ -263,11 +271,10 @@ class PermGroup:
 
     def _build_chain(self) -> None:
         self._levels = []
-        identity = list(range(self.degree))
         for g in self.generators:
-            residue, level = self._sift_images(list(g.images), 0)
-            if residue != identity:
-                self._adjoin(residue, level)
+            found = self._residue(list(g.images), 0)
+            if found is not None:
+                self._adjoin(*found)
         # every _adjoin rebuilds the trees it can change, so each level is
         # current when it is verified
         i = len(self._levels) - 1
@@ -278,15 +285,48 @@ class PermGroup:
             else:
                 i = stuck
 
-    def _sift_images(self, images: list[int], start: int) -> tuple[list[int], int]:
+    def _sift_images(self, images: Sequence[int], start: int, product: list[int] | None = None
+                     ) -> tuple[int, list[int] | None]:
+        """Sift images * product^-1 from level start without forming it.
+
+        Returns the level where the sift stopped (len(levels) when every
+        base image landed in its level's tree) and P, the representatives
+        chosen so far composed in front of product: P = u * P at each
+        choice, where None stands for the identity.  The residue is
+        images * P^-1, so it fixes a base point b exactly when images[b] ==
+        P[b], and the preimage under P of images[b] picks the next
+        representative: one scan of P, never an inversion.  The residue is
+        the identity exactly when the sift passed every level and P equals
+        images.
+        """
         levels = self._levels
         for i in range(start, len(levels)):
             lvl = levels[i]
             pt = images[lvl.base]
+            if product is not None:
+                pt = product.index(pt)
             if pt not in lvl.tree:
-                return images, i
-            images = kern.compose_images(images, kern.inverse_images(lvl.rep(pt)))
-        return images, len(levels)
+                return i, product
+            if pt != lvl.base:
+                u = lvl.rep(pt)
+                product = u if product is None else kern.compose_images(u, product)
+        return len(levels), product
+
+    def _residue(self, images: list[int], start: int, product: list[int] | None = None
+                 ) -> tuple[list[int], int] | None:
+        """The residue of images * product^-1 sifted from level start and
+        the level where its sift stopped, or None when it is the identity.
+        Only a residue to adjoin is formed, with the one inversion it needs.
+        """
+        level, product = self._sift_images(images, start, product)
+        passed = level == len(self._levels)
+        if product is None:  # no representative chosen: the residue is images
+            if passed and images == list(range(self.degree)):
+                return None
+            return images, level
+        if passed and product == images:
+            return None
+        return kern.compose_images(images, kern.inverse_images(product)), level
 
     def _adjoin(self, residue: list[int], level: int) -> None:
         """Adjoin a nontrivial residue whose sift stopped at level.
@@ -307,22 +347,28 @@ class PermGroup:
         """Sift all Schreier generators of this level; report where one sticks.
 
         The Schreier generator t_pt * g * t_{g(pt)}^-1 is trivial exactly
-        when t_pt * g equals t_{g(pt)}, so only nontrivial ones are formed.
+        when t_pt * g equals t_{g(pt)}, so only nontrivial ones are sifted,
+        and a tree edge, where g reached g(pt) from pt, gives a trivial one
+        by construction.  The sift starts from the product t_{g(pt)}, so
+        no representative is inverted unless a residue is adjoined.
         """
         lvl = self._levels[level]
-        identity = list(range(self.degree))
-        for pt in sorted(lvl.tree):
+        tree = lvl.tree
+        for pt in sorted(tree):
             tp = lvl.rep(pt)
             for g in lvl.gens:
+                q = g[pt]
+                edge = tree[q]
+                if edge is not None and edge[1] is g and edge[0] == pt:
+                    continue
                 tg = kern.compose_images(tp, g)
-                t2 = lvl.rep(g[pt])
+                t2 = lvl.rep(q)
                 if tg == t2:
                     continue
-                schreier = kern.compose_images(tg, kern.inverse_images(t2))
-                residue, stuck = self._sift_images(schreier, level + 1)
-                if residue != identity:
-                    self._adjoin(residue, stuck)
-                    return stuck
+                found = self._residue(tg, level + 1, t2)
+                if found is not None:
+                    self._adjoin(*found)
+                    return found[1]
         return None
 
     # --- queries ---
@@ -336,9 +382,12 @@ class PermGroup:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch(f"degrees {p.degree} and {self.degree}")
-        self._ensure_chain()
-        residue, _ = self._sift_images(list(p.images), 0)
-        return residue == list(range(self.degree))
+        levels = self._ensure_chain()
+        images = list(p.images)
+        level, product = self._sift_images(images, 0)
+        if level < len(levels):
+            return False
+        return images == (list(range(self.degree)) if product is None else product)
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)

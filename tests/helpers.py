@@ -211,3 +211,103 @@ def cfi_graph(base: Graph) -> Graph:
     for u, v in base.edges():
         edges.extend((outer(u, slot[u][v], x), outer(v, slot[v][u], x)) for x in (0, 1))
     return from_edges(10 * base.n, edges)
+
+
+
+def schreier_sims_by_inverses(degree: int, generators):
+    """The stabiliser chain of the group that the generators (image
+    sequences) generate, built the way the library built it before its
+    sifts carried the product of their chosen representatives: each sift
+    step composes the sifted element with the inverse of a coset
+    representative.  Base points are smallest moved points, each Schreier
+    tree is one FIFO orbit walk over its level's strong generators, a
+    residue joins the strong generators of every level down to where its
+    sift stopped, and levels are verified bottom up, restarting at the
+    level where a Schreier generator sticks.
+
+    Returns (base, gens, parents, contains): the base points, top level
+    first; each level's strong generators as image tuples, in order; each
+    tree's parent map (point -> the point it was reached from, the base
+    point -> None); and membership in the group, by the same sift.
+    """
+    identity = list(range(degree))
+    levels = []
+
+    def level(base, gens):
+        tree = {base: None}
+        orbit = [base]
+        for pt in orbit:
+            for g in gens:
+                q = g[pt]
+                if q not in tree:
+                    tree[q] = (pt, g)
+                    orbit.append(q)
+        return {"base": base, "gens": gens, "tree": tree, "reps": {base: identity}}
+
+    def rep(lvl, pt):
+        reps, tree = lvl["reps"], lvl["tree"]
+        path = []
+        while pt not in reps:
+            path.append(pt)
+            pt = tree[pt][0]
+        t = reps[pt]
+        for q in reversed(path):
+            g = tree[q][1]
+            t = reps[q] = [g[x] for x in t]
+        return t
+
+    def sift(images, start):
+        for i in range(start, len(levels)):
+            pt = images[levels[i]["base"]]
+            if pt not in levels[i]["tree"]:
+                return images, i
+            inverse = _inverse(rep(levels[i], pt))
+            images = [inverse[x] for x in images]
+        return images, len(levels)
+
+    def adjoin(residue, stop):
+        if stop == len(levels):
+            levels.append(level(next(i for i, x in enumerate(residue) if i != x), []))
+        for j in range(stop + 1):
+            levels[j] = level(levels[j]["base"], levels[j]["gens"] + [residue])
+
+    def verify(i):
+        lvl = levels[i]
+        for pt in sorted(lvl["tree"]):
+            tp = rep(lvl, pt)
+            for g in lvl["gens"]:
+                tg = [g[x] for x in tp]
+                t2 = rep(lvl, g[pt])
+                if tg == t2:
+                    continue
+                inverse = _inverse(t2)
+                residue, stop = sift([inverse[x] for x in tg], i + 1)
+                if residue != identity:
+                    adjoin(residue, stop)
+                    return stop
+        return None
+
+    for g in generators:
+        residue, stop = sift(list(g), 0)
+        if residue != identity:
+            adjoin(residue, stop)
+    i = len(levels) - 1
+    while i >= 0:
+        stuck = verify(i)
+        i = i - 1 if stuck is None else stuck
+
+    def contains(images):
+        return sift(list(images), 0)[0] == identity
+
+    base = tuple(lvl["base"] for lvl in levels)
+    gens = [[tuple(g) for g in lvl["gens"]] for lvl in levels]
+    parents = [{pt: None if edge is None else edge[0] for pt, edge in lvl["tree"].items()}
+               for lvl in levels]
+    return base, gens, parents, contains
+
+
+def _inverse(p):
+    inverse = [0] * len(p)
+    for i, x in enumerate(p):
+        inverse[x] = i
+    return inverse

@@ -31,6 +31,7 @@ from circulant_lab.perm import PermGroup, Permutation, compose, from_cycle_strin
 from helpers import (
     arc_orbit_of_tuples,
     brute_force_automorphisms,
+    cfi_graph,
     generalized_petersen,
     random_cubic_graph,
     random_simple_graph,
@@ -781,8 +782,20 @@ def _membership_groups():
         ("schreier-sims-even-2-7", lambda: arc_group(build_even(2, 7))),
         ("search-GP10-3", lambda: automorphism_group(generalized_petersen(10, 3))),
         ("search-odd-k5", lambda: automorphism_group(build_odd(5).graph)),
+        # deep chains from caller-supplied generators: 8 levels, and the 4
+        # levels of a searched CFI group's generators handed to Schreier-Sims
+        ("schreier-sims-sym9", lambda: PermGroup(9, [from_cycle_string("(0 1)", 9),
+                                                     from_cycle_string("(0 1 2 3 4 5 6 7 8)", 9)])),
+        ("schreier-sims-cfi-12", lambda: _searched_generators(
+            cfi_graph(random_cubic_graph(random.Random(12), 12)))),
     ]
     return [pytest.param(make, id=name) for name, make in cases]
+
+
+def _searched_generators(graph):
+    """A fresh group on the generators the search found, so Schreier-Sims
+    builds its chain."""
+    return PermGroup(graph.n, automorphism_group(graph).generators)
 
 
 @pytest.mark.parametrize("make", _membership_groups())
@@ -811,4 +824,5 @@ def test_membership_agrees_with_sympy(make):
     assert verdicts == [oracle.contains(SympyPermutation(list(p.images)))
                         for p in members + others]
     assert all(verdicts[:len(members)])
-    assert not any(verdicts[len(members):])
+    if group.order() < math.factorial(n):  # Sym(n) has no non-members
+        assert not any(verdicts[len(members):])

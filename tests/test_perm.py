@@ -24,7 +24,7 @@ from circulant_lab.perm import (
     power,
     to_cycle_string,
 )
-from helpers import relabel
+from helpers import relabel, schreier_sims_by_inverses
 
 
 def P(cycles: str, degree: int) -> Permutation:
@@ -436,3 +436,112 @@ def test_schreier_sims_chain_is_pinned(make, pinned):
     # the base, the orbits and the element order of a chain built from
     # caller-supplied generators are all deterministic; these are their values
     assert _chain_pin(make()) == pinned
+
+
+def _random_groups(count):
+    """count seeded random groups of degree at most 12 on 1-3 generators."""
+    rng = random.Random(20)
+    groups = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(n))
+            rng.shuffle(images)
+            gens.append(Permutation(tuple(images)))
+        groups.append(PermGroup(n, gens))
+    return groups
+
+
+QUERY_ARC_GROUPS = {
+    "odd5": lambda: _arc_group(build_odd(5)),
+    "odd7": lambda: _arc_group(build_odd(7)),
+    "odd9": lambda: _arc_group(build_odd(9)),
+    "even4_7": lambda: _arc_group(build_even(4, 7)),
+    "even5_13": lambda: _arc_group(build_even(5, 13)),
+}
+
+
+@pytest.mark.parametrize("make", [lambda: _random_groups(300)] + [
+    (lambda make=make: [make()]) for make in QUERY_ARC_GROUPS.values()
+], ids=["random300"] + list(QUERY_ARC_GROUPS))
+def test_schreier_sims_matches_the_inverse_per_step_sift(make):
+    # the sift that carries the product of its representatives builds the
+    # chain the inverse-per-step sift built, and answers membership alike
+    rng = random.Random(7)
+    for group in make():
+        n = group.degree
+        base, gens, parents, contains = schreier_sims_by_inverses(
+            n, [g.images for g in group.generators])
+        levels = group._ensure_chain()
+        assert group.base() == base
+        assert [[tuple(g) for g in lvl.gens] for lvl in levels] == gens
+        assert [{pt: edge and edge[0] for pt, edge in lvl.tree.items()}
+                for lvl in levels] == parents
+        queries = []
+        for _ in range(4):
+            w = identity(n)
+            for _ in range(rng.randrange(1, 8)):
+                w = compose(w, rng.choice(group.generators)) if group.generators else w
+            queries.append(w.images)
+            if n > 1:
+                images = list(w.images)
+                i, j = rng.sample(range(n), 2)
+                images[i], images[j] = images[j], images[i]
+                queries.append(tuple(images))
+            images = list(range(n))
+            rng.shuffle(images)
+            queries.append(tuple(images))
+        verdicts = [group.contains(Permutation(q)) for q in queries]
+        assert verdicts == [contains(q) for q in queries]
+        assert all(verdicts[::3 if n > 1 else 2])
+
+
+def test_sifts_invert_only_residues_they_adjoin(monkeypatch):
+    # a sift picks each representative by a preimage under the product of
+    # those chosen so far, so membership never inverts, and chain building
+    # inverts at most once per adjoined residue
+    cons = build_odd(5)
+    n = cons.graph.n
+    rng = random.Random(5)
+    members = [cons.witness] + [
+        compose(rng.choice(cons.arc_group.generators), rng.choice(cons.arc_group.generators))
+        for _ in range(6)]
+    others = [Permutation(tuple(rng.sample(range(n), n))) for _ in range(6)]
+    for w in members[1:4]:
+        images = list(w.images)
+        images[0], images[1] = images[1], images[0]
+        others.append(Permutation(tuple(images)))
+    calls = {"compose": 0, "inverse": 0}
+    compose_images, inverse_images = kern.compose_images, kern.inverse_images
+
+    def counted_compose(p, q):
+        calls["compose"] += 1
+        return compose_images(p, q)
+
+    def counted_inverse(p):
+        calls["inverse"] += 1
+        return inverse_images(p)
+
+    monkeypatch.setattr(kern, "compose_images", counted_compose)
+    monkeypatch.setattr(kern, "inverse_images", counted_inverse)
+    group = _arc_group(cons)
+    assert group.order() == 3 * n
+    # each adjoined residue is one more strong generator of the top level
+    assert calls["inverse"] <= len(group._levels[0].gens)
+    # the inverse-per-step sift made 1055 compositions here (about 7n)
+    assert calls["compose"] <= 5 * n + 10
+    calls.update(compose=0, inverse=0)
+    assert all(group.contains(w) for w in members)
+    assert not any(group.contains(w) for w in others)
+    assert calls["inverse"] == 0
+    # Sym(9) adjoins residues of Schreier generators on 8 levels: the
+    # inverse-per-step sift made 2411 inversions building it
+    symmetric = PermGroup(9, [P("(0 1)", 9), P("(0 1 2 3 4 5 6 7 8)", 9)])
+    calls.update(compose=0, inverse=0)
+    assert symmetric.order() == 362880
+    assert 0 < calls["inverse"] <= len(symmetric._levels[0].gens)
+    calls.update(compose=0, inverse=0)
+    assert all(symmetric.contains(Permutation(tuple(rng.sample(range(9), 9))))
+               for _ in range(20))
+    assert calls["inverse"] == 0
