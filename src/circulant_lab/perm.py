@@ -317,14 +317,13 @@ class PermGroup:
         """The residue of images * product^-1 sifted from level start and
         the level where its sift stopped, or None when it is the identity.
         Only a residue to adjoin is formed, with the one inversion it needs.
+        product None stands for the identity, and images is then a
+        generator, never the identity.
         """
         level, product = self._sift_images(images, start, product)
-        passed = level == len(self._levels)
         if product is None:  # no representative chosen: the residue is images
-            if passed and images == list(range(self.degree)):
-                return None
             return images, level
-        if passed and product == images:
+        if level == len(self._levels) and product == images:
             return None
         return kern.compose_images(images, kern.inverse_images(product)), level
 

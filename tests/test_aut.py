@@ -776,6 +776,10 @@ def _membership_groups():
         # a fresh group on the same generators, so Schreier-Sims builds its chain
         return PermGroup(construction.graph.n, construction.arc_group.generators)
 
+    def searched_generators(graph):
+        # a fresh group on the generators the search found
+        return PermGroup(graph.n, automorphism_group(graph).generators)
+
     cases = [
         ("schreier-sims-odd-k3", lambda: arc_group(build_odd(3))),
         ("schreier-sims-odd-k5", lambda: arc_group(build_odd(5))),
@@ -786,16 +790,10 @@ def _membership_groups():
         # levels of a searched CFI group's generators handed to Schreier-Sims
         ("schreier-sims-sym9", lambda: PermGroup(9, [from_cycle_string("(0 1)", 9),
                                                      from_cycle_string("(0 1 2 3 4 5 6 7 8)", 9)])),
-        ("schreier-sims-cfi-12", lambda: _searched_generators(
+        ("schreier-sims-cfi-12", lambda: searched_generators(
             cfi_graph(random_cubic_graph(random.Random(12), 12)))),
     ]
     return [pytest.param(make, id=name) for name, make in cases]
-
-
-def _searched_generators(graph):
-    """A fresh group on the generators the search found, so Schreier-Sims
-    builds its chain."""
-    return PermGroup(graph.n, automorphism_group(graph).generators)
 
 
 @pytest.mark.parametrize("make", _membership_groups())
