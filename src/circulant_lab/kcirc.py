@@ -11,11 +11,12 @@ so the walk drops elements that fix a base point, whole subtrees of the
 chain at a time.  It comes by depth-first order of the top Schreier tree,
 holding one path of coset representatives, so blocks do not come by
 ascending point: a witness is the hit with the smallest block point, the
-first in its block, which is exactly the first hit in the enumeration of
-the whole group.  Witnesses thus follow the search's base and coset
-representatives.  The walk hands out each element uncomposed, as three
-image lists h, v, t with the element x -> t[v[h[x]]], and only its cycle
-through point 0 is followed, image by image.  The element is composed,
+first in its block, which is exactly the first hit of the whole group in
+the chain order that ``PermGroup.suborbit_pairs`` defines.  Witnesses thus
+follow the search's base and coset representatives.  The walk hands out
+each element uncomposed, as three image lists h, v, t with the element
+x -> t[v[h[x]]], and only its cycle through point 0 is followed, image by
+image.  The element is composed,
 and given the full semiregularity test, only when n over that cycle's
 length is a k still wanted: one with no witness from a smaller block point
 yet, in the spectrum; the requested one, in a certificate, which skips
@@ -123,11 +124,11 @@ def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
                cap: int | None = None) -> SpectrumReport:
     """Spectrum { n/|g| : g in Aut, g semiregular } with one witness per k.
 
-    Each witness is the first hit for its k in the deterministic element
-    enumeration: of the walk's hits, the one with the smallest block point,
-    and the first in its block.  k = n is always in the spectrum for
-    n >= 1; the null graph's spectrum is empty, as a k-circulant needs
-    k >= 1.  Raises CapExceeded when |Aut| exceeds the enumeration cap,
+    Each witness is the first hit for its k in chain order (defined at
+    PermGroup.suborbit_pairs): of the walk's hits, the one with the
+    smallest block point, and the first in its block.  k = n is always in
+    the spectrum for n >= 1; the null graph's spectrum is empty, as a
+    k-circulant needs k >= 1.  Raises CapExceeded when |Aut| exceeds the enumeration cap,
     and GroupNotAutomorphisms (aut.check_all_automorphisms) when the group
     is not a group of automorphisms of the graph.
     """
@@ -179,7 +180,7 @@ def certify_k_circulant(graph: graphio.Graph, k: int,
     aut_mod.check_all_automorphisms(graph, group)
     want = n // k
     best: tuple[int, Permutation | None] = (n, None)  # every block point is below n
-    for pt, _, g in _semiregular_elements(graph, group, cap, lambda c, pt: c == k and pt < best[0],
+    for pt, _, g in _semiregular_elements(graph, group, cap, lambda c, pt: c == k,
                                           lambda: best[0]):
         structure = cycle_structure(g)
         if structure.element_order != want or not all(l == want for l in structure.cycle_lengths):

@@ -2,29 +2,27 @@
 
 Permutations act on {0..n-1} and compose left-to-right:
 ``compose(p, q)`` applies p first, so ``compose(p, q)[i] == q[p[i]]``.
-Groups answer order/membership/orbit/enumeration queries through a
-deterministic stabilizer chain with two producers.  For generators the
-caller supplies, Schreier-Sims builds it (base points are smallest moved
-points).  The automorphism search hands over the base and strong generating
-set it found (``PermGroup.from_chain``), so nothing is sifted.  Either way
-each level is the Schreier tree of one FIFO orbit walk, the order is the
-product of the tree sizes, and a coset representative a sift or
-``elements`` needs is composed along its tree path on first request and
-kept, so repeated runs produce identical element streams.  A sift, for
-membership or for Schreier-Sims, inverts no representative: it carries
-the product of the representatives it has chosen and reads the next one
-off a preimage under that product, and the residue (the sifted element
-times the inverse of that product) is formed only to adjoin it to the
-chain.  Enumeration walks pairs (h, t) of a top-level coset
-representative t and an element h of the stabiliser below; ``elements``
-composes each h * t.
-``suborbit_pairs`` is the spectrum's walk: it hands out only the blocks of
-one point per suborbit, less elements that fix a base point (all but the
-identity in the first base point's block), each element uncomposed as
-three image lists, so a caller that reads a few images of each element
-(``kcirc`` follows one cycle) composes only the candidates it keeps.  It
-walks the top Schreier tree depth first and holds the representatives of
-one tree path only, adding none to the level.
+Groups answer order/membership/orbit queries through a deterministic
+stabilizer chain with two producers.  For generators the caller supplies,
+Schreier-Sims builds it (base points are smallest moved points).  The
+automorphism search hands over the base and strong generating set it found
+(``PermGroup.from_chain``), so nothing is sifted.  Either way each level is
+the Schreier tree of one FIFO orbit walk, the order is the product of the
+tree sizes, and a coset representative a sift needs is composed along its
+tree path on first request and kept, so repeated runs make identical
+choices.  A sift, for membership or for Schreier-Sims, inverts no
+representative: it carries the product of the representatives it has
+chosen and reads the next one off a preimage under that product, and the
+residue (the sifted element times the inverse of that product) is formed
+only to adjoin it to the chain.
+``suborbit_pairs`` is the one walk over elements, the spectrum's: it hands
+out only the blocks of one point per suborbit, less elements that fix a
+base point (all but the identity in the first base point's block), each
+element uncomposed as three image lists, so a caller that reads a few
+images of each element (``kcirc`` follows one cycle) composes only the
+candidates it keeps, and its docstring defines the order witnesses follow.
+It walks the top Schreier tree depth first and holds the representatives
+of one tree path only, adding none to the level.
 """
 from __future__ import annotations
 
@@ -155,9 +153,10 @@ class _Level:
     point above, in the order of the strong generating set) and its
     Schreier tree: each point of its orbit under gens, in FIFO order, maps
     to the point it was reached from and the generator that reached it (the
-    base point to None).  A coset representative is composed on first
-    request and kept in reps; the spectrum's walk (PermGroup.suborbit_pairs)
-    reads the top level's kept ones but composes its own and keeps none.
+    base point to None).  A coset representative is composed along its tree
+    path on first request and kept in reps, so the tree fixes the chain
+    order (PermGroup.suborbit_pairs); the spectrum's walk reads the top
+    level's kept ones but composes its own and keeps none.
     A sift through the levels carries the product of the representatives
     it chose rather than their inverses, and forms a residue only to
     adjoin it (PermGroup._sift_images).
@@ -397,43 +396,36 @@ class PermGroup:
         orbits = components(self.degree, lambda p: [im[p] for im in images])
         return [sorted(orbit) for orbit in orbits]
 
-    def elements(self, cap: int | None = None) -> Iterator[Permutation]:
-        """Every element exactly once, in a deterministic order.
-
-        The order is lexicographic over chain transversal indices, with the
-        top level most significant and each transversal iterated by ascending
-        orbit point.  So the stream comes in blocks, one per point pt of the
-        first base point b's orbit, block pt holding the |G_b| elements
-        that map b to pt.  Raises CapExceeded before yielding anything if
-        the group order exceeds the cap.
-        """
-        for images in _products(self._capped_chain(cap), 0, self.degree):
-            yield Permutation(tuple(images))
-
     def suborbit_pairs(self, cap: int | None = None, until: Callable[[], int] | None = None
                        ) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
-        """The elements of elements() that the spectrum needs, as
-        (pt, h, v, t): pt is the element's block point, and the element maps
-        x to t[v[h[x]]], uncomposed.
+        """The elements the spectrum needs, as (pt, h, v, t): pt is the
+        element's block point, and the element maps x to t[v[h[x]]],
+        uncomposed.
 
-        Block pt holds the |G_b| elements that map the first base point b
-        to pt, and a suborbit is an orbit of the stabiliser G_b on b's
-        orbit.  Conjugating by G_b maps block pt onto block h(pt) and keeps
-        cycle types, so a conjugacy-invariant question is answered by the
-        blocks of the suborbits' smallest points.  A question about
-        semiregular elements needs fewer still: an element that fixes a
-        point is the identity or not semiregular.  So the walk yields the
-        identity first, as block b's only element, and then the blocks of
-        the other smallest points, dropping only elements that fix a base
-        point.  Write an element as g = t_{L-1} * ... * t_1 * t_0, one coset
-        representative per level, so that g(x) = t_0[t_1[...[x]]].  Then
+        The chain order, which witnesses follow: an element is
+        g = t_{L-1} * ... * t_1 * t_0, one coset representative per level,
+        so g(x) = t_0[t_1[...[x]]], and t_i, composed along its level's
+        Schreier-tree path, maps base point b_i to p_i.  Elements come
+        lexicographically by (p_0, ..., p_{L-1}), the top level most
+        significant and each transversal by ascending orbit point, so in
+        blocks: block pt holds the |G_b| elements that map the first base
+        point b to pt.
+
+        A suborbit is an orbit of the stabiliser G_b on b's orbit.
+        Conjugating by G_b maps block pt onto block h(pt) and keeps cycle
+        types, so a conjugacy-invariant question is answered by the blocks
+        of the suborbits' smallest points.  A question about semiregular
+        elements needs fewer still: an element that fixes a point is the
+        identity or not semiregular.  So the walk yields the identity
+        first, as block b's only element, and then the blocks of the other
+        smallest points, dropping only elements that fix a base point.
         g(b_j) = t_0[...t_j[b_j]] is known once levels 0..j are chosen.
         Below the top level the representatives are tried level by level
         in ascending point order, and a choice at which g fixes b_j drops
-        its whole subtree.  A block's elements thus come in elements()
-        order.  h and v are the representatives of the last two levels, read
-        as the levels keep them (the identity where the chain is shorter),
-        and t is t_0 with those of the levels above composed into it.  So a
+        its whole subtree.  A block's elements thus come in chain order.
+        h and v are the representatives of the last two levels, read as the
+        levels keep them (the identity where the chain is shorter), and t
+        is t_0 with those of the levels above composed into it.  So a
         stabiliser chain of one or two levels, as in the construction's
         families, costs no composition per block, while an element is
         always three lists, each read at every step of a cycle (a word of
@@ -454,12 +446,16 @@ class PermGroup:
         must not be modified.  Raises CapExceeded before the first element
         if the group order exceeds the cap.
         """
-        levels = self._capped_chain(cap)
+        if cap is None:
+            cap = DEFAULT_ENUMERATION_CAP
+        order = self.order()
+        if order > cap:
+            raise CapExceeded(f"group order {order} exceeds cap {cap}")
         identity = list(range(self.degree))
-        if not levels:
+        if not self._levels:
             yield 0, identity, identity, identity
             return
-        top, below = levels[0], levels[1:]
+        top, *below = self._levels
         b, tree, kept = top.base, top.tree, top.reps
         yield b, identity, identity, identity
         stabiliser = below[0].gens if below else []
@@ -505,52 +501,13 @@ class PermGroup:
             if kids:
                 stack.extend(zip(reversed(kids), repeat(t)))
 
-    def _capped_chain(self, cap: int | None) -> list[_Level]:
-        """The chain, or CapExceeded if the group order exceeds the cap."""
-        if cap is None:
-            cap = DEFAULT_ENUMERATION_CAP
-        order = self.order()
-        if order > cap:
-            raise CapExceeded(f"group order {order} exceeds cap {cap}")
-        return self._levels
-
-
-def _coset_pairs(levels: list[_Level], i: int, degree: int) -> Iterator[tuple[list[int], list[int]]]:
-    """(h, t) for each coset representative t of level i, by ascending orbit
-    point, and each element h of the chain below, in _products order: the
-    products h * t are level i's group in elements() order.
-
-    A module function, not a closure: a recursive closure is a reference
-    cycle, and it would keep the group and its transversals alive after the
-    walk until the cyclic garbage collector ran.
-    """
-    tree = levels[i].tree
-    # the stabiliser below is walked once per orbit point; keep its
-    # elements when they take no more room than this transversal
-    stabiliser_order = math.prod(len(lower.tree) for lower in levels[i + 1:])
-    below = list(_products(levels, i + 1, degree)) if stabiliser_order <= len(tree) else None
-    for pt in sorted(tree):
-        t = levels[i].rep(pt)
-        for h in _products(levels, i + 1, degree) if below is None else below:
-            yield h, t
-
-
-def _products(levels: list[_Level], i: int, degree: int) -> Iterator[list[int]]:
-    """Each element of the chain from level i down, as a new image list, in
-    elements() order."""
-    if i == len(levels):
-        yield list(range(degree))
-        return
-    for h, t in _coset_pairs(levels, i, degree):
-        yield kern.compose_images(h, t)
-
 
 def _pruned_triples(steps: list[tuple[int, list[int], _Level]], i: int, v: list[int],
                     t: list[int]) -> Iterator[tuple[list[int], list[int], list[int]]]:
-    """For each element g of the chain from level i down, in elements()
-    order, the map x -> t[v[g[x]]] as a triple (h', v', t') of lists with
-    x -> t'[v'[h'[x]]], less the maps that fix a base point of these
-    levels; steps holds each level's base point, its sorted orbit and the
+    """For each element g of the chain from level i down, in chain order
+    (PermGroup.suborbit_pairs), the map x -> t[v[g[x]]] as a triple
+    (h', v', t') of lists with x -> t'[v'[h'[x]]], less the maps that fix a
+    base point of these levels; steps holds each level's base point, its sorted orbit and the
     level.  A representative chosen above the last two levels is composed
     into t, one chosen at the second last is v', and one at the last is
     h'; v is the identity until then.  The representative of a point pt of

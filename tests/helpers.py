@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's stabilizer-chain and
 refinement machinery so that it can serve as a cross-check on them.
 """
-from itertools import permutations
+from itertools import permutations, product
 
 from circulant_lab.graphio import Graph, from_edges
+from circulant_lab.perm import Permutation
 
 
 def brute_force_automorphisms(graph: Graph) -> list[tuple[int, ...]]:
@@ -214,6 +215,64 @@ def cfi_graph(base: Graph) -> Graph:
 
 
 
+def schreier_tree(base, gens):
+    """The Schreier tree of base's orbit under gens (image sequences), grown
+    by one FIFO walk that tries every generator at every point, in order:
+    each orbit point -> (the point it was reached from, the generator that
+    reached it), the base point -> None, in the order the walk reached
+    them."""
+    tree = {base: None}
+    orbit = [base]
+    for pt in orbit:
+        for g in gens:
+            q = g[pt]
+            if q not in tree:
+                tree[q] = (pt, g)
+                orbit.append(q)
+    return tree
+
+
+def tree_representative(tree, reps, pt):
+    """The coset representative mapping the tree's base point to pt: the
+    generators on its tree path applied in turn, as a list.  reps holds the
+    ones composed so far, at first only the base point's identity, and
+    keeps every one composed on the way."""
+    path = []
+    while pt not in reps:
+        path.append(pt)
+        pt = tree[pt][0]
+    t = reps[pt]
+    for q in reversed(path):
+        g = tree[q][1]
+        t = reps[q] = [g[x] for x in t]
+    return t
+
+
+def chain_elements(group):
+    """Every element of the group once, in the chain order that witnesses
+    follow: g = t_{L-1} * ... * t_0, one coset representative per level,
+    g(x) = t_0[t_1[...[x]]], lexicographic over the transversal indices
+    with the top level most significant and each transversal taken by
+    ascending orbit point.
+
+    It reads only each level's base point and strong generators, and grows
+    its own trees and representatives, so it checks the library's tree
+    growth and composition as well as its walk.
+    """
+    group.base()  # builds the chain
+    identity = list(range(group.degree))
+    transversals = []
+    for lvl in group._levels:
+        tree = schreier_tree(lvl.base, lvl.gens)
+        reps = {lvl.base: identity}
+        transversals.append([tree_representative(tree, reps, pt) for pt in sorted(tree)])
+    for ts in product(*transversals):
+        images = identity
+        for t in reversed(ts):
+            images = [t[x] for x in images]
+        yield Permutation(tuple(images))
+
+
 def schreier_sims_by_inverses(degree: int, generators):
     """The stabiliser chain of the group that the generators (image
     sequences) generate, built the way the library built it before its
@@ -234,27 +293,11 @@ def schreier_sims_by_inverses(degree: int, generators):
     levels = []
 
     def level(base, gens):
-        tree = {base: None}
-        orbit = [base]
-        for pt in orbit:
-            for g in gens:
-                q = g[pt]
-                if q not in tree:
-                    tree[q] = (pt, g)
-                    orbit.append(q)
-        return {"base": base, "gens": gens, "tree": tree, "reps": {base: identity}}
+        return {"base": base, "gens": gens, "tree": schreier_tree(base, gens),
+                "reps": {base: identity}}
 
     def rep(lvl, pt):
-        reps, tree = lvl["reps"], lvl["tree"]
-        path = []
-        while pt not in reps:
-            path.append(pt)
-            pt = tree[pt][0]
-        t = reps[pt]
-        for q in reversed(path):
-            g = tree[q][1]
-            t = reps[q] = [g[x] for x in t]
-        return t
+        return tree_representative(lvl["tree"], lvl["reps"], pt)
 
     def sift(images, start):
         for i in range(start, len(levels)):

@@ -32,10 +32,12 @@ from helpers import (
     arc_orbit_of_tuples,
     brute_force_automorphisms,
     cfi_graph,
+    chain_elements,
     generalized_petersen,
     random_cubic_graph,
     random_simple_graph,
     relabel,
+    schreier_tree,
 )
 
 
@@ -275,7 +277,7 @@ def test_profile_deterministic():
     a = automorphism_group(graph)
     b = automorphism_group(graph)
     assert [g.images for g in a.generators] == [g.images for g in b.generators]
-    assert [e.images for e in a.elements()] == [e.images for e in b.elements()]
+    assert [e.images for e in chain_elements(a)] == [e.images for e in chain_elements(b)]
 
 
 def test_node_cap():
@@ -348,7 +350,7 @@ def test_trivial_graphs():
 def test_enumeration_count_matches_order_on_fixture_groups():
     for name in fixtures.NAMES:
         group = automorphism_group(fixtures.load(name))
-        assert sum(1 for _ in group.elements()) == group.order() <= 10 ** 4
+        assert sum(1 for _ in chain_elements(group)) == group.order() <= 10 ** 4
 
 
 def test_arc_transitive_implies_vertex_transitive_on_corpus():
@@ -448,7 +450,7 @@ def test_search_chain_membership_and_enumeration(name):
     group = automorphism_group(graph)
     for g in group.generators:
         assert group.contains(g)
-    elements = {e.images for e in group.elements()}
+    elements = {e.images for e in chain_elements(group)}
     assert len(elements) == group.order()
     assert all(all(e[v] in graph.adjacency[e[u]] for u, v in graph.edges())
                for e in map(Permutation, elements))
@@ -666,12 +668,7 @@ def _naive_trees(degree, generators, base):
     gens = [list(g.images) for g in generators if not g.is_identity()]
     trees = []
     for b in base:
-        tree, orbit = {b: None}, [b]
-        for pt in orbit:
-            for g in gens:
-                if g[pt] not in tree:
-                    tree[g[pt]] = (pt, g)
-                    orbit.append(g[pt])
+        tree = schreier_tree(b, gens)
         if len(tree) > 1:
             trees.append(list(tree.items()))
         gens = [g for g in gens if g[b] == b]

@@ -29,6 +29,7 @@ from circulant_lab.perm import (
 )
 from helpers import (
     cfi_graph,
+    chain_elements,
     generalized_petersen,
     random_cubic_graph,
     relabel,
@@ -144,10 +145,10 @@ def _certify_case(source, group_kind):
 
 
 def _first_hits_over_all_elements(n, group):
-    """k -> the first element of the full enumeration that is semiregular
-    with k cycles: the oracle for the suborbit walk."""
+    """k -> the first element in chain order that is semiregular with k
+    cycles: the oracle for the suborbit walk."""
     hits = {}
-    for g in group.elements():
+    for g in chain_elements(group):
         for k in spectrum_of_perms(n, [g.images]):
             hits.setdefault(k, g)
     return hits

@@ -8,7 +8,7 @@ import pytest
 
 from circulant_lab import _kernels as kern
 from circulant_lab import perm
-from circulant_lab.aut import automorphism_group
+from circulant_lab.aut import automorphism_group, is_automorphism
 from circulant_lab.cli import build_even, build_odd
 from circulant_lab.errors import CapExceeded, DegreeMismatch
 from circulant_lab.kcirc import certify_k_circulant
@@ -24,7 +24,7 @@ from circulant_lab.perm import (
     power,
     to_cycle_string,
 )
-from helpers import relabel, schreier_sims_by_inverses
+from helpers import chain_elements, relabel, schreier_sims_by_inverses
 
 
 def P(cycles: str, degree: int) -> Permutation:
@@ -236,27 +236,26 @@ def test_enumeration_matches_order():
         PermGroup(6, [P("(0 1)", 6), P("(2 3 4 5)", 6), P("(2 3)", 6)]),  # small top orbit
         PermGroup(2, []),
     ]
-    for g in cases:
-        elems = list(g.elements())
+    # a searched chain whose trees below the top level try only the
+    # generators that move a point: orbits 14, 3, 2, 2, 2
+    graph = build_even(1, 7).graph
+    searched = automorphism_group(graph)
+    assert [len(lvl.tree) for lvl in searched._levels] == [14, 3, 2, 2, 2]
+    for g in cases + [searched]:
+        elems = list(chain_elements(g))
         assert len(elems) == g.order()
         assert len(set(e.images for e in elems)) == g.order()
         for e in elems:
             assert e in g
+    assert all(is_automorphism(graph, e) for e in chain_elements(searched))
 
 
 def test_enumeration_deterministic():
     g = PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)])
-    first = [e.images for e in g.elements()]
-    second = [e.images for e in g.elements()]
+    first = [e.images for e in chain_elements(g)]
+    second = [e.images for e in chain_elements(g)]
     assert first == second
     assert first[0] == (0, 1, 2, 3)
-
-
-def test_enumeration_cap():
-    g = PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)])
-    with pytest.raises(CapExceeded):
-        list(g.elements(cap=23))
-    assert len(list(g.elements(cap=24))) == 24
 
 
 SUBORBIT_GROUPS = [
@@ -290,7 +289,7 @@ def _blocks(walked):
 def _check_suborbit_blocks(group):
     base = group.base()
     b = base[0]
-    everything = list(group.elements())
+    everything = list(chain_elements(group))
     stabiliser = [g for g in everything if g[b] == b]
     top_orbit = {g[b] for g in everything}
     suborbits = {frozenset(h[pt] for h in stabiliser) for pt in top_orbit}
@@ -300,7 +299,7 @@ def _check_suborbit_blocks(group):
     assert walked[0][0] == b and _composed(walked[:1]) == [identity(group.degree)]
     blocks = _blocks(walked[1:])
     assert set(blocks) <= set(minima) - {b}
-    # the blocks, compared by point, each in elements() order, without
+    # the blocks, compared by point, each in chain order, without
     # exactly the elements that fix a base point
     for pt in minima:
         if pt == b:
@@ -360,7 +359,7 @@ def test_suborbit_pairs_cap():
     g = PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)])
     walk = g.suborbit_pairs(cap=23)
     with pytest.raises(CapExceeded):
-        next(walk)  # raised before the first pair, as elements() does
+        next(walk)  # raised before the first pair
     # the identity, then block 1: the six elements mapping 0 to 1, less the
     # two that fix the base point 2
     assert len(list(g.suborbit_pairs(cap=24))) == 5
@@ -372,7 +371,6 @@ def test_walks_do_not_keep_their_group_alive():
     gc.disable()
     try:
         g = PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)])
-        list(g.elements())
         next(g.suborbit_pairs())
         released = weakref.ref(g)
         del g
@@ -397,9 +395,9 @@ def test_generators_pass_membership():
 
 
 def _chain_pin(group):
-    """Base, basic orbit sizes and a digest of the elements() stream."""
+    """Base, basic orbit sizes and a digest of the elements in chain order."""
     base = group.base()
-    elements = list(group.elements())
+    elements = list(chain_elements(group))
     sizes = tuple(
         len({e[b] for e in elements if all(e[c] == c for c in base[:i])})
         for i, b in enumerate(base)
