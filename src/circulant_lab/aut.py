@@ -43,6 +43,7 @@ is iterated in ascending vertex order, so the output is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from circulant_lab import _kernels as kern
 from circulant_lab import graphio
@@ -210,8 +211,9 @@ def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
     vertices and every generator is an automorphism.
 
     The one place that decides whether a group is checked: a group records
-    the graph it passed for, or the graph automorphism_group searched, and
-    is not checked again for that Graph object (an equal one is).
+    the graph it passed for, the graph automorphism_group searched, or the
+    graph of the group it is a subgroup of (subgroup), and is not checked
+    again for that Graph object (an equal one is).
     """
     if group._automorphisms_of is graph:
         return
@@ -222,6 +224,17 @@ def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
         if not kern.preserves_adjacency(ptr, flat, g.images):
             raise GroupNotAutomorphisms(f"generator {g} does not preserve adjacency")
     group._automorphisms_of = graph
+
+
+def subgroup(group: PermGroup, elements: Sequence[Permutation]) -> PermGroup:
+    """The subgroup that elements of group generate, recorded for the graph
+    group is recorded for (check_all_automorphisms), so it is not checked
+    again there.  The caller vouches that the elements lie in group, as a
+    spectrum's witnesses do: each is a product of the group's coset
+    representatives."""
+    sub = PermGroup(group.degree, elements)
+    sub._automorphisms_of = group._automorphisms_of
+    return sub
 
 
 def is_arc_transitive(graph: graphio.Graph, group: PermGroup) -> bool:

@@ -177,8 +177,9 @@ def _analyze_graph(graph: graphio.Graph, cap: int, include_trivial: bool,
     nontrivial = [k for k in report.spectrum if k != graph.n]
     if nontrivial:
         k0 = nontrivial[0]
-        witness_group = PermGroup(graph.n, [report.witnesses[k0]])
-        q = quotient.quotient_graph(graph, witness_group)
+        # the witness is an element of the searched group, so the subgroup
+        # it generates is not checked against adjacency again
+        q = quotient.quotient_graph(graph, aut_mod.subgroup(group, [report.witnesses[k0]]))
         payload["quotient_by_smallest_k"] = {
             "k": k0,
             "orbits": q.quotient.n,

@@ -4,23 +4,33 @@ A graph is a k-circulant when some semiregular automorphism has exactly k
 cycles; the spectrum collects every such k.  Being semiregular with k
 cycles is invariant under conjugation, so the spectrum walks one coset
 block per suborbit (``PermGroup.suborbit_pairs``): the |G_b| elements
-mapping the first base point b to the smallest point of each orbit of the
+mapping the first base point b to one point of each orbit of the
 stabiliser G_b, over the stabilizer chain the automorphism search hands
 over.  An element that fixes a point is the identity or not semiregular,
 so the walk drops elements that fix a base point, whole subtrees of the
-chain at a time.  It comes by depth-first order of the top Schreier tree,
-holding one path of coset representatives, so blocks do not come by
-ascending point: a witness is the hit with the smallest block point, the
-first in its block, which is exactly the first hit of the whole group in
-the chain order that ``PermGroup.suborbit_pairs`` defines.  Witnesses thus
-follow the search's base and coset representatives.  The walk hands out
-each element uncomposed, as three image lists h, v, t with the element
-x -> t[v[h[x]]], and only its cycle through point 0 is followed, image by
-image.  The element is composed,
+chain at a time.  A witness is the first hit of the whole group in the
+chain order that ``PermGroup.suborbit_pairs`` defines: the first hit in
+the block of the smallest point whose block holds one.  So witnesses
+follow the search's base and coset representatives.
+
+The walk runs in two passes.  A block is a coset as a set, and which k it
+holds is the same for every point of a suborbit, so the first pass reads
+one block per suborbit through a shallow Schreier tree of seeded random
+subproducts, in an order of its own, and records for each k the smallest
+suborbit point m whose block holds it.  The second composes the search
+tree's representatives along the paths to those m only, one path at a
+time, and takes the first hit for each k in block m, in chain order.  When
+the shallow tree's first pass would not compose fewer than half the
+representatives (a gate on counts the walk has anyway), the first pass
+walks the search's tree itself, its hits are the witnesses, and the second
+has nothing to do.  The walk hands out each element uncomposed, as three
+image lists h, v, t with the element x -> t[v[h[x]]], and only its cycle
+through point 0 is followed, image by image.  The element is composed,
 and given the full semiregularity test, only when n over that cycle's
-length is a k still wanted: one with no witness from a smaller block point
-yet, in the spectrum; the requested one, in a certificate, which skips
-every block from its best hit's point on.  The trivial k = n (identity witness) is
+length is a k still wanted: in the spectrum, one with no hit yet from a
+smaller suborbit point in the first pass, or the first in its block in
+the second; in a certificate, the requested one, which skips every block
+from its best hit's point on.  The trivial k = n (identity witness) is
 part of the spectrum whenever n >= 1; reports may filter it.  The walk
 holds only for a group of automorphisms, so both pass their group through
 ``aut.check_all_automorphisms``: a searched group is never checked again,
@@ -30,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from circulant_lab import _kernels as kern
 from circulant_lab import aut as aut_mod
@@ -90,13 +100,12 @@ def is_squarefree(k: int) -> bool:
     return True
 
 
-def _semiregular_elements(graph: graphio.Graph, group: PermGroup, cap: int | None,
-                          wanted: Callable[[int, int], bool],
-                          until: Callable[[], int] | None = None
-                          ) -> Iterator[tuple[int, int, Permutation]]:
-    """(block point, number of cycles, element) for each semiregular element
-    of the walk whose number of cycles k is wanted(k, block point), in walk
-    order; until is the walk's, which skips the blocks from its point on.
+def _semiregular_elements(n: int, pairs: Iterable[tuple[int, list[int], list[int], list[int]]],
+                          wanted: Callable[[int, int], bool]
+                          ) -> Iterator[tuple[int, int, list[int]]]:
+    """(m, number of cycles, images) for each semiregular element of the
+    walk's pairs (PermGroup.suborbit_pairs) whose number of cycles k is
+    wanted(k, m), in walk order.
 
     All cycles of a semiregular element have one length, so the cycle
     through point 0 gives their number.  That cycle of the element
@@ -104,20 +113,17 @@ def _semiregular_elements(graph: graphio.Graph, group: PermGroup, cap: int | Non
     is long; the element is composed and fully tested only when its number
     is wanted.
     """
-    n = graph.n
-    if n == 0:
-        return  # the null graph is a k-circulant for no k >= 1
-    for pt, h, v, t in group.suborbit_pairs(cap, until):
+    for m, h, v, t in pairs:
         length = 1
         j = t[v[h[0]]]
         while j:
             j = t[v[h[j]]]
             length += 1
-        if n % length or not wanted(n // length, pt):
+        if n % length or not wanted(n // length, m):
             continue
         images = [t[v[x]] for x in h]
         if kern.is_semiregular_images(images):
-            yield pt, n // length, Permutation(tuple(images))
+            yield m, n // length, images
 
 
 def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
@@ -125,21 +131,36 @@ def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
     """Spectrum { n/|g| : g in Aut, g semiregular } with one witness per k.
 
     Each witness is the first hit for its k in chain order (defined at
-    PermGroup.suborbit_pairs): of the walk's hits, the one with the
-    smallest block point, and the first in its block.  k = n is always in
-    the spectrum for n >= 1; the null graph's spectrum is empty, as a
-    k-circulant needs k >= 1.  Raises CapExceeded when |Aut| exceeds the enumeration cap,
-    and GroupNotAutomorphisms (aut.check_all_automorphisms) when the group
-    is not a group of automorphisms of the graph.
+    PermGroup.suborbit_pairs): the first hit in the block of the smallest
+    point whose block holds one.  The first pass finds that point for each
+    k; when its blocks did not come in chain order, the second walks the
+    search's tree to those points only and takes the first hit in each.
+    k = n is always in the spectrum for n >= 1; the null graph's spectrum
+    is empty, as a k-circulant needs k >= 1.  Raises CapExceeded when |Aut|
+    exceeds the enumeration cap, and GroupNotAutomorphisms
+    (aut.check_all_automorphisms) when the group is not a group of
+    automorphisms of the graph.
     """
     group = aut_mod.automorphism_group(graph) if group is None else group
     aut_mod.check_all_automorphisms(graph, group)
-    best: dict[int, tuple[int, Permutation]] = {}
-    for pt, k, g in _semiregular_elements(
-            graph, group, cap, lambda k, pt: k not in best or pt < best[k][0]):
-        best[k] = pt, g
-    witnesses = {k: best[k][1] for k in sorted(best)}
-    return SpectrumReport(graph.n, tuple(witnesses), witnesses)
+    n = graph.n
+    if n == 0:  # the null graph is a k-circulant for no k >= 1
+        return SpectrumReport(0, (), {})
+    first: dict[int, int] = {}  # k -> the smallest suborbit point whose block holds it
+    found: dict[int, list[int]] = {}
+    walk = group.suborbit_pairs(cap)
+    for m, k, images in _semiregular_elements(
+            n, walk, lambda k, m: k not in first or m < first[k]):
+        first[k] = m
+        if walk.in_chain_order:
+            found[k] = images
+    if not walk.in_chain_order:
+        for m, k, images in _semiregular_elements(
+                n, walk.chain_pairs(set(first.values())),
+                lambda k, m: first.get(k) == m and k not in found):
+            found[k] = images
+    witnesses = {k: Permutation(tuple(found[k])) for k in sorted(found)}
+    return SpectrumReport(n, tuple(witnesses), witnesses)
 
 
 def check_order_bound(report: SpectrumReport) -> tuple[BoundFinding, ...]:
@@ -167,28 +188,49 @@ def certify_k_circulant(graph: graphio.Graph, k: int,
                         cap: int | None = None) -> Permutation | None:
     """A verified semiregular witness with k cycles, or None.
 
-    The witness is the one k_spectrum gives for k: the hit with the
-    smallest block point, the first in its block.  Each hit is re-verified
-    from scratch, cycle structure and adjacency preservation, before it is
-    kept, and the walk skips every block from the kept hit's point on.
-    GroupNotAutomorphisms as in k_spectrum.
+    The witness is the one k_spectrum gives for k: the first hit in the
+    block of the smallest point whose block holds one.  The walk skips
+    every block from its best hit's point on, and when its blocks did not
+    come in chain order, the second pass walks that point's block alone.
+    A witness is re-verified from scratch, cycle structure and adjacency
+    preservation, before it is kept.  GroupNotAutomorphisms as in
+    k_spectrum.
     """
     n = graph.n
     if k < 1 or n % k != 0:
         raise KDoesNotDivideN(f"k = {k} does not divide n = {n}")
     group = aut_mod.automorphism_group(graph) if group is None else group
     aut_mod.check_all_automorphisms(graph, group)
+    if n == 0:
+        return None
     want = n // k
-    best: tuple[int, Permutation | None] = (n, None)  # every block point is below n
-    for pt, _, g in _semiregular_elements(graph, group, cap, lambda c, pt: c == k,
-                                          lambda: best[0]):
-        structure = cycle_structure(g)
-        if structure.element_order != want or not all(l == want for l in structure.cycle_lengths):
-            continue
-        if not aut_mod.is_automorphism(graph, g):
-            continue
-        best = pt, g
-    return best[1]
+    bound = [n]  # every suborbit point is below n
+    witness = None
+    walk = group.suborbit_pairs(cap, lambda: bound[0])
+    for m, _, images in _semiregular_elements(n, walk, lambda c, m: c == k):
+        if walk.in_chain_order:
+            g = _verified(graph, images, want)
+            if g is None:
+                continue
+            witness = g
+        bound[0] = m
+    if bound[0] < n and not walk.in_chain_order:
+        for _, _, images in _semiregular_elements(n, walk.chain_pairs([bound[0]]),
+                                                  lambda c, m: c == k):
+            witness = _verified(graph, images, want)
+            if witness is not None:
+                break
+    return witness
+
+
+def _verified(graph: graphio.Graph, images: list[int], length: int) -> Permutation | None:
+    """The element as a Permutation if, checked from scratch, every cycle has
+    the given length and it preserves adjacency; else None."""
+    g = Permutation(tuple(images))
+    structure = cycle_structure(g)
+    if structure.element_order != length or not all(l == length for l in structure.cycle_lengths):
+        return None
+    return g if aut_mod.is_automorphism(graph, g) else None
 
 
 def edge_reversing_involution_check(graph: graphio.Graph, c_generator: Permutation) -> bool:

@@ -21,15 +21,28 @@ base point (all but the identity in the first base point's block), each
 element uncomposed as three image lists, so a caller that reads a few
 images of each element (``kcirc`` follows one cycle) composes only the
 candidates it keeps, and its docstring defines the order witnesses follow.
-It walks the top Schreier tree depth first and holds the representatives
-of one tree path only, adding none to the level.
+It runs in two passes.  A block is a coset as a set, whatever
+representative reaches it, and what a conjugacy-invariant question finds
+in it is the same across a suborbit, so the first pass may read each
+suborbit's block through any point and any representative: it walks a
+shallow Schreier tree grown from seeded random subproducts, one node per
+suborbit.  Only the order inside a block depends on the search's tree, so
+the second pass composes that tree's representatives for the few blocks
+whose first element the caller needs (the spectrum's witnesses).  A gate
+counts, before the first element, whether the shallow tree's first pass
+would compose fewer than half the representatives of the search's tree;
+when it would not, the first pass walks the search's tree itself, in
+chain order, and the second has nothing to do.  Either pass walks its tree depth first and holds the
+representatives of one tree path only, adding none to the level.
 """
 from __future__ import annotations
 
+import functools
 import math
+import random
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import ne
+from itertools import chain, compress, repeat
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from circulant_lab import _kernels as kern
@@ -155,8 +168,11 @@ class _Level:
     to the point it was reached from and the generator that reached it (the
     base point to None).  A coset representative is composed along its tree
     path on first request and kept in reps, so the tree fixes the chain
-    order (PermGroup.suborbit_pairs); the spectrum's walk reads the top
-    level's kept ones but composes its own and keeps none.
+    order (PermGroup.suborbit_pairs).  The spectrum's walk reads the top
+    level's kept ones but composes its own and keeps none; its first pass
+    may walk a shallow tree of its own instead of this one, as which k a
+    block holds does not depend on the tree, and its second pass then
+    walks this tree only to the blocks whose first hits are witnesses.
     A sift through the levels carries the product of the representatives
     it chose rather than their inverses, and forms a residue only to
     adjoin it (PermGroup._sift_images).
@@ -220,7 +236,8 @@ class PermGroup:
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._levels: list[_Level] | None = None
         # the graph whose automorphisms the generators are known to be:
-        # read and set only by aut.check_all_automorphisms and the search
+        # read and set only by aut.check_all_automorphisms, aut.subgroup
+        # and the search
         self._automorphisms_of = None
 
     @classmethod
@@ -397,10 +414,11 @@ class PermGroup:
         return [sorted(orbit) for orbit in orbits]
 
     def suborbit_pairs(self, cap: int | None = None, until: Callable[[], int] | None = None
-                       ) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
-        """The elements the spectrum needs, as (pt, h, v, t): pt is the
-        element's block point, and the element maps x to t[v[h[x]]],
-        uncomposed.
+                       ) -> "SuborbitWalk":
+        """The elements the spectrum needs, in two passes: this walk is the
+        first, and its chain_pairs the second.  It yields (m, h, v, t): the
+        element maps x to t[v[h[x]]], uncomposed, and m is the smallest
+        point of its suborbit.
 
         The chain order, which witnesses follow: an element is
         g = t_{L-1} * ... * t_1 * t_0, one coset representative per level,
@@ -411,95 +429,274 @@ class PermGroup:
         blocks: block pt holds the |G_b| elements that map the first base
         point b to pt.
 
-        A suborbit is an orbit of the stabiliser G_b on b's orbit.
-        Conjugating by G_b maps block pt onto block h(pt) and keeps cycle
-        types, so a conjugacy-invariant question is answered by the blocks
-        of the suborbits' smallest points.  A question about semiregular
-        elements needs fewer still: an element that fixes a point is the
-        identity or not semiregular.  So the walk yields the identity
-        first, as block b's only element, and then the blocks of the other
-        smallest points, dropping only elements that fix a base point.
-        g(b_j) = t_0[...t_j[b_j]] is known once levels 0..j are chosen.
-        Below the top level the representatives are tried level by level
-        in ascending point order, and a choice at which g fixes b_j drops
-        its whole subtree.  A block's elements thus come in chain order.
-        h and v are the representatives of the last two levels, read as the
-        levels keep them (the identity where the chain is shorter), and t
-        is t_0 with those of the levels above composed into it.  So a
-        stabiliser chain of one or two levels, as in the construction's
-        families, costs no composition per block, while an element is
-        always three lists, each read at every step of a cycle (a word of
-        every level's representative, uncomposed, made analyze of a CFI
-        graph with n = 400 and 19 levels below the top four times slower).
+        A suborbit is an orbit of the stabiliser G_b on b's orbit.  Block pt
+        is the coset t * G_b of any element t mapping b to pt, as a set,
+        whatever the tree that composed t; conjugating by G_b maps block pt
+        onto block h(pt) and keeps cycle types.  So a conjugacy-invariant
+        question is answered by one block per suborbit, read through any
+        representative, and only the order inside a block, and so which
+        element comes first, depends on the search's tree.  A question about
+        semiregular elements needs fewer elements still: one that fixes a
+        point is the identity or not semiregular.  So the walk yields the
+        identity first, as block b's only element (m = b), and then one
+        block per other suborbit, dropping only elements that fix a base
+        point.  g(b_j) = t_0[...t_j[b_j]] is known once levels 0..j are
+        chosen.  Below the top level the representatives are tried level by
+        level in ascending point order, and a choice at which g fixes b_j
+        drops its whole subtree.  h and v are the representatives of the
+        last two levels, read as the levels keep them (the identity where
+        the chain is shorter), and t is the top-level representative with
+        those of the levels between composed into it.  So a stabiliser
+        chain of one or two levels, as in the construction's families,
+        costs no composition per block, while an element is always three
+        lists, each read at every step of a cycle (a word of every level's
+        representative, uncomposed, made analyze of a CFI graph with
+        n = 400 and 19 levels below the top four times slower).
 
-        Blocks come in depth-first order of the top level's Schreier tree,
-        not by point, with the subtree holding the smaller block point
-        first.  A top-level representative is read where the level keeps
-        it, and otherwise composed from its parent's and held only while
-        the walk is below it.  So the walk holds one tree path of
-        representatives and adds none to the level.  With until, the walk
-        stops a block, and skips a block or subtree, once all its points
-        are at least until(), read after each element.
+        The top-level representatives are composed depth first along a
+        tree, each from its parent's, and held only while the walk is below
+        them, so the walk holds one tree path and adds none to the level.
+        Blocks come in depth-first order, the subtree holding the smaller
+        m first.  The tree is one of two, chosen before the first element
+        from counts the walk has anyway (the gate):
+
+        - the search's own, the top level's Schreier tree: the blocks are
+          those of the suborbits' smallest points, each in chain order, and
+          in_chain_order is True.  A representative the level keeps is read
+          there.  This costs one composition per tree node on the paths to
+          the smallest points, not kept.
+        - a shallow tree, when the smallest points and the compositions of
+          its subproducts are fewer than half those nodes: the second pass
+          and the full tests it repeats cost about as much again.  Its
+          generators are the top level's strong generators and random
+          subproducts of them (each the product of a random subset of the
+          generators and the subproducts before it), from a fixed seed, two
+          per bit of the orbit length (Seress, Permutation Group
+          Algorithms, 2003, 4.4, after Babai, Cooperman, Finkelstein, Luks
+          and Seress, 1991).  It is grown breadth first, and a point enters it only as the first
+          point reached of a suborbit not entered yet, so each node adds a
+          suborbit; a point of an entered suborbit is a bridge node, taken
+          in the order reached only when no other point can enter.  The
+          walk reads the block of each suborbit's entered point, in an
+          order of its own, and in_chain_order is False.  The subproducts
+          and the tree are dropped with the walk.
+
+        With until, the walk stops a block, and skips a block or subtree,
+        once all its m are at least until(), read after each element.
 
         The trivial group yields (0, identity, identity, identity).  The
         lists may be shared with the group and with other elements, so they
         must not be modified.  Raises CapExceeded before the first element
         if the group order exceeds the cap.
         """
+        return SuborbitWalk(self, cap, until)
+
+
+class SuborbitWalk:
+    """The spectrum's walk over a group's suborbits (PermGroup.suborbit_pairs),
+    an iterator over (m, h, v, t).  It starts, and decides its tree, when it
+    is first iterated; in_chain_order then says whether its blocks come in
+    chain order along the search's tree, and when they do not, chain_pairs
+    walks the blocks a caller needs in that order.  The elements come from
+    an iterator that holds the group's trees but not this object.
+    """
+
+    __slots__ = ("_group", "_cap", "_until", "_pairs", "in_chain_order")
+
+    def __init__(self, group: PermGroup, cap: int | None, until: Callable[[], int] | None):
+        self._group, self._cap, self._until = group, cap, until
+        self._pairs: Iterator[tuple[int, list[int], list[int], list[int]]] | None = None
+
+    def __iter__(self) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
+        if self._pairs is None:
+            self._pairs = self._first_pass()
+        return self._pairs  # a for loop then runs it without this object
+
+    def __next__(self) -> tuple[int, list[int], list[int], list[int]]:
+        return next(iter(self))
+
+    def _first_pass(self) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
+        group, cap = self._group, self._cap
         if cap is None:
             cap = DEFAULT_ENUMERATION_CAP
-        order = self.order()
+        order = group.order()
         if order > cap:
             raise CapExceeded(f"group order {order} exceeds cap {cap}")
-        identity = list(range(self.degree))
-        if not self._levels:
-            yield 0, identity, identity, identity
-            return
-        top, *below = self._levels
-        b, tree, kept = top.base, top.tree, top.reps
-        yield b, identity, identity, identity
+        identity = list(range(group.degree))
+        self.in_chain_order = True
+        if not group._levels:
+            return iter([(0, identity, identity, identity)])
+        top, *below = group._levels
+        b = top.base
         stabiliser = below[0].gens if below else []
-        classes = components(self.degree, lambda p: [g[p] for g in stabiliser])
-        minima = {cls[0] for cls in classes if cls[0] in tree and cls[0] != b}
-        # the top tree's nodes on the paths to the minima from the nearest
-        # kept representative, each with the smallest minimum below it:
-        # roots and children come by ascending smallest minimum
-        smallest: dict[int, int] = {}
-        children: dict[int, list[int]] = {}
-        roots = []
-        for m in sorted(minima):
-            pt = m
-            while pt not in smallest:
-                smallest[pt] = m
-                if pt in kept:
-                    roots.append(pt)
+        suborbits = [cls for cls in components(group.degree, lambda p: [g[p] for g in stabiliser])
+                     if cls[0] in top.tree and cls[0] != b]
+        minima = [cls[0] for cls in suborbits]  # ascending: components come by smallest member
+        tree, kept, targets = top.tree, top.reps, dict(zip(minima, minima))
+        paths = _paths(tree, kept, targets)
+        picks = _subproduct_picks(len(top.gens), 2 * len(tree).bit_length())
+        # the second pass and the full tests it repeats cost about as much
+        # again as the first, so the shallow tree must halve the compositions
+        composed = len(paths[0]) - len(paths[2])
+        if 2 * (len(minima) + sum(len(pick) - 1 for pick in picks)) < composed:
+            self.in_chain_order = False
+            del paths  # the search tree's paths are not walked
+            least = identity[:]  # each point of the top orbit -> the smallest of its suborbit
+            for cls in suborbits:
+                for p in cls:
+                    least[p] = cls[0]
+            tree, targets = _shallow_tree(b, _subproducts(top.gens, picks), least, len(minima))
+            kept = {b: identity}
+            paths = _paths(tree, kept, targets)
+        return chain([(b, identity, identity, identity)],
+                     _walk_blocks(tree, kept, targets, paths, _steps(below), self._until, identity))
+
+    def chain_pairs(self, points: Iterable[int]
+                    ) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
+        """The second pass: (pt, h, v, t) for the elements of the blocks of
+        the given top-orbit points as the walk yields them (the identity
+        alone for the first base point), each block in chain order along
+        the search's tree.  The representatives are composed along the
+        paths to those points only, depth first, holding one path, and none
+        is kept."""
+        top, *below = self._group._levels
+        identity = list(range(self._group.degree))
+        targets = {pt: pt for pt in sorted(points)}
+        if targets.pop(top.base, None) is not None:
+            yield top.base, identity, identity, identity
+        yield from _walk_blocks(top.tree, top.reps, targets, _paths(top.tree, top.reps, targets),
+                                _steps(below), None, identity)
+
+
+@functools.cache
+def _subproduct_picks(count: int, rounds: int) -> tuple[tuple[int, ...], ...]:
+    """For each random subproduct of count generators, the indices of its
+    factors among the generators and the subproducts before it, drawn from
+    a fixed seed: each is in with probability 1/2, and a draw of fewer than
+    two factors, which composes nothing new, is dropped.  So the number of
+    compositions is known before any is made.  The picks depend on the two
+    counts alone, so they are drawn once per pair (a draw costs as much as
+    the rest of the walk on a small group)."""
+    rng = random.Random(0)
+    picks: list[tuple[int, ...]] = []
+    for _ in range(rounds):
+        pick = tuple(i for i in range(count + len(picks)) if rng.random() < 0.5)
+        if len(pick) > 1:
+            picks.append(pick)
+    return tuple(picks)
+
+
+def _subproducts(gens: list[list[int]], picks: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The generators followed by the subproducts the picks describe."""
+    pool = list(gens)
+    for first, *rest in picks:
+        z = pool[first]
+        for i in rest:
+            z = kern.compose_images(z, pool[i])
+        pool.append(z)
+    return pool
+
+
+def _shallow_tree(b: int, gens: list[list[int]], least: list[int], suborbits: int
+                  ) -> tuple[dict[int, tuple[int, list[int]]], dict[int, int]]:
+    """Pass 1's tree, grown breadth first from b over gens, and the point it
+    enters of each suborbit other than {b}, mapped to the suborbit's
+    smallest point (least).  A point enters as the first reached of its
+    suborbit.  Only when no entered point is left to expand does a point of
+    an entered suborbit enter, as a bridge: the first reached, found by a
+    scan of the (point, generator) steps that resumes where the last one
+    stopped.  The tree maps each entered point but b to the point it was
+    reached from and the generator that reached it; the entered points come
+    by ascending smallest point of their suborbits."""
+    tree: dict[int, tuple[int, list[int]]] = {}
+    targets: dict[int, int] = {}
+    entered: set[int] = set()
+    reached = bytearray(len(least))
+    reached[b] = 1
+    queue = [b]
+    expanded = scanned = 0
+    while len(targets) < suborbits:
+        if expanded == len(queue):
+            while True:
+                pt, g = queue[scanned // len(gens)], gens[scanned % len(gens)]
+                scanned += 1
+                q = g[pt]
+                if q != b and q not in tree:
                     break
-                parent = tree[pt][0]
-                children.setdefault(parent, []).append(pt)
-                pt = parent
-        steps = [(lvl.base, sorted(lvl.tree), lvl) for lvl in below]
-        stack = [(pt, identity) for pt in reversed(roots)]
-        limit = self.degree
-        while stack:
-            pt, parent_rep = stack.pop()
-            if until is not None:
-                limit = until()
-                if smallest[pt] >= limit:
-                    continue
-            t = kept.get(pt)
-            if t is None:
-                t = kern.compose_images(parent_rep, tree[pt][1])
-            if pt in minima and pt < limit:
-                triples = [(identity, identity, t)]
-                if steps:
-                    triples = _pruned_triples(steps, 0, identity, t)
-                for h, v, u in triples:
-                    yield pt, h, v, u
-                    if until is not None and until() <= pt:
-                        break
-            kids = children.get(pt)
-            if kids:
-                stack.extend(zip(reversed(kids), repeat(t)))
+            tree[q] = pt, g
+            queue.append(q)
+        pt = queue[expanded]
+        expanded += 1
+        for g in gens:
+            q = g[pt]
+            if reached[q]:
+                continue
+            reached[q] = 1
+            m = least[q]
+            if m not in entered:
+                entered.add(m)
+                targets[q] = m
+                tree[q] = pt, g
+                queue.append(q)
+    return tree, dict(sorted(targets.items(), key=itemgetter(1)))
+
+
+def _steps(below: list[_Level]) -> list[tuple[int, list[int], _Level]]:
+    """Each level below the top: its base point, its sorted orbit and the level."""
+    return [(lvl.base, sorted(lvl.tree), lvl) for lvl in below]
+
+
+def _paths(tree: dict, kept: dict, targets: dict[int, int]
+           ) -> tuple[dict[int, int], dict[int, list[int]], list[int]]:
+    """The tree's nodes on the paths to the targets (point -> key, by
+    ascending key) from the nearest kept representative: each node with the
+    smallest key below it, each node's children on the paths, and the kept
+    nodes the paths start from, roots and children by ascending smallest
+    key.  The nodes to compose are those that are not roots."""
+    smallest: dict[int, int] = {}
+    children: dict[int, list[int]] = {}
+    roots = []
+    for pt, m in targets.items():
+        while pt not in smallest:
+            smallest[pt] = m
+            if pt in kept:
+                roots.append(pt)
+                break
+            parent = tree[pt][0]
+            children.setdefault(parent, []).append(pt)
+            pt = parent
+    return smallest, children, roots
+
+
+def _walk_blocks(tree: dict, kept: dict, targets: dict[int, int],
+                 paths: tuple[dict[int, int], dict[int, list[int]], list[int]],
+                 steps: list[tuple[int, list[int], _Level]], until: Callable[[], int] | None,
+                 identity: list[int]) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
+    """(m, h, v, t) for the elements of each target's block, m its key, depth
+    first along the tree's paths (_paths), holding one path of composed
+    representatives; until as in PermGroup.suborbit_pairs."""
+    smallest, children, roots = paths
+    stack = [(pt, identity) for pt in reversed(roots)]
+    limit = len(identity)
+    while stack:
+        pt, parent_rep = stack.pop()
+        if until is not None:
+            limit = until()
+            if smallest[pt] >= limit:
+                continue
+        t = kept.get(pt)
+        if t is None:
+            t = kern.compose_images(parent_rep, tree[pt][1])
+        m = targets.get(pt)
+        if m is not None and m < limit:
+            triples = _pruned_triples(steps, 0, identity, t) if steps else [(identity, identity, t)]
+            for h, v, u in triples:
+                yield m, h, v, u
+                if until is not None and until() <= m:
+                    break
+        kids = children.get(pt)
+        if kids:
+            stack.extend(zip(reversed(kids), repeat(t)))
 
 
 def _pruned_triples(steps: list[tuple[int, list[int], _Level]], i: int, v: list[int],

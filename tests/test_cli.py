@@ -427,6 +427,30 @@ def test_cap_override(tmp_path, capsys):
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
+def test_analyze_checks_adjacency_only_in_the_search(tmp_path, capsys, monkeypatch):
+    # the searched group is never checked again, and neither is the
+    # subgroup that the smallest-k witness, one of its elements, generates
+    # for the quotient
+    from circulant_lab import _kernels as kern
+    from circulant_lab.aut import automorphism_group
+
+    path = tmp_path / "odd5.edgelist"
+    path.write_text(serialize(cli.build_odd(5).graph, "edgelist"))
+    calls = [0]
+    preserves = kern.preserves_adjacency
+
+    def counting(ptr, flat, images):
+        calls[0] += 1
+        return preserves(ptr, flat, images)
+
+    monkeypatch.setattr(kern, "preserves_adjacency", counting)
+    automorphism_group(parse_edgelist(path.read_text()))
+    search_calls, calls[0] = calls[0], 0
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0 and "quotient_by_smallest_k" in json.loads(out)
+    assert calls[0] == search_calls > 0
+
+
 def test_analyze_output_is_pinned_for_family_members(tmp_path, capsys, monkeypatch):
     # the witness cycle strings follow the search-derived chain's base and
     # coset representatives; a change to either must re-pin them on purpose
@@ -442,12 +466,15 @@ def test_analyze_output_is_pinned_for_family_members(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("construct,digest", [
     (["construct-odd", "15"], "00b97f3721f15fea6bf4b8826a1eee09be62520b328db67cff3c9248e68b3a38"),
+    (["construct-odd", "21"], "5a3259915955f5e4ca29e427f3674767e8e048cc2f38030bb55c5964b71c2687"),
     (["construct-even", "7", "13"],
      "a49fdec48c1625d2468dbe3f6a881fc5c88560b2701cbec012641b5cd0d51800"),
-], ids=["odd-15", "even-7-13"])
+], ids=["odd-15", "odd-21", "even-7-13"])
 def test_analyze_output_is_pinned_for_the_largest_ladder_members(
         construct, digest, tmp_path, capsys, monkeypatch):
-    # their witnesses depend most on the order of the spectrum walk
+    # their witnesses depend most on the order of the spectrum walk: each
+    # is the first hit in chain order along the search's tree, though the
+    # first pass finds its block on a shallow tree
     monkeypatch.chdir(tmp_path)
     code, _, _ = run_cli(capsys, *construct, "--out", "g.edgelist")
     assert code == 0

@@ -166,6 +166,30 @@ def test_certify_matches_spectrum_witness_for_every_divisor(source, group_kind):
             assert certify_k_circulant(graph, d, group) == oracle.get(d), d
 
 
+def _walks_the_shallow_tree(group):
+    walk = group.suborbit_pairs()
+    next(walk)  # the gate is decided before the identity
+    return not walk.in_chain_order
+
+
+@pytest.mark.parametrize("source,group_kind,shallow", [
+    ("odd-7", "search", True),
+    ("odd-9", "search", True),
+    ("even-2-7", "search", False),
+    ("odd-7", "arc", False),
+    ("pappus", "search", False),
+    ("GP10-3", "search", False),
+    ("random-2", "search", False),
+])
+def test_oracle_cases_take_both_trees(source, group_kind, shallow):
+    # the oracle above checks the witnesses of a first pass over a shallow
+    # tree followed by a second over the search's, and of a first pass over
+    # the search's tree alone: Schreier-Sims keeps every top-level
+    # representative, and on small searched groups a shallow tree would not
+    # halve the compositions
+    assert _walks_the_shallow_tree(_certify_case(source, group_kind)[1]) == shallow
+
+
 def _count_compositions(monkeypatch):
     calls = [0]
     compose_images = kern.compose_images
@@ -196,6 +220,39 @@ def test_spectrum_walk_composes_only_representatives_and_candidates(monkeypatch)
     assert spectrum_calls < walked
 
 
+def test_a_shallow_first_pass_halves_the_compositions(monkeypatch):
+    # odd k = 15: the search's tree has depth 88, and a walk over it alone
+    # composes 1154 representatives on the paths to the 240 suborbit
+    # minima; the shallow tree enters one point per suborbit, and the
+    # second pass composes the search tree's paths to the witness blocks
+    graph = build_odd(15).graph
+    group = automorphism_group(graph)
+    calls = _count_compositions(monkeypatch)
+    report = k_spectrum(graph, group)
+    assert report.spectrum[0] == 15
+    assert calls[0] <= 1154 // 2
+
+
+@pytest.mark.parametrize("source,group_kind,walked_alone", [
+    ("pappus", "search", 23),
+    ("GP10-3", "search", 23),
+    ("random-2", "search", 6),
+    ("odd-5", "arc", 0),
+    ("odd-7", "arc", 0),
+])
+def test_the_gate_keeps_the_search_tree_where_a_shallow_one_gains_nothing(
+        monkeypatch, source, group_kind, walked_alone):
+    # walked_alone is what the walk over the search's tree alone composes:
+    # a Schreier-Sims chain keeps every top-level representative, so it
+    # composes none, and on a small searched group the suborbit minima and
+    # the subproducts would cost more than half the search tree's paths
+    graph, group = _certify_case(source, group_kind)
+    group.order()  # builds a Schreier-Sims chain first
+    calls = _count_compositions(monkeypatch)
+    k_spectrum(graph, group)
+    assert calls[0] == walked_alone
+
+
 def test_certify_composes_only_representatives_and_candidates(monkeypatch):
     # k = 1 has no witness at odd k = 9, so the certificate walks every pair
     graph = build_odd(9).graph
@@ -206,8 +263,11 @@ def test_certify_composes_only_representatives_and_candidates(monkeypatch):
 
 
 def test_spectrum_walk_keeps_no_representative():
-    # odd k = 15, n = 1350: the walk composes 1152 of the top level's 1350
-    # representatives and holds only those on one tree path, at most 87
+    # odd k = 15, n = 1350: the first pass composes the subproducts and one
+    # shallow-tree node per suborbit, 240 of them, and the second the search
+    # tree's paths to the witness blocks; each holds only the
+    # representatives on one tree path, and the first drops its tree and
+    # subproducts before the second starts
     graph = build_odd(15).graph
     group = automorphism_group(graph)
     group.order()
@@ -220,6 +280,9 @@ def test_spectrum_walk_keeps_no_representative():
         tracemalloc.stop()
     assert report.spectrum[0] == 15
     assert peak < 3 * 2 ** 20
+    # the walk over the search's tree alone peaks at 0.46 MiB, and keeping
+    # the second pass's path representatives would take it past 1 MiB
+    assert peak < 2 ** 20
     top = group._levels[0]
     assert list(top.reps) == [top.base]
 

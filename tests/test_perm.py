@@ -286,15 +286,25 @@ def _blocks(walked):
     return blocks
 
 
-def _check_suborbit_blocks(group):
+def _suborbit_minima(group, everything):
+    """Each point of the first base point's orbit -> the smallest point of
+    its suborbit."""
+    b = group.base()[0]
+    stabiliser = [g for g in everything if g[b] == b]
+    return {pt: min(h[pt] for h in stabiliser) for pt in {g[b] for g in everything}}
+
+
+def _check_suborbit_blocks(group, walked=None):
+    # walked: the walk over the search's tree, or the second pass over
+    # every minimum
     base = group.base()
     b = base[0]
     everything = list(chain_elements(group))
-    stabiliser = [g for g in everything if g[b] == b]
-    top_orbit = {g[b] for g in everything}
-    suborbits = {frozenset(h[pt] for h in stabiliser) for pt in top_orbit}
-    minima = sorted(min(s) for s in suborbits)
-    walked = list(group.suborbit_pairs())
+    minima = sorted(set(_suborbit_minima(group, everything).values()))
+    if walked is None:
+        walk = group.suborbit_pairs()
+        walked = list(walk)
+        assert walk.in_chain_order
     # the identity first, the only element kept of block b
     assert walked[0][0] == b and _composed(walked[:1]) == [identity(group.degree)]
     blocks = _blocks(walked[1:])
@@ -311,6 +321,54 @@ def _check_suborbit_blocks(group):
 @pytest.mark.parametrize("group", SUBORBIT_GROUPS)
 def test_suborbit_pairs_are_the_smallest_block_of_each_suborbit(group):
     _check_suborbit_blocks(group)
+
+
+SHALLOW_GROUPS = [automorphism_group(build_odd(7).graph),
+                  automorphism_group(build_odd(9).graph)]
+
+
+@pytest.mark.parametrize("group", SHALLOW_GROUPS)
+def test_a_shallow_first_pass_walks_one_whole_block_per_suborbit(group):
+    # any point of a suborbit and any representative will do: the block is
+    # a coset as a set, and conjugation by the stabiliser keeps cycle types
+    base = group.base()
+    b = base[0]
+    everything = list(chain_elements(group))
+    least = _suborbit_minima(group, everything)
+    walk = group.suborbit_pairs()
+    walked = list(walk)
+    assert not walk.in_chain_order
+    assert walked[0][0] == b and _composed(walked[:1]) == [identity(group.degree)]
+    blocks = _blocks(walked[1:])
+    assert set(blocks) == set(least.values()) - {b}
+    for m, block in blocks.items():
+        points = {g[b] for g in block}
+        assert len(points) == 1
+        pt = points.pop()
+        assert least[pt] == m
+        whole = [g for g in everything if g[b] == pt and all(g[c] != c for c in base)]
+        assert sorted(g.images for g in block) == sorted(g.images for g in whole)
+
+
+@pytest.mark.parametrize("group", SHALLOW_GROUPS)
+def test_the_second_pass_walks_blocks_in_chain_order(group):
+    walk = group.suborbit_pairs()
+    walked = list(walk)
+    minima = {item[0] for item in walked}
+    _check_suborbit_blocks(group, list(walk.chain_pairs(sorted(minima))))
+    # only the blocks asked for
+    some = sorted(minima)[1::3]
+    assert set(_blocks(walk.chain_pairs(some))) == set(some)
+
+
+def test_the_shallow_tree_bridges_a_suborbit_it_cannot_enter():
+    # one generator, the cycle (0 1 2 3 4 5), and suborbits {0}, {1, 2},
+    # {3, 4}, {5}: from 1 the tree reaches only 2, whose suborbit it has
+    # entered, so 2 enters as a bridge, and so does 4 after 3
+    cycle = [1, 2, 3, 4, 5, 0]
+    tree, targets = perm._shallow_tree(0, [cycle], [0, 1, 1, 3, 3, 5], 3)
+    assert targets == {1: 1, 3: 3, 5: 5}
+    assert {q: pt for q, (pt, _) in tree.items()} == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
 
 
 def _shuffled(graph, seed):
