@@ -8,11 +8,13 @@ numbers its cells.  Refinement is canonical splitter-queue refinement
 and its trace (the splits each splitter makes) depend only on the colored
 isomorphism type, so two refinements of isomorphic colorings can be
 compared id by id, and one can be abandoned as soon as its trace departs
-from the other's.  A coloring travels with its cells (the vertex set of
-each id): ``refine_colors`` builds them once for the root, and each
-``individualize`` derives a child's from its parent's, copying only the
-cells its refinement splits and never modifying the parent's.  ``BACKEND``
-names the implementation, for benchmark reports.
+from the other's.  It costs per splitter more than per neighbor visit, so a
+splitter that hits no vertex twice, as every singleton does, splits cells
+in two with no count table (see :func:`_refine`).  A coloring travels with
+its cells (the vertex set of each id): ``refine_colors`` builds them once
+for the root, and each ``individualize`` derives a child's from its
+parent's, copying only the cells its refinement splits and never modifying
+the parent's.  ``BACKEND`` names the implementation, for benchmark reports.
 """
 
 BACKEND = "pure"
@@ -153,7 +155,10 @@ def _refine(ptr, flat, colors, cells, queue, owned, trace=None, expected=None):
     piece keeps the id, the others take fresh ids in order.  A split cell
     that was queued stays queued and queues its new pieces; one that was not
     queues every piece but the first largest, since the cell as a whole has
-    already split the others.
+    already split the others.  Bookkeeping is the cost per splitter, so one
+    that hits no vertex twice (every singleton: a simple graph's neighbors
+    are distinct) keeps no count table and splits each cell it touches
+    straight into (missed, hit); a singleton skips singleton cells too.
 
     owned[c] is 1 when the set cells[c] belongs to this refinement, and 0
     when it is still a parent's: such a set is copied the first time a
@@ -177,28 +182,56 @@ def _refine(ptr, flat, colors, cells, queue, owned, trace=None, expected=None):
     for s in queue:  # queue grows while it is walked: it is the FIFO queue
         queued[s] = False
         entry = []
-        hits = {}
         touched = {}
         repeats = False  # does some vertex have two neighbors in s?
-        for v in cells[s]:
-            for i in range(ptr[v], ptr[v + 1]):
-                u = flat[i]
-                if u in hits:
-                    hits[u] += 1
-                    repeats = True
-                else:
-                    hits[u] = 1
-                    c = colors[u]
-                    if c in touched:
-                        touched[c].append(u)
+        splitter = cells[s]
+        if len(splitter) == 1:
+            (v,) = splitter
+            for u in flat[ptr[v]:ptr[v + 1]]:
+                c = colors[u]
+                if c in touched:
+                    touched[c].append(u)
+                elif len(cells[c]) > 1:
+                    touched[c] = [u]
+        else:
+            hits = {}
+            for v in splitter:
+                for u in flat[ptr[v]:ptr[v + 1]]:
+                    if u in hits:
+                        hits[u] += 1
+                        repeats = True
                     else:
-                        touched[c] = [u]
-        for c in sorted(touched):
+                        hits[u] = 1
+                        c = colors[u]
+                        if c in touched:
+                            touched[c].append(u)
+                        else:
+                            touched[c] = [u]
+        for c in sorted(touched) if len(touched) > 1 else touched:
             hit = touched[c]
             members = cells[c]
-            if len(hit) == len(members):
-                if not repeats:
+            if not repeats:  # every count is 1: pieces (missed, hit)
+                if len(hit) == len(members):
                     continue
+                if not owned[c]:
+                    cells[c] = members = set(members)
+                    owned[c] = 1
+                members.difference_update(hit)
+                entry.append((c, (len(members), len(hit))))
+                new = len(cells)
+                cells.append(set(hit))
+                owned.append(1)
+                for u in hit:
+                    colors[u] = new
+                if queued[c] or len(members) >= len(hit):
+                    queue.append(new)
+                    queued.append(True)
+                else:  # the hit piece is the first largest
+                    queue.append(c)
+                    queued[c] = True
+                    queued.append(False)
+                continue
+            if len(hit) == len(members):
                 k = hits[hit[0]]
                 if all(hits[u] == k for u in hit):
                     continue
@@ -209,17 +242,14 @@ def _refine(ptr, flat, colors, cells, queue, owned, trace=None, expected=None):
                     members = set(members)
                 members.difference_update(hit)
                 pieces = [members]
-            if repeats:
-                by_count = {}
-                for u in hit:
-                    k = hits[u]
-                    if k in by_count:
-                        by_count[k].add(u)
-                    else:
-                        by_count[k] = {u}
-                pieces.extend(by_count[k] for k in sorted(by_count))
-            else:
-                pieces.append(set(hit))  # every count is 1
+            by_count = {}
+            for u in hit:
+                k = hits[u]
+                if k in by_count:
+                    by_count[k].add(u)
+                else:
+                    by_count[k] = {u}
+            pieces.extend(by_count[k] for k in sorted(by_count))
             sizes = tuple(map(len, pieces))
             entry.append((c, sizes))
             skip = -1 if queued[c] else sizes.index(max(sizes))

@@ -29,16 +29,17 @@ invariant of McKay and Piperno, 2014).  This is sound because refinement
 is canonical: an automorphism that maps the principal vertices to a
 sibling's maps each principal coloring onto the sibling's with the same
 ids, and so gives the same trace; a branch whose trace differs holds no
-automorphism, and pruning it changes no generator, base point or order.  Equal traces from colorings with equal
-cell sizes per id also give equal cell sizes per id, so no other
-comparison is needed, and a leaf maps each principal vertex to the
-vertex with the same id.  The targets form a base and the generators
-a strong generating set, so the search returns its group with the
-stabilizer chain already filled in (``PermGroup.from_chain``): |Aut| is
-the product of the basic orbit lengths, read off each level's Schreier
-tree with no Schreier-Sims pass, and a coset representative is composed
-only when membership or enumeration first needs it.  Every choice point
-is iterated in ascending vertex order, so the output is deterministic.
+automorphism, and pruning it changes no generator, base point or order.
+Equal traces from colorings with equal cell sizes per id also give equal
+cell sizes per id, so no other comparison is needed, and a leaf maps each
+principal vertex to the vertex with the same id.  The targets form a base
+and the generators a strong generating set, so the search returns its
+group with the stabilizer chain already filled in
+(``PermGroup.from_chain``): |Aut| is the product of the basic orbit
+lengths, read off each level's Schreier tree with no Schreier-Sims pass,
+and a coset representative is composed only when membership or
+enumeration first needs it.  Every choice point is iterated in ascending
+vertex order, so the output is deterministic.
 """
 from __future__ import annotations
 

@@ -145,6 +145,75 @@ def round_refine(ptr, flat, colors):
         ncells = len(rank)
 
 
+def refine_by_counts(ptr, flat, colors, cells, queue, owned, trace=None, expected=None):
+    """Splitter-queue refinement the way the library refined before its
+    splitters that hit no vertex twice took a path of their own: every
+    splitter counts, in a table, each vertex's neighbors in it, and every
+    cell it touches is split by that count, in ascending id order.  Same
+    arguments, effects and result as ``_kernels._refine``, whose cell ids,
+    trace and None on a departed expected trace it must reproduce."""
+    queued = [False] * len(cells)
+    for s in queue:
+        queued[s] = True
+    step = 0
+    for s in queue:
+        queued[s] = False
+        entry = []
+        hits = {}
+        touched = {}
+        for v in cells[s]:
+            for i in range(ptr[v], ptr[v + 1]):
+                u = flat[i]
+                if u in hits:
+                    hits[u] += 1
+                else:
+                    hits[u] = 1
+                    touched.setdefault(colors[u], []).append(u)
+        for c in sorted(touched):
+            hit = touched[c]
+            members = cells[c]
+            if len(hit) == len(members):
+                if len({hits[u] for u in hit}) == 1:
+                    continue
+                pieces = []
+            else:
+                if not owned[c]:
+                    members = set(members)
+                members.difference_update(hit)
+                pieces = [members]
+            by_count = {}
+            for u in hit:
+                by_count.setdefault(hits[u], set()).add(u)
+            pieces.extend(by_count[k] for k in sorted(by_count))
+            sizes = tuple(map(len, pieces))
+            entry.append((c, sizes))
+            skip = -1 if queued[c] else sizes.index(max(sizes))
+            cells[c] = pieces[0]
+            owned[c] = 1
+            if skip > 0:
+                queue.append(c)
+                queued[c] = True
+            for i in range(1, len(pieces)):
+                new = len(cells)
+                cells.append(pieces[i])
+                owned.append(1)
+                for u in pieces[i]:
+                    colors[u] = new
+                queued.append(i != skip)
+                if i != skip:
+                    queue.append(new)
+        entry = tuple(entry)
+        if expected is not None:
+            if step == len(expected) or expected[step] != entry:
+                return None
+            step += 1
+        elif trace is not None:
+            trace.append(entry)
+    if expected is not None and step != len(expected):
+        return None
+    return colors
+
+
 def partition_of(colors) -> set[frozenset[int]]:
     """The cells of a coloring, as a set of vertex sets."""
     cells: dict[int, set[int]] = {}

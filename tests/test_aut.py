@@ -1,5 +1,6 @@
 """Automorphism search, arc-transitivity, and arc-type classification."""
 import gc
+import hashlib
 import math
 import random
 import sys
@@ -574,6 +575,65 @@ def test_search_output_is_pinned(name):
     assert group.base() == base
     assert [g.images for g in group.generators] == [
         from_cycle_string(s, graph.n).images for s in generators]
+
+
+# The sha256 of the search's base and generators, beyond the graphs pinned
+# in full above and the family members pinned through the construct and
+# analyze digests in test_cli.py: the seven arc-transitive GP graphs,
+# GP(13, 5) (vertex-transitive, not arc-transitive), GP(29, 3) (two vertex
+# orbits), random cubic graphs, most of them asymmetric, and a CFI graph.
+# The generators the search finds depend on how refinement numbers its
+# cells, so these pin the refinement too.  Taken when every splitter split
+# its cells by a table of hit counts.
+_SEARCH_PINS = {
+    "GP4-1": "97491a35998f0c379528ccb66d260c8ad58fe7970d35020c964c0fded871c9fc",
+    "GP5-2": "47dfcc731f34b1434f2b9d61c7ed489d99e241dd3f5d13e72101ec1aa1d9df4d",
+    "GP8-3": "e642a9e398456a9d88c653f5535a8200ed31640a0474f778fc81ce8135fc27b7",
+    "GP10-2": "9d09104688634e864ac3af57cb38633156dfcbbf3e130525352b55ad10ab9f30",
+    "GP10-3": "63c06d56a84b309642198e08d105e1f17ceeb2bab7efeb997160f3e914aac6ad",
+    "GP12-5": "29ce6337e6e9369e6ca118c910ff94169b7d69690aa217a134678e47e41f1571",
+    "GP24-5": "cc0502fe68612c9b27227a763f1757d8aecc5d23be5be47741a10c188cb9c65d",
+    "GP13-5": "682aa88928f54504deeab31b11e8e9cf3916646aae18eee5ead6a1f10cf397b1",
+    "GP29-3": "88c27a5dff8f1b975cffdaeccb060a275d551793b082f7ddee80e03e21cc8dbd",
+    "random-0": "ec4992621b9558107f40873ada81e59e33840a24af68db436c37ee19aceba51e",
+    "random-1": "0a34b036b279b7a21ec6e1e85ad5b07e5bc5415e6326683db498344b53fbe290",
+    "random-2": "8dce8f5aa3e2836cd62022d4f19487fa2c40e9fe215baed8f32e98bc33e39a83",
+    "random-3": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "random-4": "1632436a82ed06e12516a3d384376909915c51a4d9002b21d3fb09c7bfa8a235",
+    "random-5": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "random-6": "7b2c081daab73568f31731e0426294f3a51c2cde0ed6105df6f3419b891359ce",
+    "random-7": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "random-8": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "random-9": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "random-10": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "random-11": "d380d054e2ab71301bfeb4a8c5fd3e9e803fc7a48f293952ee7022ab06d39a7a",
+    "random-12": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "random-13": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "random-14": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "random-15": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "random-16": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "random-17": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "random-18": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "random-19": "068ba53caf4bb89bc84341e5e0a9e860e078799a9e9f3cd8f2b19c3fc4cec936",
+    "cfi-12": "8cab6dff59379833ad3c54c3ab957f1b2c78cb200875782d9d8e61151689291d",
+}
+
+
+def _search_pin_graph(name):
+    kind, _, args = name.partition("-")
+    if kind == "random":
+        seed = int(args)
+        return random_cubic_graph(random.Random(seed), 10 + 2 * seed)
+    if kind == "cfi":
+        return cfi_graph(random_cubic_graph(random.Random(int(args)), 12))
+    return generalized_petersen(*map(int, (kind[2:], args)))
+
+
+@pytest.mark.parametrize("name", list(_SEARCH_PINS))
+def test_search_digest_is_pinned(name):
+    group = automorphism_group(_search_pin_graph(name))
+    record = (group.base(), [g.images for g in group.generators])
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == _SEARCH_PINS[name]
 
 
 # GP(60, 14) has two vertex orbits, so at the top level every sibling in

@@ -2,10 +2,12 @@
 top of it) agrees with an edge-set oracle on CSR arrays in any neighbour
 order, refinement reaches the reference partition with canonical cell ids
 and a canonical trace, a refinement checked against an expected trace
-stops exactly when its own trace differs, individualization returns cells
-that match its coloring and never modifies its parent's coloring or cells,
-and composition shares the int objects of its second argument.  The cycle
-walk is tested through ``perm`` in ``test_perm.py``."""
+stops exactly when its own trace differs, the splitters that hit no vertex
+twice split exactly as the by-count split of ``helpers.refine_by_counts``
+would, individualization returns cells that match its coloring and never
+modifies its parent's coloring or cells, and composition shares the int
+objects of its second argument.  The cycle walk is tested through ``perm``
+in ``test_perm.py``."""
 import random
 
 from circulant_lab import _kernels as kern
@@ -14,10 +16,12 @@ from circulant_lab.graphio import from_edges
 from circulant_lab.perm import Permutation, identity
 from helpers import (
     brute_force_automorphisms,
+    cfi_graph,
     generalized_petersen,
     partition_of,
     random_cubic_graph,
     random_simple_graph,
+    refine_by_counts,
     relabel,
     round_refine,
 )
@@ -286,3 +290,63 @@ def test_individualize_leaves_its_parent_as_it_was():
                 assert (colors, cells) == snapshot
                 calls += 1
     assert calls > 150
+
+
+def _by_kernel_and_reference(monkeypatch, call):
+    """call(trace) under the kernel's refinement and then under the
+    reference's (``helpers.refine_by_counts``), each with a fresh trace
+    list: the two (result, trace) pairs."""
+    runs = []
+    for refine in (kern._refine, refine_by_counts):
+        with monkeypatch.context() as m:
+            m.setattr(kern, "_refine", refine)
+            trace = []
+            runs.append((call(trace), trace))
+    return runs
+
+
+def test_refinement_matches_the_by_count_reference(monkeypatch):
+    # the kernel's singleton and two-piece splits against the by-count split
+    # of every splitter: the same coloring, the same cell set per id and the
+    # same trace at the root and for every sibling of every principal level,
+    # and None for the same siblings against the principal trace and a
+    # truncated one; the parent's cells, shared with each child until the
+    # child splits them, are left as they were.  Random graphs with input
+    # colors have splitters that hit a vertex twice (many splits into more
+    # than two pieces, which only the by-count split makes); cubic graphs
+    # refined from one cell have mostly singleton splitters
+    rng = random.Random(90)
+    cases = []
+    for _ in range(30):
+        graph = random_simple_graph(rng, rng.randrange(2, 17), rng.random())
+        cases.append((graph, [rng.randrange(0, 3) for _ in range(graph.n)]))
+    cases += [(random_cubic_graph(rng, 2 * rng.randrange(4, 21)), None) for _ in range(20)]
+    cases += [(generalized_petersen(n, k), None) for n, k in ((10, 3), (13, 5), (24, 5))]
+    cases.append((cfi_graph(random_cubic_graph(random.Random(12), 12)), None))
+    siblings = many = aborted = 0
+    for graph, colors in cases:
+        n = graph.n
+        ptr, flat = kern.build_csr(graph.adjacency)
+        colors = colors or [0] * n
+        (got, _), (want, _) = _by_kernel_and_reference(
+            monkeypatch, lambda trace: kern.refine_colors(ptr, flat, colors))
+        assert got == want
+        levels, path, traces = _principal_path(ptr, flat, colors)
+        for (parent, cells), v, principal in zip(levels, path, traces):
+            snapshot = (list(parent), [set(cell) for cell in cells])
+            for w in sorted(cells[parent[v]]):
+                (got, trace), (want, ref_trace) = _by_kernel_and_reference(
+                    monkeypatch,
+                    lambda trace: kern.individualize(ptr, flat, parent, cells, w, trace))
+                assert got == want and trace == ref_trace
+                assert w != v or trace == principal
+                many += any(len(pieces) > 2 for entry in trace for _, pieces in entry)
+                for expected in (principal, principal[:-1]):
+                    (got, _), (want, _) = _by_kernel_and_reference(
+                        monkeypatch, lambda trace: kern.individualize(
+                            ptr, flat, parent, cells, w, expected=tuple(expected)))
+                    assert got == want
+                    aborted += got is None
+                assert (parent, cells) == snapshot
+                siblings += 1
+    assert siblings > 500 and many > 200 and aborted > siblings
