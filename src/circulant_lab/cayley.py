@@ -1,11 +1,15 @@
 """Cayley graph construction with a deterministic vertex labeling.
 
-Works for any group object exposing ``identity()``, ``mul(a, b)`` and
-``inv(a)`` whose element values are hashable and orderable.  Vertex 0 is the
-identity and the remaining vertices appear in BFS order from it, with the
-connection set iterated in sorted order, so every produced graph is
-byte-identical across runs.  The walk that labels the vertices also lists
-each vertex's neighbours: the labels of g*s are g's row of the adjacency.
+Works for a group whose elements have integer codes (the family groups of
+papergroups): identity() and inv(a) on elements, code(g) (None for an
+element without one) and decode(code), code_count, and right_table(s), the
+list code(g) -> code(g*s) over the coded elements.  The walk steps through
+codes by table lookup, so the group arithmetic it does is one table per
+generator, not one product per vertex.  Vertex 0 is the identity and the
+remaining vertices appear in BFS order from it, with the connection set
+iterated in sorted order, so every produced graph is byte-identical across
+runs.  The walk that labels the vertices also lists each vertex's
+neighbours: the labels of g*s are g's row of the adjacency.
 
 The labeling keeps that walk: the step table of labels g*s, and for each
 vertex the parent that first reached it and the generator it came by.  The
@@ -17,7 +21,8 @@ image, and the only group arithmetic left is label(g) and phi on S.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from circulant_lab import graphio
@@ -34,13 +39,17 @@ from circulant_lab.perm import Permutation
 class CayleyLabeling:
     """The vertex labels of Cay(R, S) and the walk that assigned them.
 
-    connection_set is S sorted, d = |S|; step[v*d + i] is the label of
-    element(v)*S[i]; vertex v > 0 was first reached as element(parent[v])
-    * S[via[v]], and parent[v] < v (parent[0] = via[0] = 0 are unused).
+    Vertex v is the element with code code_of_vertex[v], and
+    vertex_of_code[c] is the vertex of code c (-1 for a code the closure of
+    S does not reach).  connection_set is S sorted, d = |S|; step[v*d + i]
+    is the label of element(v)*S[i]; vertex v > 0 was first reached as
+    element(parent[v]) * S[via[v]], and parent[v] < v (parent[0] = via[0] =
+    0 are unused).  The elements themselves are decoded on first use.
     """
 
-    element_of_vertex: tuple
-    vertex_of_element: dict
+    group: object = field(repr=False, compare=False)
+    code_of_vertex: tuple[int, ...]
+    vertex_of_code: tuple[int, ...]
     connection_set: tuple
     step: tuple[int, ...]
     parent: tuple[int, ...]
@@ -48,12 +57,32 @@ class CayleyLabeling:
 
     @property
     def n(self) -> int:
-        return len(self.element_of_vertex)
+        return len(self.code_of_vertex)
+
+    @cached_property
+    def element_of_vertex(self) -> tuple:
+        return tuple(map(self.group.decode, self.code_of_vertex))
+
+    @cached_property
+    def vertex_of_element(self) -> dict:
+        return {g: v for v, g in enumerate(self.element_of_vertex)}
+
+    def vertex(self, g) -> int | None:
+        """The label of g, or None when g is not a vertex."""
+        code = self.group.code(g)
+        if code is None:
+            return None
+        v = self.vertex_of_code[code]
+        return None if v < 0 else v
 
 
 def cayley_graph(group, connection_set: Sequence) -> tuple[graphio.Graph, CayleyLabeling]:
     """Cay(<S>, S): vertices are the closure of S, g adjacent to g*s; g's
-    row is the sorted labels of g*s over the set S, as the walk meets them."""
+    row is the sorted labels of g*s over the set S, as the walk meets them.
+
+    The walk holds codes: label[code] is the vertex of a code (-1 unseen),
+    and g*S[i] is one lookup in S[i]'s right-multiplication table.  An S
+    with an element that has no code raises ElementOutsideR."""
     ident = group.identity()
     S = sorted(set(connection_set))
     if ident in S:
@@ -62,28 +91,30 @@ def cayley_graph(group, connection_set: Sequence) -> tuple[graphio.Graph, Cayley
         if group.inv(s) not in S:
             raise NotInverseClosed(f"inverse of {s} missing from connection set")
 
-    vertex_of = {ident: 0}
-    elements = [ident]
+    tables = [group.right_table(s) for s in S]
+    label = [-1] * group.code_count
+    root = group.code(ident)
+    label[root] = 0
+    codes = [root]
     parent = [0]
     via = [0]
     rows = []
     step: list[int] = []
-    # elements grows while it is walked: it is the FIFO queue
-    for v, gv in enumerate(elements):
+    # codes grows while it is walked: it is the FIFO queue
+    for v, c in enumerate(codes):
         row = []
-        for i, s in enumerate(S):
-            h = group.mul(gv, s)
-            w = vertex_of.get(h)
-            if w is None:
-                w = len(elements)
-                vertex_of[h] = w
-                elements.append(h)
+        for i, table in enumerate(tables):
+            h = table[c]
+            w = label[h]
+            if w < 0:
+                w = label[h] = len(codes)
+                codes.append(h)
                 parent.append(v)
                 via.append(i)
             row.append(w)
         step.extend(row)
         rows.append(tuple(sorted(row)))
-    labeling = CayleyLabeling(tuple(elements), vertex_of, tuple(S), tuple(step),
+    labeling = CayleyLabeling(group, tuple(codes), tuple(label), tuple(S), tuple(step),
                               tuple(parent), tuple(via))
     return graphio.Graph(tuple(rows)), labeling
 
@@ -105,9 +136,10 @@ def left_translation(group, labeling: CayleyLabeling, g) -> Permutation:
 
     Always an automorphism of the Cayley graph; fixed-point-free for
     g != identity (the action of the base group on itself is regular).
-    Carried along the labeling's walk from label(g), so group is unused.
+    Carried along the labeling's walk from label(g), so group is unused:
+    the labeling holds the group it was built on.
     """
-    root = labeling.vertex_of_element.get(g)
+    root = labeling.vertex(g)
     if root is None:
         raise ElementOutsideR(f"{g} is not a vertex of this Cayley graph")
     return _transport(labeling, root, range(len(labeling.connection_set)))

@@ -13,6 +13,16 @@ the ambient group has order 18 k^2.
 
 All arithmetic reduces products to these normal forms via conjugation rules
 derived once from the relators; the relator test suite pins them down.
+
+Both R are A x| H, A abelian (Z_k^2 in the odd group, Z_m^2 x Z_p in the
+even one) and H a handful of coset symbols (the six x^hx y^hy, or x^e).
+An element t h of R has the integer code index(t) * |H| + index(h), where
+index(t) reads t's exponents as mixed-radix digits; code() and decode()
+convert, and code() is None outside R (sigma^j with j != 0).  Right
+multiplication by s is (t, h) -> (t + delta, h'), where (delta, h') is the
+one product h * s, so right_table(s), the list code(g) -> code(g*s) over
+R, costs one mul() per coset symbol and a lattice shift for the rest: the
+Cayley walk steps through it without group arithmetic per vertex.
 """
 from __future__ import annotations
 
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from circulant_lab.errors import BadParams, DegenerateS
+from circulant_lab.errors import BadParams, DegenerateS, ElementOutsideR
 
 
 def is_prime(n: int) -> bool:
@@ -50,7 +60,49 @@ def find_alpha(p: int) -> int | None:
 
 
 class _FamilyGroup:
-    """What both family groups derive from their identity() and mul()."""
+    """What both family groups derive from identity(), mul() and code().
+
+    A subclass lists its lattice radices (_radices, one per exponent of A)
+    and its coset symbols (_symbols, the elements 0 h in code order).
+    """
+
+    _radices: tuple[int, ...]
+    _symbols: tuple
+
+    @property
+    def code_count(self) -> int:
+        """The number of codes, |R|: codes run over range(code_count)."""
+        size = len(self._symbols)
+        for r in self._radices:
+            size *= r
+        return size
+
+    def _lattice_shift(self, delta: int) -> list[int]:
+        """index(t + delta) for every lattice index t, in index order."""
+        digits = []
+        for r in reversed(self._radices):
+            delta, d = divmod(delta, r)
+            digits.append(d)
+        out = [0]
+        for r, d in zip(self._radices, reversed(digits)):
+            column = [(i + d) % r for i in range(r)]
+            out = [x * r + c for x in out for c in column]
+        return out
+
+    def right_table(self, s) -> list[int]:
+        """The list code(g) -> code(g*s) over R, for s in R.
+
+        (t h) s = t (h s) = (t + delta) h', where delta h' = h s is one
+        product per coset symbol h; the rest is a shift of the lattice.
+        """
+        if self.code(s) is None:
+            raise ElementOutsideR(f"{s} is not an element of R")
+        width = len(self._symbols)
+        table = [0] * self.code_count
+        for h, symbol in enumerate(self._symbols):
+            delta, h2 = divmod(self.code(self.mul(symbol, s)), width)
+            table[h::width] = [t * width + h2 for t in self._lattice_shift(delta)]
+        return table
 
     def element_order(self, g) -> int:
         ident = self.identity()
@@ -109,8 +161,11 @@ class EvenElement:
 class EvenGroup(_FamilyGroup):
     """Normal-form arithmetic for the even-family group of order 2 m^2 p."""
 
+    _symbols = (EvenElement(0, 0, 0, 0), EvenElement(0, 0, 0, 1))
+
     def __init__(self, params: EvenParams):
         self.params = params
+        self._radices = (params.m, params.m, params.p)
 
     @property
     def order(self) -> int:
@@ -128,6 +183,18 @@ class EvenGroup(_FamilyGroup):
         # x inverts the abelian part, so a leading x flips the signs of g2
         s = -1 if g1.e else 1
         return self.element(g1.a + s * g2.a, g1.b + s * g2.b, g1.c + s * g2.c, g1.e + g2.e)
+
+    def code(self, g: EvenElement) -> int:
+        """((a m + b) p + c) 2 + e: every element lies in R."""
+        m, p = self.params.m, self.params.p
+        return ((g.a * m + g.b) * p + g.c) * 2 + g.e
+
+    def decode(self, code: int) -> EvenElement:
+        m, p = self.params.m, self.params.p
+        rest, e = divmod(code, 2)
+        rest, c = divmod(rest, p)
+        a, b = divmod(rest, m)
+        return EvenElement(a, b, c, e)
 
     def inv(self, g: EvenElement) -> EvenElement:
         if g.e:
@@ -212,10 +279,13 @@ def _s3_inv(h: tuple[int, int]) -> tuple[int, int]:
 class OddGroup(_FamilyGroup):
     """Normal-form arithmetic for G = R x| <sigma>, |G| = 18 k^2."""
 
+    _symbols = tuple(OddElement(0, 0, hx, hy, 0) for hx in range(3) for hy in range(2))
+
     def __init__(self, k: int):
         if k < 1:
             raise BadParams(f"k must be positive, got {k}")
         self.k = k
+        self._radices = (k, k)
         self.delta = 1 if k % 3 == 0 else 0
         self._sigma_h = self._sigma_h_images()
 
@@ -236,6 +306,18 @@ class OddGroup(_FamilyGroup):
 
     def in_r(self, g: OddElement) -> bool:
         return g.j == 0
+
+    def code(self, g: OddElement) -> int | None:
+        """(a k + b) 6 + 2 hx + hy for g in R, None for g outside R."""
+        if g.j:
+            return None
+        return (g.a * self.k + g.b) * 6 + g.hx * 2 + g.hy
+
+    def decode(self, code: int) -> OddElement:
+        rest, h = divmod(code, 6)
+        a, b = divmod(rest, self.k)
+        hx, hy = divmod(h, 2)
+        return OddElement(a, b, hx, hy, 0)
 
     # conjugation action of Sym(3) on the translation lattice:
     # t^x: (a, b) -> (-b, a-b);  t^y: (a, b) -> (-b, -a)

@@ -222,6 +222,35 @@ def partition_of(colors) -> set[frozenset[int]]:
     return {frozenset(cell) for cell in cells.values()}
 
 
+def cayley_graph_by_multiplication(group, connection_set):
+    """The Cayley walk with one group product per vertex and generator:
+    the definition the library's table walk must agree with.  Returns the
+    graph, the vertices' elements, and the step, parent and via lists."""
+    ident = group.identity()
+    S = sorted(set(connection_set))
+    vertex_of = {ident: 0}
+    elements = [ident]
+    parent = [0]
+    via = [0]
+    rows = []
+    step = []
+    for v, gv in enumerate(elements):
+        row = []
+        for i, s in enumerate(S):
+            h = group.mul(gv, s)
+            w = vertex_of.get(h)
+            if w is None:
+                w = len(elements)
+                vertex_of[h] = w
+                elements.append(h)
+                parent.append(v)
+                via.append(i)
+            row.append(w)
+        step.extend(row)
+        rows.append(tuple(sorted(row)))
+    return Graph(tuple(rows)), tuple(elements), tuple(step), tuple(parent), tuple(via)
+
+
 def left_translation_by_multiplication(group, labeling, g) -> tuple[int, ...]:
     """Images of v -> label(g * element(v)), one group product per vertex:
     the definition the library's transported translation must agree with."""

@@ -16,11 +16,12 @@ from circulant_lab.errors import (
     PhiDoesNotPreserveS,
 )
 from circulant_lab.graphio import girth, is_connected, is_cubic
-from circulant_lab.papergroups import even_group, odd_group
+from circulant_lab.papergroups import EvenGroup, EvenParams, OddGroup, even_group, odd_group
 from circulant_lab.perm import cycle_structure, identity, is_semiregular
 from helpers import (
     automorphism_by_substitution,
     brute_force_isomorphic,
+    cayley_graph_by_multiplication,
     left_translation_by_multiplication,
 )
 
@@ -234,3 +235,64 @@ def test_transported_outer_automorphism_matches_substitution(family, params):
     G, outer, S, labeling = _family_member(family, params)
     perm = automorphism_from_group_automorphism(G, labeling, outer)
     assert perm.images == automorphism_by_substitution(labeling, outer)
+
+
+WALK_MEMBERS = [("odd", (k,)) for k in range(1, 24, 2)] + [
+    ("even", mp) for mp in ((1, 7), (2, 7), (3, 7), (4, 7), (5, 13), (6, 7), (7, 13), (9, 7))]
+
+
+@pytest.mark.parametrize("family,params", WALK_MEMBERS,
+                         ids=[f"{f}-{'-'.join(map(str, p))}" for f, p in WALK_MEMBERS])
+def test_table_walk_matches_the_multiplication_walk(family, params):
+    # odd k with 3 | k has delta = 1; even with 3 | m reaches index 3 in R
+    G = odd_group(*params) if family == "odd" else even_group(*params)
+    S = G.connection_set()
+    graph, labeling = cayley_graph(G, S)
+    want_graph, elements, step, parent, via = cayley_graph_by_multiplication(G, S)
+    assert graph.adjacency == want_graph.adjacency
+    assert labeling.element_of_vertex == elements
+    assert list(labeling.vertex_of_element) == list(elements)
+    assert (labeling.step, labeling.parent, labeling.via) == (step, parent, via)
+
+
+def test_elements_outside_the_closure_are_not_vertices():
+    # at (3, 7) the closure of S has index 3 in R: u has a code, no vertex
+    G = even_group(3, 7)
+    _, labeling = cayley_graph(G, G.connection_set())
+    assert labeling.n * 3 == G.code_count
+    u = G.element(1, 0, 0, 0)
+    assert labeling.vertex(u) is None
+    with pytest.raises(ElementOutsideR):
+        left_translation(G, labeling, u)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_left_translation_by_an_element_without_a_code(j):
+    G = odd_group(5)
+    _, labeling = cayley_graph(G, G.connection_set())
+    g = G.element(0, 0, 0, 1, j)
+    assert G.code(g) is None
+    with pytest.raises(ElementOutsideR):
+        left_translation(G, labeling, g)
+
+
+def test_connection_set_outside_r_rejected():
+    G = odd_group(3)
+    sigma = G.element(0, 0, 0, 0, 1)
+    with pytest.raises(ElementOutsideR):
+        cayley_graph(G, (sigma, G.inv(sigma)))
+
+
+@pytest.mark.parametrize("family,params,products", [
+    ("odd", (5,), 18), ("odd", (15,), 18), ("even", (2, 7), 6), ("even", (7, 13), 6),
+], ids=["odd-5", "odd-15", "even-2-7", "even-7-13"])
+def test_walk_makes_a_fixed_number_of_products(family, params, products, monkeypatch):
+    # one product per generator and coset symbol, however large n is
+    G = OddGroup(*params) if family == "odd" else EvenGroup(EvenParams.make(*params))
+    S = G.connection_set()
+    calls = []
+    mul = G.mul
+    monkeypatch.setattr(G, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    graph, _ = cayley_graph(G, S)
+    assert graph.n > products
+    assert len(calls) == products

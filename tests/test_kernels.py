@@ -237,7 +237,8 @@ def test_trace_check_rejects_exactly_the_differing_traces():
         ptr, flat = kern.build_csr(graph.adjacency)
         root, root_cells = kern.refine_colors(ptr, flat, [0] * n)
         assert root == [0] * n
-        orbit = {v: {p[v] for p in brute_force_automorphisms(graph)} for v in range(n)}
+        automorphisms = brute_force_automorphisms(graph)
+        orbit = {v: {p[v] for p in automorphisms} for v in range(n)}
         traces = []
         plain = []
         for w in range(n):

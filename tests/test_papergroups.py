@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from circulant_lab.errors import BadParams
+from circulant_lab.errors import BadParams, ElementOutsideR
 from circulant_lab.papergroups import (
     EvenElement,
     EvenParams,
@@ -343,3 +343,50 @@ def test_even_split_is_the_element_itself():
     G = even_group(2, 7)
     for g in G.all_elements():
         assert G.split(g) == (g, 0)
+
+
+# --- integer codes and right-multiplication tables ---
+
+@pytest.mark.parametrize("family,params", [
+    ("odd", (1,)), ("odd", (3,)), ("odd", (5,)), ("odd", (9,)),
+    ("even", (1, 7)), ("even", (3, 7)), ("even", (2, 13)),
+], ids=["odd-1", "odd-3", "odd-5", "odd-9", "even-1-7", "even-3-7", "even-2-13"])
+def test_right_tables_match_multiplication(family, params):
+    if family == "odd":
+        G = odd_group(*params)
+        elements = list(G.r_elements())
+    else:
+        G = even_group(*params)
+        elements = list(G.all_elements())
+    codes = [G.code(g) for g in elements]
+    assert sorted(codes) == list(range(G.code_count))
+    assert all(G.decode(c) == g for c, g in zip(codes, elements))
+    # when 3 | m the closure of S has index 3 in R: the table covers all of R
+    for s in G.connection_set() + (G.identity(),):
+        table = G.right_table(s)
+        assert len(table) == G.code_count
+        for c, g in zip(codes, elements):
+            assert G.decode(table[c]) == G.mul(g, s), (G.render(g), G.render(s))
+
+
+def test_right_table_of_a_non_symbol_element():
+    # s with a nonzero lattice part and a nontrivial coset symbol
+    G = odd_group(5)
+    s = G.element(2, 3, 1, 1)
+    table = G.right_table(s)
+    for g in G.r_elements():
+        assert G.decode(table[G.code(g)]) == G.mul(g, s)
+    E = even_group(2, 13)
+    s = E.element(1, 0, 5, 0)
+    table = E.right_table(s)
+    for g in E.all_elements():
+        assert E.decode(table[E.code(g)]) == E.mul(g, s)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_odd_elements_outside_r_have_no_code(j):
+    G = odd_group(3)
+    g = G.element(1, 2, 1, 0, j)
+    assert G.code(g) is None
+    with pytest.raises(ElementOutsideR):
+        G.right_table(g)
