@@ -1,8 +1,9 @@
 """Hot-loop primitives, in pure Python.
 
 Permutations are plain sequences of images, and ``cycles`` is the one walk
-over their cycles.  This is the one module that knows the CSR layout of a
-graph (``ptr``/``flat``, from :func:`build_csr`) and how colour refinement
+that lists their cycles (``is_semiregular_images`` only counts their
+lengths).  This is the one module that knows the CSR layout of a graph
+(``ptr``/``flat``, from :func:`build_csr`) and how colour refinement
 numbers its cells.  Refinement is canonical splitter-queue refinement
 (Cardon and Crochemore 1982; Berkholz, Bonsma and Grohe 2017): its cell ids
 and its trace (the splits each splitter makes) depend only on the colored
@@ -66,10 +67,24 @@ def cycle_lengths(p):
 
 def is_semiregular_images(p):
     """True iff every cycle of p has the same length; stops at the first
-    cycle that differs from the first."""
-    lengths = map(len, cycles(p))
-    first = next(lengths, None)
-    return all(length == first for length in lengths)
+    cycle that differs from the first.  Counts each cycle's length on a
+    walk of its own, with no list of its points."""
+    seen = bytearray(len(p))
+    first = 0
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = 1
+            length += 1
+            j = p[j]
+        if not first:
+            first = length
+        elif length != first:
+            return False
+    return True
 
 
 def preserves_adjacency(ptr, flat, images):

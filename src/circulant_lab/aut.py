@@ -2,9 +2,14 @@
 
 The automorphism search interleaves equitable color refinement with
 backtracking over images of a BFS-ordered vertex sequence, as two loops.
-The first walks the principal path once: from the refined unit coloring,
-each level individualizes its target vertex (the first vertex of the
-sequence in a non-singleton cell) and refines, down to the discrete leaf.
+It starts from a root coloring and finds the automorphisms that preserve
+it: the unit coloring gives the full group (``automorphism_group``), and a
+coloring that puts both ends of an arc in cells of their own gives the
+arc's stabilizer (``arc_transitive_type``).  The first loop walks the
+principal path once: from the refined root coloring, each level
+individualizes its target vertex (the first vertex of the sequence in a
+non-singleton cell) and refines, down to the discrete leaf.  A vertex the
+root coloring puts in a singleton cell is never a target.
 The second takes the levels deepest first and tries the vertices of the
 target's cell, skipping every vertex whose orbit under the generators found
 so far holds the target or a sibling that already failed at that level
@@ -16,7 +21,7 @@ them, would map the target to w.  Each try is a depth-first search on an
 explicit stack that refines the individualized colorings against the
 stored principal path, level by level, and tests adjacency at the leaf.
 Refinement and individualization are kernels
-(``_kernels.refine_colors`` for the unit coloring,
+(``_kernels.refine_colors`` for the root coloring,
 ``_kernels.individualize`` below it), and only they number the cells.
 Each principal level keeps its coloring with its cells, so a node's
 individualization starts from its parent's cells and copies only the
@@ -90,6 +95,16 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
     one per node of every sibling search, aborted or not; a pruned sibling
     makes none.  Raises SearchTimeout when the search needs more.
     """
+    return _search(graph, [0] * graph.n, node_cap)
+
+
+def _search(graph: graphio.Graph, colors: list[int], node_cap: int) -> PermGroup:
+    """The group of the graph's automorphisms that preserve the root
+    coloring colors (an int per vertex), with its stabilizer chain, as
+    automorphism_group describes it.  Refinement numbers the root's cells by
+    ascending color, so a leaf maps each vertex into its own color class.
+    The root's singleton cells are fixed by every generator and are never
+    targets, so the search neither individualizes nor seeks there."""
     n = graph.n
     if n == 0:
         group = PermGroup(0, [])
@@ -121,7 +136,7 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
     path: list[tuple[list[int], int | None, tuple]] = []
     path_cells: list[list[set[int]]] = []
     count_node()
-    colors, cells = kern.refine_colors(ptr, flat, [0] * n)
+    colors, cells = kern.refine_colors(ptr, flat, colors)
     trace: list = []
     pos = 0
     while True:
@@ -271,14 +286,42 @@ def tutte_type(graph: graphio.Graph, group: PermGroup | None = None) -> int:
     outside {3, 6, 12, 24, 48} is impossible for genuine inputs and raises
     StabiliserNotOfForm.
     """
-    if not graphio.is_cubic(graph):
-        raise NotCubic("a vertex has degree != 3")
-    if not graphio.is_connected(graph):
-        raise NotArcTransitive("graph is not connected")
+    _require_cubic_connected(graph)
     group = automorphism_group(graph) if group is None else group
     if not is_arc_transitive(graph, group):
         raise NotArcTransitive("automorphism group is not transitive on arcs")
     return _arc_type(group.order(), graph.n)
+
+
+def arc_transitive_type(graph: graphio.Graph) -> int:
+    """Arc-type t of Aut, for a cubic, connected graph whose Aut is known to
+    be arc-transitive.
+
+    Precondition, not checked: Aut is transitive on arcs, as it is as soon
+    as any group of automorphisms is (is_arc_transitive on that group).
+    Then orbit-stabiliser gives |Aut| = 2|E| * |Aut_(u,v)| for any arc
+    (u, v), and Aut_(u,v) is the group of automorphisms that preserve a
+    root coloring with u and v in cells of their own: one search, which
+    never individualizes u or v, nor seeks their images.  Without the
+    precondition the result is t for a wrong |Aut|, or StabiliserNotOfForm.
+    NotCubic or NotArcTransitive as in tutte_type for a graph that is not
+    cubic or not connected.
+    """
+    _require_cubic_connected(graph)
+    if graph.n == 0:
+        raise StabiliserNotOfForm("the null graph has no vertex stabiliser")
+    u, v = next(graph.arcs())
+    colors = [0] * graph.n
+    colors[u], colors[v] = 1, 2
+    stabiliser = _search(graph, colors, DEFAULT_NODE_CAP)
+    return _arc_type(2 * graph.edge_count * stabiliser.order(), graph.n)
+
+
+def _require_cubic_connected(graph: graphio.Graph) -> None:
+    if not graphio.is_cubic(graph):
+        raise NotCubic("a vertex has degree != 3")
+    if not graphio.is_connected(graph):
+        raise NotArcTransitive("graph is not connected")
 
 
 def _arc_type(order: int, n: int) -> int:

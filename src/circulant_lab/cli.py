@@ -107,8 +107,13 @@ def verify_construction(cons: Construction) -> dict:
     Construction and verification share no state beyond the graph and the
     candidate permutations, which are re-validated against adjacency: the
     arc group's generators and the witness must be automorphisms.  The
-    arc-type comes from the full automorphism group, which may be larger
-    than the assembled translations-plus-outer-automorphism group.
+    arc-type is the full automorphism group's, which may be larger than the
+    assembled translations-plus-outer-automorphism group.  It is read only
+    once every check holds: then the arc group is arc-transitive, so Aut,
+    which contains it, is too, and |Aut| = 2|E| * |Aut_(u,v)| for an arc
+    (u, v).  So one search, for the stabiliser of that arc, gives |Aut|
+    (aut.arc_transitive_type), and the arc orbit is walked once, on the
+    arc group.
     """
     graph = cons.graph
     structure = cycle_structure(cons.witness)
@@ -128,7 +133,7 @@ def verify_construction(cons: Construction) -> dict:
         "n": graph.n,
         "k": cons.expected_k,
         "checks": checks,
-        "tutte_t": aut_mod.tutte_type(graph) if all(checks.values()) else None,
+        "tutte_t": aut_mod.arc_transitive_type(graph) if all(checks.values()) else None,
         "witness_order": structure.element_order,
         "witness_orbits": len(structure.cycle_lengths),
         "witness_cycles": to_cycle_string(cons.witness),

@@ -12,6 +12,8 @@ from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from circulant_lab import fixtures
 from circulant_lab.aut import (
+    _search,
+    arc_transitive_type,
     automorphism_group,
     bfs_order,
     is_arc_transitive,
@@ -220,6 +222,8 @@ def test_tutte_types():
 def test_tutte_rejects_non_cubic():
     with pytest.raises(NotCubic):
         tutte_type(from_edges(3, [(0, 1), (1, 2)]))
+    with pytest.raises(NotCubic):
+        arc_transitive_type(from_edges(3, [(0, 1), (1, 2)]))
 
 
 def test_tutte_rejects_non_arc_transitive():
@@ -235,6 +239,8 @@ def test_tutte_rejects_disconnected():
                         + [(u + 4, v + 4) for u in range(4) for v in range(u + 1, 4)])
     with pytest.raises(NotArcTransitive):
         tutte_type(two_k4)
+    with pytest.raises(NotArcTransitive):
+        arc_transitive_type(two_k4)
 
 
 def test_tutte_rejects_the_null_graph():
@@ -243,6 +249,8 @@ def test_tutte_rejects_the_null_graph():
     null = from_edges(0, [])
     with pytest.raises(StabiliserNotOfForm):
         tutte_type(null)
+    with pytest.raises(StabiliserNotOfForm):
+        arc_transitive_type(null)
     assert symmetry_profile(null).tutte_t is None
 
 
@@ -253,6 +261,76 @@ def test_tutte_bound_on_fixture_corpus():
         t = tutte_type(graph, group)
         assert 0 <= t <= 4
         assert group.order() == 3 * 2 ** t * graph.n
+
+
+# a vertex, an arc, and an edge as a set, each colored apart from the rest
+def _root_colorings(graph):
+    for v in range(graph.n):
+        yield [int(w == v) for w in range(graph.n)]
+    for u, v in graph.arcs():
+        colors = [0] * graph.n
+        colors[u], colors[v] = 1, 2
+        yield colors
+        if u < v:
+            colors = [0] * graph.n
+            colors[u] = colors[v] = 1
+            yield colors
+
+
+def is_automorphism_of(graph, g):
+    return all(g.images[v] in graph.adjacency[g.images[u]] for u, v in graph.edges())
+
+
+_COLORED_SEARCH_GRAPHS = (
+    [fixtures.load(name) for name in ("k4", "k33", "cube3", "petersen")]
+    + [random_cubic_graph(random.Random(seed), n)
+       for seed, n in ((1, 6), (2, 8), (3, 8), (4, 8), (5, 10))])
+
+
+@pytest.mark.parametrize("graph", _COLORED_SEARCH_GRAPHS,
+                         ids=["k4", "k33", "cube3", "petersen"]
+                         + [f"random{i}" for i in range(1, 6)])
+def test_colored_search_matches_brute_force(graph):
+    automorphisms = brute_force_automorphisms(graph)
+    for colors in _root_colorings(graph):
+        want = sum(all(colors[p[v]] == colors[v] for v in range(graph.n))
+                   for p in automorphisms)
+        group = _search(graph, colors, 10 ** 6)
+        assert group.order() == want, colors
+        for g in group.generators:
+            assert is_automorphism_of(graph, g)
+            assert [colors[x] for x in g.images] == colors
+
+
+# the family members on which the stabiliser recipe was first compared
+_ARC_TYPE_MEMBERS = ([("odd", (k,)) for k in range(1, 22, 2)]
+                     + [("even", mp) for mp in ((1, 7), (2, 7), (3, 7), (4, 7), (5, 13),
+                                                (6, 7), (7, 13), (1, 13), (3, 13), (9, 7))])
+
+
+@pytest.mark.parametrize("family,params", _ARC_TYPE_MEMBERS,
+                         ids=[f"{f}-{'-'.join(map(str, p))}" for f, p in _ARC_TYPE_MEMBERS])
+def test_arc_stabiliser_gives_the_full_search_arc_type(family, params):
+    graph = (build_odd if family == "odd" else build_even)(*params).graph
+    assert arc_transitive_type(graph) == tutte_type(graph)
+
+
+def test_arc_stabiliser_gives_the_arc_type_of_the_fixtures():
+    for name in fixtures.NAMES:
+        graph = fixtures.load(name)
+        group = automorphism_group(graph)
+        assert is_arc_transitive(graph, group), name
+        assert arc_transitive_type(graph) == tutte_type(graph, group), name
+
+
+def test_arc_stabiliser_arc_type_survives_relabeling():
+    rng = random.Random(25)
+    for graph in (build_odd(5).graph, build_even(2, 7).graph):
+        images = list(range(graph.n))
+        rng.shuffle(images)
+        relabeled = relabel(graph, images)
+        assert relabeled != graph
+        assert arc_transitive_type(relabeled) == tutte_type(graph)
 
 
 def test_symmetry_profile_heawood():

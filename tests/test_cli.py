@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from circulant_lab import cli, fixtures, graphio
+from circulant_lab import aut, cli, fixtures, graphio
 from circulant_lab.cli import main
 from circulant_lab.errors import StabiliserNotOfForm
 from circulant_lab.graphio import MAX_ORDER, parse_edgelist, serialize
@@ -80,6 +80,38 @@ def test_verify_rejects_a_witness_that_is_not_an_automorphism():
     assert checks["witness_orbit_count"]
     assert not checks["witness_automorphism"]
     assert report["ok"] is False and report["tutte_t"] is None
+
+
+def test_verify_makes_one_arc_stabiliser_search_and_one_arc_walk(monkeypatch):
+    # the arc-type comes from one search whose root coloring puts the two
+    # ends of an arc in cells of their own, and the one arc-orbit walk is
+    # the check on the arc group: no search or walk on the full group
+    cases = [(cons, aut.tutte_type(cons.graph))
+             for cons in (cli.build_odd(5), cli.build_even(2, 7))]
+    searches, walks = [], []
+    search, walk = aut._search, aut.is_arc_transitive
+
+    def counted_search(graph, colors, node_cap):
+        searches.append(list(colors))
+        return search(graph, colors, node_cap)
+
+    def counted_walk(graph, group):
+        walks.append(group)
+        return walk(graph, group)
+
+    monkeypatch.setattr(aut, "_search", counted_search)
+    monkeypatch.setattr(aut, "is_arc_transitive", counted_walk)
+    for cons, t in cases:
+        searches.clear()
+        walks.clear()
+        report = cli.verify_construction(cons)
+        assert report["ok"] and report["tutte_t"] == t
+        assert len(searches) == 1
+        colors = searches[0]
+        apart = [v for v, c in enumerate(colors) if colors.count(c) == 1]
+        assert len(set(colors)) == 3 and len(apart) == 2
+        assert apart[1] in cons.graph.adjacency[apart[0]]
+        assert len(walks) == 1 and walks[0] is cons.arc_group
 
 
 def test_construct_even_bad_params(tmp_path, capsys, monkeypatch):

@@ -6,12 +6,13 @@ stops exactly when its own trace differs, the splitters that hit no vertex
 twice split exactly as the by-count split of ``helpers.refine_by_counts``
 would, individualization returns cells that match its coloring and never
 modifies its parent's coloring or cells, and composition shares the int
-objects of its second argument.  The cycle walk is tested through ``perm``
-in ``test_perm.py``."""
+objects of its second argument, and the semiregularity test agrees with
+the cycle walk's lengths.  The cycle walk itself is tested through
+``perm`` in ``test_perm.py``."""
 import random
 
 from circulant_lab import _kernels as kern
-from circulant_lab import aut, fixtures
+from circulant_lab import aut, cli, fixtures, kcirc
 from circulant_lab.graphio import from_edges
 from circulant_lab.perm import Permutation, identity
 from helpers import (
@@ -351,3 +352,31 @@ def test_refinement_matches_the_by_count_reference(monkeypatch):
                 assert (parent, cells) == snapshot
                 siblings += 1
     assert siblings > 500 and many > 200 and aborted > siblings
+
+
+def test_semiregular_test_matches_the_cycle_lengths():
+    def by_cycles(images):
+        return len(set(map(len, kern.cycles(images)))) <= 1
+
+    rng = random.Random(25)
+    perms = [[], [0], list(range(7))]
+    for _ in range(500):
+        n = rng.randrange(31)
+        if rng.random() < 0.5:
+            perms.append(random_images(rng, n))
+            continue
+        # a random semiregular permutation: equal cycles over shuffled points
+        length = rng.choice([d for d in range(1, n + 1) if n % d == 0] or [1])
+        points = random_images(rng, n)
+        images = [0] * n
+        for start in range(0, n, length):
+            cycle = points[start:start + length]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                images[a] = b
+        perms.append(images)
+    graph = cli.build_odd(5).graph
+    perms += [w.images for w in kcirc.k_spectrum(graph).witnesses.values()]
+    verdicts = [by_cycles(p) for p in perms]
+    assert 100 < sum(verdicts) < len(perms) - 100
+    for images, want in zip(perms, verdicts):
+        assert kern.is_semiregular_images(images) == want, images
