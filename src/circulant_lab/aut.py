@@ -55,15 +55,13 @@ from circulant_lab import _kernels as kern
 from circulant_lab import graphio
 from circulant_lab._bfs import components
 from circulant_lab.errors import (
+    CapExceeded,
     GroupNotAutomorphisms,
     NotArcTransitive,
     NotCubic,
-    SearchTimeout,
     StabiliserNotOfForm,
 )
 from circulant_lab.perm import PermGroup, Permutation
-
-DEFAULT_NODE_CAP = 10 ** 8
 
 _STABILISER_TO_T = {3: 0, 6: 1, 12: 2, 24: 3, 48: 4}
 
@@ -80,7 +78,7 @@ def _root(forest: list[int], v: int) -> int:
     return v
 
 
-def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -> PermGroup:
+def automorphism_group(graph: graphio.Graph, cap: int | None = None) -> PermGroup:
     """The full automorphism group of the graph, with its stabilizer chain.
 
     The base is the search's target vertices whose basic orbit is more than
@@ -90,15 +88,16 @@ def automorphism_group(graph: graphio.Graph, node_cap: int = DEFAULT_NODE_CAP) -
     (see the module docstring), and every returned generator is verified
     to preserve adjacency, so the group records the graph as checked (see
     check_all_automorphisms).  A sibling whose search fails prunes its orbit
-    under the generators found so far, at its level.  node_cap bounds the
-    number of refinement calls: the principal path's, one per level, and
-    one per node of every sibling search, aborted or not; a pruned sibling
-    makes none.  Raises SearchTimeout when the search needs more.
+    under the generators found so far, at its level.  With a cap, raises
+    CapExceeded as soon as the levels finished so far prove |Aut| > cap:
+    once a level is finished, the product of the basic orbit lengths of it
+    and the levels below is the order of the stabiliser of the targets
+    above it, a divisor of |Aut|.  No cap (None) searches to the end.
     """
-    return _search(graph, [0] * graph.n, node_cap)
+    return _search(graph, [0] * graph.n, cap)
 
 
-def _search(graph: graphio.Graph, colors: list[int], node_cap: int) -> PermGroup:
+def _search(graph: graphio.Graph, colors: list[int], cap: int | None = None) -> PermGroup:
     """The group of the graph's automorphisms that preserve the root
     coloring colors (an int per vertex), with its stabilizer chain, as
     automorphism_group describes it.  Refinement numbers the root's cells by
@@ -112,21 +111,6 @@ def _search(graph: graphio.Graph, colors: list[int], node_cap: int) -> PermGroup
         return group
     ptr, flat = kern.build_csr(graph.adjacency)
     base_seq = bfs_order(graph)
-    nodes = 0
-
-    def count_node() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise SearchTimeout(
-                f"automorphism search exceeded its node cap (node_cap={node_cap})")
-
-    def individualize(colors: list[int], cells: list[set[int]], v: int,
-                      trace: list | None = None, expected: tuple | None = None
-                      ) -> tuple[list[int], list[set[int]]] | None:
-        count_node()
-        return kern.individualize(ptr, flat, colors, cells, v, trace, expected)
-
     # the principal path: (coloring, target vertex or None at the leaf,
     # refinement trace) per level, each coloring refined from its parent
     # with the parent's target individualized; the root's trace is empty.
@@ -135,7 +119,6 @@ def _search(graph: graphio.Graph, colors: list[int], node_cap: int) -> PermGroup
     # resumes where the last one stopped.
     path: list[tuple[list[int], int | None, tuple]] = []
     path_cells: list[list[set[int]]] = []
-    count_node()
     colors, cells = kern.refine_colors(ptr, flat, colors)
     trace: list = []
     pos = 0
@@ -148,7 +131,7 @@ def _search(graph: graphio.Graph, colors: list[int], node_cap: int) -> PermGroup
             break
         path_cells.append(cells)
         trace = []
-        colors, cells = individualize(colors, cells, target, trace)
+        colors, cells = kern.individualize(ptr, flat, colors, cells, target, trace)
     leaf_pos = [0] * n
     for v, c in enumerate(colors):
         leaf_pos[c] = v
@@ -166,7 +149,8 @@ def _search(graph: graphio.Graph, colors: list[int], node_cap: int) -> PermGroup
                 stack.pop()
                 continue
             alpha, target, trace = path[depth]
-            child = individualize(parent, parent_cells, todo.pop(), expected=trace)
+            child = kern.individualize(ptr, flat, parent, parent_cells, todo.pop(),
+                                       expected=trace)
             if child is None:
                 continue
             beta, beta_cells = child
@@ -188,9 +172,14 @@ def _search(graph: graphio.Graph, colors: list[int], node_cap: int) -> PermGroup
     # nor a sibling that failed at this level: a failed w has no
     # automorphism fixing the targets above that maps the target to it, so
     # no vertex of its orbit has one either.  Only the seeks at a level read
-    # its cells, so they are popped, and freed, as the level starts.
+    # its cells, so they are popped, and freed, as the level starts.  size
+    # holds each root's orbit length: once a level is finished, its
+    # target's orbit is its basic orbit, and order is the product of the
+    # basic orbit lengths of this level and those below.
     gens: list[Permutation] = []
     orbits = list(range(n))
+    size = [1] * n
+    order = 1
     for level in range(len(path) - 2, -1, -1):
         alpha, target, _ = path[level]
         cells = path_cells.pop()
@@ -207,8 +196,13 @@ def _search(graph: graphio.Graph, colors: list[int], node_cap: int) -> PermGroup
             for v, u in enumerate(found.images):
                 a, b = _root(orbits, v), _root(orbits, u)
                 if a != b:
-                    orbits[max(a, b)] = min(a, b)
+                    a, b = min(a, b), max(a, b)
+                    orbits[b] = a
+                    size[a] += size[b]
             dead = {_root(orbits, d) for d in dead}
+        order *= size[_root(orbits, target)]
+        if cap is not None and order > cap:
+            raise CapExceeded(f"group order at least {order} exceeds cap {cap}")
     group = PermGroup.from_chain(n, gens, [target for _, target, _ in path[:-1]])
     group._automorphisms_of = graph
     return group
@@ -313,7 +307,7 @@ def arc_transitive_type(graph: graphio.Graph) -> int:
     u, v = next(graph.arcs())
     colors = [0] * graph.n
     colors[u], colors[v] = 1, 2
-    stabiliser = _search(graph, colors, DEFAULT_NODE_CAP)
+    stabiliser = _search(graph, colors)
     return _arc_type(2 * graph.edge_count * stabiliser.order(), graph.n)
 
 

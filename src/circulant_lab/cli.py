@@ -29,7 +29,6 @@ from circulant_lab.errors import (
     BadParams,
     CapExceeded,
     CirculantError,
-    SearchTimeout,
 )
 from circulant_lab.papergroups import even_group, odd_group
 from circulant_lab.perm import (
@@ -170,7 +169,7 @@ def _load_graphs(path: Path) -> list[tuple[int | None, graphio.Graph]]:
 
 def _analyze_graph(graph: graphio.Graph, cap: int, include_trivial: bool,
                    bound_check: bool) -> dict:
-    group = aut_mod.automorphism_group(graph)
+    group = aut_mod.automorphism_group(graph, cap)
     profile = aut_mod.symmetry_profile(graph, group)
     report = kcirc.k_spectrum(graph, group, cap=cap)
     if bound_check and profile.arc_transitive and graphio.is_cubic(graph):
@@ -233,7 +232,7 @@ def cmd_analyze(args, spectrum_only: bool) -> int:
     _, graph = graphs[0]
     try:
         payload = _analyze_graph(graph, args.cap, args.include_trivial_k, bound_check=True)
-    except (CapExceeded, SearchTimeout) as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if spectrum_only:
@@ -262,7 +261,7 @@ def _scan_file(task) -> list[dict]:
         else:
             try:
                 payload = _analyze_graph(graph, cap, include_trivial, bound_check)
-            except (CapExceeded, SearchTimeout) as exc:
+            except CapExceeded as exc:
                 record["skip"] = "cap exceeded"
                 record["error"] = str(exc)
             except CirculantError as exc:

@@ -91,10 +91,6 @@ class StabiliserNotOfForm(CirculantError):
     """Vertex-stabiliser order is not 3*2^t with t in [0,4]."""
 
 
-class SearchTimeout(CirculantError):
-    """Automorphism search exceeded its node cap."""
-
-
 # --- k-circulant analysis ---
 
 class KDoesNotDivideN(CirculantError):

@@ -47,6 +47,7 @@ from circulant_lab import aut as aut_mod
 from circulant_lab import graphio
 from circulant_lab.errors import KDoesNotDivideN, PreconditionViolated
 from circulant_lab.perm import (
+    DEFAULT_ENUMERATION_CAP,
     PermGroup,
     Permutation,
     cycle_structure,
@@ -137,11 +138,13 @@ def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
     search's tree to those points only and takes the first hit in each.
     k = n is always in the spectrum for n >= 1; the null graph's spectrum
     is empty, as a k-circulant needs k >= 1.  Raises CapExceeded when |Aut|
-    exceeds the enumeration cap, and GroupNotAutomorphisms
+    exceeds the enumeration cap (None: the default), from the search when
+    there is no group, and GroupNotAutomorphisms
     (aut.check_all_automorphisms) when the group is not a group of
     automorphisms of the graph.
     """
-    group = aut_mod.automorphism_group(graph) if group is None else group
+    if group is None:
+        group = aut_mod.automorphism_group(graph, DEFAULT_ENUMERATION_CAP if cap is None else cap)
     aut_mod.check_all_automorphisms(graph, group)
     n = graph.n
     if n == 0:  # the null graph is a k-circulant for no k >= 1
@@ -199,7 +202,8 @@ def certify_k_circulant(graph: graphio.Graph, k: int,
     n = graph.n
     if k < 1 or n % k != 0:
         raise KDoesNotDivideN(f"k = {k} does not divide n = {n}")
-    group = aut_mod.automorphism_group(graph) if group is None else group
+    if group is None:
+        group = aut_mod.automorphism_group(graph, DEFAULT_ENUMERATION_CAP if cap is None else cap)
     aut_mod.check_all_automorphisms(graph, group)
     if n == 0:
         return None

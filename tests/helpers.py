@@ -107,6 +107,20 @@ def generalized_petersen(n: int, k: int) -> Graph:
     return from_edges(2 * n, edges)
 
 
+def diamond_ring(count: int) -> Graph:
+    """A ring of count diamonds (K4 minus an edge): diamond i has ends 4i
+    and 4i + 3, of degree 2 inside it, and middles 4i + 1 and 4i + 2, and
+    its end 4i + 3 is joined to the next diamond's end 4i + 4.  Cubic, with
+    n = 4 * count and |Aut| = 2 * count * 2^count (for count >= 3): the
+    ring's dihedral group, and a swap of the middles of any diamond."""
+    n = 4 * count
+    edges = []
+    for i in range(0, n, 4):
+        edges += [(i, i + 1), (i, i + 2), (i + 1, i + 2), (i + 1, i + 3), (i + 2, i + 3),
+                  (i + 3, (i + 4) % n)]
+    return from_edges(n, edges)
+
+
 def random_cubic_graph(rng, n: int) -> Graph:
     """A simple cubic graph on n (even) vertices from the pairing model."""
     while True:

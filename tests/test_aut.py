@@ -22,10 +22,10 @@ from circulant_lab.aut import (
 )
 from circulant_lab.cli import build_even, build_odd
 from circulant_lab.errors import (
+    CapExceeded,
     GroupNotAutomorphisms,
     NotArcTransitive,
     NotCubic,
-    SearchTimeout,
     StabiliserNotOfForm,
 )
 from circulant_lab.graphio import Graph, from_edges
@@ -295,7 +295,7 @@ def test_colored_search_matches_brute_force(graph):
     for colors in _root_colorings(graph):
         want = sum(all(colors[p[v]] == colors[v] for v in range(graph.n))
                    for p in automorphisms)
-        group = _search(graph, colors, 10 ** 6)
+        group = _search(graph, colors)
         assert group.order() == want, colors
         for g in group.generators:
             assert is_automorphism_of(graph, g)
@@ -359,10 +359,36 @@ def test_profile_deterministic():
     assert [e.images for e in chain_elements(a)] == [e.images for e in chain_elements(b)]
 
 
-def test_node_cap():
-    graph = fixtures.load("pappus")
-    with pytest.raises(SearchTimeout, match=r"node_cap=3\b"):
-        automorphism_group(graph, node_cap=3)
+def test_cap_ends_the_search_on_the_edgeless_graph(monkeypatch):
+    # levels finish deepest first, and once the ten deepest of Sym(200)'s
+    # are done, their basic orbits 2, 3, ..., 11 prove |Aut| >= 11! > 2^24:
+    # the search stops there, not after the n(n+1)/2 nodes of the full tree
+    from circulant_lab import _kernels as kern
+
+    n = 200
+    calls = [0]
+    individualize = kern.individualize
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return individualize(*args, **kwargs)
+
+    monkeypatch.setattr(kern, "individualize", counting)
+    with pytest.raises(CapExceeded,
+                       match="^group order at least 39916800 exceeds cap 16777216$"):
+        automorphism_group(from_edges(n, []), cap=2 ** 24)
+    assert 0 < calls[0] < 2 * n
+
+
+def test_cap_boundary_is_the_group_order():
+    graph = cfi_graph(random_cubic_graph(random.Random(12), 12))
+    full = automorphism_group(graph)
+    assert full.order() == 2 ** 10
+    with pytest.raises(CapExceeded, match="exceeds cap 1023$"):
+        automorphism_group(graph, cap=1023)
+    capped = automorphism_group(graph, cap=1024)
+    assert capped.base() == full.base()
+    assert [g.images for g in capped.generators] == [g.images for g in full.generators]
 
 
 def _stack_depth():

@@ -14,6 +14,7 @@ from circulant_lab.cli import main
 from circulant_lab.errors import StabiliserNotOfForm
 from circulant_lab.graphio import MAX_ORDER, parse_edgelist, serialize
 from circulant_lab.perm import Permutation, compose, inverse
+from helpers import diamond_ring
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "circulant_lab" / "fixtures"
 
@@ -91,9 +92,9 @@ def test_verify_makes_one_arc_stabiliser_search_and_one_arc_walk(monkeypatch):
     searches, walks = [], []
     search, walk = aut._search, aut.is_arc_transitive
 
-    def counted_search(graph, colors, node_cap):
+    def counted_search(graph, colors, cap=None):
         searches.append(list(colors))
-        return search(graph, colors, node_cap)
+        return search(graph, colors, cap)
 
     def counted_walk(graph, group):
         walks.append(group)
@@ -454,6 +455,23 @@ def test_cap_override(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "scan", str(corpus), "--cap", "100")
     lines = [json.loads(ln) for ln in out.splitlines()]
     assert lines[0]["skip"] is None
+
+
+def test_scan_skips_a_cubic_graph_past_the_cap(tmp_path, capsys):
+    # a ring of 25 diamonds has |Aut| = 50 * 2^25: the search ends at the
+    # default cap, and the scan records the skip and goes on
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "diamonds25.edgelist").write_text(serialize(diamond_ring(25), "edgelist"))
+    shutil.copy(FIXTURE_DIR / "k4.edgelist", corpus / "k4.edgelist")
+    code, out, _ = run_cli(capsys, "scan", str(corpus), "--bound-check")
+    assert code == 0
+    ring, k4, summary = [json.loads(ln) for ln in out.splitlines()]
+    assert ring["n"] == 100 and ring["cubic"] and ring["connected"]
+    assert ring["skip"] == "cap exceeded"
+    assert ring["error"] == "group order at least 33554432 exceeds cap 16777216"
+    assert k4["skip"] is None
+    assert summary["summary"]["skipped"] == 1 and summary["summary"]["analyzed"] == 1
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

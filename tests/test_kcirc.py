@@ -11,7 +11,12 @@ from circulant_lab import _kernels as kern
 from circulant_lab import fixtures, perm
 from circulant_lab.aut import automorphism_group
 from circulant_lab.cli import build_even, build_odd, main, verify_construction
-from circulant_lab.errors import GroupNotAutomorphisms, KDoesNotDivideN, PreconditionViolated
+from circulant_lab.errors import (
+    CapExceeded,
+    GroupNotAutomorphisms,
+    KDoesNotDivideN,
+    PreconditionViolated,
+)
 from circulant_lab.graphio import from_edges, is_connected, is_cubic, to_edgelist_text
 from circulant_lab.kcirc import (
     certify_k_circulant,
@@ -101,6 +106,16 @@ def test_certify_trivial_k():
 def test_certify_k_must_divide_n():
     with pytest.raises(KDoesNotDivideN):
         certify_k_circulant(fixtures.load("petersen"), 3)
+
+
+def test_spectrum_and_certify_search_under_their_cap():
+    # with no group they search with their cap, None meaning the default
+    # 2^24, so the edgeless graph ends in the search at 11! and at 13!
+    edgeless = from_edges(200, [])
+    with pytest.raises(CapExceeded, match="^group order at least 39916800 exceeds cap 16777216$"):
+        k_spectrum(edgeless)
+    with pytest.raises(CapExceeded, match="^group order at least 6227020800 exceeds cap 1000000000$"):
+        certify_k_circulant(edgeless, 2, cap=10 ** 9)
 
 
 def test_null_graph_spectrum_is_empty():
