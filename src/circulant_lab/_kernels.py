@@ -18,6 +18,8 @@ parent's, copying only the cells its refinement splits and never modifying
 the parent's.  ``BACKEND`` names the implementation, for benchmark reports.
 """
 
+from operator import sub
+
 BACKEND = "pure"
 
 
@@ -102,6 +104,40 @@ def preserves_adjacency(ptr, flat, images):
     return True
 
 
+def ball_profile(adjacency, v, radius, expected=None):
+    """The sizes of the breadth-first layers around v, as a tuple: layer 0
+    is v alone, layer d the vertices at distance d, out to the given radius
+    or to the last nonempty layer, whichever comes first.  Distances are
+    kept by every automorphism, so the profile is an isomorphism invariant
+    of the vertex.  The neighbors of layer d lie in layers d - 1, d and
+    d + 1, so each layer is its predecessor's neighbors less the two layers
+    before it, and no set of all vertices seen is kept.  The walk stops once
+    it has seen every vertex, since all later layers are then empty.  Given
+    an expected profile, it returns None at the first layer that differs
+    from it, or if the profile ends before or after it."""
+    n = len(adjacency)
+    before = set()
+    layer = {v}
+    sizes = [1]
+    seen = 1
+    while len(sizes) <= radius and seen < n:
+        nxt = set()
+        for u in layer:
+            nxt.update(adjacency[u])
+        nxt -= layer
+        nxt -= before
+        if not nxt:
+            break
+        if expected is not None and expected[len(sizes):len(sizes) + 1] != (len(nxt),):
+            return None
+        seen += len(nxt)
+        sizes.append(len(nxt))
+        before, layer = layer, nxt
+    if expected is not None and len(expected) != len(sizes):
+        return None
+    return tuple(sizes)
+
+
 def refine_colors(ptr, flat, colors):
     """Equitable refinement of a vertex coloring, with canonical cell ids.
 
@@ -115,6 +151,8 @@ def refine_colors(ptr, flat, colors):
     rank = {c: r for r, c in enumerate(sorted(set(colors)))}
     colors = [rank[c] for c in colors]
     cells = _cells(colors, len(rank))
+    if len(rank) == 1 and len(set(map(sub, ptr[1:], ptr))) == 1:
+        return colors, cells  # one colour on a regular graph is equitable
     colors = _refine(ptr, flat, colors, cells, list(range(len(rank))),
                      bytearray(b"\x01") * len(cells))
     return colors, cells

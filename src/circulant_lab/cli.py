@@ -29,6 +29,7 @@ from circulant_lab.errors import (
     BadParams,
     CapExceeded,
     CirculantError,
+    GraphFormatError,
 )
 from circulant_lab.papergroups import even_group, odd_group
 from circulant_lab.perm import (
@@ -148,8 +149,10 @@ def _detect_format(path: Path) -> str:
     return "edgelist"
 
 
-def _load_graphs(path: Path) -> list[tuple[int | None, graphio.Graph]]:
-    """(line, graph) pairs; edge-list files hold one graph, graph6 one per line."""
+def _load_graphs(path: Path) -> list[tuple[int | None, graphio.Graph | GraphFormatError]]:
+    """(line, graph) pairs; edge-list files hold one graph, graph6 one per
+    line.  A graph6 line that does not parse gives its error in place of a
+    graph, and the lines after it are still read."""
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -163,7 +166,10 @@ def _load_graphs(path: Path) -> list[tuple[int | None, graphio.Graph]]:
         line = line.strip()
         if not line or line == graphio.GRAPH6_HEADER:
             continue
-        out.append((lineno, graphio.parse_graph6(line)))
+        try:
+            out.append((lineno, graphio.parse_graph6(line)))
+        except GraphFormatError as exc:
+            out.append((lineno, exc))
     return out
 
 
@@ -222,6 +228,9 @@ def cmd_analyze(args, spectrum_only: bool) -> int:
     path = Path(args.path)
     try:
         graphs = _load_graphs(path)
+        for _, graph in graphs:
+            if isinstance(graph, GraphFormatError):
+                raise graph
     except (OSError, CirculantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -250,6 +259,10 @@ def _scan_file(task) -> list[dict]:
     except (OSError, CirculantError) as exc:
         return [{"source": path_str, "line": None, "skip": "parse error", "error": str(exc)}]
     for lineno, graph in graphs:
+        if isinstance(graph, GraphFormatError):
+            records.append({"source": path_str, "line": lineno, "skip": "parse error",
+                            "error": str(graph)})
+            continue
         record = {"source": path_str, "line": lineno, "n": graph.n}
         started = time.monotonic()
         record["cubic"] = graphio.is_cubic(graph)

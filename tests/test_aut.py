@@ -568,26 +568,41 @@ def test_search_chain_membership_and_enumeration(name):
 
 # --- independent oracle and pinned search output ------------------------------
 
+def _count_pruned(monkeypatch):
+    """Count individualize calls ("calls") and the siblings the search
+    drops: trace aborts (individualize returns None) and ball-profile
+    rejections (ball_profile returns None)."""
+    from circulant_lab import _kernels as kern
+
+    pruned = {"calls": 0, "trace": 0, "profile": 0}
+    individualize, ball_profile = kern.individualize, kern.ball_profile
+
+    def counting_individualize(*args, **kwargs):
+        colors = individualize(*args, **kwargs)
+        pruned["calls"] += 1
+        pruned["trace"] += colors is None
+        return colors
+
+    def counting_ball_profile(*args, **kwargs):
+        profile = ball_profile(*args, **kwargs)
+        pruned["profile"] += profile is None
+        return profile
+
+    monkeypatch.setattr(kern, "individualize", counting_individualize)
+    monkeypatch.setattr(kern, "ball_profile", counting_ball_profile)
+    return pruned
+
+
 def test_order_matches_networkx_isomorphism_count(monkeypatch):
     # networkx's VF2 matcher counts automorphisms with no refinement at
-    # all; on the random cubic graphs most siblings fail the trace check,
-    # and on GP(29, 3), with two vertex orbits, whole orbits of siblings
-    # are pruned after one of them fails
+    # all; on the random cubic graphs most siblings are dropped before a
+    # leaf, by their ball profile or at the trace check, and on GP(29, 3),
+    # with two vertex orbits, whole orbits of siblings are pruned after one
+    # of them fails
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
-    from circulant_lab import _kernels as kern
-
-    individualize = kern.individualize
-    aborted = 0
-
-    def counting(*args, **kwargs):
-        nonlocal aborted
-        colors = individualize(*args, **kwargs)
-        aborted += colors is None
-        return colors
-
-    monkeypatch.setattr(kern, "individualize", counting)
+    pruned = _count_pruned(monkeypatch)
     rng = random.Random(2014)
     graphs = [random_cubic_graph(rng, rng.randrange(8, 26, 2)) for _ in range(20)]
     graphs += [generalized_petersen(n, k)
@@ -597,7 +612,19 @@ def test_order_matches_networkx_isomorphism_count(monkeypatch):
         g.add_nodes_from(range(graph.n))
         want = sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
         assert automorphism_group(graph).order() == want
-    assert aborted > 100
+    assert pruned["trace"] + pruned["profile"] > 100
+
+
+def test_trace_check_prunes_what_profiles_cannot(monkeypatch):
+    # in a CFI graph many vertices share their ball profile, so siblings
+    # pass the profile check and still die at the trace check: 35 trace
+    # aborts here, against 153 when no profile was checked
+    pruned = _count_pruned(monkeypatch)
+    graph = cfi_graph(random_cubic_graph(random.Random(40), 40))
+    assert graph.n == 400
+    assert automorphism_group(graph).order() == 2 ** 22
+    assert pruned["trace"] >= 30
+    assert pruned["profile"] > 0
 
 
 PINNED_SEARCH = {
@@ -782,6 +809,18 @@ def test_a_failed_sibling_prunes_its_orbit(monkeypatch):
     assert group.base() == base
     assert [g.images for g in group.generators] == [
         from_cycle_string(s, graph.n).images for s in generators]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_rigid_graph_is_searched_with_few_refinements(monkeypatch, seed):
+    # on an asymmetric cubic graph every vertex of the root cell is a
+    # sibling of the first target; without ball profiles each was sought
+    # with an aborted refinement, 176 individualize calls here, and now
+    # only those whose profile matches the target's are
+    pruned = _count_pruned(monkeypatch)
+    group = automorphism_group(random_cubic_graph(random.Random(seed), 176))
+    assert group.order() == 1
+    assert pruned["calls"] <= 10
 
 
 # --- the handoff to the chain, and membership against sympy -------------------

@@ -312,6 +312,28 @@ def test_scan_parse_error_is_per_file(tmp_path, capsys):
     assert lines[-1]["summary"]["analyzed"] == 1
 
 
+def test_scan_bad_graph6_line_is_its_own_record(tmp_path, capsys):
+    # a bad line is a parse error record with its line number, and the
+    # graphs around it are analyzed; analyze on the same file fails with
+    # that line's error, as before
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    k4 = serialize(fixtures.load("k4"), "graph6")
+    k33 = serialize(fixtures.load("k33"), "graph6")
+    (corpus / "three.g6").write_text(f"{k4}\n{k4}x\n{k33}\n")
+    code, out, _ = run_cli(capsys, "scan", str(corpus), "--bound-check")
+    assert code == 0
+    lines = [json.loads(ln) for ln in out.splitlines()]
+    assert [(r["line"], r["skip"]) for r in lines[:-1]] == [
+        (1, None), (2, "parse error"), (3, None)]
+    assert lines[1]["error"] == "1 trailing chars after adjacency bits"
+    assert lines[-1]["summary"]["graphs"] == 3
+    assert lines[-1]["summary"]["analyzed"] == 2
+    for command in ("analyze", "spectrum"):
+        code, out, err = run_cli(capsys, command, str(corpus / "three.g6"))
+        assert (code, out, err) == (2, "", "error: 1 trailing chars after adjacency bits\n")
+
+
 def _fail_on_order(monkeypatch, n, exc):
     real = cli._analyze_graph
 

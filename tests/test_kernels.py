@@ -6,8 +6,9 @@ stops exactly when its own trace differs, the splitters that hit no vertex
 twice split exactly as the by-count split of ``helpers.refine_by_counts``
 would, individualization returns cells that match its coloring and never
 modifies its parent's coloring or cells, and composition shares the int
-objects of its second argument, and the semiregularity test agrees with
-the cycle walk's lengths.  The cycle walk itself is tested through
+objects of its second argument, the semiregularity test agrees with
+the cycle walk's lengths, and the ball profile agrees with a plain BFS,
+under any relabeling.  The cycle walk itself is tested through
 ``perm`` in ``test_perm.py``."""
 import random
 
@@ -176,6 +177,66 @@ def test_refinement_is_isomorphism_invariant():
             parent, v, trace = levels[-2], path[-1], traces[-1]
             assert kern.individualize(ptr, flat, *parent, v, expected=trace + [()]) is None
             assert kern.individualize(ptr, flat, *parent, v, expected=trace[:-1]) is None
+
+
+def _layer_sizes(graph, v, radius):
+    """Reference ball profile: distances from v by a plain BFS over all
+    vertices, counted per distance up to radius."""
+    dist = {v: 0}
+    order = [v]
+    for u in order:
+        for x in graph.adjacency[u]:
+            if x not in dist:
+                dist[x] = dist[u] + 1
+                order.append(x)
+    sizes = [0] * (1 + min(radius, max(dist.values())))
+    for d in dist.values():
+        if d <= radius:
+            sizes[d] += 1
+    return tuple(sizes)
+
+
+def test_ball_profile_is_isomorphism_invariant():
+    # the profile is the reference's layer sizes out to the radius, the
+    # relabeled graph gives images[v] the profile of v, and checked against
+    # another vertex's profile the walk returns None exactly when the two
+    # differ
+    rng = random.Random(88)
+    cases = [fixtures.load(name) for name in ("petersen", "heawood", "pappus")]
+    cases += [random_simple_graph(rng, rng.randrange(1, 16), rng.random()) for _ in range(20)]
+    cases += [random_cubic_graph(rng, 2 * rng.randrange(5, 40)) for _ in range(10)]
+    differ = 0
+    for graph in cases:
+        n = graph.n
+        images = random_images(rng, n)
+        moved = relabel(graph, images).adjacency
+        for radius in (0, 1, 3, 5):
+            profiles = [kern.ball_profile(graph.adjacency, v, radius) for v in range(n)]
+            for v in range(n):
+                assert profiles[v] == _layer_sizes(graph, v, radius)
+                assert kern.ball_profile(moved, images[v], radius) == profiles[v]
+            for v, w in (rng.sample(range(n), 2) for _ in range(10 if n > 1 else 0)):
+                got = kern.ball_profile(graph.adjacency, w, radius, profiles[v])
+                assert got == (profiles[w] if profiles[w] == profiles[v] else None)
+                differ += got is None
+    assert differ > 100
+
+
+def test_unit_refinement_of_a_regular_graph_is_one_cell():
+    # one colour on a graph with all degrees equal is already equitable;
+    # with degrees unequal the root refinement splits as before
+    rng = random.Random(89)
+    cases = [from_edges(5, []), from_edges(6, [(i, (i + 1) % 6) for i in range(6)]),
+             from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])]
+    cases += [random_cubic_graph(rng, 2 * rng.randrange(2, 30)) for _ in range(10)]
+    for graph in cases:
+        ptr, flat = kern.build_csr(graph.adjacency)
+        n = graph.n
+        assert kern.refine_colors(ptr, flat, [0] * n) == ([0] * n, [set(range(n))])
+        assert partition_of(round_refine(ptr, flat, [0] * n)) == {frozenset(range(n))}
+    path = from_edges(3, [(0, 1), (1, 2)])
+    ptr, flat = kern.build_csr(path.adjacency)
+    assert kern.refine_colors(ptr, flat, [0, 0, 0]) == ([0, 1, 0], [{0, 2}, {1}])
 
 
 def test_refinement_reaches_equitable_fixpoint():
