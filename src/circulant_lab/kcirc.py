@@ -15,26 +15,24 @@ follow the search's base and coset representatives.
 
 The walk runs in two passes.  A block is a coset as a set, and which k it
 holds is the same for every point of a suborbit, so the first pass reads
-one block per suborbit through a shallow Schreier tree of seeded random
-subproducts, in an order of its own, and records for each k the smallest
-suborbit point m whose block holds it.  The second composes the search
-tree's representatives along the paths to those m only, one path at a
-time, and takes the first hit for each k in block m, in chain order.  When
-the shallow tree's first pass would not compose fewer than half the
-representatives (a gate on counts the walk has anyway), the first pass
-walks the search's tree itself, its hits are the witnesses, and the second
-has nothing to do.  The walk hands out each element uncomposed, as three
-image lists h, v, t with the element x -> t[v[h[x]]], and only its cycle
-through point 0 is followed, image by image.  The element is composed,
-and given the full semiregularity test, only when n over that cycle's
-length is a k still wanted: in the spectrum, one with no hit yet from a
-smaller suborbit point in the first pass, or the first in its block in
-the second; in a certificate, the requested one, which skips every block
-from its best hit's point on.  The trivial k = n (identity witness) is
-part of the spectrum whenever n >= 1; reports may filter it.  The walk
-holds only for a group of automorphisms, so both pass their group through
-``aut.check_all_automorphisms``: a searched group is never checked again,
-a supplied one once per graph.
+one block per suborbit, in an order of its own (through a representative
+the stabiliser chain keeps, or a shallow Schreier tree of seeded random
+subproducts), and records for each k the smallest suborbit point m whose
+block holds it.  The second composes the search tree's representatives
+along the paths to those m only, one path at a time, and takes the first
+hit for each k in block m, in chain order.  One function (_first_hits) runs
+both, for the spectrum and for a certificate.  The walk hands out each
+element uncomposed, as three image lists h, v, t with the element x ->
+t[v[h[x]]], and only its cycle through point 0 is followed, image by
+image.  The element is composed, and given the full semiregularity test,
+only when n over that cycle's length is a k still wanted: in the first
+pass, one with no hit yet from a smaller suborbit point (in a certificate
+only the requested k, and every block from its best hit's point on is
+skipped), and in the second, the first in its block.  The trivial k = n
+(identity witness) is part of the spectrum whenever n >= 1; reports may
+filter it.  The walk holds only for a group of automorphisms, so both pass
+their group through ``aut.check_all_automorphisms``: a searched group is
+never checked again, a supplied one once per graph.
 """
 from __future__ import annotations
 
@@ -127,21 +125,51 @@ def _semiregular_elements(n: int, pairs: Iterable[tuple[int, list[int], list[int
             yield m, n // length, images
 
 
+def _first_hits(n: int, group: PermGroup, cap: int | None, k: int | None = None
+                ) -> dict[int, list[int]]:
+    """k -> the images of its first hit in chain order (defined at
+    PermGroup.suborbit_pairs), for every k of the spectrum of group on n > 0
+    points, or for the given k alone.
+
+    The first pass (suborbit_pairs) records for each k the smallest point m
+    whose block holds it; for one k it skips every block from its best m on.
+    The second (chain_pairs) walks the blocks of those m in chain order and
+    takes the first hit of each k in its block.  The first base point's
+    block holds the identity alone, so the hit for k = n is kept from the
+    first pass.
+    """
+    first: dict[int, int] = {}  # k -> the smallest suborbit point whose block holds it
+    until = None if k is None else (lambda: first.get(k, n))
+
+    def wanted(c: int, m: int) -> bool:
+        return (k is None or c == k) and m < first.get(c, n)
+
+    found: dict[int, list[int]] = {}
+    for m, c, images in _semiregular_elements(n, group.suborbit_pairs(cap, until), wanted):
+        first[c] = m
+        if c == n:
+            found[c] = images
+    for _, c, images in _semiregular_elements(
+            n, group.chain_pairs({m for c, m in first.items() if c not in found}),
+            lambda c, m: first.get(c) == m and c not in found):
+        found[c] = images
+        if len(found) == len(first):
+            break
+    return found
+
+
 def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
                cap: int | None = None) -> SpectrumReport:
     """Spectrum { n/|g| : g in Aut, g semiregular } with one witness per k.
 
     Each witness is the first hit for its k in chain order (defined at
     PermGroup.suborbit_pairs): the first hit in the block of the smallest
-    point whose block holds one.  The first pass finds that point for each
-    k; when its blocks did not come in chain order, the second walks the
-    search's tree to those points only and takes the first hit in each.
-    k = n is always in the spectrum for n >= 1; the null graph's spectrum
-    is empty, as a k-circulant needs k >= 1.  Raises CapExceeded when |Aut|
-    exceeds the enumeration cap (None: the default), from the search when
-    there is no group, and GroupNotAutomorphisms
-    (aut.check_all_automorphisms) when the group is not a group of
-    automorphisms of the graph.
+    point whose block holds one (_first_hits).  k = n is always in the
+    spectrum for n >= 1; the null graph's spectrum is empty, as a
+    k-circulant needs k >= 1.  Raises CapExceeded when |Aut| exceeds the
+    enumeration cap (None: the default), from the search when there is no
+    group, and GroupNotAutomorphisms (aut.check_all_automorphisms) when the
+    group is not a group of automorphisms of the graph.
     """
     if group is None:
         group = aut_mod.automorphism_group(graph, DEFAULT_ENUMERATION_CAP if cap is None else cap)
@@ -149,19 +177,7 @@ def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
     n = graph.n
     if n == 0:  # the null graph is a k-circulant for no k >= 1
         return SpectrumReport(0, (), {})
-    first: dict[int, int] = {}  # k -> the smallest suborbit point whose block holds it
-    found: dict[int, list[int]] = {}
-    walk = group.suborbit_pairs(cap)
-    for m, k, images in _semiregular_elements(
-            n, walk, lambda k, m: k not in first or m < first[k]):
-        first[k] = m
-        if walk.in_chain_order:
-            found[k] = images
-    if not walk.in_chain_order:
-        for m, k, images in _semiregular_elements(
-                n, walk.chain_pairs(set(first.values())),
-                lambda k, m: first.get(k) == m and k not in found):
-            found[k] = images
+    found = _first_hits(n, group, cap)
     witnesses = {k: Permutation(tuple(found[k])) for k in sorted(found)}
     return SpectrumReport(n, tuple(witnesses), witnesses)
 
@@ -192,12 +208,9 @@ def certify_k_circulant(graph: graphio.Graph, k: int,
     """A verified semiregular witness with k cycles, or None.
 
     The witness is the one k_spectrum gives for k: the first hit in the
-    block of the smallest point whose block holds one.  The walk skips
-    every block from its best hit's point on, and when its blocks did not
-    come in chain order, the second pass walks that point's block alone.
-    A witness is re-verified from scratch, cycle structure and adjacency
-    preservation, before it is kept.  GroupNotAutomorphisms as in
-    k_spectrum.
+    block of the smallest point whose block holds one (_first_hits).  It is
+    re-verified from scratch, cycle structure and adjacency preservation,
+    before it is returned.  GroupNotAutomorphisms as in k_spectrum.
     """
     n = graph.n
     if k < 1 or n % k != 0:
@@ -207,24 +220,8 @@ def certify_k_circulant(graph: graphio.Graph, k: int,
     aut_mod.check_all_automorphisms(graph, group)
     if n == 0:
         return None
-    want = n // k
-    bound = [n]  # every suborbit point is below n
-    witness = None
-    walk = group.suborbit_pairs(cap, lambda: bound[0])
-    for m, _, images in _semiregular_elements(n, walk, lambda c, m: c == k):
-        if walk.in_chain_order:
-            g = _verified(graph, images, want)
-            if g is None:
-                continue
-            witness = g
-        bound[0] = m
-    if bound[0] < n and not walk.in_chain_order:
-        for _, _, images in _semiregular_elements(n, walk.chain_pairs([bound[0]]),
-                                                  lambda c, m: c == k):
-            witness = _verified(graph, images, want)
-            if witness is not None:
-                break
-    return witness
+    images = _first_hits(n, group, cap, k).get(k)
+    return None if images is None else _verified(graph, images, n // k)
 
 
 def _verified(graph: graphio.Graph, images: list[int], length: int) -> Permutation | None:

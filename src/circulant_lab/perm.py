@@ -24,16 +24,15 @@ candidates it keeps, and its docstring defines the order witnesses follow.
 It runs in two passes.  A block is a coset as a set, whatever
 representative reaches it, and what a conjugacy-invariant question finds
 in it is the same across a suborbit, so the first pass may read each
-suborbit's block through any point and any representative: it walks a
-shallow Schreier tree grown from seeded random subproducts, one node per
-suborbit.  Only the order inside a block depends on the search's tree, so
-the second pass composes that tree's representatives for the few blocks
-whose first element the caller needs (the spectrum's witnesses).  A gate
-counts, before the first element, whether the shallow tree's first pass
-would compose fewer than half the representatives of the search's tree;
-when it would not, the first pass walks the search's tree itself, in
-chain order, and the second has nothing to do.  Either pass walks its tree depth first and holds the
-representatives of one tree path only, adding none to the level.
+suborbit's block through any point and any representative: through the
+top level's kept representative of its smallest point where there is one,
+and otherwise through a shallow Schreier tree grown from seeded random
+subproducts, one node per suborbit.  Only the order inside a block depends
+on the search's tree, so the second pass (``chain_pairs``) composes that
+tree's representatives for the few blocks whose first element the caller
+needs (the spectrum's witnesses).  Either pass walks its tree depth first
+and holds the representatives of one tree path only, adding none to the
+level.
 """
 from __future__ import annotations
 
@@ -41,7 +40,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -169,10 +168,11 @@ class _Level:
     base point to None).  A coset representative is composed along its tree
     path on first request and kept in reps, so the tree fixes the chain
     order (PermGroup.suborbit_pairs).  The spectrum's walk reads the top
-    level's kept ones but composes its own and keeps none; its first pass
-    may walk a shallow tree of its own instead of this one, as which k a
-    block holds does not depend on the tree, and its second pass then
-    walks this tree only to the blocks whose first hits are witnesses.
+    level's kept ones but composes its own and keeps none: its first pass
+    reads a suborbit through a kept representative of its smallest point,
+    or else through a shallow tree of its own, as which k a block holds
+    does not depend on the tree, and its second pass walks this tree only
+    to the blocks whose first hits are witnesses.
     A sift through the levels carries the product of the representatives
     it chose rather than their inverses, and forms a residue only to
     adjoin it (PermGroup._sift_images).
@@ -414,11 +414,10 @@ class PermGroup:
         return [sorted(orbit) for orbit in orbits]
 
     def suborbit_pairs(self, cap: int | None = None, until: Callable[[], int] | None = None
-                       ) -> "SuborbitWalk":
-        """The elements the spectrum needs, in two passes: this walk is the
-        first, and its chain_pairs the second.  It yields (m, h, v, t): the
-        element maps x to t[v[h[x]]], uncomposed, and m is the smallest
-        point of its suborbit.
+                       ) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
+        """The first of the spectrum's two passes; chain_pairs is the
+        second.  It yields (m, h, v, t): the element maps x to t[v[h[x]]],
+        uncomposed, and m is the smallest point of its suborbit.
 
         The chain order, which witnesses follow: an element is
         g = t_{L-1} * ... * t_1 * t_0, one coset representative per level,
@@ -453,33 +452,22 @@ class PermGroup:
         representative, uncomposed, made analyze of a CFI graph with
         n = 400 and 19 levels below the top four times slower).
 
-        The top-level representatives are composed depth first along a
-        tree, each from its parent's, and held only while the walk is below
-        them, so the walk holds one tree path and adds none to the level.
-        Blocks come in depth-first order, the subtree holding the smaller
-        m first.  The tree is one of two, chosen before the first element
-        from counts the walk has anyway (the gate):
-
-        - the search's own, the top level's Schreier tree: the blocks are
-          those of the suborbits' smallest points, each in chain order, and
-          in_chain_order is True.  A representative the level keeps is read
-          there.  This costs one composition per tree node on the paths to
-          the smallest points, not kept.
-        - a shallow tree, when the smallest points and the compositions of
-          its subproducts are fewer than half those nodes: the second pass
-          and the full tests it repeats cost about as much again.  Its
-          generators are the top level's strong generators and random
-          subproducts of them (each the product of a random subset of the
-          generators and the subproducts before it), from a fixed seed, two
-          per bit of the orbit length (Seress, Permutation Group
-          Algorithms, 2003, 4.4, after Babai, Cooperman, Finkelstein, Luks
-          and Seress, 1991).  It is grown breadth first, and a point enters it only as the first
-          point reached of a suborbit not entered yet, so each node adds a
-          suborbit; a point of an entered suborbit is a bridge node, taken
-          in the order reached only when no other point can enter.  The
-          walk reads the block of each suborbit's entered point, in an
-          order of its own, and in_chain_order is False.  The subproducts
-          and the tree are dropped with the walk.
+        A suborbit whose smallest point has a representative the top level
+        keeps (Schreier-Sims keeps them all, a membership sift those on its
+        paths) is read through it, with no composition.  The others are
+        read through a shallow tree.  Its generators are the top level's
+        strong generators and random subproducts of them (each the product
+        of a random subset of the generators and the subproducts before
+        it), from a fixed seed, two per bit of the orbit length (Seress,
+        Permutation Group Algorithms, 2003, 4.4, after Babai, Cooperman,
+        Finkelstein, Luks and Seress, 1991).  It enters one point of each
+        of those suborbits (_shallow_tree), and is not grown, nor a
+        subproduct composed, when there are none.  Blocks come in an order
+        of the walk's own: depth first along that tree, each representative
+        composed from its parent's, or from a kept one, and held only while
+        the walk is below it, so the walk holds one tree path and adds none
+        to the level.  The subproducts and the tree are dropped with the
+        walk.
 
         With until, the walk stops a block, and skips a block or subtree,
         once all its m are at least until(), read after each element.
@@ -489,83 +477,51 @@ class PermGroup:
         must not be modified.  Raises CapExceeded before the first element
         if the group order exceeds the cap.
         """
-        return SuborbitWalk(self, cap, until)
-
-
-class SuborbitWalk:
-    """The spectrum's walk over a group's suborbits (PermGroup.suborbit_pairs),
-    an iterator over (m, h, v, t).  It starts, and decides its tree, when it
-    is first iterated; in_chain_order then says whether its blocks come in
-    chain order along the search's tree, and when they do not, chain_pairs
-    walks the blocks a caller needs in that order.  The elements come from
-    an iterator that holds the group's trees but not this object.
-    """
-
-    __slots__ = ("_group", "_cap", "_until", "_pairs", "in_chain_order")
-
-    def __init__(self, group: PermGroup, cap: int | None, until: Callable[[], int] | None):
-        self._group, self._cap, self._until = group, cap, until
-        self._pairs: Iterator[tuple[int, list[int], list[int], list[int]]] | None = None
-
-    def __iter__(self) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
-        if self._pairs is None:
-            self._pairs = self._first_pass()
-        return self._pairs  # a for loop then runs it without this object
-
-    def __next__(self) -> tuple[int, list[int], list[int], list[int]]:
-        return next(iter(self))
-
-    def _first_pass(self) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
-        group, cap = self._group, self._cap
         if cap is None:
             cap = DEFAULT_ENUMERATION_CAP
-        order = group.order()
+        order = self.order()
         if order > cap:
             raise CapExceeded(f"group order {order} exceeds cap {cap}")
-        identity = list(range(group.degree))
-        self.in_chain_order = True
-        if not group._levels:
-            return iter([(0, identity, identity, identity)])
-        top, *below = group._levels
+        identity = list(range(self.degree))
+        if not self._levels:
+            yield 0, identity, identity, identity
+            return
+        top, *below = self._levels
         b = top.base
+        yield b, identity, identity, identity
         stabiliser = below[0].gens if below else []
-        suborbits = [cls for cls in components(group.degree, lambda p: [g[p] for g in stabiliser])
+        suborbits = [cls for cls in components(self.degree, lambda p: [g[p] for g in stabiliser])
                      if cls[0] in top.tree and cls[0] != b]
-        minima = [cls[0] for cls in suborbits]  # ascending: components come by smallest member
-        tree, kept, targets = top.tree, top.reps, dict(zip(minima, minima))
-        paths = _paths(tree, kept, targets)
-        picks = _subproduct_picks(len(top.gens), 2 * len(tree).bit_length())
-        # the second pass and the full tests it repeats cost about as much
-        # again as the first, so the shallow tree must halve the compositions
-        composed = len(paths[0]) - len(paths[2])
-        if 2 * (len(minima) + sum(len(pick) - 1 for pick in picks)) < composed:
-            self.in_chain_order = False
-            del paths  # the search tree's paths are not walked
+        targets = {cls[0]: cls[0] for cls in suborbits if cls[0] in top.reps}
+        tree: dict[int, tuple[int, list[int]]] = {}
+        if len(targets) < len(suborbits):
             least = identity[:]  # each point of the top orbit -> the smallest of its suborbit
             for cls in suborbits:
                 for p in cls:
                     least[p] = cls[0]
-            tree, targets = _shallow_tree(b, _subproducts(top.gens, picks), least, len(minima))
-            kept = {b: identity}
-            paths = _paths(tree, kept, targets)
-        return chain([(b, identity, identity, identity)],
-                     _walk_blocks(tree, kept, targets, paths, _steps(below), self._until, identity))
+            picks = _subproduct_picks(len(top.gens), 2 * len(top.tree).bit_length())
+            tree, entered = _shallow_tree(b, _subproducts(top.gens, picks), least,
+                                          len(suborbits), targets.keys())
+            targets = dict(sorted({**targets, **entered}.items(), key=itemgetter(1)))
+        yield from _walk_blocks(tree, top.reps, targets, _steps(below), until, identity)
 
     def chain_pairs(self, points: Iterable[int]
                     ) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
         """The second pass: (pt, h, v, t) for the elements of the blocks of
-        the given top-orbit points as the walk yields them (the identity
-        alone for the first base point), each block in chain order along
-        the search's tree.  The representatives are composed along the
-        paths to those points only, depth first, holding one path, and none
+        the given points of the first base point's orbit as suborbit_pairs
+        yields them, each block in chain order along the top level's
+        Schreier tree.  The first base point's block is skipped: its one
+        element, the identity, is the first that suborbit_pairs yields.  The
+        representatives are composed along the paths to those points only,
+        from the nearest kept one, depth first, holding one path, and none
         is kept."""
-        top, *below = self._group._levels
-        identity = list(range(self._group.degree))
-        targets = {pt: pt for pt in sorted(points)}
-        if targets.pop(top.base, None) is not None:
-            yield top.base, identity, identity, identity
-        yield from _walk_blocks(top.tree, top.reps, targets, _paths(top.tree, top.reps, targets),
-                                _steps(below), None, identity)
+        levels = self._ensure_chain()
+        if not levels:
+            return
+        top, *below = levels
+        targets = {pt: pt for pt in sorted(points) if pt != top.base}
+        yield from _walk_blocks(top.tree, top.reps, targets, _steps(below), None,
+                                list(range(self.degree)))
 
 
 @functools.cache
@@ -597,25 +553,26 @@ def _subproducts(gens: list[list[int]], picks: Iterable[Sequence[int]]) -> list[
     return pool
 
 
-def _shallow_tree(b: int, gens: list[list[int]], least: list[int], suborbits: int
+def _shallow_tree(b: int, gens: list[list[int]], least: list[int], suborbits: int,
+                  entered: Iterable[int]
                   ) -> tuple[dict[int, tuple[int, list[int]]], dict[int, int]]:
     """Pass 1's tree, grown breadth first from b over gens, and the point it
-    enters of each suborbit other than {b}, mapped to the suborbit's
-    smallest point (least).  A point enters as the first reached of its
-    suborbit.  Only when no entered point is left to expand does a point of
-    an entered suborbit enter, as a bridge: the first reached, found by a
-    scan of the (point, generator) steps that resumes where the last one
-    stopped.  The tree maps each entered point but b to the point it was
-    reached from and the generator that reached it; the entered points come
-    by ascending smallest point of their suborbits."""
+    enters of each of the suborbits other than {b} (suborbits of them) that
+    are not entered already (entered holds their smallest points), mapped to
+    the suborbit's smallest point (least).  A point enters as the first
+    reached of its suborbit.  Only when no entered point is left to expand
+    does a point of an entered suborbit enter, as a bridge: the first
+    reached, found by a scan of the (point, generator) steps that resumes
+    where the last one stopped.  The tree maps each entered point but b to
+    the point it was reached from and the generator that reached it."""
     tree: dict[int, tuple[int, list[int]]] = {}
     targets: dict[int, int] = {}
-    entered: set[int] = set()
+    entered = set(entered)
     reached = bytearray(len(least))
     reached[b] = 1
     queue = [b]
     expanded = scanned = 0
-    while len(targets) < suborbits:
+    while len(entered) < suborbits:
         if expanded == len(queue):
             while True:
                 pt, g = queue[scanned // len(gens)], gens[scanned % len(gens)]
@@ -638,7 +595,7 @@ def _shallow_tree(b: int, gens: list[list[int]], least: list[int], suborbits: in
                 targets[q] = m
                 tree[q] = pt, g
                 queue.append(q)
-    return tree, dict(sorted(targets.items(), key=itemgetter(1)))
+    return tree, targets
 
 
 def _steps(below: list[_Level]) -> list[tuple[int, list[int], _Level]]:
@@ -652,7 +609,7 @@ def _paths(tree: dict, kept: dict, targets: dict[int, int]
     ascending key) from the nearest kept representative: each node with the
     smallest key below it, each node's children on the paths, and the kept
     nodes the paths start from, roots and children by ascending smallest
-    key.  The nodes to compose are those that are not roots."""
+    key."""
     smallest: dict[int, int] = {}
     children: dict[int, list[int]] = {}
     roots = []
@@ -669,13 +626,12 @@ def _paths(tree: dict, kept: dict, targets: dict[int, int]
 
 
 def _walk_blocks(tree: dict, kept: dict, targets: dict[int, int],
-                 paths: tuple[dict[int, int], dict[int, list[int]], list[int]],
                  steps: list[tuple[int, list[int], _Level]], until: Callable[[], int] | None,
                  identity: list[int]) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
     """(m, h, v, t) for the elements of each target's block, m its key, depth
     first along the tree's paths (_paths), holding one path of composed
     representatives; until as in PermGroup.suborbit_pairs."""
-    smallest, children, roots = paths
+    smallest, children, roots = _paths(tree, kept, targets)
     stack = [(pt, identity) for pt in reversed(roots)]
     limit = len(identity)
     while stack:

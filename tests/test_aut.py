@@ -30,7 +30,14 @@ from circulant_lab.errors import (
 )
 from circulant_lab.graphio import Graph, from_edges
 from circulant_lab.kcirc import certify_k_circulant, k_spectrum
-from circulant_lab.perm import PermGroup, Permutation, compose, from_cycle_string, identity
+from circulant_lab.perm import (
+    DEFAULT_ENUMERATION_CAP,
+    PermGroup,
+    Permutation,
+    compose,
+    from_cycle_string,
+    identity,
+)
 from helpers import (
     arc_orbit_of_tuples,
     brute_force_automorphisms,
@@ -389,6 +396,17 @@ def test_cap_boundary_is_the_group_order():
     capped = automorphism_group(graph, cap=1024)
     assert capped.base() == full.base()
     assert [g.images for g in capped.generators] == [g.images for g in full.generators]
+
+
+def test_the_default_cap_on_cfi_graphs_of_order_near_it():
+    # the CFI graph over a cubic graph on m vertices has |Aut| = 2^(m/2 + 1)
+    # here: 2^24 at m = 46 is the default cap itself, and 2^25 at m = 48 is
+    # past it, which the search proves before it ends
+    graph = cfi_graph(random_cubic_graph(random.Random(0), 46))
+    assert automorphism_group(graph, cap=DEFAULT_ENUMERATION_CAP).order() == 2 ** 24
+    graph = cfi_graph(random_cubic_graph(random.Random(0), 48))
+    with pytest.raises(CapExceeded, match="at least 33554432 exceeds cap 16777216$"):
+        automorphism_group(graph, cap=DEFAULT_ENUMERATION_CAP)
 
 
 def _stack_depth():

@@ -181,28 +181,25 @@ def test_certify_matches_spectrum_witness_for_every_divisor(source, group_kind):
             assert certify_k_circulant(graph, d, group) == oracle.get(d), d
 
 
-def _walks_the_shallow_tree(group):
-    walk = group.suborbit_pairs()
-    next(walk)  # the gate is decided before the identity
-    return not walk.in_chain_order
-
-
-@pytest.mark.parametrize("source,group_kind,shallow", [
-    ("odd-7", "search", True),
-    ("odd-9", "search", True),
-    ("even-2-7", "search", False),
-    ("odd-7", "arc", False),
-    ("pappus", "search", False),
-    ("GP10-3", "search", False),
-    ("random-2", "search", False),
-])
-def test_oracle_cases_take_both_trees(source, group_kind, shallow):
-    # the oracle above checks the witnesses of a first pass over a shallow
-    # tree followed by a second over the search's, and of a first pass over
-    # the search's tree alone: Schreier-Sims keeps every top-level
-    # representative, and on small searched groups a shallow tree would not
-    # halve the compositions
-    assert _walks_the_shallow_tree(_certify_case(source, group_kind)[1]) == shallow
+@pytest.mark.parametrize("source", ["odd-3", "even-2-7", "odd-5"])
+def test_a_first_pass_over_kept_and_shallow_suborbits_matches_the_oracle(source):
+    # membership sifts keep the top-level representatives on their paths,
+    # so the first pass reads some suborbits through kept representatives
+    # and enters the others by its shallow tree
+    graph, group = _certify_case(source, "search")
+    everything = list(chain_elements(group))
+    b = group.base()[0]
+    stabiliser = [g for g in everything if g[b] == b]
+    minima = sorted({min(h[g[b]] for h in stabiliser) for g in everything} - {b})
+    for m in minima[1::2][:4]:
+        assert group.contains(next(g for g in everything if g[b] == m))
+    kept = group._levels[0].reps
+    assert any(m in kept for m in minima) and not all(m in kept for m in minima)
+    oracle = _first_hits_over_all_elements(graph.n, group)
+    assert k_spectrum(graph, group).witnesses == oracle
+    for d in range(1, graph.n + 1):
+        if graph.n % d == 0:
+            assert certify_k_circulant(graph, d, group) == oracle.get(d), d
 
 
 def _count_compositions(monkeypatch):
@@ -248,24 +245,17 @@ def test_a_shallow_first_pass_halves_the_compositions(monkeypatch):
     assert calls[0] <= 1154 // 2
 
 
-@pytest.mark.parametrize("source,group_kind,walked_alone", [
-    ("pappus", "search", 23),
-    ("GP10-3", "search", 23),
-    ("random-2", "search", 6),
-    ("odd-5", "arc", 0),
-    ("odd-7", "arc", 0),
-])
-def test_the_gate_keeps_the_search_tree_where_a_shallow_one_gains_nothing(
-        monkeypatch, source, group_kind, walked_alone):
-    # walked_alone is what the walk over the search's tree alone composes:
-    # a Schreier-Sims chain keeps every top-level representative, so it
-    # composes none, and on a small searched group the suborbit minima and
-    # the subproducts would cost more than half the search tree's paths
+@pytest.mark.parametrize("source,group_kind", [("odd-5", "arc"), ("odd-7", "arc")])
+def test_a_schreier_sims_spectrum_composes_no_representative(monkeypatch, source, group_kind):
+    # a Schreier-Sims chain keeps every top-level representative, so the
+    # first pass reads every suborbit through a kept one, grows no shallow
+    # tree and composes no subproduct, and the second pass reads the
+    # witness blocks through kept representatives too
     graph, group = _certify_case(source, group_kind)
     group.order()  # builds a Schreier-Sims chain first
     calls = _count_compositions(monkeypatch)
     k_spectrum(graph, group)
-    assert calls[0] == walked_alone
+    assert calls[0] == 0
 
 
 def test_certify_composes_only_representatives_and_candidates(monkeypatch):

@@ -294,20 +294,15 @@ def _suborbit_minima(group, everything):
     return {pt: min(h[pt] for h in stabiliser) for pt in {g[b] for g in everything}}
 
 
-def _check_suborbit_blocks(group, walked=None):
-    # walked: the walk over the search's tree, or the second pass over
-    # every minimum
+def _check_suborbit_blocks(group):
+    # the second pass over every suborbit minimum walks the blocks in
+    # chain order
     base = group.base()
     b = base[0]
     everything = list(chain_elements(group))
     minima = sorted(set(_suborbit_minima(group, everything).values()))
-    if walked is None:
-        walk = group.suborbit_pairs()
-        walked = list(walk)
-        assert walk.in_chain_order
-    # the identity first, the only element kept of block b
-    assert walked[0][0] == b and _composed(walked[:1]) == [identity(group.degree)]
-    blocks = _blocks(walked[1:])
+    # block b, the identity alone, is the first pass's
+    blocks = _blocks(group.chain_pairs(minima))
     assert set(blocks) <= set(minima) - {b}
     # the blocks, compared by point, each in chain order, without
     # exactly the elements that fix a base point
@@ -327,17 +322,18 @@ SHALLOW_GROUPS = [automorphism_group(build_odd(7).graph),
                   automorphism_group(build_odd(9).graph)]
 
 
-@pytest.mark.parametrize("group", SHALLOW_GROUPS)
+@pytest.mark.parametrize("group", SHALLOW_GROUPS + SUBORBIT_GROUPS)
 def test_a_shallow_first_pass_walks_one_whole_block_per_suborbit(group):
     # any point of a suborbit and any representative will do: the block is
-    # a coset as a set, and conjugation by the stabiliser keeps cycle types
+    # a coset as a set, and conjugation by the stabiliser keeps cycle types;
+    # the searched groups keep no top-level representative, so every
+    # suborbit is entered by the shallow tree, and Schreier-Sims keeps
+    # them all, so none is
     base = group.base()
     b = base[0]
     everything = list(chain_elements(group))
     least = _suborbit_minima(group, everything)
-    walk = group.suborbit_pairs()
-    walked = list(walk)
-    assert not walk.in_chain_order
+    walked = list(group.suborbit_pairs())
     assert walked[0][0] == b and _composed(walked[:1]) == [identity(group.degree)]
     blocks = _blocks(walked[1:])
     assert set(blocks) == set(least.values()) - {b}
@@ -352,13 +348,10 @@ def test_a_shallow_first_pass_walks_one_whole_block_per_suborbit(group):
 
 @pytest.mark.parametrize("group", SHALLOW_GROUPS)
 def test_the_second_pass_walks_blocks_in_chain_order(group):
-    walk = group.suborbit_pairs()
-    walked = list(walk)
-    minima = {item[0] for item in walked}
-    _check_suborbit_blocks(group, list(walk.chain_pairs(sorted(minima))))
+    _check_suborbit_blocks(group)
     # only the blocks asked for
-    some = sorted(minima)[1::3]
-    assert set(_blocks(walk.chain_pairs(some))) == set(some)
+    some = sorted({item[0] for item in group.suborbit_pairs()})[1::3]
+    assert set(_blocks(group.chain_pairs(some))) == set(some)
 
 
 def test_the_shallow_tree_bridges_a_suborbit_it_cannot_enter():
@@ -366,9 +359,17 @@ def test_the_shallow_tree_bridges_a_suborbit_it_cannot_enter():
     # {3, 4}, {5}: from 1 the tree reaches only 2, whose suborbit it has
     # entered, so 2 enters as a bridge, and so does 4 after 3
     cycle = [1, 2, 3, 4, 5, 0]
-    tree, targets = perm._shallow_tree(0, [cycle], [0, 1, 1, 3, 3, 5], 3)
+    least = [0, 1, 1, 3, 3, 5]
+    tree, targets = perm._shallow_tree(0, [cycle], least, 3, set())
     assert targets == {1: 1, 3: 3, 5: 5}
     assert {q: pt for q, (pt, _) in tree.items()} == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
+    # a suborbit entered already, as one read through a kept
+    # representative, is crossed by bridges only
+    tree, targets = perm._shallow_tree(0, [cycle], least, 3, {3})
+    assert targets == {1: 1, 5: 5}
+    assert {q: pt for q, (pt, _) in tree.items()} == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
+    # every suborbit entered: no tree
+    assert perm._shallow_tree(0, [cycle], least, 3, {1, 3, 5}) == ({}, {})
 
 
 def _shuffled(graph, seed):
@@ -379,8 +380,8 @@ def _shuffled(graph, seed):
 
 @pytest.mark.parametrize("group", SUBORBIT_GROUPS + [
     # searched groups keep no top-level representative, so their walk goes
-    # down the Schreier tree; relabelled, the tree has blocks on both sides
-    # of a bound within one subtree
+    # down a shallow tree, and on these two it has blocks on both sides of
+    # a bound within one subtree
     automorphism_group(_shuffled(build_odd(3).graph, 3)),
     automorphism_group(_shuffled(build_even(2, 7).graph, 7)),
 ])
