@@ -56,7 +56,7 @@ vertex order, so the output is deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from circulant_lab import _kernels as kern
@@ -370,14 +370,7 @@ class SymmetryProfile:
     stabiliser_order: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "aut_order": self.aut_order,
-            "vertex_transitive": self.vertex_transitive,
-            "arc_transitive": self.arc_transitive,
-            "tutte_t": self.tutte_t,
-            "stabiliser_order": self.stabiliser_order,
-        }
+        return asdict(self)
 
 
 def symmetry_profile(graph: graphio.Graph, group: PermGroup | None = None) -> SymmetryProfile:

@@ -4,11 +4,13 @@ and scan corpora for order-bound violations.
 Subcommands: construct-even, construct-odd, analyze, spectrum, scan.
 Reports are JSON on stdout and byte-identical across runs on the same input
 (timings are opt-in for that reason).  Exit codes: 0 success, 1 failed
-assertion or bound violation, 2 usage or parse error.
+assertion, bound violation, or (analyze, spectrum) a group order over the
+enumeration cap, 2 usage or parse error.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -350,11 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("p", type=int)
     pe.add_argument("--out", help="graph file to write (default: derived name)")
     pe.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
+    pe.set_defaults(run=functools.partial(cmd_construct, family="even"))
 
     po = sub.add_parser("construct-odd", help="build the order-6k^2 family member for odd k")
     po.add_argument("k", type=int)
     po.add_argument("--out", help="graph file to write (default: derived name)")
     po.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
+    po.set_defaults(run=functools.partial(cmd_construct, family="odd"))
 
     for name, desc in (("analyze", "full symmetry and spectrum analysis"),
                        ("spectrum", "k-circulant spectrum only")):
@@ -364,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="keep k = n in reports")
         pa.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                         help=f"enumeration cap (default {DEFAULT_ENUMERATION_CAP})")
+        pa.set_defaults(run=functools.partial(cmd_analyze, spectrum_only=name == "spectrum"))
 
     ps = sub.add_parser("scan", help="scan a directory of graph files")
     ps.add_argument("dir")
@@ -374,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     ps.add_argument("--timings", action="store_true",
                     help="include elapsed_ms in records (breaks byte-identical output)")
+    ps.set_defaults(run=cmd_scan)
 
     return parser
 
@@ -385,17 +391,7 @@ def main(argv: list[str] | None = None) -> int:
         if value < 1:
             print(f"error: --{flag} must be at least 1 (got {value})", file=sys.stderr)
             return 2
-    if args.command == "construct-even":
-        return cmd_construct(args, "even")
-    if args.command == "construct-odd":
-        return cmd_construct(args, "odd")
-    if args.command == "analyze":
-        return cmd_analyze(args, spectrum_only=False)
-    if args.command == "spectrum":
-        return cmd_analyze(args, spectrum_only=True)
-    if args.command == "scan":
-        return cmd_scan(args)
-    raise AssertionError(f"unhandled command {args.command}")
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -13,26 +13,13 @@ chain order that ``PermGroup.suborbit_pairs`` defines: the first hit in
 the block of the smallest point whose block holds one.  So witnesses
 follow the search's base and coset representatives.
 
-The walk runs in two passes.  A block is a coset as a set, and which k it
-holds is the same for every point of a suborbit, so the first pass reads
-one block per suborbit, in an order of its own (through a representative
-the stabiliser chain keeps, or a shallow Schreier tree of seeded random
-subproducts), and records for each k the smallest suborbit point m whose
-block holds it.  The second composes the search tree's representatives
-along the paths to those m only, one path at a time, and takes the first
-hit for each k in block m, in chain order.  One function (_first_hits) runs
-both, for the spectrum and for a certificate.  The walk hands out each
-element uncomposed, as three image lists h, v, t with the element x ->
-t[v[h[x]]], and only its cycle through point 0 is followed, image by
-image.  The element is composed, and given the full semiregularity test,
-only when n over that cycle's length is a k still wanted: in the first
-pass, one with no hit yet from a smaller suborbit point (in a certificate
-only the requested k, and every block from its best hit's point on is
-skipped), and in the second, the first in its block.  The trivial k = n
-(identity witness) is part of the spectrum whenever n >= 1; reports may
-filter it.  The walk holds only for a group of automorphisms, so both pass
-their group through ``aut.check_all_automorphisms``: a searched group is
-never checked again, a supplied one once per graph.
+The walk runs in two passes (``PermGroup.suborbit_pairs`` gives the
+account), and one function, _first_hits, runs both for the spectrum and for
+a certificate.  The trivial k = n (identity witness) is part of the
+spectrum whenever n >= 1; reports may filter it.  The walk holds only for a
+group of automorphisms, so both pass their group through
+``aut.check_all_automorphisms``: a searched group is never checked again, a
+supplied one once per graph.
 """
 from __future__ import annotations
 

@@ -15,24 +15,8 @@ representative: it carries the product of the representatives it has
 chosen and reads the next one off a preimage under that product, and the
 residue (the sifted element times the inverse of that product) is formed
 only to adjoin it to the chain.
-``suborbit_pairs`` is the one walk over elements, the spectrum's: it hands
-out only the blocks of one point per suborbit, less elements that fix a
-base point (all but the identity in the first base point's block), each
-element uncomposed as three image lists, so a caller that reads a few
-images of each element (``kcirc`` follows one cycle) composes only the
-candidates it keeps, and its docstring defines the order witnesses follow.
-It runs in two passes.  A block is a coset as a set, whatever
-representative reaches it, and what a conjugacy-invariant question finds
-in it is the same across a suborbit, so the first pass may read each
-suborbit's block through any point and any representative: through the
-top level's kept representative of its smallest point where there is one,
-and otherwise through a shallow Schreier tree grown from seeded random
-subproducts, one node per suborbit.  Only the order inside a block depends
-on the search's tree, so the second pass (``chain_pairs``) composes that
-tree's representatives for the few blocks whose first element the caller
-needs (the spectrum's witnesses).  Either pass walks its tree depth first
-and holds the representatives of one tree path only, adding none to the
-level.
+``suborbit_pairs`` is the one walk over elements, the spectrum's, in two
+passes; its docstring gives the account and the reasons.
 """
 from __future__ import annotations
 
@@ -40,8 +24,8 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import itemgetter, ne
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from circulant_lab import _kernels as kern
@@ -167,39 +151,21 @@ class _Level:
     to the point it was reached from and the generator that reached it (the
     base point to None).  A coset representative is composed along its tree
     path on first request and kept in reps, so the tree fixes the chain
-    order (PermGroup.suborbit_pairs).  The spectrum's walk reads the top
-    level's kept ones but composes its own and keeps none: its first pass
-    reads a suborbit through a kept representative of its smallest point,
-    or else through a shallow tree of its own, as which k a block holds
-    does not depend on the tree, and its second pass walks this tree only
-    to the blocks whose first hits are witnesses.
+    order (PermGroup.suborbit_pairs, whose walk adds none to reps).
     A sift through the levels carries the product of the representatives
     it chose rather than their inverses, and forms a residue only to
     adjoin it (PermGroup._sift_images).
-
-    With movers (a dict), the tree tries at each point only the generators
-    that move it: movers[pt] lists them, in the order of gens.  It is
-    computed on the point's first visit and kept for later levels, so the
-    caller must drop from it a generator that stops being a strong
-    generator.  A generator fixing the point reaches nothing new, so the
-    tree is the same.
     """
 
     __slots__ = ("base", "gens", "tree", "reps")
 
-    def __init__(self, base: int, gens: list[list[int]], degree: int,
-                 movers: dict[int, list[list[int]]] | None = None):
+    def __init__(self, base: int, gens: list[list[int]], degree: int):
         self.base = base
         self.gens = gens
         self.tree = tree = {base: None}
         orbit = [base]
         for pt in orbit:  # orbit grows while it is walked: it is the FIFO queue
-            tried = gens
-            if movers is not None:
-                tried = movers.get(pt)
-                if tried is None:
-                    tried = movers[pt] = [g for g in gens if g[pt] != pt]
-            for g in tried:
+            for g in gens:
                 q = g[pt]
                 if q not in tree:
                     tree[q] = (pt, g)
@@ -250,32 +216,15 @@ class PermGroup:
         level's Schreier tree is grown at once, with no composition, and a
         point whose orbit is itself alone opens no level.  No Schreier
         generator is sifted: order() is the product of the tree sizes.
-
-        Trying every strong generator at every orbit point costs O(n^3) on
-        a chain with many levels and generators, such as the n - 1 levels
-        of Sym(n).  So below the top level a tree tries at a point only the
-        strong generators that move it, listed on the point's first visit
-        and kept for the levels below.  The top level tries them all: there
-        every generator is a strong generator, and listing them would cost
-        as much as the walk.
         """
         group = cls(degree, generators)
         gens = [list(g.images) for g in group.generators]
         group._levels = []
-        movers: dict[int, list[list[int]]] | None = None
-        points = range(degree)
         for b in base:
-            lvl = _Level(b, gens, degree, movers)
+            lvl = _Level(b, gens, degree)
             if len(lvl.tree) > 1:
                 group._levels.append(lvl)
-            if movers:  # a generator moving b is no strong generator below
-                for g in gens:
-                    if g[b] != b:
-                        for p in movers.keys() & compress(points, map(ne, g, points)):
-                            movers[p] = [h for h in movers[p] if h is not g]
             gens = [g for g in gens if g[b] == b]
-            if movers is None:
-                movers = {}
         return group
 
     # --- chain construction ---
@@ -417,7 +366,9 @@ class PermGroup:
                        ) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
         """The first of the spectrum's two passes; chain_pairs is the
         second.  It yields (m, h, v, t): the element maps x to t[v[h[x]]],
-        uncomposed, and m is the smallest point of its suborbit.
+        uncomposed, and m is the smallest point of its suborbit.  So a
+        caller that reads a few images of each element (kcirc follows one
+        cycle) composes only the candidates it keeps.
 
         The chain order, which witnesses follow: an element is
         g = t_{L-1} * ... * t_1 * t_0, one coset representative per level,
@@ -434,12 +385,14 @@ class PermGroup:
         onto block h(pt) and keeps cycle types.  So a conjugacy-invariant
         question is answered by one block per suborbit, read through any
         representative, and only the order inside a block, and so which
-        element comes first, depends on the search's tree.  A question about
-        semiregular elements needs fewer elements still: one that fixes a
-        point is the identity or not semiregular.  So the walk yields the
-        identity first, as block b's only element (m = b), and then one
-        block per other suborbit, dropping only elements that fix a base
-        point.  g(b_j) = t_0[...t_j[b_j]] is known once levels 0..j are
+        element comes first, depends on the search's tree: the second pass
+        composes that tree's representatives only for the few blocks whose
+        first element the caller needs (the spectrum's witnesses).  A
+        question about semiregular elements needs fewer elements still: one
+        that fixes a point is the identity or not semiregular.  So the walk
+        yields the identity first, as block b's only element (m = b), and
+        then one block per other suborbit, dropping only elements that fix a
+        base point.  g(b_j) = t_0[...t_j[b_j]] is known once levels 0..j are
         chosen.  Below the top level the representatives are tried level by
         level in ascending point order, and a choice at which g fixes b_j
         drops its whole subtree.  h and v are the representatives of the

@@ -911,12 +911,17 @@ def _sym8_from_chain():
 
 
 def test_from_chain_grows_the_trees_of_the_naive_growth():
-    # each tree tries only the generators that move a point; it must match
-    # the growth that tries them all, parent, generator and FIFO order alike
+    # every level's tree is one FIFO walk over its strong generators: it
+    # must match helpers.schreier_tree, parent, generator and order alike
     from circulant_lab.cli import build_odd
 
+    k4s = from_edges(80, [(4 * c + i, 4 * c + j) for c in range(20)
+                          for i in range(4) for j in range(i + 1, 4)])
     groups = [automorphism_group(graph) for graph in (
-        from_edges(60, []), generalized_petersen(60, 14), build_odd(5).graph)]
+        from_edges(60, []), generalized_petersen(60, 14), build_odd(5).graph, k4s)]
+    # 20 disjoint copies of K4: the wreath product Sym(4) wr Sym(20), 60 levels
+    assert groups[-1].order() == 24 ** 20 * math.factorial(20)
+    assert len(groups[-1].base()) == 60
     groups.append(_sym8_from_chain())
     for group in groups:
         trees = [list(lvl.tree.items()) for lvl in group._levels]
