@@ -104,23 +104,24 @@ def preserves_adjacency(ptr, flat, images):
     return True
 
 
-def ball_profile(adjacency, v, radius, expected=None):
+def ball_profile(adjacency, v, expected=None):
     """The sizes of the breadth-first layers around v, as a tuple: layer 0
-    is v alone, layer d the vertices at distance d, out to the given radius
-    or to the last nonempty layer, whichever comes first.  Distances are
-    kept by every automorphism, so the profile is an isomorphism invariant
-    of the vertex.  The neighbors of layer d lie in layers d - 1, d and
-    d + 1, so each layer is its predecessor's neighbors less the two layers
-    before it, and no set of all vertices seen is kept.  The walk stops once
-    it has seen every vertex, since all later layers are then empty.  Given
-    an expected profile, it returns None at the first layer that differs
-    from it, or if the profile ends before or after it."""
+    is v alone, layer d the vertices at distance d, out to the last
+    nonempty layer, so the sizes sum to the order of v's component.
+    Distances are kept by every automorphism, so the profile is an
+    isomorphism invariant of the vertex.  The neighbors of layer d lie in
+    layers d - 1, d and d + 1, so each layer is its predecessor's neighbors
+    less the two layers before it, and no set of all vertices seen is kept.
+    The walk stops once it has seen every vertex, since all later layers
+    are then empty.  Given an expected profile, it returns None at the
+    first layer that differs from it, or if the profile ends before or
+    after it."""
     n = len(adjacency)
     before = set()
     layer = {v}
     sizes = [1]
     seen = 1
-    while len(sizes) <= radius and seen < n:
+    while seen < n:
         nxt = set()
         for u in layer:
             nxt.update(adjacency[u])

@@ -18,16 +18,18 @@ generator merges its cycles into).  A failed sibling w prunes its orbit
 soundly: the generators fix the targets above the level, so an
 automorphism that maps the target into w's orbit, composed with one of
 them, would map the target to w.  Before a sibling is tried, its ball
-profile (the sizes of the breadth-first layers around it, out to
-``PROFILE_RADIUS``; ``_kernels.ball_profile``) is compared with the
-target's, and a sibling whose profile differs fails with no refinement:
-automorphisms keep distances, so none maps the target to it.  On an
-asymmetric cubic graph every vertex of the root cell is a sibling, and
-the profiles leave 1-7 of 176 to be refined (n = 176), where each of the
-others cost an aborted O(n) individualization.  Each try is a
-depth-first search on an explicit stack that refines the individualized
-colorings against the stored principal path, level by level, and tests
-adjacency at the leaf.
+profile (the sizes of the breadth-first layers around it, out to the end
+of its component; ``_kernels.ball_profile``) is compared with the
+target's, which each level walks once, and a sibling whose profile
+differs fails with no refinement: automorphisms keep distances, so none
+maps the target to it.  The sibling's walk stops at its first layer that
+differs.  On an asymmetric cubic graph every vertex of the root cell is a
+sibling, and on random cubic graphs from n = 176 to n = 11264 the
+profiles reject all of them, so the search makes one individualization,
+the principal path's, where each sibling would cost an aborted O(n) one.
+Each try is a depth-first search on an explicit stack that refines the
+individualized colorings against the stored principal path, level by
+level, and tests adjacency at the leaf.
 Refinement and individualization are kernels
 (``_kernels.refine_colors`` for the root coloring,
 ``_kernels.individualize`` below it), and only they number the cells.
@@ -72,18 +74,6 @@ from circulant_lab.errors import (
 from circulant_lab.perm import PermGroup, Permutation
 
 _STABILISER_TO_T = {3: 0, 6: 1, 12: 2, 24: 3, 48: 4}
-
-# The radius of the ball profiles that reject search siblings before any
-# refinement.  On five rigid random cubic graphs with n = 176 (seeds 0-4),
-# radius 3 leaves 7-141 individualize calls per search (1.6-9.7 ms),
-# radius 4 leaves 6-42 (1.8-5.6 ms), radius 5 leaves 1-7 (1.2-3.9 ms) and
-# radius 6 leaves 1 (1.2-2.5 ms), against 176 (3.2-8.6 ms) with no
-# profiles; scan throughput in perfbench is within noise from 4 to 6, and
-# the tail item is fastest at 5; radii 8-12 were 3-6 % slower there, since
-# siblings whose profiles match walk larger balls.  Larger graphs need a
-# larger radius: at n = 2816, radius 5 leaves 425-1632 calls, radius 8
-# leaves 1-3.  Timed on a 2-core host, Python 3.11.
-PROFILE_RADIUS = 5
 
 
 def bfs_order(graph: graphio.Graph) -> list[int]:
@@ -199,8 +189,9 @@ def _search(graph: graphio.Graph, colors: list[int], cap: int | None = None) -> 
     #
     # A sibling whose ball profile (_kernels.ball_profile) differs from the
     # target's is dead with no seek: automorphisms keep distances, so none
-    # maps the target to it, and the seek would have failed.  The sibling's
-    # walk stops at its first layer that differs from the target's.
+    # maps the target to it, and the seek would have failed.  The target's
+    # profile is walked to the end of its component once per level; a
+    # sibling's walk stops at its first layer that differs from it.
     gens: list[Permutation] = []
     orbits = list(range(n))
     size = [1] * n
@@ -208,13 +199,13 @@ def _search(graph: graphio.Graph, colors: list[int], cap: int | None = None) -> 
     for level in range(len(path) - 2, -1, -1):
         alpha, target, _ = path[level]
         cells = path_cells.pop()
-        want = kern.ball_profile(graph.adjacency, target, PROFILE_RADIUS)
+        want = kern.ball_profile(graph.adjacency, target)
         dead: set[int] = set()
         for w in sorted(cells[alpha[target]]):
             r = _root(orbits, w)
             if r in dead or r == _root(orbits, target):
                 continue
-            if kern.ball_profile(graph.adjacency, w, PROFILE_RADIUS, want) is None:
+            if kern.ball_profile(graph.adjacency, w, want) is None:
                 found = None  # no automorphism maps the target to w
             else:
                 found = seek(level, cells, w)

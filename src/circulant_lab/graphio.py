@@ -85,34 +85,30 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(tuple(() if s is None else tuple(sorted(s)) for s in adj))
 
 
+def _number_pair(line: str, form: str) -> tuple[int, int]:
+    """The two numbers of a header or edge line.  Each must be ASCII decimal
+    digits alone: int() would also take signs, underscores and non-ASCII
+    digits, so "3 1_0" would promise 10 edges."""
+    parts = line.split()
+    if len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:  # more digits than int() converts
+            pass
+    raise MalformedHeader(f"expected {form!r}, got {line!r}")
+
+
 def parse_edgelist(text: str) -> Graph:
     """Parse the exact edge-list format: header "n m", then m lines "u v"."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MalformedHeader("empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise MalformedHeader(f"expected 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise MalformedHeader(f"expected 'n m', got {lines[0]!r}") from None
-    if n < 0 or m < 0:
-        raise MalformedHeader(f"negative counts in {lines[0]!r}")
+    n, m = _number_pair(lines[0], "n m")
     if n > MAX_ORDER:
         raise MalformedHeader(f"n = {n} exceeds the vertex limit {MAX_ORDER}")
     if len(lines) - 1 != m:
         raise MalformedHeader(f"header promises {m} edges, got {len(lines) - 1} lines")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise MalformedHeader(f"expected 'u v', got {ln!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise MalformedHeader(f"expected 'u v', got {ln!r}") from None
-    return from_edges(n, edges)
+    return from_edges(n, [_number_pair(ln, "u v") for ln in lines[1:]])
 
 
 def to_edgelist_text(graph: Graph) -> str:

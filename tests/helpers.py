@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's stabilizer-chain and
 refinement machinery so that it can serve as a cross-check on them.
 """
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from circulant_lab.graphio import Graph, from_edges
 from circulant_lab.perm import Permutation
@@ -119,6 +119,23 @@ def diamond_ring(count: int) -> Graph:
         edges += [(i, i + 1), (i, i + 2), (i + 1, i + 2), (i + 1, i + 3), (i + 2, i + 3),
                   (i + 3, (i + 4) % n)]
     return from_edges(n, edges)
+
+
+def chang_graph(switch) -> Graph:
+    """T(8), the line graph of K8, Seidel-switched on a set of K8's edges.
+
+    The vertices are the 28 pairs of {0, ..., 7} in lexicographic order,
+    two of them adjacent when they share a point.  Switching on the edges
+    in switch (pairs of points) flips every adjacency between a switched
+    vertex and an unswitched one.  On a perfect matching, on an 8-cycle
+    and on a 3-cycle with a disjoint 5-cycle this gives the three Chang
+    graphs: strongly regular with parameters (28, 12, 6, 4), like T(8)
+    itself, so every vertex has the ball profile (1, 12, 15)."""
+    pairs = list(combinations(range(8), 2))
+    flip = {pairs.index(tuple(sorted(e))) for e in switch}
+    edges = [(i, j) for i, j in combinations(range(28), 2)
+             if bool(set(pairs[i]) & set(pairs[j])) != ((i in flip) != (j in flip))]
+    return from_edges(28, edges)
 
 
 def random_cubic_graph(rng, n: int) -> Graph:

@@ -43,6 +43,7 @@ from helpers import (
     brute_force_automorphisms,
     cfi_graph,
     chain_elements,
+    chang_graph,
     generalized_petersen,
     random_cubic_graph,
     random_simple_graph,
@@ -634,15 +635,47 @@ def test_order_matches_networkx_isomorphism_count(monkeypatch):
 
 
 def test_trace_check_prunes_what_profiles_cannot(monkeypatch):
-    # in a CFI graph many vertices share their ball profile, so siblings
-    # pass the profile check and still die at the trace check: 35 trace
-    # aborts here, against 153 when no profile was checked
+    # the Chang graphs are strongly regular with parameters (28, 12, 6, 4),
+    # so every vertex has the profile (1, 12, 15) and no sibling is
+    # rejected by it; the trace check still drops 18, 15 and 19 siblings.
+    # The orders are networkx VF2 automorphism counts (16 s), pinned here
     pruned = _count_pruned(monkeypatch)
+    switches = {
+        384: [(0, 1), (2, 3), (4, 5), (6, 7)],
+        96: [(i, (i + 1) % 8) for i in range(8)],
+        360: [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)],
+    }
+    for order, switch in switches.items():
+        graph = chang_graph(switch)
+        adjacency = [set(nbrs) for nbrs in graph.adjacency]
+        for u in range(28):
+            assert len(adjacency[u]) == 12
+            for v in range(u + 1, 28):
+                assert len(adjacency[u] & adjacency[v]) == (6 if v in adjacency[u] else 4)
+        pruned.update(trace=0, profile=0)
+        assert automorphism_group(graph).order() == order
+        assert pruned["profile"] == 0
+        assert pruned["trace"] >= 15
+    # on this CFI graph the whole profiles reject all 153 siblings that
+    # orbit pruning leaves, where profiles cut at radius 5 left 35 of them
+    # to the trace check; its order is still checked
     graph = cfi_graph(random_cubic_graph(random.Random(40), 40))
     assert graph.n == 400
     assert automorphism_group(graph).order() == 2 ** 22
-    assert pruned["trace"] >= 30
-    assert pruned["profile"] > 0
+
+
+@pytest.mark.parametrize("n", (704, 2816))
+def test_rigid_search_refines_only_the_principal_path(monkeypatch, n):
+    # on rigid random cubic graphs the profiles, read to the end of the
+    # graph, tell every sibling of the first target from it, so the one
+    # individualization is the principal path's (a profile cut at radius 5
+    # left 58 and 4 calls at n = 704, and 425 and 1632 at n = 2816)
+    pruned = _count_pruned(monkeypatch)
+    for seed in (0, 1):
+        graph = random_cubic_graph(random.Random(seed), n)
+        pruned["calls"] = 0
+        assert automorphism_group(graph).order() == 1
+        assert pruned["calls"] == 1
 
 
 PINNED_SEARCH = {

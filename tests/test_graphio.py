@@ -9,6 +9,7 @@ from circulant_lab import fixtures
 from circulant_lab.errors import (
     BadCharacter,
     DuplicateEdge,
+    GraphFormatError,
     LoopEdge,
     MalformedHeader,
     TruncatedBits,
@@ -57,6 +58,39 @@ def test_parse_edgelist_errors():
         parse_edgelist("")
     with pytest.raises(MalformedHeader, match=f"{MAX_ORDER + 1}.*{MAX_ORDER}"):
         parse_edgelist(f"{MAX_ORDER + 1} 0\n")  # refused before allocating
+
+
+def test_parse_edgelist_header_numbers_are_ascii_decimal():
+    # int() reads "1_0" as 10; the header would promise 10 edges
+    with pytest.raises(MalformedHeader, match="expected 'n m', got '3 1_0'"):
+        parse_edgelist("3 1_0\n0 1\n")
+    with pytest.raises(MalformedHeader, match=r"got '\+3 1'"):
+        parse_edgelist("+3 1\n0 1\n")
+    with pytest.raises(MalformedHeader, match="got '\u0663 1'"):
+        parse_edgelist("\u0663 1\n0 1\n")  # Arabic-Indic digit three
+    with pytest.raises(MalformedHeader, match="got '-3 1'"):
+        parse_edgelist("-3 1\n0 1\n")
+
+
+def test_parse_edgelist_edge_numbers_are_ascii_decimal():
+    with pytest.raises(MalformedHeader, match="expected 'u v', got '0 1_0'"):
+        parse_edgelist("12 1\n0 1_0\n")
+    with pytest.raises(MalformedHeader, match=r"got '\+0 1'"):
+        parse_edgelist("3 1\n+0 1\n")
+    with pytest.raises(MalformedHeader, match="got '0 \u0661'"):
+        parse_edgelist("3 1\n0 \u0661\n")  # Arabic-Indic digit one
+    with pytest.raises(MalformedHeader, match="got '-1 2'"):
+        parse_edgelist("3 1\n-1 2\n")
+
+
+def test_parse_edgelist_number_too_long_for_int():
+    # where int() refuses strings of this many digits, the line is
+    # malformed; elsewhere the number is out of range: a format error
+    # either way, never an uncaught ValueError
+    with pytest.raises(MalformedHeader):
+        parse_edgelist("9" * 5000 + " 0\n")
+    with pytest.raises(GraphFormatError):
+        parse_edgelist("3 1\n0 " + "9" * 5000 + "\n")
 
 
 def test_parse_memory_follows_the_file_not_the_header():

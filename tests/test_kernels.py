@@ -179,9 +179,9 @@ def test_refinement_is_isomorphism_invariant():
             assert kern.individualize(ptr, flat, *parent, v, expected=trace[:-1]) is None
 
 
-def _layer_sizes(graph, v, radius):
+def _layer_sizes(graph, v):
     """Reference ball profile: distances from v by a plain BFS over all
-    vertices, counted per distance up to radius."""
+    vertices, counted per distance."""
     dist = {v: 0}
     order = [v]
     for u in order:
@@ -189,18 +189,19 @@ def _layer_sizes(graph, v, radius):
             if x not in dist:
                 dist[x] = dist[u] + 1
                 order.append(x)
-    sizes = [0] * (1 + min(radius, max(dist.values())))
+    sizes = [0] * (1 + max(dist.values()))
     for d in dist.values():
-        if d <= radius:
-            sizes[d] += 1
+        sizes[d] += 1
     return tuple(sizes)
 
 
 def test_ball_profile_is_isomorphism_invariant():
-    # the profile is the reference's layer sizes out to the radius, the
-    # relabeled graph gives images[v] the profile of v, and checked against
-    # another vertex's profile the walk returns None exactly when the two
-    # differ
+    # the profile is the reference's layer sizes to the end of the vertex's
+    # component, the relabeled graph gives images[v] the profile of v, and
+    # checked against another vertex's profile the walk returns None
+    # exactly when the two differ; an expected profile that stops early or
+    # runs on past the walk's end differs too, though every layer they
+    # share agrees
     rng = random.Random(88)
     cases = [fixtures.load(name) for name in ("petersen", "heawood", "pappus")]
     cases += [random_simple_graph(rng, rng.randrange(1, 16), rng.random()) for _ in range(20)]
@@ -210,16 +211,24 @@ def test_ball_profile_is_isomorphism_invariant():
         n = graph.n
         images = random_images(rng, n)
         moved = relabel(graph, images).adjacency
-        for radius in (0, 1, 3, 5):
-            profiles = [kern.ball_profile(graph.adjacency, v, radius) for v in range(n)]
-            for v in range(n):
-                assert profiles[v] == _layer_sizes(graph, v, radius)
-                assert kern.ball_profile(moved, images[v], radius) == profiles[v]
-            for v, w in (rng.sample(range(n), 2) for _ in range(10 if n > 1 else 0)):
-                got = kern.ball_profile(graph.adjacency, w, radius, profiles[v])
-                assert got == (profiles[w] if profiles[w] == profiles[v] else None)
-                differ += got is None
+        profiles = [kern.ball_profile(graph.adjacency, v) for v in range(n)]
+        for v in range(n):
+            assert profiles[v] == _layer_sizes(graph, v)
+            assert kern.ball_profile(moved, images[v]) == profiles[v]
+            for cut in range(1, len(profiles[v])):
+                assert kern.ball_profile(graph.adjacency, v, profiles[v][:cut]) is None
+            for extra in ((1,), (n,)):
+                assert kern.ball_profile(graph.adjacency, v, profiles[v] + extra) is None
+        for v, w in (rng.sample(range(n), 2) for _ in range(10 if n > 1 else 0)):
+            got = kern.ball_profile(graph.adjacency, w, profiles[v])
+            assert got == (profiles[w] if profiles[w] == profiles[v] else None)
+            differ += got is None
     assert differ > 100
+    # a path 0-1-2-3 beside a triangle 4-5-6 and an isolated vertex 7: each
+    # profile ends with its component, whatever lies beyond it
+    graph = from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)])
+    assert [kern.ball_profile(graph.adjacency, v) for v in range(8)] == [
+        (1, 1, 1, 1), (1, 2, 1), (1, 2, 1), (1, 1, 1, 1), (1, 2), (1, 2), (1, 2), (1,)]
 
 
 def test_unit_refinement_of_a_regular_graph_is_one_cell():
