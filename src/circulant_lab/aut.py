@@ -191,7 +191,11 @@ def _search(graph: graphio.Graph, colors: list[int], cap: int | None = None) -> 
     # target's is dead with no seek: automorphisms keep distances, so none
     # maps the target to it, and the seek would have failed.  The target's
     # profile is walked to the end of its component once per level; a
-    # sibling's walk stops at its first layer that differs from it.
+    # sibling's walk stops at its first layer that differs from it.  The
+    # whole profiles walked (each level's target's, and each sibling's that
+    # matched) are kept for the search, so a vertex walked whole once, as a
+    # deeper level's target or as a sibling, is compared by its tuple.
+    profiles: dict[int, tuple[int, ...]] = {}
     gens: list[Permutation] = []
     orbits = list(range(n))
     size = [1] * n
@@ -199,13 +203,20 @@ def _search(graph: graphio.Graph, colors: list[int], cap: int | None = None) -> 
     for level in range(len(path) - 2, -1, -1):
         alpha, target, _ = path[level]
         cells = path_cells.pop()
-        want = kern.ball_profile(graph.adjacency, target)
+        want = profiles.get(target)
+        if want is None:
+            want = profiles[target] = kern.ball_profile(graph.adjacency, target)
         dead: set[int] = set()
         for w in sorted(cells[alpha[target]]):
             r = _root(orbits, w)
             if r in dead or r == _root(orbits, target):
                 continue
-            if kern.ball_profile(graph.adjacency, w, want) is None:
+            profile = profiles.get(w)
+            if profile is None:
+                profile = kern.ball_profile(graph.adjacency, w, want)
+                if profile is not None:
+                    profiles[w] = profile
+            if profile != want:
                 found = None  # no automorphism maps the target to w
             else:
                 found = seek(level, cells, w)

@@ -153,8 +153,8 @@ def _detect_format(path: Path) -> str:
 
 def _load_graphs(path: Path) -> list[tuple[int | None, graphio.Graph | GraphFormatError]]:
     """(line, graph) pairs; edge-list files hold one graph, graph6 one per
-    line.  A graph6 line that does not parse gives its error in place of a
-    graph, and the lines after it are still read."""
+    line (graphio.text_lines).  A graph6 line that does not parse gives its
+    error in place of a graph, and the lines after it are still read."""
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -164,8 +164,8 @@ def _load_graphs(path: Path) -> list[tuple[int | None, graphio.Graph | GraphForm
     if _detect_format(path) == "edgelist":
         return [(None, graphio.parse_edgelist(text))]
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
+    for lineno, line in enumerate(graphio.text_lines(text), start=1):
+        line = line.strip(graphio.BLANKS)
         if not line or line == graphio.GRAPH6_HEADER:
             continue
         try:
@@ -340,7 +340,12 @@ def cmd_scan(args) -> int:
     return 1 if violations else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    some twenty times as much as a parse, and each parse_args fills a new
+    namespace from the declared defaults, so no flag carries over between
+    calls."""
     parser = argparse.ArgumentParser(
         prog="circulant-lab",
         description="Construct and analyze cubic arc-transitive k-circulant graphs.",

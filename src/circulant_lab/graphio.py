@@ -85,12 +85,27 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(tuple(() if s is None else tuple(sorted(s)) for s in adj))
 
 
+# The only characters that separate tokens or pad a line, in both formats:
+# str.split() and str.strip() would also take Unicode and ASCII control
+# separators, so "2 1\u20280 1" would read as two lines.
+BLANKS = " \t"
+_NUMBER_LINE = BLANKS + "0123456789"
+
+
+def text_lines(text: str) -> list[str]:
+    """The lines of a file's text: each ends at "\n", and one "\r" before it
+    is dropped with it.  No other character ends a line (str.splitlines()
+    would also end one at "\x0b", "\x1c", "\u2028" and others)."""
+    return text.replace("\r\n", "\n").split("\n")
+
+
 def _number_pair(line: str, form: str) -> tuple[int, int]:
-    """The two numbers of a header or edge line.  Each must be ASCII decimal
-    digits alone: int() would also take signs, underscores and non-ASCII
-    digits, so "3 1_0" would promise 10 edges."""
+    """The two numbers of a header or edge line, which may hold ASCII
+    decimal digits and BLANKS alone: int() would also take signs,
+    underscores and non-ASCII digits, so "3 1_0" would promise 10 edges,
+    and str.split() would also split at other separators."""
     parts = line.split()
-    if len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
+    if len(parts) == 2 and not line.strip(_NUMBER_LINE):
         try:
             return int(parts[0]), int(parts[1])
         except ValueError:  # more digits than int() converts
@@ -99,8 +114,9 @@ def _number_pair(line: str, form: str) -> tuple[int, int]:
 
 
 def parse_edgelist(text: str) -> Graph:
-    """Parse the exact edge-list format: header "n m", then m lines "u v"."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse the exact edge-list format: header "n m", then m lines "u v".
+    Lines are text_lines; a line of BLANKS alone is skipped."""
+    lines = [ln for ln in text_lines(text) if ln.strip(BLANKS)]
     if not lines:
         raise MalformedHeader("empty input")
     n, m = _number_pair(lines[0], "n m")
@@ -141,8 +157,9 @@ def _graph6_decode_n(line: str) -> tuple[int, int]:
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 line (optional '>>graph6<<' header tolerated)."""
-    s = line.strip()
+    """Decode one graph6 line (optional '>>graph6<<' header tolerated),
+    padded by BLANKS and ended by its line ending at most."""
+    s = line.strip(BLANKS + "\r\n")
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
     n, start = _graph6_decode_n(s)

@@ -15,11 +15,16 @@ follow the search's base and coset representatives.
 
 The walk runs in two passes (``PermGroup.suborbit_pairs`` gives the
 account), and one function, _first_hits, runs both for the spectrum and for
-a certificate.  The trivial k = n (identity witness) is part of the
-spectrum whenever n >= 1; reports may filter it.  The walk holds only for a
-group of automorphisms, so both pass their group through
-``aut.check_all_automorphisms``: a searched group is never checked again, a
-supplied one once per graph.
+a certificate.  Each pass composes a coset representative only where its
+tree branches, and reads each leaf's block through its parent's
+representative and the leaf's generator.  A block the first pass reads
+through a representative the chain keeps is in chain order, so its first
+hit is final, as the identity's is; the second pass walks only the other
+witness blocks, and a Schreier-Sims group makes none.  The trivial k = n
+(identity witness) is part of the spectrum whenever n >= 1; reports may
+filter it.  The walk holds only for a group of automorphisms, so both
+pass their group through ``aut.check_all_automorphisms``: a searched group
+is never checked again, a supplied one once per graph.
 """
 from __future__ import annotations
 
@@ -35,6 +40,7 @@ from circulant_lab.perm import (
     DEFAULT_ENUMERATION_CAP,
     PermGroup,
     Permutation,
+    WalkElement,
     cycle_structure,
     is_semiregular,
     power,
@@ -86,30 +92,36 @@ def is_squarefree(k: int) -> bool:
     return True
 
 
-def _semiregular_elements(n: int, pairs: Iterable[tuple[int, list[int], list[int], list[int]]],
+def _semiregular_elements(n: int, pairs: Iterable[WalkElement],
                           wanted: Callable[[int, int], bool]
-                          ) -> Iterator[tuple[int, int, list[int]]]:
-    """(m, number of cycles, images) for each semiregular element of the
-    walk's pairs (PermGroup.suborbit_pairs) whose number of cycles k is
-    wanted(k, m), in walk order.
+                          ) -> Iterator[tuple[int, bool, int, list[int]]]:
+    """(m, ordered, number of cycles, images) for each semiregular element
+    of the walk's pairs (PermGroup.suborbit_pairs) whose number of cycles k
+    is wanted(k, m), in walk order.
 
     All cycles of a semiregular element have one length, so the cycle
     through point 0 gives their number.  That cycle of the element
-    x -> t[v[h[x]]] is followed as j -> t[v[h[j]]], in as many steps as it
-    is long; the element is composed and fully tested only when its number
-    is wanted.
+    x -> t[v[h[x]]], or x -> g[t[v[h[x]]]] for a block the walk reads
+    through its parent, is followed in as many steps as it is long; the
+    element is composed and fully tested only when its number is wanted.
     """
-    for m, h, v, t in pairs:
+    for m, ordered, h, v, t, g in pairs:
         length = 1
-        j = t[v[h[0]]]
-        while j:
-            j = t[v[h[j]]]
-            length += 1
+        if g is None:
+            j = t[v[h[0]]]
+            while j:
+                j = t[v[h[j]]]
+                length += 1
+        else:
+            j = g[t[v[h[0]]]]
+            while j:
+                j = g[t[v[h[j]]]]
+                length += 1
         if n % length or not wanted(n // length, m):
             continue
-        images = [t[v[x]] for x in h]
+        images = [t[v[x]] for x in h] if g is None else [g[t[v[x]]] for x in h]
         if kern.is_semiregular_images(images):
-            yield m, n // length, images
+            yield m, ordered, n // length, images
 
 
 def _first_hits(n: int, group: PermGroup, cap: int | None, k: int | None = None
@@ -120,10 +132,13 @@ def _first_hits(n: int, group: PermGroup, cap: int | None, k: int | None = None
 
     The first pass (suborbit_pairs) records for each k the smallest point m
     whose block holds it; for one k it skips every block from its best m on.
-    The second (chain_pairs) walks the blocks of those m in chain order and
-    takes the first hit of each k in its block.  The first base point's
-    block holds the identity alone, so the hit for k = n is kept from the
-    first pass.
+    A block the first pass reads in chain order (the identity's, and each
+    one read through a representative the top level keeps) gives its first
+    hit of each k as it goes, and that hit is kept while its m is the best.
+    The second (chain_pairs) walks in chain order the blocks of the other
+    best m only, and takes the first hit of each k in its block.  A
+    Schreier-Sims chain keeps every top-level representative, so it makes
+    no second pass.
     """
     first: dict[int, int] = {}  # k -> the smallest suborbit point whose block holds it
     until = None if k is None else (lambda: first.get(k, n))
@@ -132,16 +147,20 @@ def _first_hits(n: int, group: PermGroup, cap: int | None, k: int | None = None
         return (k is None or c == k) and m < first.get(c, n)
 
     found: dict[int, list[int]] = {}
-    for m, c, images in _semiregular_elements(n, group.suborbit_pairs(cap, until), wanted):
+    for m, ordered, c, images in _semiregular_elements(
+            n, group.suborbit_pairs(cap, until), wanted):
         first[c] = m
-        if c == n:
+        if ordered:
             found[c] = images
-    for _, c, images in _semiregular_elements(
-            n, group.chain_pairs({m for c, m in first.items() if c not in found}),
-            lambda c, m: first.get(c) == m and c not in found):
-        found[c] = images
-        if len(found) == len(first):
-            break
+        else:
+            found.pop(c, None)
+    rest = {m for c, m in first.items() if c not in found}
+    if rest:
+        for _, _, c, images in _semiregular_elements(
+                n, group.chain_pairs(rest), lambda c, m: first.get(c) == m and c not in found):
+            found[c] = images
+            if len(found) == len(first):
+                break
     return found
 
 

@@ -34,6 +34,10 @@ from circulant_lab.errors import CapExceeded, DegreeMismatch
 
 DEFAULT_ENUMERATION_CAP = 2 ** 24
 
+# An element of the spectrum walk, (m, ordered, h, v, t, g), as
+# PermGroup.suborbit_pairs yields it
+WalkElement = tuple[int, bool, list[int], list[int], list[int], list[int] | None]
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -363,12 +367,14 @@ class PermGroup:
         return [sorted(orbit) for orbit in orbits]
 
     def suborbit_pairs(self, cap: int | None = None, until: Callable[[], int] | None = None
-                       ) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
+                       ) -> Iterator[WalkElement]:
         """The first of the spectrum's two passes; chain_pairs is the
-        second.  It yields (m, h, v, t): the element maps x to t[v[h[x]]],
-        uncomposed, and m is the smallest point of its suborbit.  So a
-        caller that reads a few images of each element (kcirc follows one
-        cycle) composes only the candidates it keeps.
+        second.  It yields (m, ordered, h, v, t, g): the element maps x to
+        t[v[h[x]]], or to g[t[v[h[x]]]] when g is not None, uncomposed; m is
+        the smallest point of its suborbit, and ordered says that the
+        element's block comes in chain order.  So a caller that reads a few
+        images of each element (kcirc follows one cycle) composes only the
+        candidates it keeps.
 
         The chain order, which witnesses follow: an element is
         g = t_{L-1} * ... * t_1 * t_0, one coset representative per level,
@@ -385,11 +391,9 @@ class PermGroup:
         onto block h(pt) and keeps cycle types.  So a conjugacy-invariant
         question is answered by one block per suborbit, read through any
         representative, and only the order inside a block, and so which
-        element comes first, depends on the search's tree: the second pass
-        composes that tree's representatives only for the few blocks whose
-        first element the caller needs (the spectrum's witnesses).  A
-        question about semiregular elements needs fewer elements still: one
-        that fixes a point is the identity or not semiregular.  So the walk
+        element comes first, depends on the search's tree.  A question
+        about semiregular elements needs fewer elements still: one that
+        fixes a point is the identity or not semiregular.  So the walk
         yields the identity first, as block b's only element (m = b), and
         then one block per other suborbit, dropping only elements that fix a
         base point.  g(b_j) = t_0[...t_j[b_j]] is known once levels 0..j are
@@ -397,51 +401,56 @@ class PermGroup:
         level in ascending point order, and a choice at which g fixes b_j
         drops its whole subtree.  h and v are the representatives of the
         last two levels, read as the levels keep them (the identity where
-        the chain is shorter), and t is the top-level representative with
+        the chain is shorter), and t is a top-level representative with
         those of the levels between composed into it.  So a stabiliser
         chain of one or two levels, as in the construction's families,
-        costs no composition per block, while an element is always three
+        costs no composition per element, while an element is at most four
         lists, each read at every step of a cycle (a word of every level's
         representative, uncomposed, made analyze of a CFI graph with
         n = 400 and 19 levels below the top four times slower).
 
         A suborbit whose smallest point has a representative the top level
         keeps (Schreier-Sims keeps them all, a membership sift those on its
-        paths) is read through it, with no composition.  The others are
-        read through a shallow tree.  Its generators are the top level's
-        strong generators and random subproducts of them (each the product
-        of a random subset of the generators and the subproducts before
-        it), from a fixed seed, two per bit of the orbit length (Seress,
-        Permutation Group Algorithms, 2003, 4.4, after Babai, Cooperman,
-        Finkelstein, Luks and Seress, 1991).  It enters one point of each
-        of those suborbits (_shallow_tree), and is not grown, nor a
-        subproduct composed, when there are none.  Blocks come in an order
-        of the walk's own: depth first along that tree, each representative
-        composed from its parent's, or from a kept one, and held only while
-        the walk is below it, so the walk holds one tree path and adds none
-        to the level.  The subproducts and the tree are dropped with the
-        walk.
+        paths) is read through it, with no composition, and its block comes
+        in chain order: ordered is true there, as for the identity, so the
+        caller can take such a block's first hit as final.  The others are
+        read through a shallow tree, not in chain order; the second pass
+        composes the search's tree for the few of those blocks whose first
+        element the caller needs (the spectrum's witnesses).  The shallow
+        tree's generators are the top level's strong generators and random
+        subproducts of them (each the product of a random subset of the
+        generators and the subproducts before it), from a fixed seed, two
+        per bit of the orbit length (Seress, Permutation Group Algorithms,
+        2003, 4.4, after Babai, Cooperman, Finkelstein, Luks and Seress,
+        1991).  It enters one point of each of those suborbits
+        (_shallow_tree), and is not grown, nor a subproduct composed, when
+        there are none.  Blocks come in an order of the walk's own: depth
+        first along that tree (_walk_blocks), and a representative is
+        composed only where the walk branches, so the walk holds one tree
+        path and adds none to the level.  The subproducts and the tree are
+        dropped with the walk.
 
         With until, the walk stops a block, and skips a block or subtree,
         once all its m are at least until(), read after each element.
 
-        The trivial group yields (0, identity, identity, identity).  The
-        lists may be shared with the group and with other elements, so they
-        must not be modified.  Raises CapExceeded before the first element
-        if the group order exceeds the cap.
+        The trivial group yields (0, True, identity, identity, identity,
+        None).  The lists may be shared with the group and with other
+        elements, so they must not be modified.  Raises CapExceeded before
+        the first element if the group order exceeds the cap.
         """
         if cap is None:
             cap = DEFAULT_ENUMERATION_CAP
         order = self.order()
         if order > cap:
             raise CapExceeded(f"group order {order} exceeds cap {cap}")
-        identity = list(range(self.degree))
         if not self._levels:
-            yield 0, identity, identity, identity
+            identity = list(range(self.degree))
+            yield 0, True, identity, identity, identity, None
             return
         top, *below = self._levels
         b = top.base
-        yield b, identity, identity, identity
+        identity = top.reps[b]
+        yield b, True, identity, identity, identity, None
         stabiliser = below[0].gens if below else []
         suborbits = [cls for cls in components(self.degree, lambda p: [g[p] for g in stabiliser])
                      if cls[0] in top.tree and cls[0] != b]
@@ -456,25 +465,24 @@ class PermGroup:
             tree, entered = _shallow_tree(b, _subproducts(top.gens, picks), least,
                                           len(suborbits), targets.keys())
             targets = dict(sorted({**targets, **entered}.items(), key=itemgetter(1)))
-        yield from _walk_blocks(tree, top.reps, targets, _steps(below), until, identity)
+        yield from _walk_blocks(tree, top.reps, targets, _steps(below), until, identity, False)
 
-    def chain_pairs(self, points: Iterable[int]
-                    ) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
-        """The second pass: (pt, h, v, t) for the elements of the blocks of
-        the given points of the first base point's orbit as suborbit_pairs
-        yields them, each block in chain order along the top level's
-        Schreier tree.  The first base point's block is skipped: its one
-        element, the identity, is the first that suborbit_pairs yields.  The
-        representatives are composed along the paths to those points only,
-        from the nearest kept one, depth first, holding one path, and none
-        is kept."""
+    def chain_pairs(self, points: Iterable[int]) -> Iterator[WalkElement]:
+        """The second pass: (pt, True, h, v, t, g) for the elements of the
+        blocks of the given points of the first base point's orbit as
+        suborbit_pairs yields them, each block in chain order along the top
+        level's Schreier tree.  The first base point's block is skipped: its
+        one element, the identity, is the first that suborbit_pairs yields.
+        The representatives are composed along the paths to those points
+        only, from the nearest kept one, and only where the paths branch
+        (_walk_blocks), depth first, holding one path, and none is kept."""
         levels = self._ensure_chain()
         if not levels:
             return
         top, *below = levels
         targets = {pt: pt for pt in sorted(points) if pt != top.base}
         yield from _walk_blocks(top.tree, top.reps, targets, _steps(below), None,
-                                list(range(self.degree)))
+                                top.reps[top.base], True)
 
 
 @functools.cache
@@ -580,10 +588,19 @@ def _paths(tree: dict, kept: dict, targets: dict[int, int]
 
 def _walk_blocks(tree: dict, kept: dict, targets: dict[int, int],
                  steps: list[tuple[int, list[int], _Level]], until: Callable[[], int] | None,
-                 identity: list[int]) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
-    """(m, h, v, t) for the elements of each target's block, m its key, depth
-    first along the tree's paths (_paths), holding one path of composed
-    representatives; until as in PermGroup.suborbit_pairs."""
+                 identity: list[int], chain: bool) -> Iterator[WalkElement]:
+    """(m, ordered, h, v, t, g) for the elements of each target's block, m
+    its key, depth first along the tree's paths (_paths); until as in
+    PermGroup.suborbit_pairs.  identity is the top base point's kept
+    representative.  A node's representative is composed only when the
+    node has children on the paths, and a child of the top base point
+    takes its generator itself.  A leaf's block is read through its
+    parent's representative t and its own generator g (x -> g[t[...]]),
+    so a node read by no child costs no composition; with the
+    representatives composed at branches only, the walk holds one path.
+    ordered is true for every block when the tree is the top level's
+    Schreier tree (chain), and otherwise for the blocks read through a
+    representative the top level keeps, each at its own key."""
     smallest, children, roots = _paths(tree, kept, targets)
     stack = [(pt, identity) for pt in reversed(roots)]
     limit = len(identity)
@@ -593,42 +610,53 @@ def _walk_blocks(tree: dict, kept: dict, targets: dict[int, int],
             limit = until()
             if smallest[pt] >= limit:
                 continue
+        kids = children.get(pt)
         t = kept.get(pt)
+        g = None
         if t is None:
-            t = kern.compose_images(parent_rep, tree[pt][1])
+            t = tree[pt][1]
+            if parent_rep is not identity:
+                if kids:
+                    t = kern.compose_images(parent_rep, t)
+                else:
+                    t, g = parent_rep, t
         m = targets.get(pt)
         if m is not None and m < limit:
-            triples = _pruned_triples(steps, 0, identity, t) if steps else [(identity, identity, t)]
+            ordered = chain or (m == pt and pt in kept)
+            triples = (_pruned_triples(steps, 0, identity, t, g) if steps
+                       else [(identity, identity, t)])
             for h, v, u in triples:
-                yield m, h, v, u
+                yield m, ordered, h, v, u, g
                 if until is not None and until() <= m:
                     break
-        kids = children.get(pt)
         if kids:
             stack.extend(zip(reversed(kids), repeat(t)))
 
 
 def _pruned_triples(steps: list[tuple[int, list[int], _Level]], i: int, v: list[int],
-                    t: list[int]) -> Iterator[tuple[list[int], list[int], list[int]]]:
-    """For each element g of the chain from level i down, in chain order
-    (PermGroup.suborbit_pairs), the map x -> t[v[g[x]]] as a triple
+                    t: list[int], g: list[int] | None
+                    ) -> Iterator[tuple[list[int], list[int], list[int]]]:
+    """For each element e of the chain from level i down, in chain order
+    (PermGroup.suborbit_pairs), the map x -> t[v[e[x]]] as a triple
     (h', v', t') of lists with x -> t'[v'[h'[x]]], less the maps that fix a
-    base point of these levels; steps holds each level's base point, its sorted orbit and the
+    base point of these levels once g, when not None, is applied after
+    them; steps holds each level's base point, its sorted orbit and the
     level.  A representative chosen above the last two levels is composed
     into t, one chosen at the second last is v', and one at the last is
     h'; v is the identity until then.  The representative of a point pt of
     level i maps its base point to pt and the levels below fix it, so the
-    map sends the base point to t[v[pt]] whatever is chosen below.
+    map sends the base point to t[v[pt]] (g[t[v[pt]]]) whatever is chosen
+    below.
     """
     b, points, lvl = steps[i]
     last = i + 1 == len(steps)
     for pt in points:
-        if t[v[pt]] == b:
+        if (t[v[pt]] if g is None else g[t[v[pt]]]) == b:
             continue
         if last:
             yield lvl.rep(pt), v, t
         elif i + 2 < len(steps):
             below = t if pt == b else kern.compose_images(lvl.rep(pt), t)
-            yield from _pruned_triples(steps, i + 1, v, below)
+            yield from _pruned_triples(steps, i + 1, v, below, g)
         else:
-            yield from _pruned_triples(steps, i + 1, lvl.rep(pt), t)
+            yield from _pruned_triples(steps, i + 1, lvl.rep(pt), t, g)

@@ -678,6 +678,26 @@ def test_rigid_search_refines_only_the_principal_path(monkeypatch, n):
         assert pruned["calls"] == 1
 
 
+def test_a_search_walks_each_whole_profile_once(monkeypatch):
+    # odd k = 9 has three levels; the targets of the two deeper ones are
+    # siblings at the shallower ones, and a profile walked whole is kept
+    # for the search, so the shallower levels compare it by its tuple:
+    # four walks, where walking it again made six
+    from circulant_lab import _kernels as kern
+
+    walks = []
+    ball_profile = kern.ball_profile
+
+    def counting(adjacency, v, expected=None):
+        walks.append(v)
+        return ball_profile(adjacency, v, expected)
+
+    monkeypatch.setattr(kern, "ball_profile", counting)
+    graph = build_odd(9).graph
+    assert automorphism_group(graph).order() == 6 * graph.n
+    assert len(walks) == 4 and len(set(walks)) == 4
+
+
 PINNED_SEARCH = {
     "odd-k3": (324, (0, 1, 2), (
         "(2 3)(4 5)(6 8)(7 9)(10 12)(11 13)(14 17)(15 18)(19 22)(20 23)(24 28)(25 29)"

@@ -35,6 +35,25 @@ def test_construct_odd_k1(tmp_path, capsys, monkeypatch):
     assert graph.n == 6
 
 
+def test_consecutive_calls_share_the_parser_but_no_flag(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; each call's flags are its own
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "construct-odd", "1", "--out", "named.edgelist")
+    assert code == 0 and json.loads(out)["graph_file"] == "named.edgelist"
+    code, out, _ = run_cli(capsys, "construct-odd", "1")
+    assert code == 0 and json.loads(out)["graph_file"] == "odd_k1.edgelist"
+    k4 = str(FIXTURE_DIR / "k4.edgelist")
+    code, out, _ = run_cli(capsys, "spectrum", k4, "--include-trivial-k")
+    assert code == 0 and 4 in json.loads(out)["spectrum"]
+    code, out, _ = run_cli(capsys, "spectrum", k4)
+    assert code == 0 and 4 not in json.loads(out)["spectrum"]
+    code, _, err = run_cli(capsys, "analyze", k4, "--cap", "23")
+    assert code == 1 and "exceeds cap 23" in err
+    code, out, _ = run_cli(capsys, "analyze", k4)
+    assert code == 0 and json.loads(out)["profile"]["aut_order"] == 24
+
+
 def test_construct_odd_rejects_even_k(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "construct-odd", "2")
@@ -310,6 +329,23 @@ def test_scan_parse_error_is_per_file(tmp_path, capsys):
     assert skips == {"bad.edgelist": "parse error", "binary.g6": "parse error",
                      "huge.edgelist": "parse error", "k4.edgelist": None}
     assert lines[-1]["summary"]["analyzed"] == 1
+
+
+def test_scan_splits_graph6_lines_at_newlines_only(tmp_path, capsys):
+    # a CRLF file reads as usual, and a Unicode line separator joins two
+    # graphs into one line that does not parse
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    k4 = serialize(fixtures.load("k4"), "graph6")
+    k33 = serialize(fixtures.load("k33"), "graph6")
+    (corpus / "crlf.g6").write_bytes(f">>graph6<<\r\n{k4}\r\n\t{k33} \r\n".encode())
+    (corpus / "joined.g6").write_text(f"{k4}\u2028{k33}\n{k4}\x1c\n")
+    code, out, _ = run_cli(capsys, "scan", str(corpus))
+    assert code == 0
+    lines = [json.loads(ln) for ln in out.splitlines()]
+    assert [(Path(r["source"]).name, r["line"], r["skip"], r.get("n")) for r in lines[:-1]] == [
+        ("crlf.g6", 2, None, 4), ("crlf.g6", 3, None, 6),
+        ("joined.g6", 1, "parse error", None), ("joined.g6", 2, "parse error", None)]
 
 
 def test_scan_bad_graph6_line_is_its_own_record(tmp_path, capsys):

@@ -83,6 +83,40 @@ def test_parse_edgelist_edge_numbers_are_ascii_decimal():
         parse_edgelist("3 1\n-1 2\n")
 
 
+@pytest.mark.parametrize("text", [
+    "2 1\u20280 1",    # line separator
+    "2 1\x1c0 1",      # file separator
+    "2 1\n0\xa01",     # no-break space
+    "2 1\x0b0 1",      # vertical tab
+    "2 1\x0c0 1",      # form feed
+    "2 1\n0\x0b1\n",   # vertical tab between the tokens of an edge
+    "2 1\r0 1\n",      # a carriage return ends no line on its own
+    "2 1\n0 1\n\x0c\n",  # a form feed is not a blank line
+])
+def test_parse_edgelist_takes_ascii_line_ends_and_blanks_only(text):
+    # lines end at "\n" (one "\r" before it allowed), and tokens are
+    # separated by spaces and tabs; str.splitlines() and str.split() would
+    # read each of these as the one-edge graph
+    with pytest.raises(MalformedHeader):
+        parse_edgelist(text)
+
+
+@pytest.mark.parametrize("text", [
+    "2 1\r\n0 1\r\n",
+    "2\t1\n0\t1\n",
+    " 2 \t 1\t\r\n\t\n0  1 \n",
+    "2 1\n0 1",
+])
+def test_parse_edgelist_takes_crlf_tabs_and_padding(text):
+    assert parse_edgelist(text) == from_edges(2, [(0, 1)])
+
+
+def test_parse_graph6_strips_ascii_blanks_and_line_ends_only():
+    assert parse_graph6(" C~\t\r\n") == parse_graph6("C~")
+    with pytest.raises(BadCharacter):
+        parse_graph6("C~\x0b")
+
+
 def test_parse_edgelist_number_too_long_for_int():
     # where int() refuses strings of this many digits, the line is
     # malformed; elsewhere the number is out of range: a format error

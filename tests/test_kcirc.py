@@ -236,7 +236,7 @@ def test_a_shallow_first_pass_halves_the_compositions(monkeypatch):
     # odd k = 15: the search's tree has depth 88, and a walk over it alone
     # composes 1154 representatives on the paths to the 240 suborbit
     # minima; the shallow tree enters one point per suborbit, and the
-    # second pass composes the search tree's paths to the witness blocks
+    # second pass walks the search tree's paths to the witness blocks
     graph = build_odd(15).graph
     group = automorphism_group(graph)
     calls = _count_compositions(monkeypatch)
@@ -245,12 +245,64 @@ def test_a_shallow_first_pass_halves_the_compositions(monkeypatch):
     assert calls[0] <= 1154 // 2
 
 
+@pytest.mark.parametrize("build,params,count", [
+    (build_odd, (9,), 96), (build_odd, (15,), 202),
+    (build_even, (5, 13), 125), (build_even, (7, 13), 189)])
+def test_the_walk_composes_a_representative_only_where_it_branches(
+        monkeypatch, build, params, count):
+    # a leaf of either pass's tree is read through its parent's
+    # representative and its own generator, and a child of the first base
+    # point takes its generator itself; composing every node's
+    # representative made 150, 383, 291 and 528 compositions.  Of those
+    # left at odd k = 9, 48 compose the first pass's random subproducts
+    graph = build(*params).graph
+    group = automorphism_group(graph)
+    group.order()
+    calls = _count_compositions(monkeypatch)
+    k_spectrum(graph, group)
+    assert calls[0] == count
+
+
+def _count_second_pass(monkeypatch):
+    walked = [0]
+    chain_pairs = PermGroup.chain_pairs
+
+    def counting(self, points):
+        for item in chain_pairs(self, points):
+            walked[0] += 1
+            yield item
+
+    monkeypatch.setattr(PermGroup, "chain_pairs", counting)
+    return walked
+
+
+@pytest.mark.parametrize("source", ["odd-5", "odd-7", "even-1-7", "even-2-7"])
+def test_a_schreier_sims_group_makes_no_second_pass(monkeypatch, source):
+    # every top-level representative is kept, so the first pass reads each
+    # block in chain order and keeps its first hits; the certificates
+    # agree with the oracle with no second pass either
+    graph, group = _certify_case(source, "arc")
+    group.order()  # builds a Schreier-Sims chain first
+    walked = _count_second_pass(monkeypatch)
+    oracle = _first_hits_over_all_elements(graph.n, group)
+    assert k_spectrum(graph, group).witnesses == oracle
+    for d in range(1, graph.n + 1):
+        if graph.n % d == 0:
+            assert certify_k_circulant(graph, d, group) == oracle.get(d), d
+    assert walked[0] == 0
+    # the searched group keeps no top-level representative, so its
+    # witness blocks other than the identity's are walked again
+    graph, group = _certify_case(source, "search")
+    k_spectrum(graph, group)
+    assert walked[0] > 0
+
+
 @pytest.mark.parametrize("source,group_kind", [("odd-5", "arc"), ("odd-7", "arc")])
 def test_a_schreier_sims_spectrum_composes_no_representative(monkeypatch, source, group_kind):
     # a Schreier-Sims chain keeps every top-level representative, so the
     # first pass reads every suborbit through a kept one, grows no shallow
-    # tree and composes no subproduct, and the second pass reads the
-    # witness blocks through kept representatives too
+    # tree and composes no subproduct, and keeps its first hits as the
+    # witnesses, so there is no second pass
     graph, group = _certify_case(source, group_kind)
     group.order()  # builds a Schreier-Sims chain first
     calls = _count_compositions(monkeypatch)
@@ -268,9 +320,9 @@ def test_certify_composes_only_representatives_and_candidates(monkeypatch):
 
 
 def test_spectrum_walk_keeps_no_representative():
-    # odd k = 15, n = 1350: the first pass composes the subproducts and one
-    # shallow-tree node per suborbit, 240 of them, and the second the search
-    # tree's paths to the witness blocks; each holds only the
+    # odd k = 15, n = 1350: the first pass composes the subproducts and the
+    # shallow tree's branching nodes, and the second the branching nodes of
+    # the search tree's paths to the witness blocks; each holds only the
     # representatives on one tree path, and the first drops its tree and
     # subproducts before the second starts
     graph = build_odd(15).graph
@@ -286,7 +338,8 @@ def test_spectrum_walk_keeps_no_representative():
     assert report.spectrum[0] == 15
     assert peak < 3 * 2 ** 20
     # the walk over the search's tree alone peaks at 0.46 MiB, and keeping
-    # the second pass's path representatives would take it past 1 MiB
+    # the second pass's path representatives would take it past 1 MiB;
+    # reading the leaves through their parents, it peaks at 0.37 MiB
     assert peak < 2 ** 20
     top = group._levels[0]
     assert list(top.reps) == [top.base]

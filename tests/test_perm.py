@@ -274,8 +274,10 @@ SUBORBIT_GROUPS = [
 
 
 def _composed(walked):
-    """Each (pt, h, v, t) of suborbit_pairs() as its element x -> t[v[h[x]]]."""
-    return [Permutation(tuple(t[v[x]] for x in h)) for _, h, v, t in walked]
+    """Each (pt, ordered, h, v, t, g) of suborbit_pairs() as its element
+    x -> t[v[h[x]]], or x -> g[t[v[h[x]]]] when g is not None."""
+    return [Permutation(tuple(t[v[x]] if g is None else g[t[v[x]]] for x in h))
+            for _, _, h, v, t, g in walked]
 
 
 def _blocks(walked):
@@ -352,6 +354,44 @@ def test_the_second_pass_walks_blocks_in_chain_order(group):
     # only the blocks asked for
     some = sorted({item[0] for item in group.suborbit_pairs()})[1::3]
     assert set(_blocks(group.chain_pairs(some))) == set(some)
+
+
+def _partly_kept(build, params):
+    """A searched group whose membership sifts have kept the top-level
+    representatives of every other suborbit minimum: its first pass reads
+    those blocks through kept representatives and the rest through its
+    shallow tree."""
+    group = automorphism_group(build(*params).graph)
+    everything = list(chain_elements(group))
+    b = group.base()[0]
+    minima = sorted(set(_suborbit_minima(group, everything).values()) - {b})
+    for m in minima[::2]:
+        assert group.contains(next(g for g in everything if g[b] == m))
+    return group
+
+
+@pytest.mark.parametrize("group", SHALLOW_GROUPS + SUBORBIT_GROUPS + [
+    _partly_kept(build_odd, (3,)), _partly_kept(build_even, (2, 7))])
+def test_the_first_pass_marks_the_blocks_it_reads_in_chain_order(group):
+    # a block read through a representative the top level keeps comes in
+    # chain order, as the identity's does, and only those are marked so;
+    # the second pass marks every block
+    base = group.base()
+    b = base[0]
+    everything = list(chain_elements(group))
+    kept = set(group._levels[0].reps)
+    blocks = {}
+    for item in group.suborbit_pairs():
+        blocks.setdefault(item[:2], []).extend(_composed([item]))
+    for (m, ordered), block in blocks.items():
+        assert ordered == (m in kept), m
+        if m == b:
+            assert block == [identity(group.degree)]
+        elif ordered:
+            assert block == [g for g in everything
+                             if g[b] == m and all(g[c] != c for c in base)], m
+    minima = {m for m, _ in blocks} - {b}
+    assert all(ordered for _, ordered, *_ in group.chain_pairs(minima))
 
 
 def test_the_shallow_tree_bridges_a_suborbit_it_cannot_enter():
