@@ -58,7 +58,7 @@ vertex order, so the output is deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 from circulant_lab import _kernels as kern
@@ -372,7 +372,8 @@ class SymmetryProfile:
     stabiliser_order: int | None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # the fields are flat values, so no deep copy (asdict) is needed
+        return dict(vars(self))
 
 
 def symmetry_profile(graph: graphio.Graph, group: PermGroup | None = None) -> SymmetryProfile:

@@ -93,31 +93,33 @@ def is_squarefree(k: int) -> bool:
 
 
 def _semiregular_elements(n: int, pairs: Iterable[WalkElement],
-                          wanted: Callable[[int, int], bool]
+                          wanted: Callable[[int, int], bool], longest: int
                           ) -> Iterator[tuple[int, bool, int, list[int]]]:
     """(m, ordered, number of cycles, images) for each semiregular element
     of the walk's pairs (PermGroup.suborbit_pairs) whose number of cycles k
-    is wanted(k, m), in walk order.
+    is wanted(k, m), in walk order, with k at least n / longest.
 
     All cycles of a semiregular element have one length, so the cycle
     through point 0 gives their number.  That cycle of the element
     x -> t[v[h[x]]], or x -> g[t[v[h[x]]]] for a block the walk reads
-    through its parent, is followed in as many steps as it is long; the
-    element is composed and fully tested only when its number is wanted.
+    through its parent, is followed in as many steps as it is long, and no
+    further than longest steps: an element whose cycle is longer has fewer
+    cycles than any k asked for.  The element is composed and fully tested
+    only when its number is wanted.
     """
     for m, ordered, h, v, t, g in pairs:
         length = 1
         if g is None:
             j = t[v[h[0]]]
-            while j:
+            while j and length < longest:
                 j = t[v[h[j]]]
                 length += 1
         else:
             j = g[t[v[h[0]]]]
-            while j:
+            while j and length < longest:
                 j = g[t[v[h[j]]]]
                 length += 1
-        if n % length or not wanted(n // length, m):
+        if j or n % length or not wanted(n // length, m):
             continue
         images = [t[v[x]] for x in h] if g is None else [g[t[v[x]]] for x in h]
         if kern.is_semiregular_images(images):
@@ -138,8 +140,12 @@ def _first_hits(n: int, group: PermGroup, cap: int | None, k: int | None = None
     The second (chain_pairs) walks in chain order the blocks of the other
     best m only, and takes the first hit of each k in its block.  A
     Schreier-Sims chain keeps every top-level representative, so it makes
-    no second pass.
+    no second pass.  For one k, neither pass follows a cycle past n // k
+    points (_semiregular_elements), and the suborbits both walk are the
+    ones the group keeps, so a certificate for each divisor of n computes
+    them once.
     """
+    longest = n if k is None else n // k
     first: dict[int, int] = {}  # k -> the smallest suborbit point whose block holds it
     until = None if k is None else (lambda: first.get(k, n))
 
@@ -148,7 +154,7 @@ def _first_hits(n: int, group: PermGroup, cap: int | None, k: int | None = None
 
     found: dict[int, list[int]] = {}
     for m, ordered, c, images in _semiregular_elements(
-            n, group.suborbit_pairs(cap, until), wanted):
+            n, group.suborbit_pairs(cap, until), wanted, longest):
         first[c] = m
         if ordered:
             found[c] = images
@@ -157,7 +163,8 @@ def _first_hits(n: int, group: PermGroup, cap: int | None, k: int | None = None
     rest = {m for c, m in first.items() if c not in found}
     if rest:
         for _, _, c, images in _semiregular_elements(
-                n, group.chain_pairs(rest), lambda c, m: first.get(c) == m and c not in found):
+                n, group.chain_pairs(rest), lambda c, m: first.get(c) == m and c not in found,
+                longest):
             found[c] = images
             if len(found) == len(first):
                 break

@@ -10,11 +10,13 @@ automorphism search hands over the base and strong generating set it found
 the Schreier tree of one FIFO orbit walk, the order is the product of the
 tree sizes, and a coset representative a sift needs is composed along its
 tree path on first request and kept, so repeated runs make identical
-choices.  A sift, for membership or for Schreier-Sims, inverts no
-representative: it carries the product of the representatives it has
-chosen and reads the next one off a preimage under that product, and the
-residue (the sifted element times the inverse of that product) is formed
-only to adjoin it to the chain.
+choices.  The orbit partition, and the suborbit partition the spectrum
+walks, are likewise computed on first use and kept, so repeated queries on
+one group share them.  A sift, for membership or for Schreier-Sims,
+inverts no representative: it carries the product of the representatives
+it has chosen and reads the next one off a preimage under that product,
+and the residue (the sifted element times the inverse of that product)
+is formed only to adjoin it to the chain.
 ``suborbit_pairs`` is the one walk over elements, the spectrum's, in two
 passes; its docstring gives the account and the reasons.
 """
@@ -125,17 +127,26 @@ def to_cycle_string(p: Permutation) -> str:
 def from_cycle_string(text: str, degree: int) -> Permutation:
     """Parse cycle notation like ``(0 1 2)(3 4)`` into a permutation.
 
-    Raises ValueError on malformed text, a point outside the degree, or a
-    point that appears twice, in one cycle or in two."""
+    A point is ASCII decimal digits alone, and points are separated, and
+    the text padded, by ASCII spaces, tabs and commas alone: int() would
+    also take signs, underscores and non-ASCII digits, so "(1_0 2)" would
+    read as (2 10), and str.split() would also split at other whitespace.
+    Raises ValueError on malformed text, a bad token (named), a point
+    outside the degree, or a point that appears twice, in one cycle or in
+    two."""
     images = list(range(degree))
-    body = text.replace(",", " ").strip()
+    body = text.replace("\t", " ").replace(",", " ").strip(" ")
     if body in ("", "()"):
         return Permutation(tuple(images))
     if not body.startswith("(") or not body.endswith(")"):
         raise ValueError(f"bad cycle string: {text!r}")
     seen: set[int] = set()
     for chunk in body[1:-1].split(")("):
-        points = [int(tok) for tok in chunk.split()]
+        tokens = [tok for tok in chunk.split(" ") if tok]
+        for tok in tokens:
+            if tok.strip("0123456789"):
+                raise ValueError(f"bad point {tok!r} in cycle string {text!r}")
+        points = [int(tok) for tok in tokens]
         if len(points) != len(set(points)):
             raise ValueError(f"repeated point in cycle: {chunk!r}")
         if not seen.isdisjoint(points):
@@ -205,6 +216,10 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._levels: list[_Level] | None = None
+        # the orbit and suborbit partitions, each computed on first use and
+        # kept as the chain is (orbits, _suborbit_partition)
+        self._orbits: list[list[int]] | None = None
+        self._suborbits: tuple[list[list[int]], list[tuple[int, list[int], _Level]]] | None = None
         # the graph whose automorphisms the generators are known to be:
         # read and set only by aut.check_all_automorphisms, aut.subgroup
         # and the search
@@ -361,10 +376,27 @@ class PermGroup:
         return self.contains(p)
 
     def orbits(self) -> list[list[int]]:
-        """Orbit partition of {0..n-1} under the group, each orbit sorted."""
-        images = [g.images for g in self.generators]
-        orbits = components(self.degree, lambda p: [im[p] for im in images])
-        return [sorted(orbit) for orbit in orbits]
+        """Orbit partition of {0..n-1} under the group, each orbit sorted,
+        ordered by smallest point.  It is computed on first use and kept, so
+        repeated queries share it: the lists must not be modified."""
+        if self._orbits is None:
+            self._orbits = [sorted(orbit) for orbit in
+                            _orbit_classes(self.degree, [g.images for g in self.generators])]
+        return self._orbits
+
+    def _suborbit_partition(self) -> tuple[list[list[int]], list[tuple[int, list[int], _Level]]]:
+        """The suborbits the walk reads, those of the first base point's
+        stabiliser on its orbit but {b}, each in FIFO order from its smallest
+        point and ordered by it, and _steps of the levels below the top.
+        Neither depends on the representatives the top level keeps, so both
+        are computed on first use and kept."""
+        if self._suborbits is None:
+            top, *below = self._ensure_chain()
+            stabiliser = below[0].gens if below else []
+            suborbits = [cls for cls in _orbit_classes(self.degree, stabiliser)
+                         if cls[0] in top.tree and cls[0] != top.base]
+            self._suborbits = suborbits, _steps(below)
+        return self._suborbits
 
     def suborbit_pairs(self, cap: int | None = None, until: Callable[[], int] | None = None
                        ) -> Iterator[WalkElement]:
@@ -430,6 +462,12 @@ class PermGroup:
         path and adds none to the level.  The subproducts and the tree are
         dropped with the walk.
 
+        The suborbits, and each lower level's sorted orbit, depend on the
+        chain alone, not on the representatives the top level keeps, so the
+        group computes them on its first walk and keeps them
+        (_suborbit_partition): repeated queries on one group, such as a
+        certificate for each divisor of n, share them.
+
         With until, the walk stops a block, and skips a block or subtree,
         once all its m are at least until(), read after each element.
 
@@ -447,13 +485,11 @@ class PermGroup:
             identity = list(range(self.degree))
             yield 0, True, identity, identity, identity, None
             return
-        top, *below = self._levels
+        top = self._levels[0]
         b = top.base
         identity = top.reps[b]
         yield b, True, identity, identity, identity, None
-        stabiliser = below[0].gens if below else []
-        suborbits = [cls for cls in components(self.degree, lambda p: [g[p] for g in stabiliser])
-                     if cls[0] in top.tree and cls[0] != b]
+        suborbits, steps = self._suborbit_partition()
         targets = {cls[0]: cls[0] for cls in suborbits if cls[0] in top.reps}
         tree: dict[int, tuple[int, list[int]]] = {}
         if len(targets) < len(suborbits):
@@ -465,7 +501,7 @@ class PermGroup:
             tree, entered = _shallow_tree(b, _subproducts(top.gens, picks), least,
                                           len(suborbits), targets.keys())
             targets = dict(sorted({**targets, **entered}.items(), key=itemgetter(1)))
-        yield from _walk_blocks(tree, top.reps, targets, _steps(below), until, identity, False)
+        yield from _walk_blocks(tree, top.reps, targets, steps, until, identity, False)
 
     def chain_pairs(self, points: Iterable[int]) -> Iterator[WalkElement]:
         """The second pass: (pt, True, h, v, t, g) for the elements of the
@@ -475,14 +511,23 @@ class PermGroup:
         one element, the identity, is the first that suborbit_pairs yields.
         The representatives are composed along the paths to those points
         only, from the nearest kept one, and only where the paths branch
-        (_walk_blocks), depth first, holding one path, and none is kept."""
+        (_walk_blocks), depth first, holding one path, and none is kept.
+        The lower levels' orbits are the ones the group keeps
+        (_suborbit_partition)."""
         levels = self._ensure_chain()
         if not levels:
             return
-        top, *below = levels
+        top = levels[0]
         targets = {pt: pt for pt in sorted(points) if pt != top.base}
-        yield from _walk_blocks(top.tree, top.reps, targets, _steps(below), None,
-                                top.reps[top.base], True)
+        steps = self._suborbit_partition()[1]
+        yield from _walk_blocks(top.tree, top.reps, targets, steps, None, top.reps[top.base], True)
+
+
+def _orbit_classes(degree: int, gens: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The orbits of the group gens generate (_bfs.components), each
+    point's images read from one tuple precomputed for it."""
+    images = list(zip(*gens)) if gens else [()] * degree
+    return components(degree, images.__getitem__)
 
 
 @functools.cache

@@ -52,23 +52,20 @@ def quotient_graph(graph: graphio.Graph, subgroup: PermGroup) -> QuotientResult:
     orbits, orbit_map = _orbit_map(subgroup)
     edges = set()
     intra = False
-    for u, v in graph.edges():
-        ou, ov = orbit_map[u], orbit_map[v]
-        if ou == ov:
-            intra = True
-        else:
-            edges.add((min(ou, ov), max(ou, ov)))
+    for u, nbrs in enumerate(graph.adjacency):  # each edge is seen from both ends
+        ou = orbit_map[u]
+        for v in nbrs:
+            ov = orbit_map[v]
+            if ou < ov:
+                edges.add((ou, ov))
+            elif ou == ov:
+                intra = True
     quotient = graphio.from_edges(len(orbits), sorted(edges))
 
-    cover = True
-    for v in range(graph.n):
-        nbr_orbits = [orbit_map[u] for u in graph.adjacency[v]]
-        if len(set(nbr_orbits)) != len(nbr_orbits):
-            cover = False
-            break
-        if set(nbr_orbits) != set(quotient.adjacency[orbit_map[v]]):
-            cover = False
-            break
+    # the quotient's neighbour tuples are sorted and repeat no orbit, so a
+    # vertex whose neighbours meet an orbit twice, or its own, fails too
+    cover = all(tuple(sorted(orbit_map[u] for u in nbrs)) == quotient.adjacency[orbit_map[v]]
+                for v, nbrs in enumerate(graph.adjacency))
     return QuotientResult(quotient, tuple(orbit_map), cover, intra)
 
 

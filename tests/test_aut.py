@@ -1,4 +1,5 @@
 """Automorphism search, arc-transitivity, and arc-type classification."""
+import dataclasses
 import gc
 import hashlib
 import math
@@ -357,6 +358,15 @@ def test_symmetry_profile_path():
     assert not profile.arc_transitive
     assert profile.tutte_t is None
     assert profile.stabiliser_order is None
+
+
+def test_symmetry_profile_json_is_a_copy_of_its_fields_in_order():
+    profile = symmetry_profile(fixtures.load("heawood"))
+    report = profile.to_json_dict()
+    assert list(report.items()) == [(f.name, getattr(profile, f.name))
+                                    for f in dataclasses.fields(profile)]
+    report["n"] = 0
+    assert profile.n == 14 and profile.to_json_dict()["n"] == 14
 
 
 def test_profile_deterministic():

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from circulant_lab import _kernels as kern
-from circulant_lab import fixtures, perm
+from circulant_lab import fixtures, kcirc, perm
 from circulant_lab.aut import automorphism_group
 from circulant_lab.cli import build_even, build_odd, main, verify_construction
 from circulant_lab.errors import (
@@ -200,6 +200,64 @@ def test_a_first_pass_over_kept_and_shallow_suborbits_matches_the_oracle(source)
     for d in range(1, graph.n + 1):
         if graph.n % d == 0:
             assert certify_k_circulant(graph, d, group) == oracle.get(d), d
+
+
+@pytest.mark.parametrize("source", ["odd-3", "even-2-7"])
+def test_certify_for_every_divisor_computes_each_partition_once(monkeypatch, source):
+    # repeated queries on one Schreier-Sims group share its suborbit and
+    # orbit partitions, each from one orbit walk
+    cons = build_odd(3) if source == "odd-3" else build_even(2, 7)
+    graph = cons.graph
+    group = PermGroup(graph.n, cons.arc_group.generators)
+    walks = []
+    components = perm.components
+    monkeypatch.setattr(perm, "components", lambda n, step: walks.append(n) or components(n, step))
+    hits = {k for k in range(1, graph.n + 1)
+            if graph.n % k == 0 and certify_k_circulant(graph, k, group) is not None}
+    assert len(walks) == 1
+    assert hits == set(k_spectrum(graph, group).spectrum)
+    assert group.orbits() is group.orbits() == [list(range(graph.n))]
+    assert len(walks) == 2
+
+
+class _CountingList(list):
+    """A list that counts its reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("group_kind", ["search", "arc"])
+def test_capped_cycle_walk_reads_at_most_n_over_k_plus_one_images(group_kind):
+    # certify for one k follows no cycle through 0 past n // k points, and
+    # keeps exactly the hits the uncapped walk keeps for that k
+    graph, group = _certify_case("odd-3", group_kind)
+    n = graph.n
+    elements = list(group.suborbit_pairs())
+    assert any(g is not None for *_, g in elements) == (group_kind == "search")
+
+    def walk(k, longest):
+        counted = [_CountingList(h) for _, _, h, *_ in elements]
+        pairs = [(m, ordered, c, v, t, g) for c, (m, ordered, _, v, t, g) in zip(counted, elements)]
+        # nothing is wanted, so only the cycle walk reads h
+        assert not list(kcirc._semiregular_elements(n, pairs, lambda c, m: False, longest))
+        wanted = [(m, c, images) for m, _, c, images in kcirc._semiregular_elements(
+            n, elements, lambda c, m: c == k, longest)]
+        return [c.reads for c in counted], wanted
+
+    capped_somewhere = False
+    for k in range(2, n + 1):
+        if n % k:
+            continue
+        capped, hits = walk(k, n // k)
+        full, all_hits = walk(k, n)
+        assert max(capped) <= n // k + 1
+        assert hits == all_hits
+        capped_somewhere |= max(full) > n // k + 1
+    assert capped_somewhere
 
 
 def _count_compositions(monkeypatch):

@@ -2,6 +2,7 @@
 import gc
 import hashlib
 import random
+import re
 import weakref
 
 import pytest
@@ -188,6 +189,24 @@ def test_cycle_string_rejects_a_repeated_point():
     assert from_cycle_string("(0 1)(2 3)", 4).images == (1, 0, 3, 2)
 
 
+def test_cycle_string_accepts_ascii_digits_alone():
+    # int() and str.split() alone would read "(1_0 2)" as (2 10), take a
+    # sign or a non-ASCII digit, and split at a no-break space
+    for text in ("(1_0 2)", "(+1 2)", "(0 -1)", "(\u0661 2)", "(0\u00a01)", "(0 1\u00a0)",
+                 "(0 1) (2 3)", "(0 1)\u00a0"):
+        with pytest.raises(ValueError):
+            from_cycle_string(text, 12)
+    # the error names the bad token
+    for text, token in (("(1_0 2)", "1_0"), ("(+1 2)", "+1"), ("(\u0661 2)", "\u0661"),
+                        ("(0\u00a01)", "0\u00a01")):
+        with pytest.raises(ValueError, match=re.escape(f"bad point {token!r}")):
+            from_cycle_string(text, 12)
+    # ASCII spaces, tabs and commas separate points and pad the text
+    for text in ("(0 1 2)(3 4)", "(0,1,2)(3,4)", "(0\t1\t2)(3 4)", " (0, 1 2)(3 4)\t",
+                 "(0  1 2)( 3 4 )"):
+        assert from_cycle_string(text, 5) == P("(0 1 2)(3 4)", 5)
+
+
 def test_group_order_sym4():
     g = PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)])
     assert g.order() == 24
@@ -208,6 +227,20 @@ def test_orbits():
     # both generators send 0 to 1: the repeated image is visited once
     g = PermGroup(6, [P("(0 1)(4 5)", 6), P("(0 1 3)", 6)])
     assert g.orbits() == [[0, 1, 3], [2], [4, 5]]
+
+
+def test_orbits_without_generators_and_kept():
+    # the identity generator is dropped, so both groups have no generators
+    # and every point is its own orbit
+    for group in (PermGroup(4, [identity(4)]), PermGroup(4, [])):
+        assert group.generators == ()
+        assert group.orbits() == [[0], [1], [2], [3]]
+    assert PermGroup(0, []).orbits() == []
+    assert PermGroup(0, [identity(0)]).orbits() == []
+    assert PermGroup(1, []).orbits() == [[0]]
+    # the partition is computed once and shared by later queries
+    g = PermGroup(5, [P("(0 1 2)", 5), P("(3 4)", 5)])
+    assert g.orbits() is g.orbits() == [[0, 1, 2], [3, 4]]
 
 
 def test_membership():

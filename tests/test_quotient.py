@@ -101,6 +101,32 @@ def test_cover_flag_agrees_with_independent_check():
         assert result.is_regular_cover == independent_cover_check(graph, result)
 
 
+def test_quotient_matches_its_definition_for_every_witness():
+    # the edge set, the intra-orbit flag and the cover flag against their
+    # definitions, by every spectrum witness of small graphs: the witnesses
+    # of small k put repeated and intra-orbit neighbours in some quotients
+    from circulant_lab.kcirc import k_spectrum
+    graphs = [fixtures.load(name) for name in fixtures.NAMES]
+    graphs += [build_odd(3).graph, build_even(2, 7).graph]
+    flags = set()
+    for graph in graphs:
+        for w in k_spectrum(graph).witnesses.values():
+            result = quotient_graph(graph, PermGroup(graph.n, [w]))
+            orbit = result.orbit_map
+            pairs = {frozenset((orbit[u], orbit[v])) for u, v in graph.edges()}
+            assert set(result.quotient.edges()) == {tuple(sorted(p)) for p in pairs if len(p) == 2}
+            assert result.has_intra_orbit_edges == any(len(p) == 1 for p in pairs)
+            cover = True
+            for v, nbrs in enumerate(graph.adjacency):
+                projected = [orbit[u] for u in nbrs]
+                if (len(set(projected)) != len(projected)
+                        or set(projected) != set(result.quotient.adjacency[orbit[v]])):
+                    cover = False
+            assert result.is_regular_cover == cover
+            flags.add((cover, result.has_intra_orbit_edges))
+    assert flags == {(True, False), (False, True), (False, False)}
+
+
 def test_regular_cover_of_cubic_is_cubic():
     # the antipodal quotient of the cube and any cover quotients of Pappus
     covers = 0
