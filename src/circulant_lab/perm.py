@@ -10,9 +10,8 @@ automorphism search hands over the base and strong generating set it found
 the Schreier tree of one FIFO orbit walk, the order is the product of the
 tree sizes, and a coset representative a sift needs is composed along its
 tree path on first request and kept, so repeated runs make identical
-choices.  The orbit partition, and the suborbit partition the spectrum
-walks, are likewise computed on first use and kept, so repeated queries on
-one group share them.  A sift, for membership or for Schreier-Sims,
+choices.  The suborbit partition the spectrum walks is likewise computed
+on first use and kept, so repeated queries on one group share it.  A sift, for membership or for Schreier-Sims,
 inverts no representative: it carries the product of the representatives
 it has chosen and reads the next one off a preimage under that product,
 and the residue (the sifted element times the inverse of that product)
@@ -131,11 +130,14 @@ def from_cycle_string(text: str, degree: int) -> Permutation:
     the text padded, by ASCII spaces, tabs and commas alone: int() would
     also take signs, underscores and non-ASCII digits, so "(1_0 2)" would
     read as (2 10), and str.split() would also split at other whitespace.
+    The text may end a line: one "\n" at its end is dropped, with one "\r"
+    before it, as graphio.text_lines ends a line.
     Raises ValueError on malformed text, a bad token (named), a point
     outside the degree, or a point that appears twice, in one cycle or in
     two."""
     images = list(range(degree))
-    body = text.replace("\t", " ").replace(",", " ").strip(" ")
+    line = text[:-2] if text.endswith("\r\n") else text.removesuffix("\n")
+    body = line.replace("\t", " ").replace(",", " ").strip(" ")
     if body in ("", "()"):
         return Permutation(tuple(images))
     if not body.startswith("(") or not body.endswith(")"):
@@ -216,9 +218,8 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._levels: list[_Level] | None = None
-        # the orbit and suborbit partitions, each computed on first use and
-        # kept as the chain is (orbits, _suborbit_partition)
-        self._orbits: list[list[int]] | None = None
+        # the suborbit partition, computed on first use and kept as the
+        # chain is (_suborbit_partition)
         self._suborbits: tuple[list[list[int]], list[tuple[int, list[int], _Level]]] | None = None
         # the graph whose automorphisms the generators are known to be:
         # read and set only by aut.check_all_automorphisms, aut.subgroup
@@ -377,12 +378,9 @@ class PermGroup:
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of {0..n-1} under the group, each orbit sorted,
-        ordered by smallest point.  It is computed on first use and kept, so
-        repeated queries share it: the lists must not be modified."""
-        if self._orbits is None:
-            self._orbits = [sorted(orbit) for orbit in
-                            _orbit_classes(self.degree, [g.images for g in self.generators])]
-        return self._orbits
+        ordered by smallest point; new lists on each call."""
+        gens = [g.images for g in self.generators]
+        return [sorted(orbit) for orbit in _orbit_classes(self.degree, gens)]
 
     def _suborbit_partition(self) -> tuple[list[list[int]], list[tuple[int, list[int], _Level]]]:
         """The suborbits the walk reads, those of the first base point's

@@ -205,6 +205,15 @@ def test_cycle_string_accepts_ascii_digits_alone():
     for text in ("(0 1 2)(3 4)", "(0,1,2)(3,4)", "(0\t1\t2)(3 4)", " (0, 1 2)(3 4)\t",
                  "(0  1 2)( 3 4 )"):
         assert from_cycle_string(text, 5) == P("(0 1 2)(3 4)", 5)
+    # a line read from a file parses: one "\n" at the end is dropped, with
+    # one "\r" before it, and no other line end
+    for text in ("(0 1 2)(3 4)\n", "(0 1 2)(3 4)\r\n", " (0 1 2)(3 4)\t\n"):
+        assert from_cycle_string(text, 5) == P("(0 1 2)(3 4)", 5)
+    assert from_cycle_string("\n", 5) == from_cycle_string("()\r\n", 5) == identity(5)
+    for text in ("(0 1)\n\n", "(0 1)\r", "(0 1)\n\r", "\n(0 1)", "(0\n1)", "(0 1)\n(2 3)",
+                 "(0 1)\r\r\n"):
+        with pytest.raises(ValueError):
+            from_cycle_string(text, 5)
 
 
 def test_group_order_sym4():
@@ -229,7 +238,7 @@ def test_orbits():
     assert g.orbits() == [[0, 1, 3], [2], [4, 5]]
 
 
-def test_orbits_without_generators_and_kept():
+def test_orbits_without_generators():
     # the identity generator is dropped, so both groups have no generators
     # and every point is its own orbit
     for group in (PermGroup(4, [identity(4)]), PermGroup(4, [])):
@@ -238,9 +247,12 @@ def test_orbits_without_generators_and_kept():
     assert PermGroup(0, []).orbits() == []
     assert PermGroup(0, [identity(0)]).orbits() == []
     assert PermGroup(1, []).orbits() == [[0]]
-    # the partition is computed once and shared by later queries
+    # each call returns new lists, so a caller may modify them
     g = PermGroup(5, [P("(0 1 2)", 5), P("(3 4)", 5)])
-    assert g.orbits() is g.orbits() == [[0, 1, 2], [3, 4]]
+    orbits = g.orbits()
+    orbits[0].append(9)
+    orbits.pop()
+    assert g.orbits() == [[0, 1, 2], [3, 4]]
 
 
 def test_membership():
