@@ -14,9 +14,10 @@ the block of the smallest point whose block holds one.  So witnesses
 follow the search's base and coset representatives.
 
 The walk runs in two passes (``PermGroup.suborbit_pairs`` gives the
-account), and one function, _first_hits, runs both for the spectrum and for
-a certificate.  Each pass composes a coset representative only where its
-tree branches, and reads each leaf's block through its parent's
+account), and one function, _first_hits, runs both, once per group: it
+walks every k and keeps the hits on the group, and the spectrum and every
+certificate read them.  Each pass composes a coset representative only
+where its tree branches, and reads each leaf's block through its parent's
 representative and the leaf's generator.  A block the first pass reads
 through a representative the chain keeps is in chain order, so its first
 hit is final, as the identity's is; the second pass walks only the other
@@ -93,68 +94,64 @@ def is_squarefree(k: int) -> bool:
 
 
 def _semiregular_elements(n: int, pairs: Iterable[WalkElement],
-                          wanted: Callable[[int, int], bool], longest: int
+                          wanted: Callable[[int, int], bool]
                           ) -> Iterator[tuple[int, bool, int, list[int]]]:
     """(m, ordered, number of cycles, images) for each semiregular element
     of the walk's pairs (PermGroup.suborbit_pairs) whose number of cycles k
-    is wanted(k, m), in walk order, with k at least n / longest.
+    is wanted(k, m), in walk order.
 
     All cycles of a semiregular element have one length, so the cycle
     through point 0 gives their number.  That cycle of the element
     x -> t[v[h[x]]], or x -> g[t[v[h[x]]]] for a block the walk reads
-    through its parent, is followed in as many steps as it is long, and no
-    further than longest steps: an element whose cycle is longer has fewer
-    cycles than any k asked for.  The element is composed and fully tested
-    only when its number is wanted.
+    through its parent, is followed in as many steps as it is long.  The
+    element is composed and fully tested only when its number is wanted.
     """
     for m, ordered, h, v, t, g in pairs:
         length = 1
         if g is None:
             j = t[v[h[0]]]
-            while j and length < longest:
+            while j:
                 j = t[v[h[j]]]
                 length += 1
         else:
             j = g[t[v[h[0]]]]
-            while j and length < longest:
+            while j:
                 j = g[t[v[h[j]]]]
                 length += 1
-        if j or n % length or not wanted(n // length, m):
+        if n % length or not wanted(n // length, m):
             continue
         images = [t[v[x]] for x in h] if g is None else [g[t[v[x]]] for x in h]
         if kern.is_semiregular_images(images):
             yield m, ordered, n // length, images
 
 
-def _first_hits(n: int, group: PermGroup, cap: int | None, k: int | None = None
-                ) -> dict[int, list[int]]:
-    """k -> the images of its first hit in chain order (defined at
-    PermGroup.suborbit_pairs), for every k of the spectrum of group on n > 0
-    points, or for the given k alone.
+def _first_hits(n: int, group: PermGroup, cap: int | None) -> dict[int, Permutation]:
+    """k -> its first hit in chain order (defined at PermGroup.suborbit_pairs),
+    by ascending k, for every k of the spectrum of group on n > 0 points.
 
     The first pass (suborbit_pairs) records for each k the smallest point m
-    whose block holds it; for one k it skips every block from its best m on.
-    A block the first pass reads in chain order (the identity's, and each
-    one read through a representative the top level keeps) gives its first
-    hit of each k as it goes, and that hit is kept while its m is the best.
-    The second (chain_pairs) walks in chain order the blocks of the other
-    best m only, and takes the first hit of each k in its block.  A
-    Schreier-Sims chain keeps every top-level representative, so it makes
-    no second pass.  For one k, neither pass follows a cycle past n // k
-    points (_semiregular_elements), and the suborbits both walk are the
-    ones the group keeps, so a certificate for each divisor of n computes
-    them once.
+    whose block holds it.  A block the first pass reads in chain order (the
+    identity's, and each one read through a representative the top level
+    keeps) gives its first hit of each k as it goes, and that hit is kept
+    while its m is the best.  The second (chain_pairs) walks in chain order
+    the blocks of the other best m only, and takes the first hit of each k
+    in its block.  A Schreier-Sims chain keeps every top-level
+    representative, so it makes no second pass.
+
+    The hits depend on the chain alone, not on the representatives the top
+    level keeps, so the group walks once, on the first call, and keeps them
+    (in an attribute read and set only here): a spectrum and a certificate
+    for each divisor of n cost one walk.  The walk's cap check
+    (PermGroup.check_cap) runs on every call before the hits are read, and
+    a call that raised keeps nothing.
     """
-    longest = n if k is None else n // k
+    group.check_cap(cap)
+    if group._spectrum_hits is not None:
+        return group._spectrum_hits
     first: dict[int, int] = {}  # k -> the smallest suborbit point whose block holds it
-    until = None if k is None else (lambda: first.get(k, n))
-
-    def wanted(c: int, m: int) -> bool:
-        return (k is None or c == k) and m < first.get(c, n)
-
     found: dict[int, list[int]] = {}
     for m, ordered, c, images in _semiregular_elements(
-            n, group.suborbit_pairs(cap, until), wanted, longest):
+            n, group.suborbit_pairs(cap), lambda c, m: m < first.get(c, n)):
         first[c] = m
         if ordered:
             found[c] = images
@@ -163,12 +160,12 @@ def _first_hits(n: int, group: PermGroup, cap: int | None, k: int | None = None
     rest = {m for c, m in first.items() if c not in found}
     if rest:
         for _, _, c, images in _semiregular_elements(
-                n, group.chain_pairs(rest), lambda c, m: first.get(c) == m and c not in found,
-                longest):
+                n, group.chain_pairs(rest), lambda c, m: first.get(c) == m and c not in found):
             found[c] = images
             if len(found) == len(first):
                 break
-    return found
+    group._spectrum_hits = {k: Permutation(tuple(found[k])) for k in sorted(found)}
+    return group._spectrum_hits
 
 
 def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
@@ -190,8 +187,7 @@ def k_spectrum(graph: graphio.Graph, group: PermGroup | None = None,
     n = graph.n
     if n == 0:  # the null graph is a k-circulant for no k >= 1
         return SpectrumReport(0, (), {})
-    found = _first_hits(n, group, cap)
-    witnesses = {k: Permutation(tuple(found[k])) for k in sorted(found)}
+    witnesses = dict(_first_hits(n, group, cap))
     return SpectrumReport(n, tuple(witnesses), witnesses)
 
 
@@ -221,9 +217,10 @@ def certify_k_circulant(graph: graphio.Graph, k: int,
     """A verified semiregular witness with k cycles, or None.
 
     The witness is the one k_spectrum gives for k: the first hit in the
-    block of the smallest point whose block holds one (_first_hits).  It is
-    re-verified from scratch, cycle structure and adjacency preservation,
-    before it is returned.  GroupNotAutomorphisms as in k_spectrum.
+    block of the smallest point whose block holds one, read from the hits
+    the group keeps (_first_hits).  It is re-verified from scratch, cycle
+    structure and adjacency preservation, before it is returned.
+    CapExceeded and GroupNotAutomorphisms as in k_spectrum.
     """
     n = graph.n
     if k < 1 or n % k != 0:
@@ -233,14 +230,13 @@ def certify_k_circulant(graph: graphio.Graph, k: int,
     aut_mod.check_all_automorphisms(graph, group)
     if n == 0:
         return None
-    images = _first_hits(n, group, cap, k).get(k)
-    return None if images is None else _verified(graph, images, n // k)
+    g = _first_hits(n, group, cap).get(k)
+    return None if g is None else _verified(graph, g, n // k)
 
 
-def _verified(graph: graphio.Graph, images: list[int], length: int) -> Permutation | None:
-    """The element as a Permutation if, checked from scratch, every cycle has
-    the given length and it preserves adjacency; else None."""
-    g = Permutation(tuple(images))
+def _verified(graph: graphio.Graph, g: Permutation, length: int) -> Permutation | None:
+    """g if, checked from scratch, every cycle has the given length and it
+    preserves adjacency; else None."""
     structure = cycle_structure(g)
     if structure.element_order != length or not all(l == length for l in structure.cycle_lengths):
         return None

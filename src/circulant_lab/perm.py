@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from circulant_lab import _kernels as kern
 from circulant_lab._bfs import components
@@ -225,6 +225,8 @@ class PermGroup:
         # read and set only by aut.check_all_automorphisms, aut.subgroup
         # and the search
         self._automorphisms_of = None
+        # k -> the spectrum's witness: read and set only by kcirc._first_hits
+        self._spectrum_hits = None
 
     @classmethod
     def from_chain(cls, degree: int, generators: Sequence[Permutation],
@@ -373,6 +375,14 @@ class PermGroup:
             return False
         return images == (list(range(self.degree)) if product is None else product)
 
+    def check_cap(self, cap: int | None) -> None:
+        """Raise CapExceeded if the order exceeds cap (None: the default)."""
+        if cap is None:
+            cap = DEFAULT_ENUMERATION_CAP
+        order = self.order()
+        if order > cap:
+            raise CapExceeded(f"group order {order} exceeds cap {cap}")
+
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
 
@@ -396,8 +406,7 @@ class PermGroup:
             self._suborbits = suborbits, _steps(below)
         return self._suborbits
 
-    def suborbit_pairs(self, cap: int | None = None, until: Callable[[], int] | None = None
-                       ) -> Iterator[WalkElement]:
+    def suborbit_pairs(self, cap: int | None = None) -> Iterator[WalkElement]:
         """The first of the spectrum's two passes; chain_pairs is the
         second.  It yields (m, ordered, h, v, t, g): the element maps x to
         t[v[h[x]]], or to g[t[v[h[x]]]] when g is not None, uncomposed; m is
@@ -463,22 +472,14 @@ class PermGroup:
         The suborbits, and each lower level's sorted orbit, depend on the
         chain alone, not on the representatives the top level keeps, so the
         group computes them on its first walk and keeps them
-        (_suborbit_partition): repeated queries on one group, such as a
-        certificate for each divisor of n, share them.
-
-        With until, the walk stops a block, and skips a block or subtree,
-        once all its m are at least until(), read after each element.
+        (_suborbit_partition).
 
         The trivial group yields (0, True, identity, identity, identity,
         None).  The lists may be shared with the group and with other
         elements, so they must not be modified.  Raises CapExceeded before
-        the first element if the group order exceeds the cap.
+        the first element if the group order exceeds the cap (check_cap).
         """
-        if cap is None:
-            cap = DEFAULT_ENUMERATION_CAP
-        order = self.order()
-        if order > cap:
-            raise CapExceeded(f"group order {order} exceeds cap {cap}")
+        self.check_cap(cap)
         if not self._levels:
             identity = list(range(self.degree))
             yield 0, True, identity, identity, identity, None
@@ -499,7 +500,7 @@ class PermGroup:
             tree, entered = _shallow_tree(b, _subproducts(top.gens, picks), least,
                                           len(suborbits), targets.keys())
             targets = dict(sorted({**targets, **entered}.items(), key=itemgetter(1)))
-        yield from _walk_blocks(tree, top.reps, targets, steps, until, identity, False)
+        yield from _walk_blocks(tree, top.reps, targets, steps, identity, False)
 
     def chain_pairs(self, points: Iterable[int]) -> Iterator[WalkElement]:
         """The second pass: (pt, True, h, v, t, g) for the elements of the
@@ -518,7 +519,7 @@ class PermGroup:
         top = levels[0]
         targets = {pt: pt for pt in sorted(points) if pt != top.base}
         steps = self._suborbit_partition()[1]
-        yield from _walk_blocks(top.tree, top.reps, targets, steps, None, top.reps[top.base], True)
+        yield from _walk_blocks(top.tree, top.reps, targets, steps, top.reps[top.base], True)
 
 
 def _orbit_classes(degree: int, gens: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -608,51 +609,44 @@ def _steps(below: list[_Level]) -> list[tuple[int, list[int], _Level]]:
 
 
 def _paths(tree: dict, kept: dict, targets: dict[int, int]
-           ) -> tuple[dict[int, int], dict[int, list[int]], list[int]]:
-    """The tree's nodes on the paths to the targets (point -> key, by
-    ascending key) from the nearest kept representative: each node with the
-    smallest key below it, each node's children on the paths, and the kept
-    nodes the paths start from, roots and children by ascending smallest
-    key."""
-    smallest: dict[int, int] = {}
+           ) -> tuple[dict[int, list[int]], list[int]]:
+    """The tree's paths to the targets (point -> key, by ascending key) from
+    the nearest kept representative: each node's children on the paths,
+    and the kept nodes the paths start from, roots and children by
+    ascending smallest key below them."""
+    seen: set[int] = set()
     children: dict[int, list[int]] = {}
     roots = []
-    for pt, m in targets.items():
-        while pt not in smallest:
-            smallest[pt] = m
+    for pt in targets:
+        while pt not in seen:
+            seen.add(pt)
             if pt in kept:
                 roots.append(pt)
                 break
             parent = tree[pt][0]
             children.setdefault(parent, []).append(pt)
             pt = parent
-    return smallest, children, roots
+    return children, roots
 
 
 def _walk_blocks(tree: dict, kept: dict, targets: dict[int, int],
-                 steps: list[tuple[int, list[int], _Level]], until: Callable[[], int] | None,
+                 steps: list[tuple[int, list[int], _Level]],
                  identity: list[int], chain: bool) -> Iterator[WalkElement]:
     """(m, ordered, h, v, t, g) for the elements of each target's block, m
-    its key, depth first along the tree's paths (_paths); until as in
-    PermGroup.suborbit_pairs.  identity is the top base point's kept
-    representative.  A node's representative is composed only when the
-    node has children on the paths, and a child of the top base point
-    takes its generator itself.  A leaf's block is read through its
+    its key, depth first along the tree's paths (_paths).  identity is
+    the top base point's kept representative.  A node's representative is
+    composed only when the node has children on the paths, and a child of
+    the top base point takes its generator itself.  A leaf's block is read through its
     parent's representative t and its own generator g (x -> g[t[...]]),
     so a node read by no child costs no composition; with the
     representatives composed at branches only, the walk holds one path.
     ordered is true for every block when the tree is the top level's
     Schreier tree (chain), and otherwise for the blocks read through a
     representative the top level keeps, each at its own key."""
-    smallest, children, roots = _paths(tree, kept, targets)
+    children, roots = _paths(tree, kept, targets)
     stack = [(pt, identity) for pt in reversed(roots)]
-    limit = len(identity)
     while stack:
         pt, parent_rep = stack.pop()
-        if until is not None:
-            limit = until()
-            if smallest[pt] >= limit:
-                continue
         kids = children.get(pt)
         t = kept.get(pt)
         g = None
@@ -664,14 +658,12 @@ def _walk_blocks(tree: dict, kept: dict, targets: dict[int, int],
                 else:
                     t, g = parent_rep, t
         m = targets.get(pt)
-        if m is not None and m < limit:
+        if m is not None:
             ordered = chain or (m == pt and pt in kept)
             triples = (_pruned_triples(steps, 0, identity, t, g) if steps
                        else [(identity, identity, t)])
             for h, v, u in triples:
                 yield m, ordered, h, v, u, g
-                if until is not None and until() <= m:
-                    break
         if kids:
             stack.extend(zip(reversed(kids), repeat(t)))
 

@@ -219,6 +219,63 @@ def test_certify_for_every_divisor_computes_the_suborbit_partition_once(monkeypa
     assert len(walks) == 1
 
 
+def _count_walks(monkeypatch):
+    walks = [0]
+    suborbit_pairs = PermGroup.suborbit_pairs
+
+    def counting(self, cap=None):
+        walks[0] += 1
+        return suborbit_pairs(self, cap)
+
+    monkeypatch.setattr(PermGroup, "suborbit_pairs", counting)
+    return walks
+
+
+@pytest.mark.parametrize("spectrum_first", [False, True])
+@pytest.mark.parametrize("source,group_kind", [("odd-9", "arc"), ("even-5-13", "search")])
+def test_certificates_for_every_divisor_walk_the_group_once(
+        monkeypatch, source, group_kind, spectrum_first):
+    # the first query on a group walks every k, and the spectrum and every
+    # later certificate read the hits it kept, in either order
+    graph, group = _certify_case(source, group_kind)
+    n = graph.n
+    walks = _count_walks(monkeypatch)
+    if spectrum_first:
+        witnesses = k_spectrum(graph, group).witnesses
+    certificates = {k: certify_k_circulant(graph, k, group)
+                    for k in range(1, n + 1) if n % k == 0}
+    if not spectrum_first:
+        witnesses = k_spectrum(graph, group).witnesses
+    assert walks[0] == 1
+    assert set(witnesses) < set(certificates)
+    assert certificates == {k: witnesses.get(k) for k in certificates}
+
+
+def test_kept_hits_are_read_only_under_the_cap(monkeypatch):
+    # every call runs the walk's cap check before it reads the kept hits
+    graph = build_odd(3).graph
+    group = automorphism_group(graph)
+    order = group.order()
+    witnesses = k_spectrum(graph, group).witnesses
+    text = f"^group order {order} exceeds cap {order - 1}$"
+    with pytest.raises(CapExceeded, match=text):
+        k_spectrum(graph, group, cap=order - 1)
+    with pytest.raises(CapExceeded, match=text):
+        certify_k_circulant(graph, 3, group, cap=order - 1)
+    assert certify_k_circulant(graph, 3, group, cap=order) == witnesses[3]
+    # a call that raised keeps nothing: a later one under a larger cap walks
+    group = automorphism_group(graph)
+    walks = _count_walks(monkeypatch)
+    with pytest.raises(CapExceeded, match=text):
+        certify_k_circulant(graph, 3, group, cap=order - 1)
+    with pytest.raises(CapExceeded, match=text):
+        k_spectrum(graph, group, cap=order - 1)
+    assert walks[0] == 0 and group._spectrum_hits is None
+    assert certify_k_circulant(graph, 3, group, cap=2 ** 40) == witnesses[3]
+    assert k_spectrum(graph, group, cap=2 ** 40).witnesses == witnesses
+    assert walks[0] == 1
+
+
 class _CountingList(list):
     """A list that counts its reads by index."""
 
@@ -230,33 +287,34 @@ class _CountingList(list):
 
 
 @pytest.mark.parametrize("group_kind", ["search", "arc"])
-def test_capped_cycle_walk_reads_at_most_n_over_k_plus_one_images(group_kind):
-    # certify for one k follows no cycle through 0 past n // k points, and
-    # keeps exactly the hits the uncapped walk keeps for that k
+def test_cycle_walk_reads_each_cycle_through_0_once(group_kind):
+    # the walk follows each element's cycle through 0 on its uncomposed
+    # word, one image of h per point of the cycle, and composes exactly the
+    # semiregular elements whose number of cycles is wanted
     graph, group = _certify_case("odd-3", group_kind)
     n = graph.n
     elements = list(group.suborbit_pairs())
     assert any(g is not None for *_, g in elements) == (group_kind == "search")
-
-    def walk(k, longest):
-        counted = [_CountingList(h) for _, _, h, *_ in elements]
-        pairs = [(m, ordered, c, v, t, g) for c, (m, ordered, _, v, t, g) in zip(counted, elements)]
-        # nothing is wanted, so only the cycle walk reads h
-        assert not list(kcirc._semiregular_elements(n, pairs, lambda c, m: False, longest))
-        wanted = [(m, c, images) for m, _, c, images in kcirc._semiregular_elements(
-            n, elements, lambda c, m: c == k, longest)]
-        return [c.reads for c in counted], wanted
-
-    capped_somewhere = False
-    for k in range(2, n + 1):
+    composed = [perm.Permutation(tuple(t[v[x]] if g is None else g[t[v[x]]] for x in h))
+                for _, _, h, v, t, g in elements]
+    counted = [_CountingList(h) for _, _, h, *_ in elements]
+    pairs = [(m, ordered, c, v, t, g) for c, (m, ordered, _, v, t, g) in zip(counted, elements)]
+    # nothing is wanted, so only the cycle walk reads h
+    assert not list(kcirc._semiregular_elements(n, pairs, lambda c, m: False))
+    through_0 = []
+    for e in composed:
+        length, j = 1, e[0]
+        while j:
+            length, j = length + 1, e[j]
+        through_0.append(length)
+    assert [c.reads for c in counted] == through_0
+    for k in range(1, n + 1):
         if n % k:
             continue
-        capped, hits = walk(k, n // k)
-        full, all_hits = walk(k, n)
-        assert max(capped) <= n // k + 1
-        assert hits == all_hits
-        capped_somewhere |= max(full) > n // k + 1
-    assert capped_somewhere
+        hits = [(m, images) for m, _, c, images in kcirc._semiregular_elements(
+            n, elements, lambda c, m: c == k)]
+        assert hits == [(m, list(e.images)) for (m, *_), e in zip(elements, composed)
+                        if is_semiregular(e) and len(cycle_structure(e).cycle_lengths) == k], k
 
 
 def _count_compositions(monkeypatch):
@@ -368,12 +426,20 @@ def test_a_schreier_sims_spectrum_composes_no_representative(monkeypatch, source
 
 
 def test_certify_composes_only_representatives_and_candidates(monkeypatch):
-    # k = 1 has no witness at odd k = 9, so the certificate walks every pair
+    # certify on a fresh group composes no more than one k_spectrum does
+    # (k = 1 has no witness at odd k = 9), and later queries compose nothing
     graph = build_odd(9).graph
-    group = automorphism_group(graph)
+    first, group = automorphism_group(graph), automorphism_group(graph)
     calls = _count_compositions(monkeypatch)
+    k_spectrum(graph, first)
+    spectrum_calls = calls[0]
+    calls[0] = 0
     assert certify_k_circulant(graph, 1, group) is None
-    assert calls[0] < sum(1 for _ in group.suborbit_pairs()) == 539
+    assert calls[0] <= spectrum_calls < sum(1 for _ in group.suborbit_pairs()) == 539
+    calls[0] = 0
+    assert certify_k_circulant(graph, 9, group) is not None
+    k_spectrum(graph, group)
+    assert calls[0] == 0
 
 
 def test_spectrum_walk_keeps_no_representative():

@@ -25,7 +25,7 @@ from circulant_lab.perm import (
     power,
     to_cycle_string,
 )
-from helpers import chain_elements, relabel, schreier_sims_by_inverses
+from helpers import chain_elements, schreier_sims_by_inverses
 
 
 def P(cycles: str, degree: int) -> Permutation:
@@ -457,43 +457,6 @@ def test_the_shallow_tree_bridges_a_suborbit_it_cannot_enter():
     assert perm._shallow_tree(0, [cycle], least, 3, {1, 3, 5}) == ({}, {})
 
 
-def _shuffled(graph, seed):
-    images = list(range(graph.n))
-    random.Random(seed).shuffle(images)
-    return relabel(graph, images)
-
-
-@pytest.mark.parametrize("group", SUBORBIT_GROUPS + [
-    # searched groups keep no top-level representative, so their walk goes
-    # down a shallow tree, and on these two it has blocks on both sides of
-    # a bound within one subtree
-    automorphism_group(_shuffled(build_odd(3).graph, 3)),
-    automorphism_group(_shuffled(build_even(2, 7).graph, 7)),
-])
-def test_suborbit_pairs_until_skips_the_blocks_from_its_bound(group):
-    walked = list(group.suborbit_pairs())
-    for bound in sorted({item[0] for item in walked[1:]}):
-        bounded = list(group.suborbit_pairs(until=lambda: bound))
-        assert _blocks(bounded[1:]) == {
-            pt: block for pt, block in _blocks(walked[1:]).items() if pt < bound}
-
-
-@pytest.mark.parametrize("group", SUBORBIT_GROUPS)
-def test_suborbit_pairs_until_stops_a_block_as_soon_as_it_drops(group):
-    # certify_k_circulant lowers its bound at a verified hit: the walk must
-    # not hand out another element of that block, nor of a later point
-    first = list(group.suborbit_pairs())[1][0]  # the first block walked
-    bound = [group.degree]
-    seen = []
-    walk = group.suborbit_pairs(until=lambda: bound[0])
-    next(walk)  # the identity
-    for pt, *_ in walk:
-        seen.append(pt)
-        bound[0] = min(bound[0], pt)
-    assert seen[0] == first and seen.count(first) == 1
-    assert all(pt < first for pt in seen[1:])
-
-
 def test_suborbit_pairs_of_the_trivial_group():
     assert _composed(PermGroup(3, []).suborbit_pairs()) == [identity(3)]
     assert _composed(PermGroup(0, []).suborbit_pairs()) == [identity(0)]
@@ -524,6 +487,15 @@ def test_walks_do_not_keep_their_group_alive():
         g = automorphism_group(graph)
         witness = certify_k_circulant(graph, 3, g)
         assert witness is not None and witness != _composed(g.suborbit_pairs())[-1]
+        released = weakref.ref(g)
+        del g
+        assert released() is None
+        # the spectrum's hits, kept on the group after certificates for
+        # several k, refer to nothing that refers back to it
+        g = automorphism_group(graph)
+        assert [certify_k_circulant(graph, k, g) is not None for k in (1, 3, 6, 54)] == [
+            False, True, True, True]
+        assert g._spectrum_hits
         released = weakref.ref(g)
         del g
         assert released() is None
