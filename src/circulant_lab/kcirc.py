@@ -236,9 +236,17 @@ def certify_k_circulant(graph: graphio.Graph, k: int,
 
 def _verified(graph: graphio.Graph, g: Permutation, length: int) -> Permutation | None:
     """g if, checked from scratch, every cycle has the given length and it
-    preserves adjacency; else None."""
-    structure = cycle_structure(g)
-    if structure.element_order != length or not all(l == length for l in structure.cycle_lengths):
+    preserves adjacency; else None.  On n >= 1 points every cycle has the
+    length exactly when all cycles have one length and the cycle through
+    0 has it, so neither a cycle list nor the element order is formed."""
+    images = g.images
+    if not kern.is_semiregular_images(images):
+        return None
+    steps, j = 1, images[0]
+    while j:
+        j = images[j]
+        steps += 1
+    if steps != length:
         return None
     return g if aut_mod.is_automorphism(graph, g) else None
 

@@ -15,7 +15,13 @@ on first use and kept, so repeated queries on one group share it.  A sift, for m
 inverts no representative: it carries the product of the representatives
 it has chosen and reads the next one off a preimage under that product,
 and the residue (the sifted element times the inverse of that product)
-is formed only to adjoin it to the chain.
+is formed only to adjoin it to the chain.  Schreier-Sims verifies a level
+by sifting its Schreier generators in ascending point order, and skips in
+each cycle of a strong generator whose length is the generator's order
+the one at the largest point off the tree's edges: the generators around
+such a cycle multiply to the identity, so that one lies in the group the
+earlier ones already sifted into, and the chain is the one the full loop
+builds (_verify_level).
 ``suborbit_pairs`` is the one walk over elements, the spectrum's, in two
 passes; its docstring gives the account and the reasons.
 """
@@ -330,23 +336,37 @@ class PermGroup:
             levels[j] = _Level(levels[j].base, levels[j].gens + [residue], self.degree)
 
     def _verify_level(self, level: int) -> int | None:
-        """Sift all Schreier generators of this level; report where one sticks.
+        """Sift the Schreier generators of this level; report where one sticks.
 
-        The Schreier generator t_pt * g * t_{g(pt)}^-1 is trivial exactly
-        when t_pt * g equals t_{g(pt)}, so only nontrivial ones are sifted,
-        and a tree edge, where g reached g(pt) from pt, gives a trivial one
-        by construction.  The sift starts from the product t_{g(pt)}, so
-        no representative is inverted unless a residue is adjoined.
+        The Schreier generator s(pt, g) = t_pt * g * t_{g(pt)}^-1 is trivial
+        exactly when t_pt * g equals t_{g(pt)}, so only nontrivial ones are
+        sifted, and a tree edge, where g reached g(pt) from pt, gives a
+        trivial one by construction.  The sift starts from the product
+        t_{g(pt)}, so no representative is inverted unless a residue is
+        adjoined.
+
+        Around a cycle p_0 -> ... -> p_{l-1} -> p_0 of g in the orbit, the
+        Schreier generators multiply to t_p0 * g^l * t_p0^-1, the identity
+        when l is g's order.  In such a cycle the pair with the largest
+        point that is not a tree edge is skipped (_closing_points): its
+        generator is the inverse of the product of the cycle's others, each
+        a tree edge or sifted to the identity earlier in this loop's
+        ascending order, so it lies in the group of the levels below, whose
+        chain is already verified, and sifts to the identity too.  A skipped
+        generator therefore never sticks, and the first one that does, with
+        everything that follows from it (residues, strong generating set,
+        trees, representatives, base), is the one the full loop finds.
+        Every point's representative is still composed, as its own pt.
         """
         lvl = self._levels[level]
         tree = lvl.tree
+        closing = [_closing_points(tree, g) for g in lvl.gens]
         for pt in sorted(tree):
             tp = lvl.rep(pt)
-            for g in lvl.gens:
-                q = g[pt]
-                edge = tree[q]
-                if edge is not None and edge[1] is g and edge[0] == pt:
+            for g, skip in zip(lvl.gens, closing):
+                if pt in skip or _is_tree_edge(tree, pt, g):
                     continue
+                q = g[pt]
                 tg = kern.compose_images(tp, g)
                 t2 = lvl.rep(q)
                 if tg == t2:
@@ -520,6 +540,24 @@ class PermGroup:
         targets = {pt: pt for pt in sorted(points) if pt != top.base}
         steps = self._suborbit_partition()[1]
         yield from _walk_blocks(top.tree, top.reps, targets, steps, top.reps[top.base], True)
+
+
+def _is_tree_edge(tree: dict, pt: int, g: list[int]) -> bool:
+    """True iff g reached g(pt) from pt in the Schreier tree."""
+    edge = tree[g[pt]]
+    return edge is not None and edge[1] is g and edge[0] == pt
+
+
+def _closing_points(tree: dict, g: list[int]) -> set[int]:
+    """In each cycle of g in the tree's orbit whose length is g's order
+    (the lcm of all its cycle lengths), the largest point pt whose pair
+    (pt, g) is not a tree edge: the pairs whose Schreier generators
+    _verify_level skips.  A cycle of g's order has at least two points,
+    and the tree has no cycle, so some pair in it is not a tree edge."""
+    cycles = list(kern.cycles(g))
+    order = math.lcm(*map(len, cycles))
+    return {max(p for p in cycle if not _is_tree_edge(tree, p, g))
+            for cycle in cycles if len(cycle) == order and cycle[0] in tree}
 
 
 def _orbit_classes(degree: int, gens: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -468,6 +468,32 @@ def test_spectrum_walk_keeps_no_representative():
     assert list(top.reps) == [top.base]
 
 
+def test_verified_agrees_with_the_sorted_cycle_list():
+    # _verified reads the semiregularity walk and the cycle through 0,
+    # which on n >= 1 points give the sorted cycle list's verdict
+    graph = build_odd(3).graph
+    n = graph.n
+    group = PermGroup(n, build_odd(3).arc_group.generators)
+    rng = random.Random(11)
+    candidates = list(chain_elements(group))
+    for w in rng.sample(candidates, 20):
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        conjugate = [0] * n
+        for x in range(n):
+            conjugate[shuffled[x]] = shuffled[w[x]]
+        candidates.append(perm.Permutation(tuple(conjugate)))
+    candidates += [perm.Permutation(tuple(rng.sample(range(n), n))) for _ in range(20)]
+    lengths = [d for d in range(1, n + 1) if n % d == 0]
+    for w in candidates:
+        structure = cycle_structure(w)
+        automorphism = all(w[v] in graph.adjacency[w[u]] for u, v in graph.edges())
+        for length in lengths:
+            want = (automorphism and structure.element_order == length
+                    and all(c == length for c in structure.cycle_lengths))
+            assert kcirc._verified(graph, w, length) is (w if want else None)
+
+
 def test_certify_rejects_a_group_that_is_not_automorphisms():
     k33 = fixtures.load("k33")
     # semiregular with two cycles, but it breaks the edge 0-3

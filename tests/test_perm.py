@@ -6,6 +6,14 @@ import re
 import weakref
 
 import pytest
+from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
+from sympy.combinatorics.named_groups import (
+    AlternatingGroup,
+    DihedralGroup,
+    RubikGroup,
+    SymmetricGroup,
+)
 
 from circulant_lab import _kernels as kern
 from circulant_lab import perm
@@ -25,7 +33,7 @@ from circulant_lab.perm import (
     power,
     to_cycle_string,
 )
-from helpers import chain_elements, schreier_sims_by_inverses
+from helpers import chain_elements, diamond_ring, schreier_sims_by_inverses
 
 
 def P(cycles: str, degree: int) -> Permutation:
@@ -576,14 +584,41 @@ QUERY_ARC_GROUPS = {
 }
 
 
-@pytest.mark.parametrize("name", ["random300", *QUERY_ARC_GROUPS])
+def _from_sympy(group):
+    return PermGroup(group.degree, [Permutation(tuple(g.array_form)) for g in group.generators])
+
+
+def _sympy_order(group):
+    if not group.generators:
+        return 1
+    return SympyGroup([SympyPermutation(list(g.images)) for g in group.generators]).order()
+
+
+ORACLE_GROUPS = {
+    **QUERY_ARC_GROUPS,
+    "alt8": lambda: _from_sympy(AlternatingGroup(8)),
+    "sym9": lambda: _from_sympy(SymmetricGroup(9)),
+    "dihedral12": lambda: _from_sympy(DihedralGroup(12)),
+    "rubik2": lambda: _from_sympy(RubikGroup(2)),
+    "diamond_ring8": lambda: PermGroup(32, automorphism_group(diamond_ring(8)).generators),
+    # the generator's cycle in the orbit of 0 is shorter than its order,
+    # 6, so the Schreier generator closing it, g^3 = (3 4), is sifted: it
+    # opens the second level, and skipping it would give order 3
+    "short_cycles": lambda: PermGroup(5, [P("(0 1 2)(3 4)", 5)]),
+}
+
+
+@pytest.mark.parametrize("name", ["random300", *ORACLE_GROUPS])
 def test_schreier_sims_matches_the_inverse_per_step_sift(name):
-    # the sift that carries the product of its representatives builds the
-    # chain the inverse-per-step sift built, and answers membership alike
-    groups = _random_groups(300) if name == "random300" else [QUERY_ARC_GROUPS[name]()]
+    # the sift that carries the product of its representatives, and skips
+    # the Schreier generator closing each cycle of a generator's order,
+    # builds the chain the inverse-per-step sift of every Schreier
+    # generator built, and answers membership alike
+    groups = _random_groups(300) if name == "random300" else [ORACLE_GROUPS[name]()]
     rng = random.Random(7)
     for group in groups:
         n = group.degree
+        assert group.order() == _sympy_order(group)
         base, gens, parents, contains = schreier_sims_by_inverses(
             n, [g.images for g in group.generators])
         levels = group._ensure_chain()
@@ -605,6 +640,27 @@ def test_schreier_sims_matches_the_inverse_per_step_sift(name):
             queries += [w, Permutation(tuple(images)), Permutation(tuple(rng.sample(range(n), n)))]
         assert all(group.contains(w) for w in members)
         assert [group.contains(p) for p in queries] == [contains(p.images) for p in queries]
+
+
+@pytest.mark.parametrize("name, compositions", [
+    ("odd5", 429), ("odd7", 837), ("odd9", 1381), ("even4_7", 638), ("even5_13", 1845),
+])
+def test_schreier_sims_skips_the_generator_closing_each_cycle(monkeypatch, name, compositions):
+    # around a cycle of g whose length is g's order the Schreier generators
+    # multiply to the identity, so the last one not on a tree edge is never
+    # composed: sifting every one made 753, 1473, 2433, 1123 and 3253
+    # compositions here (5.0n), and the chain is the same (above)
+    group = QUERY_ARC_GROUPS[name]()
+    calls = [0]
+    compose_images = kern.compose_images
+
+    def counted_compose(p, q):
+        calls[0] += 1
+        return compose_images(p, q)
+
+    monkeypatch.setattr(kern, "compose_images", counted_compose)
+    assert group.order() == 3 * group.degree
+    assert calls[0] == compositions
 
 
 def test_sifts_invert_only_residues_they_adjoin(monkeypatch):
@@ -640,7 +696,7 @@ def test_sifts_invert_only_residues_they_adjoin(monkeypatch):
     # each adjoined residue is one more strong generator of the top level
     assert calls["inverse"] <= len(group._levels[0].gens)
     # the inverse-per-step sift made 1055 compositions here (about 7n)
-    assert calls["compose"] <= 5 * n + 10
+    assert calls["compose"] <= 3 * n
     calls.update(compose=0, inverse=0)
     assert all(group.contains(w) for w in members)
     assert not any(group.contains(w) for w in others)
