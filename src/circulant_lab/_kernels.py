@@ -2,8 +2,11 @@
 
 Permutations are plain sequences of images, and ``cycles`` is the one walk
 that lists their cycles (``is_semiregular_images`` only counts their
-lengths).  This is the one module that knows the CSR layout of a graph
-(``ptr``/``flat``, from :func:`build_csr`) and how colour refinement
+lengths).  Composition is one C-level gather (``operator.itemgetter``
+over the images), not a Python loop per point.  This is the one module
+that knows the CSR layout of a graph (``ptr``/``flat``, from
+:func:`build_csr`; a ``graphio.Graph`` builds it once, on first use, and
+keeps it as ``Graph.csr``) and how colour refinement
 numbers its cells.  Refinement is canonical splitter-queue refinement
 (Cardon and Crochemore 1982; Berkholz, Bonsma and Grohe 2017): its cell ids
 and its trace (the splits each splitter makes) depend only on the colored
@@ -18,7 +21,7 @@ parent's, copying only the cells its refinement splits and never modifying
 the parent's.  ``BACKEND`` names the implementation, for benchmark reports.
 """
 
-from operator import sub
+from operator import itemgetter, sub
 
 BACKEND = "pure"
 
@@ -35,8 +38,13 @@ def build_csr(adjacency):
 
 
 def compose_images(p, q):
-    """Left-to-right composition: result[i] = q[p[i]]."""
-    return [q[x] for x in p]
+    """Left-to-right composition, as a list: result[i] = q[p[i]].  One
+    itemgetter gathers every image in C; with one argument it would return
+    the bare item, and with none it cannot be built, so degrees below 2
+    take the comprehension."""
+    if len(p) < 2:
+        return [q[x] for x in p]
+    return list(itemgetter(*p)(q))
 
 
 def inverse_images(p):

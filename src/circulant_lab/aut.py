@@ -33,6 +33,9 @@ level, and tests adjacency at the leaf.
 Refinement and individualization are kernels
 (``_kernels.refine_colors`` for the root coloring,
 ``_kernels.individualize`` below it), and only they number the cells.
+They read the graph's CSR arrays from the graph itself (``Graph.csr``,
+built on first use and kept), as every automorphism check here does, so
+the searches and checks on one Graph object share one copy.
 Each principal level keeps its coloring with its cells, so a node's
 individualization starts from its parent's cells and copies only the
 cells its refinement splits, and a node's candidates are the members of
@@ -119,7 +122,7 @@ def _search(graph: graphio.Graph, colors: list[int], cap: int | None = None) -> 
         group = PermGroup(0, [])
         group._automorphisms_of = graph
         return group
-    ptr, flat = kern.build_csr(graph.adjacency)
+    ptr, flat = graph.csr
     base_seq = bfs_order(graph)
     # the principal path: (coloring, target vertex or None at the leaf,
     # refinement trace) per level, each coloring refined from its parent
@@ -243,8 +246,7 @@ def is_automorphism(graph: graphio.Graph, p: Permutation) -> bool:
     """True iff p acts on the graph's vertices and maps every edge onto an edge."""
     if p.degree != graph.n:
         return False
-    ptr, flat = kern.build_csr(graph.adjacency)
-    return kern.preserves_adjacency(ptr, flat, p.images)
+    return kern.preserves_adjacency(*graph.csr, p.images)
 
 
 def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
@@ -260,7 +262,7 @@ def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
         return
     if group.degree != graph.n:
         raise GroupNotAutomorphisms(f"group degree {group.degree} differs from n = {graph.n}")
-    ptr, flat = kern.build_csr(graph.adjacency)
+    ptr, flat = graph.csr
     for g in group.generators:
         if not kern.preserves_adjacency(ptr, flat, g.images):
             raise GroupNotAutomorphisms(f"generator {g} does not preserve adjacency")

@@ -8,8 +8,10 @@ scan results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
+from circulant_lab import _kernels as kern
 from circulant_lab._bfs import reach
 from circulant_lab.errors import (
     BadCharacter,
@@ -31,9 +33,20 @@ MAX_ORDER = 2 ** 20
 
 @dataclass(frozen=True)
 class Graph:
-    """Adjacency by sorted per-vertex neighbor tuples."""
+    """Adjacency by sorted per-vertex neighbor tuples.
+
+    The graph's CSR arrays (``csr``) are built on first use and kept with
+    it, so every search and automorphism check on one Graph object shares
+    one copy.  They are not a field: equality and hashing read the
+    adjacency alone.
+    """
 
     adjacency: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def csr(self) -> tuple[list[int], list[int]]:
+        """(ptr, flat) from _kernels.build_csr; read-only by convention."""
+        return kern.build_csr(self.adjacency)
 
     @property
     def n(self) -> int:

@@ -123,10 +123,35 @@ def is_semiregular(p: Permutation) -> bool:
     return kern.is_semiregular_images(p.images)
 
 
+@functools.lru_cache(maxsize=8)
+def _point_names(n: int) -> tuple[str, ...]:
+    """The decimal names of the points 0..n-1, built once per degree."""
+    return tuple(map(str, range(n)))
+
+
 def to_cycle_string(p: Permutation) -> str:
-    """Cycle notation with fixed points omitted, e.g. ``(0 1 2)(3 4)``."""
-    parts = ["(" + " ".join(map(str, c)) + ")" for c in kern.cycles(p.images) if len(c) > 1]
-    return "".join(parts) or "()"
+    """Cycle notation with fixed points omitted, e.g. ``(0 1 2)(3 4)``.
+
+    A cycle starts at its smallest point, and cycles come in ascending
+    order of that point, as kern.cycles lists them; the walk is inline,
+    and the points' names come from one table per degree."""
+    images = p.images
+    names = _point_names(len(images))
+    seen = bytearray(len(images))
+    out: list[str] = []
+    add = out.append
+    for i, j in enumerate(images):
+        if j == i or seen[i]:
+            continue
+        add("(")
+        add(names[i])
+        while j != i:
+            seen[j] = 1
+            add(" ")
+            add(names[j])
+            j = images[j]
+        add(")")
+    return "".join(out) or "()"
 
 
 def from_cycle_string(text: str, degree: int) -> Permutation:

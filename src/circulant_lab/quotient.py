@@ -4,6 +4,9 @@ divisibility harness for induced actions on orbits.
 Quotients are simple graphs: edges inside one orbit never become loops but
 are reported through a flag instead, since the cover machinery only uses the
 loop-free case.  Orbit indices are ordered by smallest contained vertex.
+A subgroup of automorphisms fixes each of its orbits, so every vertex of
+an orbit sees the same orbits around it, and the quotient reads one
+vertex per orbit (quotient_graph gives the argument).
 """
 from __future__ import annotations
 
@@ -47,25 +50,34 @@ def quotient_graph(graph: graphio.Graph, subgroup: PermGroup) -> QuotientResult:
     The cover flag is the definitional local-bijection test: the projection
     restricted to each neighborhood must be a bijection onto the quotient
     neighborhood.  Raises GroupNotAutomorphisms if a generator breaks an edge.
+
+    Once the generators are checked, the subgroup acts by automorphisms
+    that fix every orbit, so an element mapping v to w maps v's neighbours
+    onto w's and each of them into its own orbit: every vertex of an orbit
+    projects its neighbours onto the same multiset of orbits.  The
+    quotient's edges, the intra-orbit flag and the cover test are therefore
+    read off one vertex per orbit, its smallest.  The neighbour sets so
+    built are symmetric by the same argument: if orbit[0] of A has a
+    neighbour in B, that neighbour's orbit-mates all have one in A, so
+    orbit[0] of B has too.
     """
     check_all_automorphisms(graph, subgroup)
     orbits, orbit_map = _orbit_map(subgroup)
-    edges = set()
+    adjacency = graph.adjacency
+    quotient_adjacency = []
     intra = False
-    for u, nbrs in enumerate(graph.adjacency):  # each edge is seen from both ends
-        ou = orbit_map[u]
-        for v in nbrs:
-            ov = orbit_map[v]
-            if ou < ov:
-                edges.add((ou, ov))
-            elif ou == ov:
-                intra = True
-    quotient = graphio.from_edges(len(orbits), sorted(edges))
-
-    # the quotient's neighbour tuples are sorted and repeat no orbit, so a
-    # vertex whose neighbours meet an orbit twice, or its own, fails too
-    cover = all(tuple(sorted(orbit_map[u] for u in nbrs)) == quotient.adjacency[orbit_map[v]]
-                for v, nbrs in enumerate(graph.adjacency))
+    cover = True
+    for o, orbit in enumerate(orbits):
+        projected = [orbit_map[u] for u in adjacency[orbit[0]]]
+        targets = set(projected)
+        if o in targets:
+            intra = True
+            cover = False
+            targets.discard(o)
+        elif len(targets) != len(projected):
+            cover = False  # two neighbours in one orbit
+        quotient_adjacency.append(tuple(sorted(targets)))
+    quotient = graphio.Graph(tuple(quotient_adjacency))
     return QuotientResult(quotient, tuple(orbit_map), cover, intra)
 
 

@@ -1055,6 +1055,36 @@ def test_order_and_base_of_a_searched_group_compose_nothing(monkeypatch):
     assert 0 < calls < graph.n
 
 
+def test_one_graph_builds_its_csr_once(monkeypatch):
+    # the search, every certificate's re-verification, the quotients by
+    # fresh subgroups and the check of a fresh supplied group all read the
+    # CSR arrays the graph keeps; a fresh Graph object, so that no earlier
+    # use has built them
+    from circulant_lab import _kernels as kern
+    from circulant_lab.aut import check_all_automorphisms
+    from circulant_lab.quotient import quotient_graph
+
+    graph = Graph(build_odd(5).graph.adjacency)
+    n = graph.n
+    calls = 0
+    build_csr = kern.build_csr
+
+    def counting(adjacency):
+        nonlocal calls
+        calls += 1
+        return build_csr(adjacency)
+
+    monkeypatch.setattr(kern, "build_csr", counting)
+    group = automorphism_group(graph)
+    witnesses = [certify_k_circulant(graph, k, group) for k in range(1, n + 1) if n % k == 0]
+    witnesses = [w for w in witnesses if w is not None]
+    assert len(witnesses) > 1
+    for w in witnesses:
+        quotient_graph(graph, PermGroup(n, [w]))
+    check_all_automorphisms(graph, PermGroup(n, group.generators))
+    assert calls == 1
+
+
 def _membership_groups():
     from circulant_lab.cli import build_even, build_odd
 

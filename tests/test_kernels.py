@@ -5,8 +5,9 @@ and a canonical trace, a refinement checked against an expected trace
 stops exactly when its own trace differs, the splitters that hit no vertex
 twice split exactly as the by-count split of ``helpers.refine_by_counts``
 would, individualization returns cells that match its coloring and never
-modifies its parent's coloring or cells, and composition shares the int
-objects of its second argument, the semiregularity test agrees with
+modifies its parent's coloring or cells, composition is a list of
+``q[x] for x in p`` at every degree and shares the int objects of its
+second argument, the semiregularity test agrees with
 the cycle walk's lengths, and the ball profile agrees with a plain BFS,
 under any relabeling.  The cycle walk itself is tested through
 ``perm`` in ``test_perm.py``."""
@@ -45,6 +46,21 @@ def test_compose_reuses_the_int_objects_of_q():
     q = random_images(rng, n)
     out = kern.compose_images(p, q)
     assert all(out[i] is q[p[i]] for i in range(n))
+
+
+def test_compose_is_the_gather_and_returns_a_list():
+    # degrees 0 and 1 cannot go through one itemgetter, which returns the
+    # bare item for one argument and cannot be built with none; tuples and
+    # lists of images both give a list
+    rng = random.Random(36)
+    cases = [([], []), ([0], [0]), ((0,), (0,)), ([1, 0], [1, 0]), ((0, 1), (1, 0))]
+    for n in (2, 3, 17, 486, 1000, 2646):
+        for _ in range(3):
+            cases.append((random_images(rng, n), tuple(random_images(rng, n))))
+    for p, q in cases:
+        out = kern.compose_images(p, q)
+        assert type(out) is list
+        assert out == [q[x] for x in p]
 
 
 def test_adjacency_check_matches_the_edge_set_oracle():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from circulant_lab import fixtures
-from circulant_lab.aut import automorphism_group
+from circulant_lab.aut import _search, automorphism_group
 from circulant_lab.cli import build_even, build_odd
 from circulant_lab.cayley import left_translation
 from circulant_lab.errors import (
@@ -20,7 +20,7 @@ from circulant_lab.quotient import (
     induced_semiregular_harness,
     quotient_graph,
 )
-from helpers import brute_force_isomorphic
+from helpers import brute_force_isomorphic, generalized_petersen
 
 
 def independent_cover_check(graph, result) -> bool:
@@ -101,30 +101,91 @@ def test_cover_flag_agrees_with_independent_check():
         assert result.is_regular_cover == independent_cover_check(graph, result)
 
 
+def _orbit_map_by_generators(n, generators):
+    """Orbit indices by smallest vertex, from a walk over the generators."""
+    orbit = [None] * n
+    count = 0
+    for v in range(n):
+        if orbit[v] is not None:
+            continue
+        orbit[v] = count
+        todo = [v]
+        for u in todo:
+            for g in generators:
+                if orbit[g[u]] is None:
+                    orbit[g[u]] = count
+                    todo.append(g[u])
+        count += 1
+    return orbit, count
+
+
+def assert_quotient_is_its_definition(graph, subgroup, result):
+    """The quotient, the intra-orbit flag and the cover flag against their
+    definitions, read at every vertex; returns (cover, intra)."""
+    orbit, count = _orbit_map_by_generators(graph.n, subgroup.generators)
+    assert list(result.orbit_map) == orbit
+    pairs = {frozenset((orbit[u], orbit[v])) for u, v in graph.edges()}
+    want = [set() for _ in range(count)]
+    for pair in pairs:
+        if len(pair) == 2:
+            a, b = pair
+            want[a].add(b)
+            want[b].add(a)
+    intra = any(len(p) == 1 for p in pairs)
+    cover = True
+    for v, nbrs in enumerate(graph.adjacency):
+        projected = [orbit[u] for u in nbrs]
+        if len(set(projected)) != len(projected) or set(projected) != want[orbit[v]]:
+            cover = False
+    quotient = result.quotient
+    assert quotient.n == count
+    for o, nbrs in enumerate(quotient.adjacency):
+        assert type(nbrs) is tuple and list(nbrs) == sorted(set(nbrs))
+        assert set(nbrs) == want[o]
+        assert all(o in quotient.adjacency[b] for b in nbrs)  # symmetric
+    assert result.has_intra_orbit_edges == intra
+    assert result.is_regular_cover == cover
+    return cover, intra
+
+
 def test_quotient_matches_its_definition_for_every_witness():
     # the edge set, the intra-orbit flag and the cover flag against their
-    # definitions, by every spectrum witness of small graphs: the witnesses
-    # of small k put repeated and intra-orbit neighbours in some quotients
+    # definitions read at every vertex, while the quotient reads one vertex
+    # per orbit: by every spectrum witness of small graphs (the witnesses
+    # of small k put repeated and intra-orbit neighbours in some
+    # quotients), by lattice translations with two generators, by vertex
+    # stabilisers (not semiregular), by whole groups, and by trivial ones
     from circulant_lab.kcirc import k_spectrum
     graphs = [fixtures.load(name) for name in fixtures.NAMES]
     graphs += [build_odd(3).graph, build_even(2, 7).graph]
-    flags = set()
+    cases = []
     for graph in graphs:
-        for w in k_spectrum(graph).witnesses.values():
-            result = quotient_graph(graph, PermGroup(graph.n, [w]))
-            orbit = result.orbit_map
-            pairs = {frozenset((orbit[u], orbit[v])) for u, v in graph.edges()}
-            assert set(result.quotient.edges()) == {tuple(sorted(p)) for p in pairs if len(p) == 2}
-            assert result.has_intra_orbit_edges == any(len(p) == 1 for p in pairs)
-            cover = True
-            for v, nbrs in enumerate(graph.adjacency):
-                projected = [orbit[u] for u in nbrs]
-                if (len(set(projected)) != len(projected)
-                        or set(projected) != set(result.quotient.adjacency[orbit[v]])):
-                    cover = False
-            assert result.is_regular_cover == cover
-            flags.add((cover, result.has_intra_orbit_edges))
+        cases += [(graph, PermGroup(graph.n, [w])) for w in k_spectrum(graph).witnesses.values()]
+    for k in (5, 7):
+        # translations by <u^d, v^d>, as the harness tests use them
+        cons, G = build_odd(k), odd_group(k)
+        for d in (1, k):
+            gens = [left_translation(G, cons.labeling, G.element(d, 0, 0, 0)),
+                    left_translation(G, cons.labeling, G.element(0, d, 0, 0))]
+            cases.append((cons.graph, PermGroup(cons.graph.n, gens)))
+    for n, k in ((5, 2), (8, 3), (10, 3), (12, 5)):
+        graph = generalized_petersen(n, k)
+        group = automorphism_group(graph)
+        # the stabiliser of vertex 0 in the arc-transitive group, fresh so
+        # that its generators are checked
+        stabiliser = _search(graph, [1] + [0] * (graph.n - 1))
+        cases.append((graph, PermGroup(graph.n, stabiliser.generators)))
+        cases.append((graph, PermGroup(graph.n, group.generators)))
+        cases.append((graph, group))
+    for graph in graphs + [from_edges(0, []), from_edges(3, [(0, 1)])]:
+        cases.append((graph, PermGroup(graph.n, [])))
+    flags = set()
+    for graph, subgroup in cases:
+        result = quotient_graph(graph, subgroup)
+        flags.add(assert_quotient_is_its_definition(graph, subgroup, result))
     assert flags == {(True, False), (False, True), (False, False)}
+    null = quotient_graph(from_edges(0, []), PermGroup(0, []))
+    assert null.quotient.n == 0 and null.orbit_map == () and null.is_regular_cover
 
 
 def test_regular_cover_of_cubic_is_cubic():
