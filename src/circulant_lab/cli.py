@@ -6,6 +6,10 @@ Reports are JSON on stdout and byte-identical across runs on the same input
 (timings are opt-in for that reason).  Exit codes: 0 success, 1 failed
 assertion, bound violation, or (analyze, spectrum) a group order over the
 enumeration cap, 2 usage or parse error.
+
+The process pool is imported only when a scan starts more than one worker,
+so importing this module and every serial command load neither
+`concurrent.futures` nor `multiprocessing`.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ import functools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -309,6 +312,10 @@ def cmd_scan(args) -> int:
     # the pool starts all its workers at the first submit: no more than files
     workers = min(args.jobs, len(files))
     if workers > 1:
+        # imported here, not at module level: only a scan that starts more
+        # than one worker pays for the pool and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_file = list(pool.map(_scan_file, tasks))
     else:

@@ -1,9 +1,13 @@
 """CLI subcommands: construction, analysis, scanning, exit codes."""
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -454,7 +458,8 @@ def test_scan_jobs_never_exceed_the_file_count(tmp_path, capsys, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # cmd_scan imports the pool when it starts one, so it reads the patch
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     for name in ("k4", "k33"):
@@ -468,6 +473,53 @@ def test_scan_jobs_never_exceed_the_file_count(tmp_path, capsys, monkeypatch):
     (corpus / "k33.edgelist").unlink()
     code, _, _ = run_cli(capsys, "scan", str(corpus), "--jobs", "4")
     assert code == 0 and sizes == [2]
+
+
+_POOL_PROBE = """
+import contextlib, io, json, sys
+
+def pool_modules():
+    return {m for m in sys.modules
+            if m.split(".")[0] in ("concurrent", "multiprocessing")}
+
+def scan(*extra):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["scan", sys.argv[1], *extra])
+    return code, out.getvalue()
+
+report = {}
+before = pool_modules()
+import circulant_lab.cli as cli
+report["import"] = sorted(pool_modules() - before)
+before = pool_modules()
+report["serial"] = scan()
+report["serial_adds"] = sorted(pool_modules() - before)
+report["parallel"] = scan("--jobs", "2")
+report["after_parallel"] = sorted(pool_modules())
+print(json.dumps(report))
+"""
+
+
+def test_only_a_parallel_scan_imports_the_process_pool(tmp_path):
+    # a fresh interpreter: this one has imported the pool for other tests;
+    # sets are compared before and after each step, since a .pth file may
+    # preload modules
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("k4", "k33"):
+        shutil.copy(FIXTURE_DIR / f"{name}.edgelist", corpus / f"{name}.edgelist")
+    src = str(FIXTURE_DIR.parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _POOL_PROBE, str(corpus)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["import"] == []
+    assert report["serial"][0] == 0 and report["serial_adds"] == []
+    assert report["parallel"] == report["serial"]
+    assert {"concurrent.futures.process", "multiprocessing"} <= set(report["after_parallel"])
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
