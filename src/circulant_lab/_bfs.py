@@ -1,8 +1,10 @@
 """The first-in-first-out walks behind every breadth-first search here.
 
 ``reach`` and ``components`` are the orbit algorithm: connectivity, the
-search's vertex order and group orbits are all one of them.  Callers that
-act on each edge (a Schreier tree, a Cayley graph, the girth) or walk
+search's vertex order and group orbits are all one of them.  A graph keeps
+its walk from vertex 0 (``Graph.walk_from_0``), and the search's vertex
+order walks the other components only on a disconnected graph.  Callers
+that act on each edge (a Schreier tree, a Cayley graph, the girth) or walk
 integer-coded nodes in a hot loop (the arc orbit) walk their own list the
 same way: it grows while it is walked, so it is the FIFO queue.
 """

@@ -66,7 +66,7 @@ from typing import Sequence
 
 from circulant_lab import _kernels as kern
 from circulant_lab import graphio
-from circulant_lab._bfs import components
+from circulant_lab._bfs import reach
 from circulant_lab.errors import (
     CapExceeded,
     GroupNotAutomorphisms,
@@ -80,8 +80,19 @@ _STABILISER_TO_T = {3: 0, 6: 1, 12: 2, 24: 3, 48: 4}
 
 
 def bfs_order(graph: graphio.Graph) -> list[int]:
-    """Vertices in BFS order from 0 (components visited by ascending root)."""
-    return [v for comp in components(graph.n, graph.adjacency.__getitem__) for v in comp]
+    """Vertices in BFS order from 0 (components visited by ascending root).
+
+    Vertex 0's component is the walk the graph keeps (Graph.walk_from_0),
+    so only a disconnected graph walks the others here."""
+    order = list(graph.walk_from_0)
+    if len(order) < graph.n:
+        seen = set(order)
+        for root in range(graph.n):
+            if root not in seen:
+                component = reach([root], graph.adjacency.__getitem__)
+                seen.update(component)
+                order += component
+    return order
 
 
 def _root(forest: list[int], v: int) -> int:
@@ -380,11 +391,13 @@ class SymmetryProfile:
 
 def symmetry_profile(graph: graphio.Graph, group: PermGroup | None = None) -> SymmetryProfile:
     """Full symmetry analysis; computes Aut if no group is supplied.  The
-    group goes through check_all_automorphisms (in is_arc_transitive)."""
+    group goes through check_all_automorphisms (in is_arc_transitive), and
+    vertex transitivity is read off the chain that order() builds
+    (PermGroup.is_transitive)."""
     group = automorphism_group(graph) if group is None else group
     at = is_arc_transitive(graph, group)
     order = group.order()
-    vt = graph.n > 0 and len(group.orbits()) == 1
+    vt = group.is_transitive()
     stab = order // graph.n if vt else None
     t = None
     if at and graphio.is_cubic(graph) and graphio.is_connected(graph) and graph.n > 0:

@@ -7,6 +7,11 @@ Reports are JSON on stdout and byte-identical across runs on the same input
 assertion, bound violation, or (analyze, spectrum) a group order over the
 enumeration cap, 2 usage or parse error.
 
+analyze and scan read one unformatted analysis per graph (_analyze_graph):
+analyze formats the whole report, witness cycles included, and a scan
+record takes the fields it prints from the objects, so a scan formats no
+witness.
+
 The process pool is imported only when a scan starts more than one worker,
 so importing this module and every serial command load neither
 `concurrent.futures` nor `multiprocessing`.
@@ -178,30 +183,32 @@ def _load_graphs(path: Path) -> list[tuple[int | None, graphio.Graph | GraphForm
     return out
 
 
-def _analyze_graph(graph: graphio.Graph, cap: int, include_trivial: bool,
-                   bound_check: bool) -> dict:
+def _analyze_graph(graph: graphio.Graph, cap: int, bound_check: bool
+                   ) -> tuple[aut_mod.SymmetryProfile, kcirc.SpectrumReport, dict | None]:
+    """The analysis of one graph, unformatted: its symmetry profile, its
+    spectrum report (with the order-bound findings under bound_check) and
+    the summary of its quotient by the witness of the smallest nontrivial
+    k (None when k = n is the only one).  analyze formats the report,
+    witnesses included; a scan record reads the fields it prints."""
     group = aut_mod.automorphism_group(graph, cap)
     profile = aut_mod.symmetry_profile(graph, group)
     report = kcirc.k_spectrum(graph, group, cap=cap)
     if bound_check and profile.arc_transitive and graphio.is_cubic(graph):
         report.findings = kcirc.check_order_bound(report)
-    payload = {
-        "profile": profile.to_json_dict(),
-        "spectrum": report.to_json_dict(include_trivial=include_trivial),
-    }
+    quotient_summary = None
     nontrivial = [k for k in report.spectrum if k != graph.n]
     if nontrivial:
         k0 = nontrivial[0]
         # the witness is an element of the searched group, so the subgroup
         # it generates is not checked against adjacency again
         q = quotient.quotient_graph(graph, aut_mod.subgroup(group, [report.witnesses[k0]]))
-        payload["quotient_by_smallest_k"] = {
+        quotient_summary = {
             "k": k0,
             "orbits": q.quotient.n,
             "is_regular_cover": q.is_regular_cover,
             "has_intra_orbit_edges": q.has_intra_orbit_edges,
         }
-    return payload
+    return profile, report, quotient_summary
 
 
 def cmd_construct(args, family: str) -> int:
@@ -245,12 +252,15 @@ def cmd_analyze(args, spectrum_only: bool) -> int:
         return 2
     _, graph = graphs[0]
     try:
-        payload = _analyze_graph(graph, args.cap, args.include_trivial_k, bound_check=True)
+        profile, report, quotient_summary = _analyze_graph(graph, args.cap, bound_check=True)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if spectrum_only:
-        payload = payload["spectrum"]
+    payload = report.to_json_dict(include_trivial=args.include_trivial_k)
+    if not spectrum_only:
+        payload = {"profile": profile.to_json_dict(), "spectrum": payload}
+        if quotient_summary is not None:
+            payload["quotient_by_smallest_k"] = quotient_summary
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -278,7 +288,7 @@ def _scan_file(task) -> list[dict]:
             record["skip"] = "not connected"
         else:
             try:
-                payload = _analyze_graph(graph, cap, include_trivial, bound_check)
+                profile, report, quotient_summary = _analyze_graph(graph, cap, bound_check)
             except CapExceeded as exc:
                 record["skip"] = "cap exceeded"
                 record["error"] = str(exc)
@@ -287,14 +297,15 @@ def _scan_file(task) -> list[dict]:
                 record["skip"] = "error"
                 record["error"] = str(exc)
             else:
+                # the record's fields of the analyze report, with no witness
                 record["skip"] = None
-                record["aut_order"] = payload["profile"]["aut_order"]
-                record["arc_transitive"] = payload["profile"]["arc_transitive"]
-                record["tutte_t"] = payload["profile"]["tutte_t"]
-                record["spectrum"] = payload["spectrum"]["spectrum"]
-                record["findings"] = payload["spectrum"]["findings"]
-                if "quotient_by_smallest_k" in payload:
-                    record["quotient_by_smallest_k"] = payload["quotient_by_smallest_k"]
+                record["aut_order"] = profile.aut_order
+                record["arc_transitive"] = profile.arc_transitive
+                record["tutte_t"] = profile.tutte_t
+                record["spectrum"] = report.reported_ks(include_trivial)
+                record["findings"] = [f.to_json_dict() for f in report.findings]
+                if quotient_summary is not None:
+                    record["quotient_by_smallest_k"] = quotient_summary
         if timings:
             record["elapsed_ms"] = round(1000 * (time.monotonic() - started), 3)
         records.append(record)

@@ -35,10 +35,11 @@ MAX_ORDER = 2 ** 20
 class Graph:
     """Adjacency by sorted per-vertex neighbor tuples.
 
-    The graph's CSR arrays (``csr``) are built on first use and kept with
-    it, so every search and automorphism check on one Graph object shares
-    one copy.  They are not a field: equality and hashing read the
-    adjacency alone.
+    The graph's CSR arrays (``csr``) and its breadth-first walk from vertex
+    0 (``walk_from_0``) are computed on first use and kept with it, so every
+    search, automorphism check and connectivity test on one Graph object
+    shares one copy of each.  They are not fields: equality and hashing
+    read the adjacency alone.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
@@ -47,6 +48,13 @@ class Graph:
     def csr(self) -> tuple[list[int], list[int]]:
         """(ptr, flat) from _kernels.build_csr; read-only by convention."""
         return kern.build_csr(self.adjacency)
+
+    @cached_property
+    def walk_from_0(self) -> list[int]:
+        """Vertex 0's component in FIFO order from 0 (_bfs.reach), empty
+        for the null graph; read-only by convention.  is_connected and the
+        search's vertex order (aut.bfs_order) both read it."""
+        return reach([0] if self.adjacency else [], self.adjacency.__getitem__)
 
     @property
     def n(self) -> int:
@@ -222,7 +230,7 @@ def serialize(graph: Graph, fmt: str) -> str:
 
 
 def is_connected(graph: Graph) -> bool:
-    return graph.n == 0 or len(reach([0], graph.adjacency.__getitem__)) == graph.n
+    return len(graph.walk_from_0) == graph.n
 
 
 def is_cubic(graph: Graph) -> bool:

@@ -74,8 +74,12 @@ class SpectrumReport:
     witnesses: dict[int, Permutation]
     findings: tuple[BoundFinding, ...] = field(default_factory=tuple)
 
+    def reported_ks(self, include_trivial: bool = True) -> list[int]:
+        """The spectrum as reports print it: k = n only with include_trivial."""
+        return [k for k in self.spectrum if include_trivial or k != self.n]
+
     def to_json_dict(self, include_trivial: bool = True) -> dict:
-        ks = [k for k in self.spectrum if include_trivial or k != self.n]
+        ks = self.reported_ks(include_trivial)
         return {
             "n": self.n,
             "spectrum": ks,
@@ -104,7 +108,9 @@ def _semiregular_elements(n: int, pairs: Iterable[WalkElement],
     through point 0 gives their number.  That cycle of the element
     x -> t[v[h[x]]], or x -> g[t[v[h[x]]]] for a block the walk reads
     through its parent, is followed in as many steps as it is long.  The
-    element is composed and fully tested only when its number is wanted.
+    element is composed and tested only when its number is wanted: one
+    that fixes 0 is semiregular exactly when it is the identity, a list
+    comparison, and any other is fully tested.
     """
     for m, ordered, h, v, t, g in pairs:
         length = 1
@@ -121,7 +127,7 @@ def _semiregular_elements(n: int, pairs: Iterable[WalkElement],
         if n % length or not wanted(n // length, m):
             continue
         images = [t[v[x]] for x in h] if g is None else [g[t[v[x]]] for x in h]
-        if kern.is_semiregular_images(images):
+        if (images == list(range(n))) if length == 1 else kern.is_semiregular_images(images):
             yield m, ordered, n // length, images
 
 

@@ -239,7 +239,9 @@ class PermGroup:
     Immutable after construction.  A group built from caller-supplied
     generators runs Schreier-Sims on its first query; one built by
     ``from_chain`` already knows its base and strong generating set.  All
-    chain-building choices are deterministic.
+    chain-building choices are deterministic.  Order and transitivity are
+    read off the chain (``order``, ``is_transitive``); only ``orbits``
+    walks the generators.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation]):
@@ -430,6 +432,16 @@ class PermGroup:
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
+
+    def is_transitive(self) -> bool:
+        """True iff the group has exactly one orbit, read off the chain:
+        the top level's tree is the orbit of its base point, a moved
+        point.  A group with no level is trivial, and transitive only on
+        one point."""
+        levels = self._ensure_chain()
+        if not levels:
+            return self.degree == 1
+        return len(levels[0].tree) == self.degree
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of {0..n-1} under the group, each orbit sorted,

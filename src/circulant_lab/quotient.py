@@ -120,7 +120,7 @@ def induced_semiregular_harness(graph: graphio.Graph, c: Permutation,
     """
     check_all_automorphisms(graph, group)
     n = graph.n
-    if len(group.orbits()) != 1:
+    if not group.is_transitive():
         raise HypothesisViolated("transitivity")
     if not group.contains(c):
         raise HypothesisViolated("containment of c in G")

@@ -473,6 +473,14 @@ def test_bfs_order_on_interleaved_components():
     graph = from_edges(8, [(0, 5), (3, 5), (1, 4), (1, 6), (2, 4)])
     assert bfs_order(graph) == [0, 5, 3, 1, 4, 6, 2, 7]
     assert bfs_order(from_edges(0, [])) == []
+    # vertex 0 isolated: its component is the walk the graph keeps
+    graph = from_edges(4, [(1, 2), (2, 3), (1, 3)])
+    assert bfs_order(graph) == [0, 1, 2, 3] and graph.walk_from_0 == [0]
+    # a connected graph's order is a new list, so the caller may change it
+    graph = from_edges(4, [(0, 2), (1, 2), (1, 3)])
+    order = bfs_order(graph)
+    order.append(9)
+    assert bfs_order(graph) == graph.walk_from_0 == [0, 2, 1, 3]
 
 
 def test_trivial_graphs():
@@ -1083,6 +1091,37 @@ def test_one_graph_builds_its_csr_once(monkeypatch):
         quotient_graph(graph, PermGroup(n, [w]))
     check_all_automorphisms(graph, PermGroup(n, group.generators))
     assert calls == 1
+
+
+def test_one_graph_is_walked_from_vertex_0_once(monkeypatch, tmp_path):
+    # the construction's checks, the search, the profile and the arc-type
+    # all read the walk from vertex 0 that the graph keeps, and so does a
+    # scan record of the graph parsed from a file: one walk per Graph object
+    from circulant_lab import _bfs, cli
+    from circulant_lab.graphio import serialize
+
+    walked = []  # the object each walk's step reads
+    reach = _bfs._reach
+
+    def counting(starts, step, seen):
+        walked.append(getattr(step, "__self__", None))
+        return reach(starts, step, seen)
+
+    monkeypatch.setattr(_bfs, "_reach", counting)
+    cons = build_odd(3)
+    graph = cons.graph
+    assert cli.verify_construction(cons)["ok"]
+    group = automorphism_group(graph)
+    assert symmetry_profile(graph, group).vertex_transitive
+    assert arc_transitive_type(graph) == 1
+    path = tmp_path / "odd3.edgelist"
+    path.write_text(serialize(graph, "edgelist"))
+    [record] = cli._scan_file((str(path), DEFAULT_ENUMERATION_CAP, False, True, False))
+    assert record["connected"] and record["skip"] is None and record["tutte_t"] == 1
+    # orbit walks step through lists of images, not through this adjacency
+    graphs = [adjacency for adjacency in walked if adjacency == graph.adjacency]
+    assert len(graphs) == 2
+    assert graphs[0] is graph.adjacency and graphs[1] is not graph.adjacency
 
 
 def _membership_groups():

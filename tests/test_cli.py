@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from circulant_lab.cli import main
 from circulant_lab.errors import StabiliserNotOfForm
 from circulant_lab.graphio import MAX_ORDER, parse_edgelist, serialize
 from circulant_lab.perm import Permutation, compose, inverse
-from helpers import diamond_ring
+from helpers import diamond_ring, generalized_petersen, random_cubic_graph
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "circulant_lab" / "fixtures"
 
@@ -583,6 +584,84 @@ def test_scan_skips_a_cubic_graph_past_the_cap(tmp_path, capsys):
     assert k4["skip"] is None
     assert summary["summary"]["skipped"] == 1 and summary["summary"]["analyzed"] == 1
 
+
+def test_scan_of_a_huge_edgeless_graph_walks_only_vertex_0(tmp_path, capsys):
+    # a 10-byte file declaring MAX_ORDER isolated vertices: the record's
+    # connectivity is read off vertex 0's component alone
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "edgeless.edgelist").write_text(f"{MAX_ORDER} 0")
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "scan", str(corpus), "--bound-check")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    record, summary = map(json.loads, out.splitlines())
+    assert code == 0 and record["n"] == MAX_ORDER
+    assert (record["cubic"], record["connected"], record["skip"]) == (False, False, "not cubic")
+    assert summary["summary"]["skipped"] == 1
+
+
+MIXED_FAMILY = (("odd3", cli.build_odd, (3,)), ("odd5", cli.build_odd, (5,)),
+                ("even1_7", cli.build_even, (1, 7)), ("even2_7", cli.build_even, (2, 7)))
+
+
+def _mixed_corpus(root):
+    """The six fixtures, four family members and a graph6 batch of seeded
+    random cubic graphs and GP(8, 3), under root; returns the batch."""
+    root.mkdir()
+    for name in fixtures.NAMES:
+        shutil.copy(FIXTURE_DIR / f"{name}.edgelist", root)
+    for name, build, params in MIXED_FAMILY:
+        (root / f"{name}.edgelist").write_text(serialize(build(*params).graph, "edgelist"))
+    batch = [random_cubic_graph(random.Random(seed), n)
+             for seed, n in enumerate((10, 12, 16, 20, 24))] + [generalized_petersen(8, 3)]
+    (root / "batch.g6").write_text("".join(serialize(g, "graph6") + "\n" for g in batch))
+    return batch
+
+
+@pytest.mark.parametrize("trivial", [False, True], ids=["nontrivial", "include-trivial-k"])
+def test_scan_records_are_the_analyze_reports_fields(tmp_path, capsys, monkeypatch, trivial):
+    # a scan record carries the analyze report's fields for its graph, and
+    # no witness: both read one analysis, and only analyze formats it
+    monkeypatch.chdir(tmp_path)
+    batch = _mixed_corpus(tmp_path / "mixed")
+    flags = ["--include-trivial-k"] if trivial else []
+    code, out, _ = run_cli(capsys, "scan", "mixed", "--bound-check", *flags)
+    assert code == 0
+    *records, summary = map(json.loads, out.splitlines())
+    assert summary["summary"] == {"files": 11, "graphs": 16, "analyzed": 16, "skipped": 0,
+                                  "violations": 0, "bound_equalities": 3}
+    Path("single").mkdir()
+    for line, graph in enumerate(batch, start=1):
+        Path(f"single/batch{line}.g6").write_text(serialize(graph, "graph6"))
+    for record in records:
+        source = (record["source"] if record["line"] is None
+                  else f"single/batch{record['line']}.g6")
+        code, out, _ = run_cli(capsys, "analyze", source, *flags)
+        assert code == 0
+        payload = json.loads(out)
+        assert record["skip"] is None and "witnesses" not in record
+        assert record["aut_order"] == payload["profile"]["aut_order"]
+        assert record["arc_transitive"] == payload["profile"]["arc_transitive"]
+        assert record["tutte_t"] == payload["profile"]["tutte_t"]
+        assert record["spectrum"] == payload["spectrum"]["spectrum"]
+        assert record["findings"] == payload["spectrum"]["findings"]
+        assert record.get("quotient_by_smallest_k") == payload.get("quotient_by_smallest_k")
+        assert list(payload["spectrum"]["witnesses"]) == [str(k) for k in record["spectrum"]]
+
+
+def test_mixed_scan_output_is_pinned(tmp_path, capsys, monkeypatch):
+    # the bound-check scan of the mixed directory, byte for byte, as it
+    # was when each record was copied from a formatted analyze report
+    monkeypatch.chdir(tmp_path)
+    _mixed_corpus(tmp_path / "mixed")
+    code, out, _ = run_cli(capsys, "scan", "mixed", "--bound-check")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2ee8f387aeb1b9b7353c142401e203b2c1fd14c04a2d29493a54dd033a37b4aa")
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 

@@ -17,6 +17,7 @@ from circulant_lab.errors import (
 )
 from circulant_lab.graphio import (
     MAX_ORDER,
+    Graph,
     _graph6_decode_n,
     _graph6_encode_n,
     from_edges,
@@ -141,6 +142,20 @@ def test_parse_memory_follows_the_file_not_the_header():
     assert graph.adjacency[0] == graph.adjacency[-1] == ()
 
 
+def test_connectivity_memory_follows_vertex_0s_component():
+    # the walk the graph keeps is vertex 0's component alone, so a graph
+    # of MAX_ORDER isolated vertices is found disconnected at once
+    tracemalloc.start()
+    try:
+        graph = from_edges(MAX_ORDER, [])
+        connected = is_connected(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert not connected and graph.walk_from_0 == [0]
+
+
 def test_from_edges_isolated_vertices_and_sorted_neighbours():
     graph = from_edges(6, [(4, 1), (1, 0), (4, 3)])
     assert graph.adjacency == ((1,), (0, 4), (), (4,), (1, 3), ())
@@ -252,6 +267,12 @@ def test_connectivity():
     assert is_cubic(two_k4)
     assert is_connected(from_edges(0, []))
     assert not is_connected(from_edges(4, [(1, 2), (2, 3), (1, 3)]))  # vertex 0 isolated
+    assert is_connected(from_edges(1, []))
+    # the walk is kept with the graph, and is not part of its value
+    cube = fixtures.load("cube3")
+    assert is_connected(cube) and cube.walk_from_0 == [0, 1, 2, 4, 3, 5, 6, 7]
+    assert "walk_from_0" in vars(cube)
+    assert cube == from_edges(8, list(cube.edges())) and hash(cube) == hash(Graph(cube.adjacency))
 
 
 def test_fixture_corpus_stats():

@@ -287,10 +287,16 @@ class _CountingList(list):
 
 
 @pytest.mark.parametrize("group_kind", ["search", "arc"])
-def test_cycle_walk_reads_each_cycle_through_0_once(group_kind):
+def test_cycle_walk_reads_each_cycle_through_0_once(monkeypatch, group_kind):
     # the walk follows each element's cycle through 0 on its uncomposed
     # word, one image of h per point of the cycle, and composes exactly the
-    # semiregular elements whose number of cycles is wanted
+    # semiregular elements whose number of cycles is wanted; it fully tests
+    # only those of them that move 0, as an element that fixes 0 is
+    # semiregular exactly when it is the identity
+    tested = []
+    is_semiregular_images = kern.is_semiregular_images
+    monkeypatch.setattr(kern, "is_semiregular_images",
+                        lambda images: tested.append(images) or is_semiregular_images(images))
     graph, group = _certify_case("odd-3", group_kind)
     n = graph.n
     elements = list(group.suborbit_pairs())
@@ -311,10 +317,18 @@ def test_cycle_walk_reads_each_cycle_through_0_once(group_kind):
     for k in range(1, n + 1):
         if n % k:
             continue
+        tested.clear()
         hits = [(m, images) for m, _, c, images in kcirc._semiregular_elements(
             n, elements, lambda c, m: c == k)]
+        assert len(tested) == (0 if k == n else through_0.count(n // k)), k
         assert hits == [(m, list(e.images)) for (m, *_), e in zip(elements, composed)
                         if is_semiregular(e) and len(cycle_structure(e).cycle_lengths) == k], k
+    # the identity comes first, and a whole spectrum tests it by comparison
+    assert composed[0].is_identity()
+    tested.clear()
+    report = k_spectrum(graph, group)
+    assert report.witnesses[n].is_identity()
+    assert tested and not any(images == list(range(n)) for images in tested)
 
 
 def _count_compositions(monkeypatch):

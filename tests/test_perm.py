@@ -33,7 +33,14 @@ from circulant_lab.perm import (
     power,
     to_cycle_string,
 )
-from helpers import chain_elements, diamond_ring, schreier_sims_by_inverses
+from circulant_lab.graphio import from_edges
+from helpers import (
+    chain_elements,
+    diamond_ring,
+    generalized_petersen,
+    random_cubic_graph,
+    schreier_sims_by_inverses,
+)
 
 
 def P(cycles: str, degree: int) -> Permutation:
@@ -711,3 +718,51 @@ def test_sifts_invert_only_residues_they_adjoin(monkeypatch):
     assert all(symmetric.contains(Permutation(tuple(rng.sample(range(9), 9))))
                for _ in range(20))
     assert calls["inverse"] == 0
+
+
+def _two_k4():
+    return from_edges(8, [(4 * c + i, 4 * c + j) for c in range(2)
+                          for i in range(4) for j in range(i + 1, 4)])
+
+
+TRANSITIVITY_GROUPS = {
+    **ORACLE_GROUPS,
+    "schreier-sims-odd3": lambda: _arc_group(build_odd(3)),
+    "schreier-sims-even1_7": lambda: _arc_group(build_even(1, 7)),
+    "search-odd5": lambda: automorphism_group(build_odd(5).graph),
+    "search-even2_7": lambda: automorphism_group(build_even(2, 7).graph),
+    "search-GP10-3": lambda: automorphism_group(generalized_petersen(10, 3)),
+    # two vertex orbits, and two components
+    "search-GP29-3": lambda: automorphism_group(generalized_petersen(29, 3)),
+    "search-two-k4": lambda: automorphism_group(_two_k4()),
+    "search-diamond_ring8": lambda: automorphism_group(diamond_ring(8)),
+    # the claw's centre 0 is a singleton cell, so the search's first level
+    # is at a leaf; a rigid graph's search opens no level
+    "search-claw": lambda: automorphism_group(from_edges(4, [(0, 1), (0, 2), (0, 3)])),
+    "search-rigid": lambda: automorphism_group(random_cubic_graph(random.Random(0), 20)),
+    "fixes-0-cyclic": lambda: PermGroup(5, [P("(1 2 3 4)", 5)]),
+    "fixes-0-two-orbits": lambda: PermGroup(6, [P("(1 2 3)(4 5)", 6), P("(1 2)", 6)]),
+    "trivial0": lambda: PermGroup(0, []),
+    "trivial1": lambda: PermGroup(1, []),
+    "trivial2": lambda: PermGroup(2, [identity(2)]),
+}
+
+
+@pytest.mark.parametrize("name", ["random300", *TRANSITIVITY_GROUPS])
+def test_is_transitive_is_read_off_the_chain(name):
+    # the top level's tree is the orbit of a moved point, so a group is
+    # transitive exactly when that tree holds every point; a group with no
+    # level is transitive only on one point
+    groups = (_random_groups(300) if name == "random300"
+              else [TRANSITIVITY_GROUPS[name]()])
+    for group in groups:
+        n = group.degree
+        want = len(group.orbits()) == 1
+        assert group.is_transitive() == want
+        if n:
+            gens = [SympyPermutation(list(g.images)) for g in group.generators]
+            assert SympyGroup(gens or [SympyPermutation(n - 1)]).is_transitive() == want
+    if name == "search-claw":
+        assert group.base()[0] != 0 and not group.is_transitive()
+    if name == "search-rigid":
+        assert group.order() == 1 and not group.is_transitive()
