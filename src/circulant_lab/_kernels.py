@@ -4,10 +4,14 @@ Permutations are plain sequences of images, and ``cycles`` is the one walk
 that lists their cycles (``is_semiregular_images`` only counts their
 lengths).  Composition is one C-level gather (``operator.itemgetter``
 over the images), not a Python loop per point.  This is the one module
-that knows the CSR layout of a graph (``ptr``/``flat``, from
-:func:`build_csr`; a ``graphio.Graph`` builds it once, on first use, and
-keeps it as ``Graph.csr``) and how colour refinement
-numbers its cells.  Refinement is canonical splitter-queue refinement
+that knows the two layouts a graph keeps, each built once, on first use:
+the CSR arrays (``ptr``/``flat``, from :func:`build_csr`, kept as
+``Graph.csr``) that refinement reads, and the edge index (from
+:func:`build_edge_index`, kept as ``Graph.edge_index``) that the
+automorphism check reads (:func:`preserves_edges`: gathers and one set
+lookup per edge, all in C; :func:`preserves_adjacency` builds the index
+from CSR arrays on each call), and how colour refinement numbers its
+cells.  Refinement is canonical splitter-queue refinement
 (Cardon and Crochemore 1982; Berkholz, Bonsma and Grohe 2017): its cell ids
 and its trace (the splits each splitter makes) depend only on the colored
 isomorphism type, so two refinements of isomorphic colorings can be
@@ -21,7 +25,7 @@ parent's, copying only the cells its refinement splits and never modifying
 the parent's.  ``BACKEND`` names the implementation, for benchmark reports.
 """
 
-from operator import itemgetter, sub
+from operator import contains, itemgetter, sub
 
 BACKEND = "pure"
 
@@ -41,10 +45,20 @@ def compose_images(p, q):
     """Left-to-right composition, as a list: result[i] = q[p[i]].  One
     itemgetter gathers every image in C; with one argument it would return
     the bare item, and with none it cannot be built, so degrees below 2
-    take the comprehension."""
+    take the comprehension.  It is written out here, not through _gather,
+    since it is the chain's hottest call."""
     if len(p) < 2:
         return [q[x] for x in p]
     return list(itemgetter(*p)(q))
+
+
+def _gather(points):
+    """The function that reads images at the given points, in order, as a
+    sequence: one itemgetter, or a comprehension for fewer than two points,
+    as in compose_images."""
+    if len(points) < 2:
+        return lambda images: [images[x] for x in points]
+    return itemgetter(*points)
 
 
 def inverse_images(p):
@@ -97,19 +111,38 @@ def is_semiregular_images(p):
     return True
 
 
-def preserves_adjacency(ptr, flat, images):
-    """True iff the vertex map sends every edge to an edge.
+def build_edge_index(adjacency):
+    """The index preserves_edges reads: (first, second, nbrs).  first and
+    second gather, from a vertex map, the images of the smaller and of the
+    larger end of each edge, in one edge order (_gather), and nbrs[v] is the
+    frozenset of v's neighbours.  Neighbour lists may come in any order."""
+    first = []
+    second = []
+    for u, nbrs in enumerate(adjacency):
+        for v in nbrs:
+            if u < v:
+                first.append(u)
+                second.append(v)
+    return _gather(first), _gather(second), list(map(frozenset, adjacency))
 
-    Assumes images is a bijection: then edges map to distinct edges, so
-    checking each mapped neighbor suffices.
+
+def preserves_edges(index, images):
+    """True iff the vertex map sends every edge to an edge: the image of
+    each edge's larger end is a neighbour of its smaller end's image.
+
+    index is build_edge_index's.  Assumes images is a bijection: then edges
+    map to distinct edges, so checking each edge once suffices.  Stops at
+    the first edge that fails.
     """
-    for v in range(len(ptr) - 1):
-        iv = images[v]
-        targets = flat[ptr[iv]:ptr[iv + 1]]
-        for u in flat[ptr[v]:ptr[v + 1]]:
-            if images[u] not in targets:
-                return False
-    return True
+    first, second, nbrs = index
+    return all(map(contains, _gather(first(images))(nbrs), second(images)))
+
+
+def preserves_adjacency(ptr, flat, images):
+    """preserves_edges on CSR arrays, with the index built from them on
+    each call."""
+    adjacency = [flat[ptr[v]:ptr[v + 1]] for v in range(len(ptr) - 1)]
+    return preserves_edges(build_edge_index(adjacency), images)
 
 
 def ball_profile(adjacency, v, expected=None):

@@ -33,9 +33,12 @@ level, and tests adjacency at the leaf.
 Refinement and individualization are kernels
 (``_kernels.refine_colors`` for the root coloring,
 ``_kernels.individualize`` below it), and only they number the cells.
-They read the graph's CSR arrays from the graph itself (``Graph.csr``,
-built on first use and kept), as every automorphism check here does, so
-the searches and checks on one Graph object share one copy.
+They read the graph's CSR arrays from the graph itself (``Graph.csr``),
+and the leaf's adjacency test, like every automorphism check here, reads
+its edge index (``Graph.edge_index``, _kernels.preserves_edges).  Both are
+built on first use and kept, so the searches and checks on one Graph
+object share one copy of each, and a search that reaches no leaf builds
+no index.
 Each principal level keeps its coloring with its cells, so a node's
 individualization starts from its parent's cells and copies only the
 cells its refinement splits, and a node's candidates are the members of
@@ -182,7 +185,7 @@ def _search(graph: graphio.Graph, colors: list[int], cap: int | None = None) -> 
                 images = [0] * n
                 for u, c in enumerate(beta):
                     images[leaf_pos[c]] = u
-                if kern.preserves_adjacency(ptr, flat, images):
+                if kern.preserves_edges(graph.edge_index, images):
                     return Permutation(tuple(images))
                 continue
             todo = sorted(beta_cells[alpha[target]], reverse=True)
@@ -257,7 +260,7 @@ def is_automorphism(graph: graphio.Graph, p: Permutation) -> bool:
     """True iff p acts on the graph's vertices and maps every edge onto an edge."""
     if p.degree != graph.n:
         return False
-    return kern.preserves_adjacency(*graph.csr, p.images)
+    return kern.preserves_edges(graph.edge_index, p.images)
 
 
 def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
@@ -273,9 +276,9 @@ def check_all_automorphisms(graph: graphio.Graph, group: PermGroup) -> None:
         return
     if group.degree != graph.n:
         raise GroupNotAutomorphisms(f"group degree {group.degree} differs from n = {graph.n}")
-    ptr, flat = graph.csr
+    index = graph.edge_index
     for g in group.generators:
-        if not kern.preserves_adjacency(ptr, flat, g.images):
+        if not kern.preserves_edges(index, g.images):
             raise GroupNotAutomorphisms(f"generator {g} does not preserve adjacency")
     group._automorphisms_of = graph
 

@@ -240,8 +240,9 @@ class PermGroup:
     generators runs Schreier-Sims on its first query; one built by
     ``from_chain`` already knows its base and strong generating set.  All
     chain-building choices are deterministic.  Order and transitivity are
-    read off the chain (``order``, ``is_transitive``); only ``orbits``
-    walks the generators.
+    read off the chain (``order``, ``is_transitive``); only
+    ``labelled_orbits`` (and ``orbits``, which reads it) walks the
+    generators.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation]):
@@ -445,9 +446,16 @@ class PermGroup:
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of {0..n-1} under the group, each orbit sorted,
-        ordered by smallest point; new lists on each call."""
-        gens = [g.images for g in self.generators]
-        return [sorted(orbit) for orbit in _orbit_classes(self.degree, gens)]
+        ordered by smallest point; new lists on each call.  Only orbits of
+        more than one point need sorting."""
+        return [sorted(orbit) if len(orbit) > 1 else orbit
+                for orbit in self.labelled_orbits()[0]]
+
+    def labelled_orbits(self) -> tuple[list[list[int]], list[int]]:
+        """The orbits, ordered by smallest point, each in FIFO order from
+        it, and for each point the index of its orbit, from one labelled
+        walk over the generators (_orbit_classes); new lists on each call."""
+        return _orbit_classes(self.degree, [g.images for g in self.generators])
 
     def _suborbit_partition(self) -> tuple[list[list[int]], list[tuple[int, list[int], _Level]]]:
         """The suborbits the walk reads, those of the first base point's
@@ -458,7 +466,7 @@ class PermGroup:
         if self._suborbits is None:
             top, *below = self._ensure_chain()
             stabiliser = below[0].gens if below else []
-            suborbits = [cls for cls in _orbit_classes(self.degree, stabiliser)
+            suborbits = [cls for cls in _orbit_classes(self.degree, stabiliser)[0]
                          if cls[0] in top.tree and cls[0] != top.base]
             self._suborbits = suborbits, _steps(below)
         return self._suborbits
@@ -597,9 +605,11 @@ def _closing_points(tree: dict, g: list[int]) -> set[int]:
             for cycle in cycles if len(cycle) == order and cycle[0] in tree}
 
 
-def _orbit_classes(degree: int, gens: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The orbits of the group gens generate (_bfs.components), each
-    point's images read from one tuple precomputed for it."""
+def _orbit_classes(degree: int, gens: Sequence[Sequence[int]]
+                   ) -> tuple[list[list[int]], list[int]]:
+    """The orbits of the group gens generate and each point's orbit index
+    (_bfs.components), each point's images read from one tuple precomputed
+    for it."""
     images = list(zip(*gens)) if gens else [()] * degree
     return components(degree, images.__getitem__)
 

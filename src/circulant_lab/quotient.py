@@ -3,7 +3,9 @@ divisibility harness for induced actions on orbits.
 
 Quotients are simple graphs: edges inside one orbit never become loops but
 are reported through a flag instead, since the cover machinery only uses the
-loop-free case.  Orbit indices are ordered by smallest contained vertex.
+loop-free case.  Orbit indices are ordered by smallest contained vertex,
+and the orbits and each vertex's index come from one labelled walk
+(PermGroup.labelled_orbits), each orbit listed from its smallest vertex.
 A subgroup of automorphisms fixes each of its orbits, so every vertex of
 an orbit sees the same orbits around it, and the quotient reads one
 vertex per orbit (quotient_graph gives the argument).
@@ -34,16 +36,6 @@ class QuotientResult:
     has_intra_orbit_edges: bool
 
 
-def _orbit_map(subgroup: PermGroup) -> tuple[list[list[int]], list[int]]:
-    """The subgroup's orbits and, for each point, the index of its orbit."""
-    orbits = subgroup.orbits()
-    orbit_map = [0] * subgroup.degree
-    for idx, orbit in enumerate(orbits):
-        for v in orbit:
-            orbit_map[v] = idx
-    return orbits, orbit_map
-
-
 def quotient_graph(graph: graphio.Graph, subgroup: PermGroup) -> QuotientResult:
     """Quotient of the graph by the subgroup's orbit partition.
 
@@ -62,7 +54,7 @@ def quotient_graph(graph: graphio.Graph, subgroup: PermGroup) -> QuotientResult:
     orbit[0] of B has too.
     """
     check_all_automorphisms(graph, subgroup)
-    orbits, orbit_map = _orbit_map(subgroup)
+    orbits, orbit_map = subgroup.labelled_orbits()
     adjacency = graph.adjacency
     quotient_adjacency = []
     intra = False
@@ -88,15 +80,16 @@ def induced_action(c: Permutation, subgroup: PermGroup) -> Permutation:
     """
     if c.degree != subgroup.degree:
         raise DoesNotPreservePartition(f"degree {c.degree} differs from {subgroup.degree}")
-    orbits, orbit_map = _orbit_map(subgroup)
+    orbits, orbit_map = subgroup.labelled_orbits()
     images = []
     for orbit in orbits:
         targets = {orbit_map[c[v]] for v in orbit}
         if len(targets) != 1:
-            raise DoesNotPreservePartition(f"orbit {orbit} is split by the permutation")
+            raise DoesNotPreservePartition(f"orbit {sorted(orbit)} is split by the permutation")
         target = targets.pop()
         if len(orbits[target]) != len(orbit):
-            raise DoesNotPreservePartition(f"orbit {orbit} maps onto a different-sized orbit")
+            raise DoesNotPreservePartition(
+                f"orbit {sorted(orbit)} maps onto a different-sized orbit")
         images.append(target)
     return Permutation(tuple(images))
 

@@ -135,10 +135,10 @@ def test_a_group_is_checked_once_per_graph(monkeypatch):
     searched = automorphism_group(graph)
     supplied = PermGroup(graph.n, cons.arc_group.generators)
     checked = []
-    preserves = kern.preserves_adjacency
-    monkeypatch.setattr(kern, "preserves_adjacency",
-                        lambda ptr, flat, images: checked.append(images)
-                        or preserves(ptr, flat, images))
+    preserves = kern.preserves_edges
+    monkeypatch.setattr(kern, "preserves_edges",
+                        lambda index, images: checked.append(images)
+                        or preserves(index, images))
 
     def generator_checks(group):
         # certify also re-verifies each witness it keeps, a new permutation
@@ -1091,6 +1091,40 @@ def test_one_graph_builds_its_csr_once(monkeypatch):
         quotient_graph(graph, PermGroup(n, [w]))
     check_all_automorphisms(graph, PermGroup(n, group.generators))
     assert calls == 1
+
+
+def test_one_graph_builds_its_edge_index_once(monkeypatch):
+    # the search's leaf checks, every certificate's re-verification, the
+    # quotients by fresh subgroups and the check of a fresh supplied group
+    # all read the edge index the graph keeps; a fresh Graph object, so
+    # that no earlier use has built it
+    from circulant_lab import _kernels as kern
+    from circulant_lab.aut import check_all_automorphisms
+    from circulant_lab.quotient import quotient_graph
+
+    graph = Graph(build_odd(5).graph.adjacency)
+    n = graph.n
+    builds = []
+    checks = []
+    build_edge_index = kern.build_edge_index
+    preserves = kern.preserves_edges
+    monkeypatch.setattr(kern, "build_edge_index",
+                        lambda adjacency: builds.append(adjacency) or build_edge_index(adjacency))
+    monkeypatch.setattr(kern, "preserves_edges",
+                        lambda index, images: checks.append(index) or preserves(index, images))
+    group = automorphism_group(graph)
+    assert builds == [graph.adjacency] and len(checks) >= len(group.generators)
+    searched = len(checks)
+    witnesses = [certify_k_circulant(graph, k, group) for k in range(1, n + 1) if n % k == 0]
+    witnesses = [w for w in witnesses if w is not None]
+    assert len(witnesses) > 1
+    for w in witnesses:
+        quotient_graph(graph, PermGroup(n, [w]))
+    check_all_automorphisms(graph, PermGroup(n, group.generators))
+    assert len(builds) == 1
+    assert all(index is graph.edge_index for index in checks)
+    # one re-verification per witness and one check per fresh generator
+    assert len(checks) >= searched + len(witnesses) + len(group.generators)
 
 
 def test_one_graph_is_walked_from_vertex_0_once(monkeypatch, tmp_path):

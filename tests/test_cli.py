@@ -663,6 +663,38 @@ def test_mixed_scan_output_is_pinned(tmp_path, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2ee8f387aeb1b9b7353c142401e203b2c1fd14c04a2d29493a54dd033a37b4aa")
 
+
+def test_a_scan_tests_each_graph_for_degree_3_once(tmp_path, capsys, monkeypatch):
+    # the record, the bound check and the symmetry profile all read the
+    # degree test the Graph keeps (Graph.cubic); graphio.is_cubic is still
+    # asked of every graph, since a wrapper on it sees each graph start
+    import functools
+
+    monkeypatch.chdir(tmp_path)
+    _mixed_corpus(tmp_path / "mixed")
+    Path("mixed/path.edgelist").write_text("3 2\n0 1\n1 2\n")
+    computed = []
+    degree_test = graphio.Graph.cubic.func
+
+    def counting(graph):
+        computed.append(graph)
+        return degree_test(graph)
+
+    kept = functools.cached_property(counting)
+    kept.__set_name__(graphio.Graph, "cubic")
+    monkeypatch.setattr(graphio.Graph, "cubic", kept)
+    asked = []
+    is_cubic = graphio.is_cubic
+    monkeypatch.setattr(graphio, "is_cubic", lambda graph: asked.append(graph) or is_cubic(graph))
+    code, out, _ = run_cli(capsys, "scan", "mixed", "--bound-check")
+    assert code == 0
+    *records, summary = map(json.loads, out.splitlines())
+    assert summary["summary"]["graphs"] == len(records) == 17
+    assert [r["skip"] for r in records].count("not cubic") == 1
+    # the lists hold the graphs, so no two distinct graphs share an id
+    assert len(computed) == len({id(g) for g in computed}) == len(records)
+    assert {id(g) for g in asked} == {id(g) for g in computed}
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
@@ -676,13 +708,13 @@ def test_analyze_checks_adjacency_only_in_the_search(tmp_path, capsys, monkeypat
     path = tmp_path / "odd5.edgelist"
     path.write_text(serialize(cli.build_odd(5).graph, "edgelist"))
     calls = [0]
-    preserves = kern.preserves_adjacency
+    preserves = kern.preserves_edges
 
-    def counting(ptr, flat, images):
+    def counting(index, images):
         calls[0] += 1
-        return preserves(ptr, flat, images)
+        return preserves(index, images)
 
-    monkeypatch.setattr(kern, "preserves_adjacency", counting)
+    monkeypatch.setattr(kern, "preserves_edges", counting)
     automorphism_group(parse_edgelist(path.read_text()))
     search_calls, calls[0] = calls[0], 0
     code, out, _ = run_cli(capsys, "analyze", str(path))

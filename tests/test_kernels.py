@@ -1,10 +1,11 @@
-"""Kernel contracts: the adjacency check (and ``aut.is_automorphism`` on
-top of it) agrees with an edge-set oracle on CSR arrays in any neighbour
-order, refinement reaches the reference partition with canonical cell ids
-and a canonical trace, a refinement checked against an expected trace
-stops exactly when its own trace differs, the splitters that hit no vertex
-twice split exactly as the by-count split of ``helpers.refine_by_counts``
-would, individualization returns cells that match its coloring and never
+"""Kernel contracts: the adjacency check, on an edge index and through
+its CSR adapter (and ``aut.is_automorphism`` on top of it), agrees with an
+edge-set oracle in any neighbour order, with no, one or two edges, and
+under relabelling, refinement reaches the reference partition with
+canonical cell ids and a canonical trace, a refinement checked against an
+expected trace stops exactly when its own trace differs, the splitters
+that hit no vertex twice split exactly as the by-count split of
+``helpers.refine_by_counts`` would, individualization returns cells that match its coloring and never
 modifies its parent's coloring or cells, composition is a list of
 ``q[x] for x in p`` at every degree and shares the int objects of its
 second argument, the semiregularity test agrees with
@@ -63,29 +64,59 @@ def test_compose_is_the_gather_and_returns_a_list():
         assert out == [q[x] for x in p]
 
 
+def _agrees_with_the_edge_set_oracle(rng, graph, images):
+    """Every form of the adjacency check against the edge-set oracle: the
+    edge index and the CSR adapter, both built from shuffled neighbour
+    lists (no order is assumed), and aut.is_automorphism on the graph's
+    kept index; returns the oracle's answer."""
+    edges = {frozenset(e) for e in graph.edges()}
+    expected = {frozenset((images[u], images[v])) for u, v in graph.edges()} == edges
+    shuffled = [rng.sample(nbrs, len(nbrs)) for nbrs in graph.adjacency]
+    assert kern.preserves_edges(kern.build_edge_index(shuffled), images) == expected
+    assert kern.preserves_adjacency(*kern.build_csr(shuffled), images) == expected
+    assert aut.is_automorphism(graph, Permutation(tuple(images))) == expected
+    return expected
+
+
 def test_adjacency_check_matches_the_edge_set_oracle():
-    # random bijections and brute-force automorphisms (n <= 8), on CSR
-    # arrays built from shuffled neighbour lists: no order is assumed
+    # brute-force automorphisms (n <= 8) and random bijections, each also
+    # with one transposition applied, and each also on a random relabelling
+    # of the graph (conjugated by it); graphs with no, one and two edges
+    # and isolated vertices come first, since itemgetter cannot be built
+    # with no argument and returns the bare item for one
     rng = random.Random(84)
+    small = [from_edges(0, []), from_edges(1, []), from_edges(3, []),
+             from_edges(2, [(0, 1)]), from_edges(4, [(2, 3)]),
+             from_edges(3, [(0, 1), (1, 2)]), from_edges(5, [(0, 4), (1, 3)])]
     hits = misses = 0
-    for trial in range(60):
-        if trial % 2:
+    for trial in range(len(small) + 60):
+        if trial < len(small):
+            graph = small[trial]
+        elif trial % 2:
             graph = random_cubic_graph(rng, rng.choice((4, 6, 8)))
         else:
             graph = random_simple_graph(rng, rng.randrange(1, 9), rng.random())
-        edges = {frozenset(e) for e in graph.edges()}
-        ptr, flat = kern.build_csr([rng.sample(nbrs, len(nbrs)) for nbrs in graph.adjacency])
+        n = graph.n
+        r = random_images(rng, n)
+        inv = kern.inverse_images(r)
+        relabelled = relabel(graph, r)
         autos = brute_force_automorphisms(graph)
         samples = rng.sample(autos, min(len(autos), 20))
-        for images in samples + [tuple(random_images(rng, graph.n)) for _ in range(10)]:
-            expected = {frozenset((images[u], images[v])) for u, v in graph.edges()} == edges
-            assert kern.preserves_adjacency(ptr, flat, images) == expected
-            assert aut.is_automorphism(graph, Permutation(images)) == expected
+        for images in samples + [tuple(random_images(rng, n)) for _ in range(10)]:
+            expected = _agrees_with_the_edge_set_oracle(rng, graph, images)
+            moved = [r[images[inv[x]]] for x in range(n)]
+            assert _agrees_with_the_edge_set_oracle(rng, relabelled, moved) == expected
             hits += expected
             misses += not expected
+            if n > 1:
+                swapped = list(images)
+                a, b = rng.sample(range(n), 2)
+                swapped[a], swapped[b] = swapped[b], swapped[a]
+                _agrees_with_the_edge_set_oracle(rng, graph, swapped)
         # a permutation of another degree is never an automorphism
-        assert not aut.is_automorphism(graph, identity(graph.n + 1))
-        assert not aut.is_automorphism(graph, identity(graph.n - 1))
+        assert not aut.is_automorphism(graph, identity(n + 1))
+        if n:
+            assert not aut.is_automorphism(graph, identity(n - 1))
     assert hits > 100 and misses > 100
 
 

@@ -188,6 +188,80 @@ def test_quotient_matches_its_definition_for_every_witness():
     assert null.quotient.n == 0 and null.orbit_map == () and null.is_regular_cover
 
 
+def _labelled_orbit_cases():
+    """(graph, group) pairs: trivial groups of degree 0, 1 and 2, every
+    spectrum witness (the identity's, k = n, among them), the harness's
+    normal subgroups (one even translation; two odd lattice translations)
+    and groups of several generators (a searched Aut, an arc group)."""
+    from circulant_lab.kcirc import k_spectrum
+    cases = [(from_edges(0, []), PermGroup(0, [])), (from_edges(1, []), PermGroup(1, [])),
+             (from_edges(2, [(0, 1)]), PermGroup(2, [])),
+             (from_edges(2, [(0, 1)]), PermGroup(2, [identity(2)]))]
+    for graph in (fixtures.load("pappus"), build_odd(3).graph, build_even(2, 7).graph):
+        witnesses = k_spectrum(graph).witnesses
+        assert graph.n in witnesses and len(witnesses) > 2
+        cases += [(graph, PermGroup(graph.n, [w])) for w in witnesses.values()]
+    cons, G = build_even(1, 13), even_group(1, 13)
+    cases.append((cons.graph, PermGroup(cons.graph.n, [
+        left_translation(G, cons.labeling, G.element(0, 0, 2, 0))])))
+    cons, G = build_odd(5), odd_group(5)
+    cases.append((cons.graph, PermGroup(cons.graph.n, [
+        left_translation(G, cons.labeling, G.element(1, 0, 0, 0)),
+        left_translation(G, cons.labeling, G.element(0, 1, 0, 0))])))
+    cases.append((cons.graph, PermGroup(cons.graph.n, cons.arc_group.generators)))
+    gp = generalized_petersen(8, 3)
+    cases.append((gp, PermGroup(gp.n, automorphism_group(gp).generators)))
+    return cases
+
+
+def test_orbits_and_orbit_map_are_the_walk_over_generators():
+    # orbits() and the quotient's orbit map both come from one labelled
+    # walk: each must equal the plain walk over the generators, and the
+    # labelled orbits list each orbit from its smallest point
+    for graph, group in _labelled_orbit_cases():
+        label, count = _orbit_map_by_generators(graph.n, group.generators)
+        want = [[v for v in range(graph.n) if label[v] == c] for c in range(count)]
+        assert group.orbits() == want
+        assert list(quotient_graph(graph, group).orbit_map) == label
+        classes, labels = group.labelled_orbits()
+        assert labels == label and sorted(map(sorted, classes)) == want
+        assert all(cls[0] == min(cls) and all(labels[v] == c for v in cls)
+                   for c, cls in enumerate(classes))
+
+
+def test_a_quotient_walks_its_points_once(monkeypatch):
+    # the orbits and the orbit map of a quotient, and of the harness's
+    # induced action, come from one labelled walk that steps from each
+    # point once
+    from circulant_lab import perm
+    from circulant_lab.kcirc import k_spectrum
+
+    cons = build_odd(5)
+    graph, n = cons.graph, cons.graph.n
+    witnesses = k_spectrum(graph).witnesses
+    G = odd_group(5)
+    normal = PermGroup(n, [left_translation(G, cons.labeling, G.element(1, 0, 0, 0)),
+                           left_translation(G, cons.labeling, G.element(0, 1, 0, 0))])
+    walks = []
+    stepped = []
+    components = perm.components
+
+    def counting(degree, step):
+        walks.append(degree)
+        return components(degree, lambda v: stepped.append(v) or step(v))
+
+    monkeypatch.setattr(perm, "components", counting)
+    for w in witnesses.values():
+        walks.clear()
+        stepped.clear()
+        quotient_graph(graph, PermGroup(n, [w]))
+        assert walks == [n] and sorted(stepped) == list(range(n))
+    walks.clear()
+    stepped.clear()
+    assert induced_semiregular_harness(graph, cons.witness, normal, cons.arc_group).passed
+    assert walks == [n] and sorted(stepped) == list(range(n))
+
+
 def test_regular_cover_of_cubic_is_cubic():
     # the antipodal quotient of the cube and any cover quotients of Pappus
     covers = 0
