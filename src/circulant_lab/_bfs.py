@@ -18,13 +18,20 @@ from typing import Callable, Iterable, TypeVar
 T = TypeVar("T")
 
 
-def reach(starts: Iterable[T], step: Callable[[T], Iterable[T]]) -> list[T]:
-    """The starts plus every node step() leads to, each once, in FIFO order.
+def reach(start: T, step: Callable[[T], Iterable[T]]) -> list[T]:
+    """start plus every node step() leads to, each once, in FIFO order.
 
     step(node) lists the node's neighbours; repeats and nodes already
     reached are allowed and skipped.
     """
-    return _reach(starts, step, set())
+    seen = {start}
+    order = [start]
+    for node in order:  # order grows while it is walked: it is the FIFO queue
+        for nxt in step(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order
 
 
 def components(n: int, step: Callable[[int], Iterable[int]]
@@ -48,16 +55,3 @@ def components(n: int, step: Callable[[int], Iterable[int]]
         classes.append(order)
     return classes, label
 
-
-def _reach(starts: Iterable[T], step: Callable[[T], Iterable[T]], seen: set) -> list[T]:
-    order = []
-    for node in starts:
-        if node not in seen:
-            seen.add(node)
-            order.append(node)
-    for node in order:  # order grows while it is walked: it is the FIFO queue
-        for nxt in step(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-    return order

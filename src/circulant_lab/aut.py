@@ -92,7 +92,7 @@ def bfs_order(graph: graphio.Graph) -> list[int]:
         seen = set(order)
         for root in range(graph.n):
             if root not in seen:
-                component = reach([root], graph.adjacency.__getitem__)
+                component = reach(root, graph.adjacency.__getitem__)
                 seen.update(component)
                 order += component
     return order

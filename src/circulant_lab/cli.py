@@ -186,14 +186,16 @@ def _load_graphs(path: Path) -> list[tuple[int | None, graphio.Graph | GraphForm
 def _analyze_graph(graph: graphio.Graph, cap: int, bound_check: bool
                    ) -> tuple[aut_mod.SymmetryProfile, kcirc.SpectrumReport, dict | None]:
     """The analysis of one graph, unformatted: its symmetry profile, its
-    spectrum report (with the order-bound findings under bound_check) and
+    spectrum report (with the order-bound findings under bound_check, for
+    a connected cubic arc-transitive graph, the paper's hypotheses) and
     the summary of its quotient by the witness of the smallest nontrivial
     k (None when k = n is the only one).  analyze formats the report,
     witnesses included; a scan record reads the fields it prints."""
     group = aut_mod.automorphism_group(graph, cap)
     profile = aut_mod.symmetry_profile(graph, group)
     report = kcirc.k_spectrum(graph, group, cap=cap)
-    if bound_check and profile.arc_transitive and graphio.is_cubic(graph):
+    if (bound_check and profile.arc_transitive and graphio.is_cubic(graph)
+            and graphio.is_connected(graph)):
         report.findings = kcirc.check_order_bound(report)
     quotient_summary = None
     nontrivial = [k for k in report.spectrum if k != graph.n]

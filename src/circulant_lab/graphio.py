@@ -63,7 +63,7 @@ class Graph:
         """Vertex 0's component in FIFO order from 0 (_bfs.reach), empty
         for the null graph; read-only by convention.  is_connected and the
         search's vertex order (aut.bfs_order) both read it."""
-        return reach([0] if self.adjacency else [], self.adjacency.__getitem__)
+        return reach(0, self.adjacency.__getitem__) if self.adjacency else []
 
     @cached_property
     def cubic(self) -> bool:

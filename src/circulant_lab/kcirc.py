@@ -13,19 +13,21 @@ chain order that ``PermGroup.suborbit_pairs`` defines: the first hit in
 the block of the smallest point whose block holds one.  So witnesses
 follow the search's base and coset representatives.
 
-The walk runs in two passes (``PermGroup.suborbit_pairs`` gives the
-account), and one function, _first_hits, runs both, once per group: it
-walks every k and keeps the hits on the group, and the spectrum and every
-certificate read them.  Each pass composes a coset representative only
-where its tree branches, and reads each leaf's block through its parent's
-representative and the leaf's generator.  A block the first pass reads
-through a representative the chain keeps is in chain order, so its first
-hit is final, as the identity's is; the second pass walks only the other
-witness blocks, and a Schreier-Sims group makes none.  The trivial k = n
-(identity witness) is part of the spectrum whenever n >= 1; reports may
-filter it.  The walk holds only for a group of automorphisms, so both
-pass their group through ``aut.check_all_automorphisms``: a searched group
-is never checked again, a supplied one once per graph.
+The walk has two passes (``PermGroup.suborbit_pairs`` gives the account),
+and one function, _first_hits, decides once per group, off its chain,
+which of them find the witnesses, and walks once: it keeps the hits on the
+group, and the spectrum and every certificate read them.  A group whose top
+level keeps every coset representative, as Schreier-Sims builds it, walks
+one block per suborbit in chain order, so its first hits are final; any
+other, such as a searched group, finds each k's block by a shallow pass
+and walks only those blocks in chain order.  Each pass composes a coset
+representative only where its tree branches, and reads each leaf's block
+through its parent's representative and the leaf's generator.  Neither
+walks the identity: the trivial k = n (identity witness) is part of the
+spectrum whenever n >= 1, and reports may filter it.  The walk holds only
+for a group of automorphisms, so both pass their group through
+``aut.check_all_automorphisms``: a searched group is never checked again,
+a supplied one once per graph.
 """
 from __future__ import annotations
 
@@ -99,50 +101,46 @@ def is_squarefree(k: int) -> bool:
 
 def _semiregular_elements(n: int, pairs: Iterable[WalkElement],
                           wanted: Callable[[int, int], bool]
-                          ) -> Iterator[tuple[int, bool, int, list[int]]]:
-    """(m, ordered, number of cycles, images) for each semiregular element
-    of the walk's pairs (PermGroup.suborbit_pairs) whose number of cycles k
-    is wanted(k, m), in walk order.
+                          ) -> Iterator[tuple[int, int, list[int]]]:
+    """(m, number of cycles, images) for each semiregular element of the
+    walk's pairs (PermGroup.suborbit_pairs or chain_pairs) whose number
+    of cycles k is wanted(k, m), in walk order.
 
     All cycles of a semiregular element have one length, so the cycle
     through point 0 gives their number.  That cycle of the element
-    x -> t[v[h[x]]], or x -> g[t[v[h[x]]]] for a block the walk reads
-    through its parent, is followed in as many steps as it is long.  The
-    element is composed and tested only when its number is wanted: one
-    that fixes 0 is semiregular exactly when it is the identity, a list
-    comparison, and any other is fully tested.
+    x -> g[t[v[h[x]]]] is followed in as many steps as it is long.  No
+    walked element is the identity, so one that fixes 0 is not
+    semiregular and is dropped there; any other is composed and tested
+    only when its number is wanted.
     """
-    for m, ordered, h, v, t, g in pairs:
+    for m, h, v, t, g in pairs:
         length = 1
-        if g is None:
-            j = t[v[h[0]]]
-            while j:
-                j = t[v[h[j]]]
-                length += 1
-        else:
-            j = g[t[v[h[0]]]]
-            while j:
-                j = g[t[v[h[j]]]]
-                length += 1
-        if n % length or not wanted(n // length, m):
+        j = g[t[v[h[0]]]]
+        while j:
+            j = g[t[v[h[j]]]]
+            length += 1
+        if length == 1 or n % length or not wanted(n // length, m):
             continue
-        images = [t[v[x]] for x in h] if g is None else [g[t[v[x]]] for x in h]
-        if (images == list(range(n))) if length == 1 else kern.is_semiregular_images(images):
-            yield m, ordered, n // length, images
+        images = [g[t[v[x]]] for x in h]
+        if kern.is_semiregular_images(images):
+            yield m, n // length, images
 
 
 def _first_hits(n: int, group: PermGroup, cap: int | None) -> dict[int, Permutation]:
     """k -> its first hit in chain order (defined at PermGroup.suborbit_pairs),
     by ascending k, for every k of the spectrum of group on n > 0 points.
 
-    The first pass (suborbit_pairs) records for each k the smallest point m
-    whose block holds it.  A block the first pass reads in chain order (the
-    identity's, and each one read through a representative the top level
-    keeps) gives its first hit of each k as it goes, and that hit is kept
-    while its m is the best.  The second (chain_pairs) walks in chain order
-    the blocks of the other best m only, and takes the first hit of each k
-    in its block.  A Schreier-Sims chain keeps every top-level
-    representative, so it makes no second pass.
+    k = n is the identity's, the only element with n cycles, which neither
+    pass walks.  Which pass finds the other witnesses is decided once per
+    group, off its chain.  A group whose top level keeps a representative
+    for every point of its orbit (PermGroup.keeps_top_representatives, as
+    Schreier-Sims builds it) walks one block per suborbit in chain order
+    (chain_pairs), each read through its own kept representative, so the
+    blocks come by ascending point and each k's first hit is its witness.
+    Any other group, such as a searched one, first walks the shallow pass
+    (suborbit_pairs), which records for each k only the smallest point m
+    whose block holds it; chain_pairs then walks those blocks and takes the
+    first hit of each k in its block.
 
     The hits depend on the chain alone, not on the representatives the top
     level keeps, so the group walks once, on the first call, and keeps them
@@ -154,21 +152,21 @@ def _first_hits(n: int, group: PermGroup, cap: int | None) -> dict[int, Permutat
     group.check_cap(cap)
     if group._spectrum_hits is not None:
         return group._spectrum_hits
-    first: dict[int, int] = {}  # k -> the smallest suborbit point whose block holds it
-    found: dict[int, list[int]] = {}
-    for m, ordered, c, images in _semiregular_elements(
-            n, group.suborbit_pairs(cap), lambda c, m: m < first.get(c, n)):
-        first[c] = m
-        if ordered:
+    found = {n: list(range(n))}
+    if group.keeps_top_representatives():
+        for _, c, images in _semiregular_elements(
+                n, group.chain_pairs(group.suborbit_minima()), lambda c, m: c not in found):
             found[c] = images
-        else:
-            found.pop(c, None)
-    rest = {m for c, m in first.items() if c not in found}
-    if rest:
-        for _, _, c, images in _semiregular_elements(
-                n, group.chain_pairs(rest), lambda c, m: first.get(c) == m and c not in found):
+    else:
+        first: dict[int, int] = {}  # k -> the smallest suborbit point whose block holds it
+        for m, c, _ in _semiregular_elements(
+                n, group.suborbit_pairs(cap), lambda c, m: m < first.get(c, n)):
+            first[c] = m
+        for _, c, images in _semiregular_elements(
+                n, group.chain_pairs(set(first.values())),
+                lambda c, m: first.get(c) == m and c not in found):
             found[c] = images
-            if len(found) == len(first):
+            if len(found) > len(first):
                 break
     group._spectrum_hits = {k: Permutation(tuple(found[k])) for k in sorted(found)}
     return group._spectrum_hits

@@ -22,8 +22,12 @@ the one at the largest point off the tree's edges: the generators around
 such a cycle multiply to the identity, so that one lies in the group the
 earlier ones already sifted into, and the chain is the one the full loop
 builds (_verify_level).
-``suborbit_pairs`` is the one walk over elements, the spectrum's, in two
-passes; its docstring gives the account and the reasons.
+The one walk over elements is the spectrum's, in two passes:
+``suborbit_pairs`` enters every suborbit by a shallow tree, and
+``chain_pairs`` walks the blocks it is given in chain order.  A group whose
+top level keeps every coset representative needs only the second
+(``keeps_top_representatives``).  The ``suborbit_pairs`` docstring gives
+the account and the reasons.
 """
 from __future__ import annotations
 
@@ -41,9 +45,9 @@ from circulant_lab.errors import CapExceeded, DegreeMismatch
 
 DEFAULT_ENUMERATION_CAP = 2 ** 24
 
-# An element of the spectrum walk, (m, ordered, h, v, t, g), as
-# PermGroup.suborbit_pairs yields it
-WalkElement = tuple[int, bool, list[int], list[int], list[int], list[int] | None]
+# An element of the spectrum walk, (m, h, v, t, g), as
+# PermGroup.suborbit_pairs and PermGroup.chain_pairs yield it
+WalkElement = tuple[int, list[int], list[int], list[int], list[int]]
 
 
 @dataclass(frozen=True)
@@ -471,14 +475,29 @@ class PermGroup:
             self._suborbits = suborbits, _steps(below)
         return self._suborbits
 
+    def keeps_top_representatives(self) -> bool:
+        """True iff the top level keeps a coset representative for every
+        point of its orbit, as Schreier-Sims builds it: then chain_pairs
+        reads every block through its own, with no composition at the top
+        level, and the spectrum needs no shallow first pass
+        (kcirc._first_hits).  False for the trivial group."""
+        levels = self._ensure_chain()
+        return bool(levels) and len(levels[0].reps) == len(levels[0].tree)
+
+    def suborbit_minima(self) -> list[int]:
+        """The smallest point of each suborbit (_suborbit_partition),
+        ascending; none for the trivial group."""
+        if not self._ensure_chain():
+            return []
+        return [cls[0] for cls in self._suborbit_partition()[0]]
+
     def suborbit_pairs(self, cap: int | None = None) -> Iterator[WalkElement]:
-        """The first of the spectrum's two passes; chain_pairs is the
-        second.  It yields (m, ordered, h, v, t, g): the element maps x to
-        t[v[h[x]]], or to g[t[v[h[x]]]] when g is not None, uncomposed; m is
-        the smallest point of its suborbit, and ordered says that the
-        element's block comes in chain order.  So a caller that reads a few
-        images of each element (kcirc follows one cycle) composes only the
-        candidates it keeps.
+        """The spectrum's shallow first pass, one block per suborbit, not in
+        chain order; chain_pairs is the pass in chain order.  Both yield
+        (m, h, v, t, g): the element maps x to g[t[v[h[x]]]], uncomposed,
+        and m is the smallest point of its suborbit.  So a caller that
+        reads a few images of each element (kcirc follows one cycle)
+        composes only the candidates it keeps.
 
         The chain order, which witnesses follow: an element is
         g = t_{L-1} * ... * t_1 * t_0, one coset representative per level,
@@ -493,43 +512,34 @@ class PermGroup:
         is the coset t * G_b of any element t mapping b to pt, as a set,
         whatever the tree that composed t; conjugating by G_b maps block pt
         onto block h(pt) and keeps cycle types.  So a conjugacy-invariant
-        question is answered by one block per suborbit, read through any
-        representative, and only the order inside a block, and so which
-        element comes first, depends on the search's tree.  A question
+        question is answered by one block per suborbit other than {b},
+        read through any representative, and only the order inside a block,
+        and so which element comes first, depends on the tree.  A question
         about semiregular elements needs fewer elements still: one that
-        fixes a point is the identity or not semiregular.  So the walk
-        yields the identity first, as block b's only element (m = b), and
-        then one block per other suborbit, dropping only elements that fix a
-        base point.  g(b_j) = t_0[...t_j[b_j]] is known once levels 0..j are
-        chosen.  Below the top level the representatives are tried level by
-        level in ascending point order, and a choice at which g fixes b_j
-        drops its whole subtree.  h and v are the representatives of the
-        last two levels, read as the levels keep them (the identity where
-        the chain is shorter), and t is a top-level representative with
-        those of the levels between composed into it.  So a stabiliser
-        chain of one or two levels, as in the construction's families,
-        costs no composition per element, while an element is at most four
-        lists, each read at every step of a cycle (a word of every level's
+        fixes a point is the identity or not semiregular.  So neither pass
+        yields block b, whose one such element is the identity, and both
+        drop only elements that fix a base point.  g(b_j) =
+        t_0[...t_j[b_j]] is known once levels 0..j are chosen.  Below the
+        top level the representatives are tried level by level in
+        ascending point order, and a choice at which g fixes b_j drops its
+        whole subtree.  h and v are the representatives of the last two
+        levels, read as the levels keep them (the identity where the chain
+        is shorter), and t is a top-level representative with those of the
+        levels between composed into it.  So a stabiliser chain of one or
+        two levels, as in the construction's families, costs no
+        composition per element, while an element is at most four lists,
+        each read at every step of a cycle (a word of every level's
         representative, uncomposed, made analyze of a CFI graph with
         n = 400 and 19 levels below the top four times slower).
 
-        A suborbit whose smallest point has a representative the top level
-        keeps (Schreier-Sims keeps them all, a membership sift those on its
-        paths) is read through it, with no composition, and its block comes
-        in chain order: ordered is true there, as for the identity, so the
-        caller can take such a block's first hit as final.  The others are
-        read through a shallow tree, not in chain order; the second pass
-        composes the search's tree for the few of those blocks whose first
-        element the caller needs (the spectrum's witnesses).  The shallow
-        tree's generators are the top level's strong generators and random
+        This pass enters one point of every suborbit by a shallow tree,
+        whose generators are the top level's strong generators and random
         subproducts of them (each the product of a random subset of the
         generators and the subproducts before it), from a fixed seed, two
         per bit of the orbit length (Seress, Permutation Group Algorithms,
         2003, 4.4, after Babai, Cooperman, Finkelstein, Luks and Seress,
-        1991).  It enters one point of each of those suborbits
-        (_shallow_tree), and is not grown, nor a subproduct composed, when
-        there are none.  Blocks come in an order of the walk's own: depth
-        first along that tree (_walk_blocks), and a representative is
+        1991; _shallow_tree).  Blocks come in an order of the walk's own:
+        depth first along that tree (_walk_blocks), and a representative is
         composed only where the walk branches, so the walk holds one tree
         path and adds none to the level.  The subproducts and the tree are
         dropped with the walk.
@@ -539,43 +549,37 @@ class PermGroup:
         group computes them on its first walk and keeps them
         (_suborbit_partition).
 
-        The trivial group yields (0, True, identity, identity, identity,
-        None).  The lists may be shared with the group and with other
-        elements, so they must not be modified.  Raises CapExceeded before
-        the first element if the group order exceeds the cap (check_cap).
+        The trivial group yields nothing.  The lists may be shared with the
+        group and with other elements, so they must not be modified.
+        Raises CapExceeded before the first element if the group order
+        exceeds the cap (check_cap).
         """
         self.check_cap(cap)
         if not self._levels:
-            identity = list(range(self.degree))
-            yield 0, True, identity, identity, identity, None
             return
         top = self._levels[0]
         b = top.base
         identity = top.reps[b]
-        yield b, True, identity, identity, identity, None
         suborbits, steps = self._suborbit_partition()
-        targets = {cls[0]: cls[0] for cls in suborbits if cls[0] in top.reps}
-        tree: dict[int, tuple[int, list[int]]] = {}
-        if len(targets) < len(suborbits):
-            least = identity[:]  # each point of the top orbit -> the smallest of its suborbit
-            for cls in suborbits:
-                for p in cls:
-                    least[p] = cls[0]
-            picks = _subproduct_picks(len(top.gens), 2 * len(top.tree).bit_length())
-            tree, entered = _shallow_tree(b, _subproducts(top.gens, picks), least,
-                                          len(suborbits), targets.keys())
-            targets = dict(sorted({**targets, **entered}.items(), key=itemgetter(1)))
-        yield from _walk_blocks(tree, top.reps, targets, steps, identity, False)
+        least = identity[:]  # each point of the top orbit -> the smallest of its suborbit
+        for cls in suborbits:
+            for p in cls:
+                least[p] = cls[0]
+        picks = _subproduct_picks(len(top.gens), 2 * len(top.tree).bit_length())
+        tree, targets = _shallow_tree(b, _subproducts(top.gens, picks), least, len(suborbits))
+        targets = dict(sorted(targets.items(), key=itemgetter(1)))
+        yield from _walk_blocks(tree, {b: identity}, targets, steps, identity)
 
     def chain_pairs(self, points: Iterable[int]) -> Iterator[WalkElement]:
-        """The second pass: (pt, True, h, v, t, g) for the elements of the
+        """The pass in chain order: (pt, h, v, t, g) for the elements of the
         blocks of the given points of the first base point's orbit as
         suborbit_pairs yields them, each block in chain order along the top
-        level's Schreier tree.  The first base point's block is skipped: its
-        one element, the identity, is the first that suborbit_pairs yields.
-        The representatives are composed along the paths to those points
-        only, from the nearest kept one, and only where the paths branch
-        (_walk_blocks), depth first, holding one path, and none is kept.
+        level's Schreier tree; the first base point's block is skipped, as
+        in suborbit_pairs.  The representatives are composed along the
+        paths to those points only, from the nearest kept one, and only
+        where the paths branch (_walk_blocks), depth first, holding one
+        path, and none is kept.  So the blocks come by ascending point when
+        each point's representative is kept (keeps_top_representatives).
         The lower levels' orbits are the ones the group keeps
         (_suborbit_partition)."""
         levels = self._ensure_chain()
@@ -584,7 +588,7 @@ class PermGroup:
         top = levels[0]
         targets = {pt: pt for pt in sorted(points) if pt != top.base}
         steps = self._suborbit_partition()[1]
-        yield from _walk_blocks(top.tree, top.reps, targets, steps, top.reps[top.base], True)
+        yield from _walk_blocks(top.tree, top.reps, targets, steps, top.reps[top.base])
 
 
 def _is_tree_edge(tree: dict, pt: int, g: list[int]) -> bool:
@@ -643,21 +647,20 @@ def _subproducts(gens: list[list[int]], picks: Iterable[Sequence[int]]) -> list[
     return pool
 
 
-def _shallow_tree(b: int, gens: list[list[int]], least: list[int], suborbits: int,
-                  entered: Iterable[int]
+def _shallow_tree(b: int, gens: list[list[int]], least: list[int], suborbits: int
                   ) -> tuple[dict[int, tuple[int, list[int]]], dict[int, int]]:
-    """Pass 1's tree, grown breadth first from b over gens, and the point it
-    enters of each of the suborbits other than {b} (suborbits of them) that
-    are not entered already (entered holds their smallest points), mapped to
-    the suborbit's smallest point (least).  A point enters as the first
-    reached of its suborbit.  Only when no entered point is left to expand
-    does a point of an entered suborbit enter, as a bridge: the first
-    reached, found by a scan of the (point, generator) steps that resumes
-    where the last one stopped.  The tree maps each entered point but b to
-    the point it was reached from and the generator that reached it."""
+    """The first pass's tree, grown breadth first from b over gens, and the
+    point it enters of each of the suborbits other than {b} (suborbits of
+    them), mapped to the suborbit's smallest point (least).  A point
+    enters as the first reached of its suborbit.  Only when no entered
+    point is left to expand does a point of an entered suborbit enter, as
+    a bridge: the first reached, found by a scan of the (point, generator)
+    steps that resumes where the last one stopped.  The tree maps each
+    entered point but b to the point it was reached from and the generator
+    that reached it."""
     tree: dict[int, tuple[int, list[int]]] = {}
     targets: dict[int, int] = {}
-    entered = set(entered)
+    entered: set[int] = set()
     reached = bytearray(len(least))
     reached[b] = 1
     queue = [b]
@@ -716,25 +719,24 @@ def _paths(tree: dict, kept: dict, targets: dict[int, int]
 
 def _walk_blocks(tree: dict, kept: dict, targets: dict[int, int],
                  steps: list[tuple[int, list[int], _Level]],
-                 identity: list[int], chain: bool) -> Iterator[WalkElement]:
-    """(m, ordered, h, v, t, g) for the elements of each target's block, m
-    its key, depth first along the tree's paths (_paths).  identity is
-    the top base point's kept representative.  A node's representative is
-    composed only when the node has children on the paths, and a child of
-    the top base point takes its generator itself.  A leaf's block is read through its
-    parent's representative t and its own generator g (x -> g[t[...]]),
-    so a node read by no child costs no composition; with the
-    representatives composed at branches only, the walk holds one path.
-    ordered is true for every block when the tree is the top level's
-    Schreier tree (chain), and otherwise for the blocks read through a
-    representative the top level keeps, each at its own key."""
+                 identity: list[int]) -> Iterator[WalkElement]:
+    """(m, h, v, t, g) for the elements of each target's block, m its key,
+    depth first along the tree's paths (_paths).  identity is the top base
+    point's kept representative.  A node's representative is composed only
+    when the node has children on the paths, and a child of the top base
+    point takes its generator itself; such a block, like one read through
+    a kept representative, has g the identity.  A leaf's block is read
+    through its parent's representative t and its own generator g
+    (x -> g[t[...]]), so a node read by no child costs no composition;
+    with the representatives composed at branches only, the walk holds one
+    path."""
     children, roots = _paths(tree, kept, targets)
     stack = [(pt, identity) for pt in reversed(roots)]
     while stack:
         pt, parent_rep = stack.pop()
         kids = children.get(pt)
         t = kept.get(pt)
-        g = None
+        g = identity
         if t is None:
             t = tree[pt][1]
             if parent_rep is not identity:
@@ -744,34 +746,32 @@ def _walk_blocks(tree: dict, kept: dict, targets: dict[int, int],
                     t, g = parent_rep, t
         m = targets.get(pt)
         if m is not None:
-            ordered = chain or (m == pt and pt in kept)
             triples = (_pruned_triples(steps, 0, identity, t, g) if steps
                        else [(identity, identity, t)])
             for h, v, u in triples:
-                yield m, ordered, h, v, u, g
+                yield m, h, v, u, g
         if kids:
             stack.extend(zip(reversed(kids), repeat(t)))
 
 
 def _pruned_triples(steps: list[tuple[int, list[int], _Level]], i: int, v: list[int],
-                    t: list[int], g: list[int] | None
+                    t: list[int], g: list[int]
                     ) -> Iterator[tuple[list[int], list[int], list[int]]]:
     """For each element e of the chain from level i down, in chain order
     (PermGroup.suborbit_pairs), the map x -> t[v[e[x]]] as a triple
     (h', v', t') of lists with x -> t'[v'[h'[x]]], less the maps that fix a
-    base point of these levels once g, when not None, is applied after
-    them; steps holds each level's base point, its sorted orbit and the
-    level.  A representative chosen above the last two levels is composed
-    into t, one chosen at the second last is v', and one at the last is
-    h'; v is the identity until then.  The representative of a point pt of
-    level i maps its base point to pt and the levels below fix it, so the
-    map sends the base point to t[v[pt]] (g[t[v[pt]]]) whatever is chosen
-    below.
+    base point of these levels once g is applied after them; steps holds
+    each level's base point, its sorted orbit and the level.  A
+    representative chosen above the last two levels is composed into t,
+    one chosen at the second last is v', and one at the last is h'; v is
+    the identity until then.  The representative of a point pt of level i
+    maps its base point to pt and the levels below fix it, so the map
+    sends the base point to g[t[v[pt]]] whatever is chosen below.
     """
     b, points, lvl = steps[i]
     last = i + 1 == len(steps)
     for pt in points:
-        if (t[v[pt]] if g is None else g[t[v[pt]]]) == b:
+        if g[t[v[pt]]] == b:
             continue
         if last:
             yield lvl.rep(pt), v, t

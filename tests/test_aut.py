@@ -1132,16 +1132,19 @@ def test_one_graph_is_walked_from_vertex_0_once(monkeypatch, tmp_path):
     # all read the walk from vertex 0 that the graph keeps, and so does a
     # scan record of the graph parsed from a file: one walk per Graph object
     from circulant_lab import _bfs, cli
+    from circulant_lab import aut as aut_mod
+    from circulant_lab import graphio as graphio_mod
     from circulant_lab.graphio import serialize
 
     walked = []  # the object each walk's step reads
-    reach = _bfs._reach
+    reach = _bfs.reach
 
-    def counting(starts, step, seen):
+    def counting(start, step):
         walked.append(getattr(step, "__self__", None))
-        return reach(starts, step, seen)
+        return reach(start, step)
 
-    monkeypatch.setattr(_bfs, "_reach", counting)
+    for module in (aut_mod, graphio_mod):
+        monkeypatch.setattr(module, "reach", counting)
     cons = build_odd(3)
     graph = cons.graph
     assert cli.verify_construction(cons)["ok"]

@@ -306,6 +306,21 @@ def test_scan_skips_disconnected(tmp_path, capsys):
     assert lines[0]["skip"] == "not connected"
 
 
+def test_analyze_checks_the_bound_only_on_connected_graphs(tmp_path, capsys):
+    # two disjoint copies of K4 are cubic and arc-transitive, and a
+    # 1-circulant with n = 8 > 6; the paper's bound speaks of connected
+    # graphs, so analyze reports no finding, as scan skips the graph
+    path = tmp_path / "two_k4.edgelist"
+    path.write_text("8 12\n" + "".join(f"{u + c} {v + c}\n" for c in (0, 4)
+                                       for u in range(4) for v in range(u + 1, 4)))
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["profile"]["arc_transitive"]
+    assert payload["spectrum"]["spectrum"] == [1, 2, 4]
+    assert payload["spectrum"]["findings"] == []
+
+
 def test_scan_graph6_multi(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -219,15 +219,17 @@ def test_certify_for_every_divisor_computes_the_suborbit_partition_once(monkeypa
     assert len(walks) == 1
 
 
-def _count_walks(monkeypatch):
+def _count_walks(monkeypatch, name="suborbit_pairs"):
+    """Count the calls of one pass of the walk: the shallow pass
+    (suborbit_pairs) or the pass in chain order (chain_pairs)."""
     walks = [0]
-    suborbit_pairs = PermGroup.suborbit_pairs
+    walk = getattr(PermGroup, name)
 
-    def counting(self, cap=None):
+    def counting(self, *args):
         walks[0] += 1
-        return suborbit_pairs(self, cap)
+        return walk(self, *args)
 
-    monkeypatch.setattr(PermGroup, "suborbit_pairs", counting)
+    monkeypatch.setattr(PermGroup, name, counting)
     return walks
 
 
@@ -236,17 +238,20 @@ def _count_walks(monkeypatch):
 def test_certificates_for_every_divisor_walk_the_group_once(
         monkeypatch, source, group_kind, spectrum_first):
     # the first query on a group walks every k, and the spectrum and every
-    # later certificate read the hits it kept, in either order
+    # later certificate read the hits it kept, in either order: the
+    # Schreier-Sims group makes the pass in chain order alone, and the
+    # searched group the shallow pass and then that one
     graph, group = _certify_case(source, group_kind)
     n = graph.n
-    walks = _count_walks(monkeypatch)
+    shallow = _count_walks(monkeypatch)
+    in_order = _count_walks(monkeypatch, "chain_pairs")
     if spectrum_first:
         witnesses = k_spectrum(graph, group).witnesses
     certificates = {k: certify_k_circulant(graph, k, group)
                     for k in range(1, n + 1) if n % k == 0}
     if not spectrum_first:
         witnesses = k_spectrum(graph, group).witnesses
-    assert walks[0] == 1
+    assert (shallow[0], in_order[0]) == ((0, 1) if group_kind == "arc" else (1, 1))
     assert set(witnesses) < set(certificates)
     assert certificates == {k: witnesses.get(k) for k in certificates}
 
@@ -289,22 +294,23 @@ class _CountingList(list):
 @pytest.mark.parametrize("group_kind", ["search", "arc"])
 def test_cycle_walk_reads_each_cycle_through_0_once(monkeypatch, group_kind):
     # the walk follows each element's cycle through 0 on its uncomposed
-    # word, one image of h per point of the cycle, and composes exactly the
-    # semiregular elements whose number of cycles is wanted; it fully tests
-    # only those of them that move 0, as an element that fixes 0 is
-    # semiregular exactly when it is the identity
+    # word, one image of h per point of the cycle, and composes and fully
+    # tests exactly the elements whose number of cycles is wanted; both
+    # passes are read, so blocks read through their own representative (g
+    # the identity) and through a parent's and a leaf's generator both
+    # come; no element is the identity, so one that fixes 0 is never tested
     tested = []
     is_semiregular_images = kern.is_semiregular_images
     monkeypatch.setattr(kern, "is_semiregular_images",
                         lambda images: tested.append(images) or is_semiregular_images(images))
     graph, group = _certify_case("odd-3", group_kind)
     n = graph.n
-    elements = list(group.suborbit_pairs())
-    assert any(g is not None for *_, g in elements) == (group_kind == "search")
-    composed = [perm.Permutation(tuple(t[v[x]] if g is None else g[t[v[x]]] for x in h))
-                for _, _, h, v, t, g in elements]
-    counted = [_CountingList(h) for _, _, h, *_ in elements]
-    pairs = [(m, ordered, c, v, t, g) for c, (m, ordered, _, v, t, g) in zip(counted, elements)]
+    identity = list(range(n))
+    elements = list(group.suborbit_pairs()) + list(group.chain_pairs(group.suborbit_minima()))
+    assert {g == identity for *_, g in elements} == {True, False}
+    composed = [perm.Permutation(tuple(g[t[v[x]]] for x in h)) for _, h, v, t, g in elements]
+    counted = [_CountingList(h) for _, h, *_ in elements]
+    pairs = [(m, c, v, t, g) for c, (m, _, v, t, g) in zip(counted, elements)]
     # nothing is wanted, so only the cycle walk reads h
     assert not list(kcirc._semiregular_elements(n, pairs, lambda c, m: False))
     through_0 = []
@@ -318,17 +324,17 @@ def test_cycle_walk_reads_each_cycle_through_0_once(monkeypatch, group_kind):
         if n % k:
             continue
         tested.clear()
-        hits = [(m, images) for m, _, c, images in kcirc._semiregular_elements(
+        hits = [(m, images) for m, c, images in kcirc._semiregular_elements(
             n, elements, lambda c, m: c == k)]
         assert len(tested) == (0 if k == n else through_0.count(n // k)), k
         assert hits == [(m, list(e.images)) for (m, *_), e in zip(elements, composed)
                         if is_semiregular(e) and len(cycle_structure(e).cycle_lengths) == k], k
-    # the identity comes first, and a whole spectrum tests it by comparison
-    assert composed[0].is_identity()
+    # no pass walks the identity: it is k = n's witness with no test
+    assert not any(e.is_identity() for e in composed)
     tested.clear()
     report = k_spectrum(graph, group)
     assert report.witnesses[n].is_identity()
-    assert tested and not any(images == list(range(n)) for images in tested)
+    assert tested and not any(images == identity for images in tested)
 
 
 def _count_compositions(monkeypatch):
@@ -353,11 +359,11 @@ def test_spectrum_walk_composes_only_representatives_and_candidates(monkeypatch)
     report = k_spectrum(graph, group)
     assert report.spectrum == (9, 18, 27, 54, 81, 162, 243, 486)
     spectrum_calls = calls[0]
-    # |G_0| = 6: of block 0 only the identity is walked, and the five
-    # others fix the base point 0; two elements of the other blocks fix a
-    # base point below the top level
+    # |G_0| = 6: block 0 is not walked, since its one element that fixes
+    # no base point is the identity, and two elements of the other blocks
+    # fix a base point below the top level
     walked = sum(1 for _ in group.suborbit_pairs())
-    assert walked == 546 - 5 - 2
+    assert walked == 546 - 6 - 2
     assert spectrum_calls < walked
 
 
@@ -392,38 +398,49 @@ def test_the_walk_composes_a_representative_only_where_it_branches(
     assert calls[0] == count
 
 
-def _count_second_pass(monkeypatch):
-    walked = [0]
-    chain_pairs = PermGroup.chain_pairs
-
-    def counting(self, points):
-        for item in chain_pairs(self, points):
-            walked[0] += 1
-            yield item
-
-    monkeypatch.setattr(PermGroup, "chain_pairs", counting)
-    return walked
-
-
 @pytest.mark.parametrize("source", ["odd-5", "odd-7", "even-1-7", "even-2-7"])
 def test_a_schreier_sims_group_makes_no_second_pass(monkeypatch, source):
-    # every top-level representative is kept, so the first pass reads each
-    # block in chain order and keeps its first hits; the certificates
-    # agree with the oracle with no second pass either
+    # every top-level representative is kept, so the group walks one block
+    # per suborbit in chain order and takes each k's first hit: it makes no
+    # shallow pass, and its certificates agree with the oracle
     graph, group = _certify_case(source, "arc")
     group.order()  # builds a Schreier-Sims chain first
-    walked = _count_second_pass(monkeypatch)
+    shallow = _count_walks(monkeypatch)
+    in_order = _count_walks(monkeypatch, "chain_pairs")
     oracle = _first_hits_over_all_elements(graph.n, group)
     assert k_spectrum(graph, group).witnesses == oracle
     for d in range(1, graph.n + 1):
         if graph.n % d == 0:
             assert certify_k_circulant(graph, d, group) == oracle.get(d), d
-    assert walked[0] == 0
-    # the searched group keeps no top-level representative, so its
-    # witness blocks other than the identity's are walked again
+    assert (shallow[0], in_order[0]) == (0, 1)
+    # the searched group keeps no top-level representative, so it makes the
+    # shallow pass, and then walks its witness blocks in chain order
     graph, group = _certify_case(source, "search")
     k_spectrum(graph, group)
-    assert walked[0] > 0
+    assert (shallow[0], in_order[0]) == (1, 2)
+
+
+@pytest.mark.parametrize("source", ["odd-3", "even-2-7"])
+def test_a_searched_group_that_keeps_every_top_representative_walks_in_chain_order(
+        monkeypatch, source):
+    # membership sifts that reach every point of the top orbit keep every
+    # top-level representative, so the searched group takes the pass in
+    # chain order alone, as a Schreier-Sims group does, and gives the
+    # witnesses of a fresh search
+    graph, group = _certify_case(source, "search")
+    fresh = automorphism_group(graph)
+    everything = list(chain_elements(group))
+    b = group.base()[0]
+    assert not group.keeps_top_representatives()
+    for pt in sorted(group._levels[0].tree):
+        assert group.contains(next(g for g in everything if g[b] == pt))
+    assert group.keeps_top_representatives()
+    shallow = _count_walks(monkeypatch)
+    witnesses = k_spectrum(graph, group).witnesses
+    assert shallow[0] == 0
+    assert witnesses == k_spectrum(graph, fresh).witnesses == _first_hits_over_all_elements(
+        graph.n, group)
+    assert shallow[0] == 1
 
 
 @pytest.mark.parametrize("source,group_kind", [("odd-5", "arc"), ("odd-7", "arc")])
@@ -449,7 +466,7 @@ def test_certify_composes_only_representatives_and_candidates(monkeypatch):
     spectrum_calls = calls[0]
     calls[0] = 0
     assert certify_k_circulant(graph, 1, group) is None
-    assert calls[0] <= spectrum_calls < sum(1 for _ in group.suborbit_pairs()) == 539
+    assert calls[0] <= spectrum_calls < sum(1 for _ in group.suborbit_pairs()) == 538
     calls[0] = 0
     assert certify_k_circulant(graph, 9, group) is not None
     k_spectrum(graph, group)

@@ -334,10 +334,9 @@ SUBORBIT_GROUPS = [
 
 
 def _composed(walked):
-    """Each (pt, ordered, h, v, t, g) of suborbit_pairs() as its element
-    x -> t[v[h[x]]], or x -> g[t[v[h[x]]]] when g is not None."""
-    return [Permutation(tuple(t[v[x]] if g is None else g[t[v[x]]] for x in h))
-            for _, _, h, v, t, g in walked]
+    """Each (pt, h, v, t, g) of suborbit_pairs() or chain_pairs() as its
+    element x -> g[t[v[h[x]]]]."""
+    return [Permutation(tuple(g[t[v[x]]] for x in h)) for _, h, v, t, g in walked]
 
 
 def _blocks(walked):
@@ -363,7 +362,9 @@ def _check_suborbit_blocks(group):
     b = base[0]
     everything = list(chain_elements(group))
     minima = sorted(set(_suborbit_minima(group, everything).values()))
-    # block b, the identity alone, is the first pass's
+    assert group.suborbit_minima() == [m for m in minima if m != b]
+    # block b, whose one element that fixes no base point is the identity,
+    # is walked by neither pass
     blocks = _blocks(group.chain_pairs(minima))
     assert set(blocks) <= set(minima) - {b}
     # the blocks, compared by point, each in chain order, without
@@ -388,16 +389,13 @@ SHALLOW_GROUPS = [automorphism_group(build_odd(7).graph),
 def test_a_shallow_first_pass_walks_one_whole_block_per_suborbit(group):
     # any point of a suborbit and any representative will do: the block is
     # a coset as a set, and conjugation by the stabiliser keeps cycle types;
-    # the searched groups keep no top-level representative, so every
-    # suborbit is entered by the shallow tree, and Schreier-Sims keeps
-    # them all, so none is
+    # every suborbit is entered by the shallow tree, whatever
+    # representatives the top level keeps, and the identity is not walked
     base = group.base()
     b = base[0]
     everything = list(chain_elements(group))
     least = _suborbit_minima(group, everything)
-    walked = list(group.suborbit_pairs())
-    assert walked[0][0] == b and _composed(walked[:1]) == [identity(group.degree)]
-    blocks = _blocks(walked[1:])
+    blocks = _blocks(group.suborbit_pairs())
     assert set(blocks) == set(least.values()) - {b}
     for m, block in blocks.items():
         points = {g[b] for g in block}
@@ -418,9 +416,7 @@ def test_the_second_pass_walks_blocks_in_chain_order(group):
 
 def _partly_kept(build, params):
     """A searched group whose membership sifts have kept the top-level
-    representatives of every other suborbit minimum: its first pass reads
-    those blocks through kept representatives and the rest through its
-    shallow tree."""
+    representatives of every other suborbit minimum, but not all of them."""
     group = automorphism_group(build(*params).graph)
     everything = list(chain_elements(group))
     b = group.base()[0]
@@ -433,25 +429,16 @@ def _partly_kept(build, params):
 @pytest.mark.parametrize("group", SHALLOW_GROUPS + SUBORBIT_GROUPS + [
     _partly_kept(build_odd, (3,)), _partly_kept(build_even, (2, 7))])
 def test_the_first_pass_marks_the_blocks_it_reads_in_chain_order(group):
-    # a block read through a representative the top level keeps comes in
-    # chain order, as the identity's does, and only those are marked so;
-    # the second pass marks every block
-    base = group.base()
-    b = base[0]
-    everything = list(chain_elements(group))
-    kept = set(group._levels[0].reps)
-    blocks = {}
-    for item in group.suborbit_pairs():
-        blocks.setdefault(item[:2], []).extend(_composed([item]))
-    for (m, ordered), block in blocks.items():
-        assert ordered == (m in kept), m
-        if m == b:
-            assert block == [identity(group.degree)]
-        elif ordered:
-            assert block == [g for g in everything
-                             if g[b] == m and all(g[c] != c for c in base)], m
-    minima = {m for m, _ in blocks} - {b}
-    assert all(ordered for _, ordered, *_ in group.chain_pairs(minima))
+    # the mark is one per group, read off its chain: a top level that keeps
+    # a representative for every point of its orbit, as Schreier-Sims
+    # builds it, reads every block through its own, so the pass in chain
+    # order over every suborbit composes nothing at the top level; a
+    # searched group keeps only those its membership sifts composed
+    top = group._levels[0]
+    keeps = group.keeps_top_representatives()
+    assert keeps == (set(top.reps) == set(top.tree))
+    assert keeps == (group in SUBORBIT_GROUPS)
+    _check_suborbit_blocks(group)
 
 
 def test_the_shallow_tree_bridges_a_suborbit_it_cannot_enter():
@@ -460,21 +447,19 @@ def test_the_shallow_tree_bridges_a_suborbit_it_cannot_enter():
     # entered, so 2 enters as a bridge, and so does 4 after 3
     cycle = [1, 2, 3, 4, 5, 0]
     least = [0, 1, 1, 3, 3, 5]
-    tree, targets = perm._shallow_tree(0, [cycle], least, 3, set())
+    tree, targets = perm._shallow_tree(0, [cycle], least, 3)
     assert targets == {1: 1, 3: 3, 5: 5}
     assert {q: pt for q, (pt, _) in tree.items()} == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
-    # a suborbit entered already, as one read through a kept
-    # representative, is crossed by bridges only
-    tree, targets = perm._shallow_tree(0, [cycle], least, 3, {3})
-    assert targets == {1: 1, 5: 5}
-    assert {q: pt for q, (pt, _) in tree.items()} == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
-    # every suborbit entered: no tree
-    assert perm._shallow_tree(0, [cycle], least, 3, {1, 3, 5}) == ({}, {})
 
 
 def test_suborbit_pairs_of_the_trivial_group():
-    assert _composed(PermGroup(3, []).suborbit_pairs()) == [identity(3)]
-    assert _composed(PermGroup(0, []).suborbit_pairs()) == [identity(0)]
+    # the trivial group's one element is the identity, which no pass walks
+    for degree in (3, 0):
+        group = PermGroup(degree, [])
+        assert list(group.suborbit_pairs()) == []
+        assert list(group.chain_pairs(range(degree))) == []
+        assert group.suborbit_minima() == []
+        assert not group.keeps_top_representatives()
 
 
 def test_suborbit_pairs_cap():
@@ -482,9 +467,9 @@ def test_suborbit_pairs_cap():
     walk = g.suborbit_pairs(cap=23)
     with pytest.raises(CapExceeded):
         next(walk)  # raised before the first pair
-    # the identity, then block 1: the six elements mapping 0 to 1, less the
-    # two that fix the base point 2
-    assert len(list(g.suborbit_pairs(cap=24))) == 5
+    # block 1 alone: the six elements mapping 0 to 1, less the two that
+    # fix the base point 2
+    assert len(list(g.suborbit_pairs(cap=24))) == 4
 
 
 def test_walks_do_not_keep_their_group_alive():
@@ -494,6 +479,7 @@ def test_walks_do_not_keep_their_group_alive():
     try:
         g = PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)])
         next(g.suborbit_pairs())
+        next(g.chain_pairs(g.suborbit_minima()))
         released = weakref.ref(g)
         del g
         assert released() is None
