@@ -53,7 +53,11 @@ ids, and so gives the same trace; a branch whose trace differs holds no
 automorphism, and pruning it changes no generator, base point or order.
 Equal traces from colorings with equal cell sizes per id also give equal
 cell sizes per id, so no other comparison is needed, and a leaf maps each
-principal vertex to the vertex with the same id.  The targets form a base
+principal vertex to the vertex with the same id.  Below a finished level
+whose basic orbit fills its target's cell, a seek tries only the smallest
+child of a node: one child decides for all of them (automorphism pruning,
+McKay and Piperno, 2014), which keeps the search off the exponential
+subtrees of CFI graphs (_search).  The targets form a base
 and the generators a strong generating set, so the search returns its
 group with the stabilizer chain already filled in
 (``PermGroup.from_chain``): |Aut| is the product of the basic orbit
@@ -162,13 +166,17 @@ def _search(graph: graphio.Graph, colors: list[int], cap: int | None = None) -> 
     leaf_pos = [0] * n
     for v, c in enumerate(colors):
         leaf_pos[c] = v
+    # per level: whether its finished basic orbit fills its target's cell
+    fills = [False] * len(path)
 
     def seek(level: int, cells: list[set[int]], w: int) -> Permutation | None:
         """The first automorphism that fixes the targets above the level and
         maps its target to w, searched depth-first against the principal
         path below the level; cells are the level's.  Each stack frame holds
         a node's coloring and cells and the candidates it has still to try,
-        in descending order, so the smallest is popped first."""
+        in descending order, so the smallest is popped first.  At a depth
+        whose basic orbit fills its target's cell, a node keeps only its
+        smallest child (see below)."""
         stack = [(level + 1, path[level][0], cells, [w])]
         while stack:
             depth, parent, parent_cells, todo = stack[-1]
@@ -188,7 +196,8 @@ def _search(graph: graphio.Graph, colors: list[int], cap: int | None = None) -> 
                 if kern.preserves_edges(graph.edge_index, images):
                     return Permutation(tuple(images))
                 continue
-            todo = sorted(beta_cells[alpha[target]], reverse=True)
+            cell = beta_cells[alpha[target]]
+            todo = [min(cell)] if fills[depth] else sorted(cell, reverse=True)
             stack.append((depth + 1, beta, beta_cells, todo))
         return None
 
@@ -212,6 +221,17 @@ def _search(graph: graphio.Graph, colors: list[int], cap: int | None = None) -> 
     # whole profiles walked (each level's target's, and each sibling's that
     # matched) are kept for the search, so a vertex walked whole once, as a
     # deeper level's target or as a sibling, is compared by its tuple.
+    #
+    # A seek at this level runs below finished levels only.  Where a deeper
+    # level's basic orbit fills its target's cell, the generators fixing the
+    # targets above it are transitive on that cell, so a node that some
+    # automorphism maps the principal node onto has all its children
+    # equivalent, and one that none does has none that leads to a leaf: its
+    # smallest child decides, and seek tries no other (McKay, "Practical
+    # graph isomorphism", 1981).  The depth-first search tries that child
+    # first anyway and never leaves it once it holds a leaf, so no
+    # generator changes: the rule drops only children that the search would
+    # not reach or that hold no automorphism.
     profiles: dict[int, tuple[int, ...]] = {}
     gens: list[Permutation] = []
     orbits = list(range(n))
@@ -248,7 +268,9 @@ def _search(graph: graphio.Graph, colors: list[int], cap: int | None = None) -> 
                     orbits[b] = a
                     size[a] += size[b]
             dead = {_root(orbits, d) for d in dead}
-        order *= size[_root(orbits, target)]
+        orbit = size[_root(orbits, target)]
+        fills[level] = orbit == len(cells[alpha[target]])
+        order *= orbit
         if cap is not None and order > cap:
             raise CapExceeded(f"group order at least {order} exceeds cap {cap}")
     group = PermGroup.from_chain(n, gens, [target for _, target, _ in path[:-1]])

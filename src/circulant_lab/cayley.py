@@ -22,7 +22,6 @@ image, and the only group arithmetic left is label(g) and phi on S.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 from circulant_lab import graphio
@@ -44,7 +43,7 @@ class CayleyLabeling:
     S does not reach).  connection_set is S sorted, d = |S|; step[v*d + i]
     is the label of element(v)*S[i]; vertex v > 0 was first reached as
     element(parent[v]) * S[via[v]], and parent[v] < v (parent[0] = via[0] =
-    0 are unused).  The elements themselves are decoded on first use.
+    0 are unused).
     """
 
     group: object = field(repr=False, compare=False)
@@ -58,14 +57,6 @@ class CayleyLabeling:
     @property
     def n(self) -> int:
         return len(self.code_of_vertex)
-
-    @cached_property
-    def element_of_vertex(self) -> tuple:
-        return tuple(map(self.group.decode, self.code_of_vertex))
-
-    @cached_property
-    def vertex_of_element(self) -> dict:
-        return {g: v for v, g in enumerate(self.element_of_vertex)}
 
     def vertex(self, g) -> int | None:
         """The label of g, or None when g is not a vertex."""

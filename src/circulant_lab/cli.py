@@ -4,8 +4,9 @@ and scan corpora for order-bound violations.
 Subcommands: construct-even, construct-odd, analyze, spectrum, scan.
 Reports are JSON on stdout and byte-identical across runs on the same input
 (timings are opt-in for that reason).  Exit codes: 0 success, 1 failed
-assertion, bound violation, or (analyze, spectrum) a group order over the
-enumeration cap, 2 usage or parse error.
+assertion, bound violation, (analyze, spectrum) a group order over the
+enumeration cap, or stdout closed before the output was written, 2 usage
+or parse error.
 
 analyze and scan read one unformatted analysis per graph (_analyze_graph):
 analyze formats the whole report, witness cycles included, and a scan
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -416,7 +418,16 @@ def main(argv: list[str] | None = None) -> int:
         if value < 1:
             print(f"error: --{flag} must be at least 1 (got {value})", file=sys.stderr)
             return 2
-    return args.run(args)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()  # inside the try, so a closed pipe raises here
+        return code
+    except BrokenPipeError:
+        # stdout closed early, as by `| head`: stop quietly, with stdout on
+        # the null device so the flush at exit cannot raise again (the note
+        # on SIGPIPE in the Python docs of the signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from circulant_lab.errors import BadParams, DegenerateS, ElementOutsideR
 
@@ -233,26 +232,10 @@ class EvenGroup(_FamilyGroup):
             raise AssertionError(f"generator order {order} != expected {expected}")
         return gen, order
 
-    def all_elements(self) -> Iterator[EvenElement]:
-        m, p = self.params.m, self.params.p
-        for a in range(m):
-            for b in range(m):
-                for c in range(p):
-                    for e in range(2):
-                        yield EvenElement(a, b, c, e)
-
-    @staticmethod
-    def render(g: EvenElement) -> str:
-        return f"u^{g.a} v^{g.b} w^{g.c} x^{g.e}"
-
 
 # ---------------------------------------------------------------------------
 # odd family
 # ---------------------------------------------------------------------------
-
-_H_SYMBOLS = {(0, 0): "1", (1, 0): "x", (2, 0): "x^2",
-              (0, 1): "y", (1, 1): "x y", (2, 1): "x^2 y"}
-
 
 @dataclass(frozen=True, order=True)
 class OddElement:
@@ -288,10 +271,6 @@ class OddGroup(_FamilyGroup):
         self._radices = (k, k)
         self.delta = 1 if k % 3 == 0 else 0
         self._sigma_h = self._sigma_h_images()
-
-    @property
-    def r_order(self) -> int:
-        return 6 * self.k * self.k
 
     @property
     def order(self) -> int:
@@ -415,23 +394,6 @@ class OddGroup(_FamilyGroup):
         if order != 6 * self.k:
             raise AssertionError(f"generator order {order} != {6 * self.k}")
         return gen, order
-
-    def r_elements(self) -> Iterator[OddElement]:
-        for a in range(self.k):
-            for b in range(self.k):
-                for hx in range(3):
-                    for hy in range(2):
-                        yield OddElement(a, b, hx, hy, 0)
-
-    def all_elements(self) -> Iterator[OddElement]:
-        for r in self.r_elements():
-            for j in range(3):
-                yield OddElement(r.a, r.b, r.hx, r.hy, j)
-
-    @staticmethod
-    def render(g: OddElement) -> str:
-        h = _H_SYMBOLS[(g.hx, g.hy)]
-        return f"u^{g.a} v^{g.b} {h} sigma^{g.j}"
 
 
 @lru_cache(maxsize=None)

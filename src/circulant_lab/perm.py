@@ -10,9 +10,8 @@ automorphism search hands over the base and strong generating set it found
 the Schreier tree of one FIFO orbit walk, the order is the product of the
 tree sizes, and a coset representative a sift needs is composed along its
 tree path on first request and kept, so repeated runs make identical
-choices.  The suborbit partition the spectrum walks is likewise computed
-on first use and kept, so repeated queries on one group share it.  A sift, for membership or for Schreier-Sims,
-inverts no representative: it carries the product of the representatives
+choices.  A sift, for membership or for Schreier-Sims, inverts no
+representative: it carries the product of the representatives
 it has chosen and reads the next one off a preimage under that product,
 and the residue (the sifted element times the inverse of that product)
 is formed only to adjoin it to the chain.  Schreier-Sims verifies a level
@@ -22,12 +21,11 @@ the one at the largest point off the tree's edges: the generators around
 such a cycle multiply to the identity, so that one lies in the group the
 earlier ones already sifted into, and the chain is the one the full loop
 builds (_verify_level).
-The one walk over elements is the spectrum's, in two passes:
-``suborbit_pairs`` enters every suborbit by a shallow tree, and
-``chain_pairs`` walks the blocks it is given in chain order.  A group whose
-top level keeps every coset representative needs only the second
-(``keeps_top_representatives``).  The ``suborbit_pairs`` docstring gives
-the account and the reasons.
+The one walk over elements is the spectrum's, behind one method,
+``semiregular_hits``: k -> the first semiregular element with k cycles in
+chain order.  It walks once per group, in one pass or two, chosen off the
+chain, and keeps its hits; its docstring gives the account and the
+reasons, and the passes are this module's own (_first_hits).
 """
 from __future__ import annotations
 
@@ -37,7 +35,7 @@ import random
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from circulant_lab import _kernels as kern
 from circulant_lab._bfs import components
@@ -46,7 +44,7 @@ from circulant_lab.errors import CapExceeded, DegreeMismatch
 DEFAULT_ENUMERATION_CAP = 2 ** 24
 
 # An element of the spectrum walk, (m, h, v, t, g), as
-# PermGroup.suborbit_pairs and PermGroup.chain_pairs yield it
+# _shallow_pass and _chain_pass yield it
 WalkElement = tuple[int, list[int], list[int], list[int], list[int]]
 
 
@@ -203,7 +201,7 @@ class _Level:
     to the point it was reached from and the generator that reached it (the
     base point to None).  A coset representative is composed along its tree
     path on first request and kept in reps, so the tree fixes the chain
-    order (PermGroup.suborbit_pairs, whose walk adds none to reps).
+    order (PermGroup.semiregular_hits, whose walk adds none to reps).
     A sift through the levels carries the product of the representatives
     it chose rather than their inverses, and forms a residue only to
     adjoin it (PermGroup._sift_images).
@@ -256,15 +254,12 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._levels: list[_Level] | None = None
-        # the suborbit partition, computed on first use and kept as the
-        # chain is (_suborbit_partition)
-        self._suborbits: tuple[list[list[int]], list[tuple[int, list[int], _Level]]] | None = None
         # the graph whose automorphisms the generators are known to be:
         # read and set only by aut.check_all_automorphisms, aut.subgroup
         # and the search
         self._automorphisms_of = None
-        # k -> the spectrum's witness: read and set only by kcirc._first_hits
-        self._spectrum_hits = None
+        # the hits semiregular_hits keeps
+        self._spectrum_hits: dict[int, Permutation] | None = None
 
     @classmethod
     def from_chain(cls, degree: int, generators: Sequence[Permutation],
@@ -427,14 +422,6 @@ class PermGroup:
             return False
         return images == (list(range(self.degree)) if product is None else product)
 
-    def check_cap(self, cap: int | None) -> None:
-        """Raise CapExceeded if the order exceeds cap (None: the default)."""
-        if cap is None:
-            cap = DEFAULT_ENUMERATION_CAP
-        order = self.order()
-        if order > cap:
-            raise CapExceeded(f"group order {order} exceeds cap {cap}")
-
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
 
@@ -461,43 +448,14 @@ class PermGroup:
         walk over the generators (_orbit_classes); new lists on each call."""
         return _orbit_classes(self.degree, [g.images for g in self.generators])
 
-    def _suborbit_partition(self) -> tuple[list[list[int]], list[tuple[int, list[int], _Level]]]:
-        """The suborbits the walk reads, those of the first base point's
-        stabiliser on its orbit but {b}, each in FIFO order from its smallest
-        point and ordered by it, and _steps of the levels below the top.
-        Neither depends on the representatives the top level keeps, so both
-        are computed on first use and kept."""
-        if self._suborbits is None:
-            top, *below = self._ensure_chain()
-            stabiliser = below[0].gens if below else []
-            suborbits = [cls for cls in _orbit_classes(self.degree, stabiliser)[0]
-                         if cls[0] in top.tree and cls[0] != top.base]
-            self._suborbits = suborbits, _steps(below)
-        return self._suborbits
-
-    def keeps_top_representatives(self) -> bool:
-        """True iff the top level keeps a coset representative for every
-        point of its orbit, as Schreier-Sims builds it: then chain_pairs
-        reads every block through its own, with no composition at the top
-        level, and the spectrum needs no shallow first pass
-        (kcirc._first_hits).  False for the trivial group."""
-        levels = self._ensure_chain()
-        return bool(levels) and len(levels[0].reps) == len(levels[0].tree)
-
-    def suborbit_minima(self) -> list[int]:
-        """The smallest point of each suborbit (_suborbit_partition),
-        ascending; none for the trivial group."""
-        if not self._ensure_chain():
-            return []
-        return [cls[0] for cls in self._suborbit_partition()[0]]
-
-    def suborbit_pairs(self, cap: int | None = None) -> Iterator[WalkElement]:
-        """The spectrum's shallow first pass, one block per suborbit, not in
-        chain order; chain_pairs is the pass in chain order.  Both yield
-        (m, h, v, t, g): the element maps x to g[t[v[h[x]]]], uncomposed,
-        and m is the smallest point of its suborbit.  So a caller that
-        reads a few images of each element (kcirc follows one cycle)
-        composes only the candidates it keeps.
+    def semiregular_hits(self, cap: int | None = None) -> dict[int, Permutation]:
+        """k -> the first semiregular element with k cycles in chain order,
+        by ascending k, for every k of the group's spectrum: k = n maps to
+        the identity, the only element with n cycles, and a group of degree
+        0 gets none.  Raises CapExceeded if the order exceeds cap (None: the
+        default).  The cap is checked on every call; the walk runs on the
+        first call that passes it, and its hits are kept, so a spectrum and
+        a certificate for each divisor of n cost one walk.
 
         The chain order, which witnesses follow: an element is
         g = t_{L-1} * ... * t_1 * t_0, one coset representative per level,
@@ -506,89 +464,38 @@ class PermGroup:
         lexicographically by (p_0, ..., p_{L-1}), the top level most
         significant and each transversal by ascending orbit point, so in
         blocks: block pt holds the |G_b| elements that map the first base
-        point b to pt.
+        point b to pt.  So k's hit is the first hit in the block of the
+        smallest point whose block holds one.
 
         A suborbit is an orbit of the stabiliser G_b on b's orbit.  Block pt
         is the coset t * G_b of any element t mapping b to pt, as a set,
         whatever the tree that composed t; conjugating by G_b maps block pt
-        onto block h(pt) and keeps cycle types.  So a conjugacy-invariant
-        question is answered by one block per suborbit other than {b},
-        read through any representative, and only the order inside a block,
-        and so which element comes first, depends on the tree.  A question
-        about semiregular elements needs fewer elements still: one that
-        fixes a point is the identity or not semiregular.  So neither pass
-        yields block b, whose one such element is the identity, and both
-        drop only elements that fix a base point.  g(b_j) =
-        t_0[...t_j[b_j]] is known once levels 0..j are chosen.  Below the
-        top level the representatives are tried level by level in
-        ascending point order, and a choice at which g fixes b_j drops its
-        whole subtree.  h and v are the representatives of the last two
-        levels, read as the levels keep them (the identity where the chain
-        is shorter), and t is a top-level representative with those of the
-        levels between composed into it.  So a stabiliser chain of one or
-        two levels, as in the construction's families, costs no
-        composition per element, while an element is at most four lists,
-        each read at every step of a cycle (a word of every level's
-        representative, uncomposed, made analyze of a CFI graph with
-        n = 400 and 19 levels below the top four times slower).
+        onto block h(pt) and keeps cycle types.  So being semiregular with k
+        cycles is answered by one block per suborbit other than {b}, read
+        through any representative, and only the order inside a block, and
+        so which element comes first, depends on the tree.  An element that
+        fixes a point is the identity or not semiregular, so the walk skips
+        block b, whose one such element is the identity, and drops elements
+        that fix a base point (_pruned_triples).
 
-        This pass enters one point of every suborbit by a shallow tree,
-        whose generators are the top level's strong generators and random
-        subproducts of them (each the product of a random subset of the
-        generators and the subproducts before it), from a fixed seed, two
-        per bit of the orbit length (Seress, Permutation Group Algorithms,
-        2003, 4.4, after Babai, Cooperman, Finkelstein, Luks and Seress,
-        1991; _shallow_tree).  Blocks come in an order of the walk's own:
-        depth first along that tree (_walk_blocks), and a representative is
-        composed only where the walk branches, so the walk holds one tree
-        path and adds none to the level.  The subproducts and the tree are
-        dropped with the walk.
-
-        The suborbits, and each lower level's sorted orbit, depend on the
-        chain alone, not on the representatives the top level keeps, so the
-        group computes them on its first walk and keeps them
-        (_suborbit_partition).
-
-        The trivial group yields nothing.  The lists may be shared with the
-        group and with other elements, so they must not be modified.
-        Raises CapExceeded before the first element if the group order
-        exceeds the cap (check_cap).
+        The walk (_first_hits) has two passes, and which of them find the
+        hits is decided once, off the chain.  A top level that keeps a
+        representative for every point of its orbit, as Schreier-Sims
+        builds it, reads every block through its own, so the pass in chain
+        order (_chain_pass) over one block per suborbit meets the blocks by
+        ascending point, and each k's first hit is final.  Any other group,
+        such as a searched one, first makes the shallow pass (_shallow_pass),
+        which records for each k only the smallest suborbit point whose
+        block holds it, and then walks those blocks in chain order.
         """
-        self.check_cap(cap)
-        if not self._levels:
-            return
-        top = self._levels[0]
-        b = top.base
-        identity = top.reps[b]
-        suborbits, steps = self._suborbit_partition()
-        least = identity[:]  # each point of the top orbit -> the smallest of its suborbit
-        for cls in suborbits:
-            for p in cls:
-                least[p] = cls[0]
-        picks = _subproduct_picks(len(top.gens), 2 * len(top.tree).bit_length())
-        tree, targets = _shallow_tree(b, _subproducts(top.gens, picks), least, len(suborbits))
-        targets = dict(sorted(targets.items(), key=itemgetter(1)))
-        yield from _walk_blocks(tree, {b: identity}, targets, steps, identity)
-
-    def chain_pairs(self, points: Iterable[int]) -> Iterator[WalkElement]:
-        """The pass in chain order: (pt, h, v, t, g) for the elements of the
-        blocks of the given points of the first base point's orbit as
-        suborbit_pairs yields them, each block in chain order along the top
-        level's Schreier tree; the first base point's block is skipped, as
-        in suborbit_pairs.  The representatives are composed along the
-        paths to those points only, from the nearest kept one, and only
-        where the paths branch (_walk_blocks), depth first, holding one
-        path, and none is kept.  So the blocks come by ascending point when
-        each point's representative is kept (keeps_top_representatives).
-        The lower levels' orbits are the ones the group keeps
-        (_suborbit_partition)."""
-        levels = self._ensure_chain()
-        if not levels:
-            return
-        top = levels[0]
-        targets = {pt: pt for pt in sorted(points) if pt != top.base}
-        steps = self._suborbit_partition()[1]
-        yield from _walk_blocks(top.tree, top.reps, targets, steps, top.reps[top.base])
+        if cap is None:
+            cap = DEFAULT_ENUMERATION_CAP
+        order = self.order()
+        if order > cap:
+            raise CapExceeded(f"group order {order} exceeds cap {cap}")
+        if self._spectrum_hits is None:
+            self._spectrum_hits = _first_hits(self.degree, self._levels)
+        return self._spectrum_hits
 
 
 def _is_tree_edge(tree: dict, pt: int, g: list[int]) -> bool:
@@ -691,9 +598,130 @@ def _shallow_tree(b: int, gens: list[list[int]], least: list[int], suborbits: in
     return tree, targets
 
 
-def _steps(below: list[_Level]) -> list[tuple[int, list[int], _Level]]:
-    """Each level below the top: its base point, its sorted orbit and the level."""
-    return [(lvl.base, sorted(lvl.tree), lvl) for lvl in below]
+def _walk_partition(degree: int, levels: list[_Level]
+                    ) -> tuple[list[list[int]], list[tuple[int, list[int], _Level]]]:
+    """The suborbits the walk reads, those of the first base point's
+    stabiliser on its orbit but {b}, each in FIFO order from its smallest
+    point and ordered by it, and each level below the top as the walk steps
+    through it: its base point, its sorted orbit and the level."""
+    top, *below = levels
+    stabiliser = below[0].gens if below else []
+    suborbits = [cls for cls in _orbit_classes(degree, stabiliser)[0]
+                 if cls[0] in top.tree and cls[0] != top.base]
+    return suborbits, [(lvl.base, sorted(lvl.tree), lvl) for lvl in below]
+
+
+def _first_hits(n: int, levels: list[_Level]) -> dict[int, Permutation]:
+    """The walk behind PermGroup.semiregular_hits, over a chain's levels on
+    n points: the pass it takes, and the hits by ascending k."""
+    found = {n: list(range(n))} if n else {}
+    if levels:
+        top = levels[0]
+        suborbits, steps = _walk_partition(n, levels)
+        if len(top.reps) == len(top.tree):
+            for _, c, images in _semiregular_elements(
+                    n, _chain_pass(top, [cls[0] for cls in suborbits], steps),
+                    lambda c, m: c not in found):
+                found[c] = images
+        else:
+            first: dict[int, int] = {}  # k -> the smallest suborbit point whose block holds it
+            for m, c, _ in _semiregular_elements(
+                    n, _shallow_pass(top, suborbits, steps), lambda c, m: m < first.get(c, n)):
+                first[c] = m
+            for _, c, images in _semiregular_elements(
+                    n, _chain_pass(top, first.values(), steps),
+                    lambda c, m: first.get(c) == m and c not in found):
+                found[c] = images
+                if len(found) > len(first):
+                    break
+    return {k: Permutation(tuple(found[k])) for k in sorted(found)}
+
+
+def _semiregular_elements(n: int, pairs: Iterable[WalkElement],
+                          wanted: Callable[[int, int], bool]
+                          ) -> Iterator[tuple[int, int, list[int]]]:
+    """(m, number of cycles, images) for each semiregular element of a
+    pass (_shallow_pass or _chain_pass) whose number of cycles k is
+    wanted(k, m), in walk order.
+
+    All cycles of a semiregular element have one length, so the cycle
+    through point 0 gives their number.  That cycle of the element
+    x -> g[t[v[h[x]]]] is followed in as many steps as it is long.  No
+    walked element is the identity, so one that fixes 0 is not
+    semiregular and is dropped there; any other is composed and tested
+    only when its number is wanted.
+    """
+    for m, h, v, t, g in pairs:
+        length = 1
+        j = g[t[v[h[0]]]]
+        while j:
+            j = g[t[v[h[j]]]]
+            length += 1
+        if length == 1 or n % length or not wanted(n // length, m):
+            continue
+        images = [g[t[v[x]]] for x in h]
+        if kern.is_semiregular_images(images):
+            yield m, n // length, images
+
+
+def _shallow_pass(top: _Level, suborbits: list[list[int]],
+                  steps: list[tuple[int, list[int], _Level]]) -> Iterator[WalkElement]:
+    """The walk's first pass on a group that does not keep every top-level
+    representative: one block per suborbit (_walk_partition), not in chain
+    order.  Both passes yield (m, h, v, t, g): the element maps x to
+    g[t[v[h[x]]]], uncomposed, and m is the smallest point of its
+    suborbit.  So the walk, which reads a few images of each element (it
+    follows one cycle), composes only the candidates it keeps.
+    g(b_j) = t_0[...t_j[b_j]] is known once levels 0..j are chosen.  Below
+    the top level the representatives are tried level by level in
+    ascending point order, and a choice at which g fixes b_j drops its
+    whole subtree (_pruned_triples).  h and v are the representatives of
+    the last two levels, read as the levels keep them (the identity where
+    the chain is shorter), and t is a top-level representative with those
+    of the levels between composed into it.  So a stabiliser chain of one
+    or two levels, as in the construction's families, costs no composition
+    per element, while an element is at most four lists, each read at
+    every step of a cycle (a word of every level's representative,
+    uncomposed, made analyze of a CFI graph with n = 400 and 19 levels
+    below the top four times slower).
+
+    This pass enters one point of every suborbit by a shallow tree, whose
+    generators are the top level's strong generators and random
+    subproducts of them (each the product of a random subset of the
+    generators and the subproducts before it), from a fixed seed, two per
+    bit of the orbit length (Seress, Permutation Group Algorithms, 2003,
+    4.4, after Babai, Cooperman, Finkelstein, Luks and Seress, 1991;
+    _shallow_tree).  Blocks come in an order of the walk's own: depth
+    first along that tree (_walk_blocks), and a representative is composed
+    only where the walk branches, so the walk holds one tree path and adds
+    none to the level.  The subproducts and the tree are dropped with the
+    walk.  The lists may be shared with the group and with other elements,
+    so they must not be modified.
+    """
+    b = top.base
+    identity = top.reps[b]
+    least = identity[:]  # each point of the top orbit -> the smallest of its suborbit
+    for cls in suborbits:
+        for p in cls:
+            least[p] = cls[0]
+    picks = _subproduct_picks(len(top.gens), 2 * len(top.tree).bit_length())
+    tree, targets = _shallow_tree(b, _subproducts(top.gens, picks), least, len(suborbits))
+    targets = dict(sorted(targets.items(), key=itemgetter(1)))
+    yield from _walk_blocks(tree, {b: identity}, targets, steps, identity)
+
+
+def _chain_pass(top: _Level, points: Iterable[int],
+                steps: list[tuple[int, list[int], _Level]]) -> Iterator[WalkElement]:
+    """The pass in chain order: (pt, h, v, t, g) for the elements of the
+    blocks of the given points of the top orbit but its base point, as
+    _shallow_pass yields them, each block in chain order along the top
+    level's Schreier tree.  The representatives are composed along the
+    paths to those points only, from the nearest kept one, and only where
+    the paths branch (_walk_blocks), depth first, holding one path, and
+    none is kept.  So the blocks come by ascending point when the top
+    level keeps each point's representative."""
+    targets = {pt: pt for pt in sorted(points)}
+    yield from _walk_blocks(top.tree, top.reps, targets, steps, top.reps[top.base])
 
 
 def _paths(tree: dict, kept: dict, targets: dict[int, int]
@@ -758,7 +786,7 @@ def _pruned_triples(steps: list[tuple[int, list[int], _Level]], i: int, v: list[
                     t: list[int], g: list[int]
                     ) -> Iterator[tuple[list[int], list[int], list[int]]]:
     """For each element e of the chain from level i down, in chain order
-    (PermGroup.suborbit_pairs), the map x -> t[v[e[x]]] as a triple
+    (PermGroup.semiregular_hits), the map x -> t[v[e[x]]] as a triple
     (h', v', t') of lists with x -> t'[v'[h'[x]]], less the maps that fix a
     base point of these levels once g is applied after them; steps holds
     each level's base point, its sorted orbit and the level.  A

@@ -5,7 +5,9 @@ refinement machinery so that it can serve as a cross-check on them.
 """
 from itertools import combinations, permutations, product
 
+from circulant_lab import perm
 from circulant_lab.graphio import Graph, from_edges
+from circulant_lab.papergroups import EvenElement, EvenGroup, OddElement
 from circulant_lab.perm import Permutation
 
 
@@ -282,17 +284,57 @@ def cayley_graph_by_multiplication(group, connection_set):
     return Graph(tuple(rows)), tuple(elements), tuple(step), tuple(parent), tuple(via)
 
 
+def all_elements(group):
+    """Every element of a family group (papergroups), listed from its
+    parameters in normal-form order: u^a v^b w^c x^e for the even group,
+    u^a v^b x^hx y^hy sigma^j for the odd one."""
+    if isinstance(group, EvenGroup):
+        m, p = group.params.m, group.params.p
+        return (EvenElement(*e) for e in product(range(m), range(m), range(p), range(2)))
+    k = group.k
+    return (OddElement(*e) for e in product(range(k), range(k), range(3), range(2), range(3)))
+
+
+def r_elements(group):
+    """The elements of the odd group's R (sigma^0), in normal-form order."""
+    k = group.k
+    return (OddElement(a, b, hx, hy, 0)
+            for a, b, hx, hy in product(range(k), range(k), range(3), range(2)))
+
+
+_H_SYMBOLS = {(0, 0): "1", (1, 0): "x", (2, 0): "x^2",
+              (0, 1): "y", (1, 1): "x y", (2, 1): "x^2 y"}
+
+
+def render(g) -> str:
+    """A family group element's normal form as text."""
+    if isinstance(g, EvenElement):
+        return f"u^{g.a} v^{g.b} w^{g.c} x^{g.e}"
+    return f"u^{g.a} v^{g.b} {_H_SYMBOLS[g.hx, g.hy]} sigma^{g.j}"
+
+
+def element_of_vertex(labeling) -> tuple:
+    """Each vertex's element of a Cayley labeling, decoded from its code."""
+    return tuple(map(labeling.group.decode, labeling.code_of_vertex))
+
+
+def vertex_of_element(labeling) -> dict:
+    """Each element of a Cayley labeling -> its vertex, by ascending vertex."""
+    return {g: v for v, g in enumerate(element_of_vertex(labeling))}
+
+
 def left_translation_by_multiplication(group, labeling, g) -> tuple[int, ...]:
     """Images of v -> label(g * element(v)), one group product per vertex:
     the definition the library's transported translation must agree with."""
-    return tuple(labeling.vertex_of_element[group.mul(g, h)]
-                 for h in labeling.element_of_vertex)
+    vertex_of = vertex_of_element(labeling)
+    return tuple(vertex_of[group.mul(g, h)] for h in vertex_of)
 
 
 def automorphism_by_substitution(labeling, phi) -> tuple[int, ...]:
     """Images of v -> label(phi(element(v))), phi applied to every vertex's
     element: the definition of the induced vertex permutation."""
-    return tuple(labeling.vertex_of_element[phi(h)] for h in labeling.element_of_vertex)
+    vertex_of = vertex_of_element(labeling)
+    return tuple(vertex_of[phi(h)] for h in vertex_of)
 
 
 def arc_orbit_of_tuples(graph: Graph, generators) -> set[tuple[int, int]]:
@@ -400,6 +442,23 @@ def chain_elements(group):
         for t in reversed(ts):
             images = [t[x] for x in images]
         yield Permutation(tuple(images))
+
+
+def spectrum_passes(group):
+    """The two passes of the spectrum walk over the group's chain, as
+    PermGroup.semiregular_hits makes them: (minima, shallow, in_order),
+    where minima are the smallest points of the suborbits other than {b},
+    ascending, shallow() is the shallow pass (perm._shallow_pass) and
+    in_order(points) the pass in chain order over the blocks of the given
+    points (perm._chain_pass).  Not an oracle: a window on the library's
+    own walk, for the tests that take it apart.  The trivial group, which
+    has no level, has no pass."""
+    group.base()  # builds the chain
+    top = group._levels[0]
+    suborbits, steps = perm._walk_partition(group.degree, group._levels)
+    return ([cls[0] for cls in suborbits],
+            lambda: perm._shallow_pass(top, suborbits, steps),
+            lambda points: perm._chain_pass(top, points, steps))
 
 
 def schreier_sims_by_inverses(degree: int, generators):

@@ -655,15 +655,20 @@ def test_order_matches_networkx_isomorphism_count(monkeypatch):
 def test_trace_check_prunes_what_profiles_cannot(monkeypatch):
     # the Chang graphs are strongly regular with parameters (28, 12, 6, 4),
     # so every vertex has the profile (1, 12, 15) and no sibling is
-    # rejected by it; the trace check still drops 18, 15 and 19 siblings.
-    # The orders are networkx VF2 automorphism counts (16 s), pinned here
+    # rejected by it.  On the second and third no deeper basic orbit fills
+    # its cell, so seek branches everywhere, and the trace check still drops
+    # 15 and 19 siblings.  On the first, seek keeps one child per node at
+    # the levels whose basic orbit fills the cell, and so drops 17 of the
+    # 18 siblings the trace check dropped before, with no individualization
+    # (49 -> 26 individualizations).  The orders are networkx VF2
+    # automorphism counts (16 s), pinned here
     pruned = _count_pruned(monkeypatch)
     switches = {
-        384: [(0, 1), (2, 3), (4, 5), (6, 7)],
-        96: [(i, (i + 1) % 8) for i in range(8)],
-        360: [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)],
+        (384, 1): [(0, 1), (2, 3), (4, 5), (6, 7)],
+        (96, 15): [(i, (i + 1) % 8) for i in range(8)],
+        (360, 15): [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)],
     }
-    for order, switch in switches.items():
+    for (order, aborts), switch in switches.items():
         graph = chang_graph(switch)
         adjacency = [set(nbrs) for nbrs in graph.adjacency]
         for u in range(28):
@@ -673,13 +678,36 @@ def test_trace_check_prunes_what_profiles_cannot(monkeypatch):
         pruned.update(trace=0, profile=0)
         assert automorphism_group(graph).order() == order
         assert pruned["profile"] == 0
-        assert pruned["trace"] >= 15
+        assert pruned["trace"] >= aborts
     # on this CFI graph the whole profiles reject all 153 siblings that
     # orbit pruning leaves, where profiles cut at radius 5 left 35 of them
     # to the trace check; its order is still checked
     graph = cfi_graph(random_cubic_graph(random.Random(40), 40))
     assert graph.n == 400
     assert automorphism_group(graph).order() == 2 ** 22
+
+
+def test_seek_keeps_one_child_where_a_basic_orbit_fills_its_cell(monkeypatch):
+    # on CFI graphs refinement cannot tell a wrong branch from a right one,
+    # so a seek below a level whose basic orbit fills its target's cell
+    # would try every child of a node there; one child decides, so the
+    # search makes 654 individualizations here where it made 3865, and
+    # finds the same base and generators (the digest of the search that
+    # tried every child)
+    pruned = _count_pruned(monkeypatch)
+    graph = cfi_graph(random_cubic_graph(random.Random(2), 60))
+    group = automorphism_group(graph)
+    assert pruned["calls"] == 654
+    assert group.order() == 2 ** 31
+    record = (group.base(), [g.images for g in group.generators])
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == (
+        "2c331b2cc0851a430bdf92bafd46f2aa441129d961539262842700507c5c84a1")
+    # the case that held the search for minutes before the cap fired now
+    # ends in CapExceeded after a few hundred individualizations
+    pruned["calls"] = 0
+    with pytest.raises(CapExceeded):
+        automorphism_group(cfi_graph(random_cubic_graph(random.Random(0), 150)), 2 ** 24)
+    assert pruned["calls"] == 447
 
 
 @pytest.mark.parametrize("n", (704, 2816))

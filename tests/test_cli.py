@@ -538,6 +538,28 @@ def test_only_a_parallel_scan_imports_the_process_pool(tmp_path):
     assert {"concurrent.futures.process", "multiprocessing"} <= set(report["after_parallel"])
 
 
+@pytest.mark.parametrize("args", [["construct-odd", "9", "--out", "o9.edgelist"],
+                                  ["analyze", str(FIXTURE_DIR / "k4.edgelist")]])
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path, args):
+    # stdout is a pipe whose read end is closed before the command starts,
+    # so every write fails, whether it comes from a print or from the
+    # flush at exit: the command exits 1 with nothing on stderr
+    src = str(FIXTURE_DIR.parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "circulant_lab.cli", *args],
+                              cwd=tmp_path, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+    assert done.returncode == 1
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_scan_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     corpus = tmp_path / "corpus"

@@ -39,6 +39,7 @@ from helpers import (
     random_cubic_graph,
     relabel,
     spectrum_of_perms,
+    spectrum_passes,
 )
 
 SPEC_SPECTRA = {
@@ -219,17 +220,17 @@ def test_certify_for_every_divisor_computes_the_suborbit_partition_once(monkeypa
     assert len(walks) == 1
 
 
-def _count_walks(monkeypatch, name="suborbit_pairs"):
+def _count_walks(monkeypatch, name="_shallow_pass"):
     """Count the calls of one pass of the walk: the shallow pass
-    (suborbit_pairs) or the pass in chain order (chain_pairs)."""
+    (perm._shallow_pass) or the pass in chain order (perm._chain_pass)."""
     walks = [0]
-    walk = getattr(PermGroup, name)
+    walk = getattr(perm, name)
 
-    def counting(self, *args):
+    def counting(*args):
         walks[0] += 1
-        return walk(self, *args)
+        return walk(*args)
 
-    monkeypatch.setattr(PermGroup, name, counting)
+    monkeypatch.setattr(perm, name, counting)
     return walks
 
 
@@ -244,7 +245,7 @@ def test_certificates_for_every_divisor_walk_the_group_once(
     graph, group = _certify_case(source, group_kind)
     n = graph.n
     shallow = _count_walks(monkeypatch)
-    in_order = _count_walks(monkeypatch, "chain_pairs")
+    in_order = _count_walks(monkeypatch, "_chain_pass")
     if spectrum_first:
         witnesses = k_spectrum(graph, group).witnesses
     certificates = {k: certify_k_circulant(graph, k, group)
@@ -306,13 +307,14 @@ def test_cycle_walk_reads_each_cycle_through_0_once(monkeypatch, group_kind):
     graph, group = _certify_case("odd-3", group_kind)
     n = graph.n
     identity = list(range(n))
-    elements = list(group.suborbit_pairs()) + list(group.chain_pairs(group.suborbit_minima()))
+    minima, shallow, in_order = spectrum_passes(group)
+    elements = list(shallow()) + list(in_order(minima))
     assert {g == identity for *_, g in elements} == {True, False}
     composed = [perm.Permutation(tuple(g[t[v[x]]] for x in h)) for _, h, v, t, g in elements]
     counted = [_CountingList(h) for _, h, *_ in elements]
     pairs = [(m, c, v, t, g) for c, (m, _, v, t, g) in zip(counted, elements)]
     # nothing is wanted, so only the cycle walk reads h
-    assert not list(kcirc._semiregular_elements(n, pairs, lambda c, m: False))
+    assert not list(perm._semiregular_elements(n, pairs, lambda c, m: False))
     through_0 = []
     for e in composed:
         length, j = 1, e[0]
@@ -324,7 +326,7 @@ def test_cycle_walk_reads_each_cycle_through_0_once(monkeypatch, group_kind):
         if n % k:
             continue
         tested.clear()
-        hits = [(m, images) for m, c, images in kcirc._semiregular_elements(
+        hits = [(m, images) for m, c, images in perm._semiregular_elements(
             n, elements, lambda c, m: c == k)]
         assert len(tested) == (0 if k == n else through_0.count(n // k)), k
         assert hits == [(m, list(e.images)) for (m, *_), e in zip(elements, composed)
@@ -362,7 +364,7 @@ def test_spectrum_walk_composes_only_representatives_and_candidates(monkeypatch)
     # |G_0| = 6: block 0 is not walked, since its one element that fixes
     # no base point is the identity, and two elements of the other blocks
     # fix a base point below the top level
-    walked = sum(1 for _ in group.suborbit_pairs())
+    walked = sum(1 for _ in spectrum_passes(group)[1]())
     assert walked == 546 - 6 - 2
     assert spectrum_calls < walked
 
@@ -406,7 +408,7 @@ def test_a_schreier_sims_group_makes_no_second_pass(monkeypatch, source):
     graph, group = _certify_case(source, "arc")
     group.order()  # builds a Schreier-Sims chain first
     shallow = _count_walks(monkeypatch)
-    in_order = _count_walks(monkeypatch, "chain_pairs")
+    in_order = _count_walks(monkeypatch, "_chain_pass")
     oracle = _first_hits_over_all_elements(graph.n, group)
     assert k_spectrum(graph, group).witnesses == oracle
     for d in range(1, graph.n + 1):
@@ -431,10 +433,11 @@ def test_a_searched_group_that_keeps_every_top_representative_walks_in_chain_ord
     fresh = automorphism_group(graph)
     everything = list(chain_elements(group))
     b = group.base()[0]
-    assert not group.keeps_top_representatives()
-    for pt in sorted(group._levels[0].tree):
+    top = group._levels[0]
+    assert len(top.reps) < len(top.tree)
+    for pt in sorted(top.tree):
         assert group.contains(next(g for g in everything if g[b] == pt))
-    assert group.keeps_top_representatives()
+    assert len(top.reps) == len(top.tree)
     shallow = _count_walks(monkeypatch)
     witnesses = k_spectrum(graph, group).witnesses
     assert shallow[0] == 0
@@ -466,7 +469,7 @@ def test_certify_composes_only_representatives_and_candidates(monkeypatch):
     spectrum_calls = calls[0]
     calls[0] = 0
     assert certify_k_circulant(graph, 1, group) is None
-    assert calls[0] <= spectrum_calls < sum(1 for _ in group.suborbit_pairs()) == 538
+    assert calls[0] <= spectrum_calls < sum(1 for _ in spectrum_passes(group)[1]()) == 538
     calls[0] = 0
     assert certify_k_circulant(graph, 9, group) is not None
     k_spectrum(graph, group)

@@ -40,6 +40,7 @@ from helpers import (
     generalized_petersen,
     random_cubic_graph,
     schreier_sims_by_inverses,
+    spectrum_passes,
 )
 
 
@@ -334,7 +335,7 @@ SUBORBIT_GROUPS = [
 
 
 def _composed(walked):
-    """Each (pt, h, v, t, g) of suborbit_pairs() or chain_pairs() as its
+    """Each (pt, h, v, t, g) of either pass (spectrum_passes) as its
     element x -> g[t[v[h[x]]]]."""
     return [Permutation(tuple(g[t[v[x]]] for x in h)) for _, h, v, t, g in walked]
 
@@ -362,11 +363,12 @@ def _check_suborbit_blocks(group):
     b = base[0]
     everything = list(chain_elements(group))
     minima = sorted(set(_suborbit_minima(group, everything).values()))
-    assert group.suborbit_minima() == [m for m in minima if m != b]
+    walked_minima, _, in_order = spectrum_passes(group)
     # block b, whose one element that fixes no base point is the identity,
     # is walked by neither pass
-    blocks = _blocks(group.chain_pairs(minima))
-    assert set(blocks) <= set(minima) - {b}
+    assert walked_minima == [m for m in minima if m != b]
+    blocks = _blocks(in_order(walked_minima))
+    assert set(blocks) <= set(walked_minima)
     # the blocks, compared by point, each in chain order, without
     # exactly the elements that fix a base point
     for pt in minima:
@@ -395,7 +397,7 @@ def test_a_shallow_first_pass_walks_one_whole_block_per_suborbit(group):
     b = base[0]
     everything = list(chain_elements(group))
     least = _suborbit_minima(group, everything)
-    blocks = _blocks(group.suborbit_pairs())
+    blocks = _blocks(spectrum_passes(group)[1]())
     assert set(blocks) == set(least.values()) - {b}
     for m, block in blocks.items():
         points = {g[b] for g in block}
@@ -410,8 +412,9 @@ def test_a_shallow_first_pass_walks_one_whole_block_per_suborbit(group):
 def test_the_second_pass_walks_blocks_in_chain_order(group):
     _check_suborbit_blocks(group)
     # only the blocks asked for
-    some = sorted({item[0] for item in group.suborbit_pairs()})[1::3]
-    assert set(_blocks(group.chain_pairs(some))) == set(some)
+    _, shallow, in_order = spectrum_passes(group)
+    some = sorted({item[0] for item in shallow()})[1::3]
+    assert set(_blocks(in_order(some))) == set(some)
 
 
 def _partly_kept(build, params):
@@ -435,7 +438,7 @@ def test_the_first_pass_marks_the_blocks_it_reads_in_chain_order(group):
     # order over every suborbit composes nothing at the top level; a
     # searched group keeps only those its membership sifts composed
     top = group._levels[0]
-    keeps = group.keeps_top_representatives()
+    keeps = len(top.reps) == len(top.tree)
     assert keeps == (set(top.reps) == set(top.tree))
     assert keeps == (group in SUBORBIT_GROUPS)
     _check_suborbit_blocks(group)
@@ -452,24 +455,31 @@ def test_the_shallow_tree_bridges_a_suborbit_it_cannot_enter():
     assert {q: pt for q, (pt, _) in tree.items()} == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
 
 
-def test_suborbit_pairs_of_the_trivial_group():
-    # the trivial group's one element is the identity, which no pass walks
-    for degree in (3, 0):
+def test_suborbit_pairs_of_the_trivial_group(monkeypatch):
+    # the trivial group's one element is the identity, which no pass walks:
+    # its hits are k = n alone, and none on no points
+    passes = []
+    for name in ("_shallow_pass", "_chain_pass"):
+        monkeypatch.setattr(perm, name, lambda *args, name=name: passes.append(name))
+    for degree, hits in ((3, {3: identity(3)}), (0, {})):
         group = PermGroup(degree, [])
-        assert list(group.suborbit_pairs()) == []
-        assert list(group.chain_pairs(range(degree))) == []
-        assert group.suborbit_minima() == []
-        assert not group.keeps_top_representatives()
+        assert group.semiregular_hits() == hits
+        assert group.semiregular_hits(cap=1) == hits
+    assert passes == []
 
 
 def test_suborbit_pairs_cap():
     g = PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)])
-    walk = g.suborbit_pairs(cap=23)
+    with pytest.raises(CapExceeded, match="^group order 24 exceeds cap 23$"):
+        g.semiregular_hits(cap=23)
+    assert g._spectrum_hits is None  # raised before the walk
+    assert list(g.semiregular_hits(cap=24)) == [1, 2, 4]
+    # the cap is checked on every call, also once the hits are kept
     with pytest.raises(CapExceeded):
-        next(walk)  # raised before the first pair
+        g.semiregular_hits(cap=23)
     # block 1 alone: the six elements mapping 0 to 1, less the two that
     # fix the base point 2
-    assert len(list(g.suborbit_pairs(cap=24))) == 4
+    assert len(list(spectrum_passes(g)[1]())) == 4
 
 
 def test_walks_do_not_keep_their_group_alive():
@@ -478,8 +488,9 @@ def test_walks_do_not_keep_their_group_alive():
     gc.disable()
     try:
         g = PermGroup(4, [P("(0 1 2 3)", 4), P("(0 1)", 4)])
-        next(g.suborbit_pairs())
-        next(g.chain_pairs(g.suborbit_minima()))
+        minima, shallow, in_order = spectrum_passes(g)
+        next(shallow())
+        next(in_order(minima))
         released = weakref.ref(g)
         del g
         assert released() is None
@@ -487,7 +498,7 @@ def test_walks_do_not_keep_their_group_alive():
         graph = build_odd(3).graph
         g = automorphism_group(graph)
         witness = certify_k_circulant(graph, 3, g)
-        assert witness is not None and witness != _composed(g.suborbit_pairs())[-1]
+        assert witness is not None and witness != _composed(spectrum_passes(g)[1]())[-1]
         released = weakref.ref(g)
         del g
         assert released() is None
